@@ -341,11 +341,21 @@ def candidate_from_json(data, algebra: AlgebraBasis) -> CoproductCandidate:
         raise ValidationError("coproduct file must be a list of per-vertex objects")
     values = {}
     for entry in data:
+        if not isinstance(entry, dict):
+            raise ValidationError(f"coproduct entry is not an object: {entry!r}")
         vertex = entry.get("vertex")
-        if vertex not in algebra.quiver.out_arrows:
+        if not isinstance(vertex, str) or vertex not in algebra.quiver.out_arrows:
             raise ValidationError(f"unknown vertex in coproduct: {vertex!r}")
         tensor = values.setdefault(vertex, TensorElement(algebra.field))
-        for term in entry.get("terms", []):
+        terms = entry.get("terms", [])
+        if not isinstance(terms, list):
+            raise ValidationError(f"terms at vertex {vertex!r} must be a list")
+        for term in terms:
+            if not isinstance(term, dict) or not {"left", "right", "coeff"} <= set(term):
+                raise ValidationError(
+                    f"term at vertex {vertex!r} must be an object with "
+                    f"left, right and coeff: {term!r}"
+                )
             u = _path_from_json(term["left"], algebra.quiver)
             v = _path_from_json(term["right"], algebra.quiver)
             coeff = algebra.field.parse(str(term["coeff"]))

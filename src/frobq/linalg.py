@@ -142,11 +142,46 @@ class RationalField:
         return "QQ"
 
 
+# Miller-Rabin with the first 12 primes as bases has no strong liar below
+# this bound (Sorenson and Webster, 2015), so the test is exact there.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n):
+    """Deterministic primality for 0 <= n < _MILLER_RABIN_LIMIT."""
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """The prime field F_p behind the same interface as the rationals."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+        if p >= _MILLER_RABIN_LIMIT:
+            raise ValidationError(
+                f"modulus too large to certify as prime: {p} "
+                f"(must be below {_MILLER_RABIN_LIMIT})"
+            )
+        if not _is_prime(p):
             raise ValidationError(f"modulus must be prime: {p}")
         self.p = p
         self.name = f"F{p}"
@@ -260,47 +295,64 @@ class KernelBasis:
 def rref(matrix: SparseMatrix):
     """Reduced row echelon form and its pivot columns.
 
-    The result is the canonical RREF, hence independent of the pivot row
-    choice; rows are selected by smallest magnitude to limit coefficient
-    blow-up over the rationals.
+    The rows come back with the pivot rows first, in pivot order, then
+    the zero rows.  The elimination keeps an index from each column to
+    the rows holding it.  Invariant: each column's entry lists exactly
+    the rows that have a nonzero there; every fill-in adds a row to the
+    index and every cancellation removes it.  A column's pivot is chosen
+    only among the non-pivot rows in its entry (smallest
+    `field.pivot_key`, ties to the lowest row id), and only the rows in
+    its entry are eliminated.  So the cost follows the fill-in of the
+    elimination, not columns x rows.
+
+    The RREF of a matrix is unique, so the pivot row choice cannot change
+    the result: it only decides how large the rational coefficients grow
+    on the way, which the smallest-magnitude rule keeps modest.
     """
     field = matrix.field
-    zero = field.zero
+    one = field.one
     rows = matrix.row_dicts()
+    holders = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    pivot_rows = []
     pivots = []
-    rank = 0
+    is_pivot_row = set()
     for col in range(matrix.ncols):
-        best = None
-        for i in range(rank, len(rows)):
-            value = rows[i].get(col)
-            if value is not None and value != zero:
-                key = field.pivot_key(value)
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+        # Elimination only ever fills in columns right of the current
+        # pivot, so this column's entry is final once it is reached.
+        holding = holders.pop(col, ())
+        candidates = [i for i in holding if i not in is_pivot_row]
+        if not candidates:
             continue
-        i = best[1]
-        rows[rank], rows[i] = rows[i], rows[rank]
-        pivot_value = rows[rank][col]
-        if pivot_value != field.one:
-            rows[rank] = {j: v / pivot_value for j, v in rows[rank].items()}
-        pivot_row = rows[rank]
-        for k in range(len(rows)):
-            if k == rank:
-                continue
-            factor = rows[k].get(col)
-            if factor is None or factor == zero:
+        p = min(candidates, key=lambda i: (field.pivot_key(rows[i][col]), i))
+        pivot_value = rows[p][col]
+        if pivot_value != one:
+            rows[p] = {j: v / pivot_value for j, v in rows[p].items()}
+        tail = [(j, v) for j, v in rows[p].items() if j != col]
+        for k in holding:
+            if k == p:
                 continue
             row = rows[k]
-            for j, v in pivot_row.items():
-                new = row.get(j, zero) - factor * v
-                if new == zero:
-                    row.pop(j, None)
-                else:
+            factor = row.pop(col)
+            for j, v in tail:
+                old = row.get(j)
+                if old is None:
+                    row[j] = -factor * v
+                    holders[j].add(k)
+                    continue
+                new = old - factor * v
+                if new:
                     row[j] = new
+                else:
+                    del row[j]
+                    holders[j].remove(k)
+        is_pivot_row.add(p)
+        pivot_rows.append(rows[p])
         pivots.append(col)
-        rank += 1
-    reduced = SparseMatrix.from_rows(rows, matrix.ncols, field)
+    pivot_rows.extend({} for _ in range(len(rows) - len(pivots)))
+    reduced = SparseMatrix.from_rows(pivot_rows, matrix.ncols, field)
     return reduced, pivots
 
 
@@ -311,19 +363,13 @@ def rank(matrix: SparseMatrix) -> int:
 
 def kernel_basis(matrix: SparseMatrix) -> KernelBasis:
     """Canonical kernel basis: one free column set to 1 per non-pivot column."""
-    field = matrix.field
     reduced, pivots = rref(matrix)
-    pivot_of_row = {i: c for i, c in enumerate(pivots)}
-    rows = reduced.row_dicts()[: len(pivots)]
     pivot_set = set(pivots)
-    vectors = []
-    for col in range(matrix.ncols):
-        if col in pivot_set:
-            continue
-        vec = {col: field.one}
-        for i, row in enumerate(rows):
-            value = row.get(col)
-            if value is not None and value != field.zero:
-                vec[pivot_of_row[i]] = -value
-        vectors.append(vec)
-    return KernelBasis(len(vectors), vectors)
+    vectors = {col: {col: matrix.field.one}
+               for col in range(matrix.ncols) if col not in pivot_set}
+    # Off its pivot, a row of the RREF is nonzero only in free columns.
+    for pivot, row in zip(pivots, reduced.row_dicts()):
+        for col, value in row.items():
+            if col != pivot:
+                vectors[col][pivot] = -value
+    return KernelBasis(len(vectors), list(vectors.values()))

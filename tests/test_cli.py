@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -142,6 +143,19 @@ class TestCommands:
         code, out, _ = run(capsys, "verify", diamond_file, "--coproduct", str(cand))
         assert code == 4 and out.startswith("SUPPORT VIOLATION")
 
+    @pytest.mark.parametrize("payload, message", [
+        ([{"vertex": "x", "terms": [{"right": ["a1"], "coeff": "1"}]}], "left, right and coeff"),
+        (["oops"], "not an object"),
+        ([{"vertex": "x", "terms": {"left": ["a2"]}}], "must be a list"),
+    ])
+    def test_verify_malformed_coproduct(self, capsys, tmp_path, diamond_file,
+                                        payload, message):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "verify", diamond_file, "--coproduct", str(cand))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
     def test_classify(self, capsys, diamond_file):
         code, out, _ = run(capsys, "classify", diamond_file)
         assert code == 0
@@ -159,6 +173,16 @@ class TestCommands:
     def test_field_flag(self, capsys, diamond_file):
         code, out, _ = run(capsys, "dim", diamond_file, "--field", "F5")
         assert code == 0 and out == "1\n"
+
+
+class TestFieldModulus:
+    def test_large_prime_accepted(self, capsys, diamond_file):
+        code, out, _ = run(capsys, "dim", diamond_file, "--field", "F2305843009213693951")
+        assert code == 0 and out == "1\n"
+
+    def test_modulus_beyond_certified_range(self, capsys, diamond_file):
+        code, out, err = run(capsys, "dim", diamond_file, "--field", "F" + "9" * 30)
+        assert code == 1 and out == "" and "too large" in err and err.count("\n") == 1
 
 
 class TestGen:
@@ -199,3 +223,26 @@ def test_json_outputs_are_deterministic(capsys, diamond_file):
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second and first[0] == 0
+
+
+# sha256 of `space --json`, recorded with the dense-scan elimination that
+# tests/test_linalg.py keeps as `reference_rref`.  Elimination may change
+# how it finds the RREF, never the bytes it leads to.
+GOLDEN_SPACE_JSON = [
+    (["linear", "12"], [],
+     "7fd0e1a1dc2d6b059aeda935c142f8e287dba248323da2d3d59863dd32831910"),
+    (["cycle", "5", "4"], ["--field", "F7"],
+     "3fe219496fb40d94d6f8a82d638223574abb34bc463a30fe30ab4d0d1907a0f9"),
+    (["toupie", "3,3", "--linear", "2,-3"], [],
+     "7c7509b23bf726224e900b03f1256c413ce384b436dc7df23d088a54319e5a60"),
+]
+
+
+@pytest.mark.parametrize("gen, flags, digest", GOLDEN_SPACE_JSON)
+def test_space_json_golden(capsys, tmp_path, gen, flags, digest):
+    code, doc, _ = run(capsys, "gen", *gen)
+    assert code == 0
+    path = tmp_path / "doc.qv"
+    path.write_text(doc)
+    code, out, _ = run(capsys, "space", str(path), "--json", *flags)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest

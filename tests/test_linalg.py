@@ -110,3 +110,122 @@ def test_prime_field_requires_prime():
         PrimeField(6)
     PrimeField(2)
     PrimeField(97)
+
+
+def test_prime_field_accepts_large_prime():
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+
+
+@pytest.mark.parametrize("n", [561, 3215031751])
+def test_prime_field_rejects_pseudoprimes(n):
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7.
+    with pytest.raises(ValidationError, match="must be prime"):
+        PrimeField(n)
+
+
+def test_prime_field_rejects_moduli_beyond_certified_range():
+    # The smallest strong pseudoprime to all twelve Miller-Rabin bases.
+    psi12 = 399165290221 * 798330580441
+    with pytest.raises(ValidationError, match="too large"):
+        PrimeField(psi12)
+
+
+def reference_rref(matrix):
+    """Dense-scan Gauss-Jordan: scans every row for every column."""
+    field = matrix.field
+    zero = field.zero
+    rows = matrix.row_dicts()
+    pivots = []
+    rank = 0
+    for col in range(matrix.ncols):
+        best = None
+        for i in range(rank, len(rows)):
+            value = rows[i].get(col)
+            if value is not None and value != zero:
+                key = field.pivot_key(value)
+                if best is None or key < best[0]:
+                    best = (key, i)
+        if best is None:
+            continue
+        i = best[1]
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot_value = rows[rank][col]
+        if pivot_value != field.one:
+            rows[rank] = {j: v / pivot_value for j, v in rows[rank].items()}
+        pivot_row = rows[rank]
+        for k in range(len(rows)):
+            if k == rank:
+                continue
+            factor = rows[k].get(col)
+            if factor is None or factor == zero:
+                continue
+            row = rows[k]
+            for j, v in pivot_row.items():
+                new = row.get(j, zero) - factor * v
+                if new == zero:
+                    row.pop(j, None)
+                else:
+                    row[j] = new
+        pivots.append(col)
+        rank += 1
+    return SparseMatrix.from_rows(rows, matrix.ncols, field), pivots
+
+
+def random_sparse_rows(rng, field, nrows, ncols, per_row):
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        for j in rng.sample(range(ncols), min(per_row, ncols)):
+            value = field.scalar(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2]))
+            row[j] = value
+        rows.append(row)
+    return rows
+
+
+def combination(rng, field, rows):
+    """A row that is a combination of the given rows, so it reduces to zero."""
+    out = {}
+    for row in rows:
+        c = field.scalar(rng.choice([-2, -1, 1, 3]))
+        for j, v in row.items():
+            out[j] = out.get(j, field.zero) + c * v
+    return {j: v for j, v in out.items() if v != field.zero}
+
+
+def sparse_matrix(rng, field):
+    nrows = rng.randint(1, 40)
+    ncols = rng.randint(1, 40)
+    rows = random_sparse_rows(rng, field, nrows, ncols, rng.randint(1, 3))
+    for _ in range(rng.randint(0, 4)):
+        rows.append(combination(rng, field, rng.sample(rows, min(len(rows), 3))))
+    rng.shuffle(rows)
+    return SparseMatrix.from_rows(rows, ncols, field)
+
+
+def block_diagonal_matrix(rng, field):
+    """Dense-ish blocks on disjoint columns, rows and columns shuffled."""
+    rows = []
+    ncols = 0
+    for _ in range(rng.randint(2, 6)):
+        width = rng.randint(1, 7)
+        block = random_sparse_rows(rng, field, rng.randint(1, 7), width, rng.randint(1, 3))
+        block.append(combination(rng, field, block[:2]))
+        rows.extend({ncols + j: v for j, v in row.items()} for row in block)
+        ncols += width
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    rows = [{perm[j]: v for j, v in row.items()} for row in rows]
+    rng.shuffle(rows)
+    return SparseMatrix.from_rows(rows, ncols, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+@pytest.mark.parametrize("make", [sparse_matrix, block_diagonal_matrix])
+def test_rref_matches_reference(field, make):
+    rng = random.Random(4049 if field is QQ else 4051)
+    for _ in range(60):
+        m = make(rng, field)
+        reduced, pivots = rref(m)
+        expected, expected_pivots = reference_rref(m)
+        assert reduced == expected and pivots == expected_pivots
