@@ -26,6 +26,7 @@ from .frobenius import (
     candidate_from_json,
     candidate_to_json,
     frobenius_dimension,
+    path_to_json,
     solve_frobenius_space,
     verify_coproduct,
 )
@@ -58,12 +59,6 @@ def _load(path, field_flag):
     return parse_document(text, field_override=_field_from_flag(field_flag))
 
 
-def _path_json(path):
-    if path.is_trivial:
-        return {"e": path.source}
-    return list(path.arrows)
-
-
 def _emit(text, out=None):
     stream = sys.stdout if out is None else open(out, "w", encoding="utf-8")
     try:
@@ -85,7 +80,7 @@ def cmd_basis(args):
             blocks.append({
                 "source": key[0],
                 "target": key[1],
-                "paths": [_path_json(p) for p in paths],
+                "paths": [path_to_json(p) for p in paths],
             })
         payload = {
             "schema": SCHEMA,

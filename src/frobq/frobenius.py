@@ -5,8 +5,9 @@ those values are forced into one block of the tensor square: every term
 u (x) v of the value at p satisfies source(u) = p and target(v) = p.  The
 solver emits one constraint row per arrow and tensor basis pair; the
 verifier below re-checks candidates against the full bimodule condition
-on all ordered pairs of basis paths, so the cheap system is never trusted
-on its own.
+on every composable pair of basis paths (all other pairs have zero on
+every side), using the algebra's full multiplication rather than arrows,
+so the cheap system is never trusted on its own.
 """
 
 import json
@@ -137,35 +138,17 @@ def _support_columns(algebra: AlgebraBasis):
     return legend
 
 
-def _all_pair_columns(algebra: AlgebraBasis):
-    legend = []
-    for p in algebra.quiver.vertices:
-        for u in algebra.basis:
-            for v in algebra.basis:
-                legend.append((p, u, v))
-    return legend
-
-
-def build_constraint_system(algebra: AlgebraBasis, restrict_support=True):
+def build_constraint_system(algebra: AlgebraBasis):
     """The linear system whose kernel is the Frobenius space.
 
-    Unknowns are the coefficients of each candidate value at each vertex.
-    With restrict_support=True (the default) the support condition is
-    imposed structurally; the unrestricted variant keeps every pair and
-    adds the idempotent constraints explicitly, and exists so tests can
-    confirm both formulations agree.
+    Unknowns are the coefficients of each candidate value at each vertex,
+    one column per (p, u, v) with source(u) = target(v) = p: the support
+    condition is imposed structurally, so only arrow constraints remain.
     """
     field = algebra.field
-    legend = _support_columns(algebra) if restrict_support else _all_pair_columns(algebra)
-    legend_index = {key: i for i, key in enumerate(legend)}
+    legend = _support_columns(algebra)
 
     rows = []
-    if not restrict_support:
-        # e_p * u = 0 unless u starts at p; same on the right leg.
-        for col, (p, u, v) in enumerate(legend):
-            if u.source != p or v.target != p:
-                rows.append({col: field.one})
-
     for arrow in algebra.quiver.arrows:
         p, q = arrow.source, arrow.target
         arrow_path = Path(p, q, (arrow.name,))
@@ -220,18 +203,24 @@ def solve_frobenius_space(algebra: AlgebraBasis) -> FrobeniusSpace:
 
 
 def extend_coproduct(candidate: CoproductCandidate, w: Path) -> TensorElement:
-    """The induced value on a basis path: (w (x) 1) applied at its target."""
+    """The induced value on a basis path: (w (x) 1) applied at its target.
+
+    Left legs of the value at target(w) must be basis paths (check_support
+    guarantees it); a leg that does not start at target(w) contributes zero.
+    """
     algebra = candidate.algebra
-    if w not in algebra.index:
+    basis, index = algebra.basis, algebra.index
+    i = index.get(w)
+    if i is None:
         raise ValidationError(f"foreign path: {w}")
+    products = algebra.product_table[i]
     result = TensorElement(algebra.field)
-    base = candidate.value_at(w.target)
-    for (u, v), c in base.coefficients.items():
-        left = compose(w, u)
-        if left is None:
-            continue
-        for z, value in algebra.reduce_path(left).items():
-            result.add_term(z, v, c * value)
+    for (u, v), c in candidate.value_at(w.target).coefficients.items():
+        j = index.get(u)
+        if j is None:
+            raise SupportViolationError(f"coproduct term {u}(x){v} does not use basis paths")
+        for k, value in products.get(j, {}).items():
+            result.add_term(basis[k], v, c * value)
     return result
 
 
@@ -251,8 +240,37 @@ class Counterexample:
                 f"(1 (x) right) form = {self.right_side}")
 
 
+def _nonzero(terms, zero):
+    return {key: value for key, value in terms.items() if value != zero}
+
+
+def _tensor_of_indices(algebra, terms):
+    basis = algebra.basis
+    return TensorElement(algebra.field, {(basis[a], basis[b]): c
+                                         for (a, b), c in terms.items()})
+
+
 def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
-    """Check the bimodule condition on all ordered pairs of basis paths.
+    """Check the bimodule condition on every composable pair of basis paths.
+
+    For basis paths x, y the three sides are the value on the product,
+    D(xy) = sum of c_b D(b) over the coordinates of xy, the left form
+    (x (x) 1) D(y) and the right form D(x) (1 (x) y).  Only pairs with
+    target(x) = source(y) are visited, because every other pair has zero
+    on all three sides once check_support has passed:
+
+    - xy = 0, so D(xy) = 0;
+    - D(y) = (y (x) 1) D(e_t) with t = target(y), and every left leg u of
+      D(e_t) starts at t, so each left leg of D(y) is a basis path
+      parallel to y * u: it starts at source(y) != target(x), and
+      x * (left leg) = 0;
+    - every right leg of D(e_s), s = target(x), ends at s, and extension
+      acts on the left leg only, so each right leg of D(x) ends at
+      target(x) != source(y); hence (right leg) * y = 0.
+
+    Pairs are visited in basis order of x, then of y, so the first failing
+    pair is the one a walk over all ordered pairs would find.  Products of
+    basis paths come from algebra.product_table, built once per algebra.
 
     This is the independent oracle: it does not share the arrow-only
     shortcut of the constraint system.  Returns (True, None) or
@@ -260,41 +278,44 @@ def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
     make the candidate malformed rather than merely non-Frobenius.
     """
     candidate.check_support()
-    field = algebra.field
+    zero = algebra.field.zero
+    basis, index = algebra.basis, algebra.index
+    products = algebra.product_table
 
-    delta = {b: extend_coproduct(candidate, b) for b in algebra.basis}
+    delta = [{(index[u], index[v]): c
+              for (u, v), c in extend_coproduct(candidate, b).coefficients.items()}
+             for b in basis]
 
-    def delta_of_coords(coords):
-        out = TensorElement(field)
-        for b, c in coords.items():
-            for pair, value in delta[b].coefficients.items():
-                out.add_term(pair[0], pair[1], c * value)
-        return out
+    for i, row in enumerate(products):
+        delta_x = delta[i]
+        for j, coords in row.items():
+            expected = {}
+            for k, ck in coords.items():
+                for pair, c in delta[k].items():
+                    expected[pair] = expected.get(pair, zero) + ck * c
 
-    for x in algebra.basis:
-        for y in algebra.basis:
-            product = compose(x, y)
-            coords = algebra.reduce_path(product) if product is not None else {}
-            expected = delta_of_coords(coords)
+            left_side = {}
+            for (u, v), c in delta[j].items():
+                for z, cz in row[u].items():
+                    key = (z, v)
+                    left_side[key] = left_side.get(key, zero) + c * cz
 
-            left_side = TensorElement(field)
-            for (u, v), c in delta[y].coefficients.items():
-                glued = compose(x, u)
-                if glued is None:
-                    continue
-                for z, value in algebra.reduce_path(glued).items():
-                    left_side.add_term(z, v, c * value)
+            right_side = {}
+            for (u, v), c in delta_x.items():
+                for z, cz in products[v][j].items():
+                    key = (u, z)
+                    right_side[key] = right_side.get(key, zero) + c * cz
 
-            right_side = TensorElement(field)
-            for (u, v), c in delta[x].coefficients.items():
-                glued = compose(v, y)
-                if glued is None:
-                    continue
-                for z, value in algebra.reduce_path(glued).items():
-                    right_side.add_term(u, z, c * value)
-
+            if expected == left_side == right_side:
+                continue  # equal with their zero entries, so equal without them
+            expected = _nonzero(expected, zero)
+            left_side = _nonzero(left_side, zero)
+            right_side = _nonzero(right_side, zero)
             if expected != left_side or expected != right_side:
-                return False, Counterexample(x, y, expected, left_side, right_side)
+                return False, Counterexample(
+                    basis[i], basis[j], _tensor_of_indices(algebra, expected),
+                    _tensor_of_indices(algebra, left_side),
+                    _tensor_of_indices(algebra, right_side))
     return True, None
 
 
@@ -302,14 +323,15 @@ def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
 # JSON coproduct encoding: one object per vertex, paths as arrow name lists,
 # trivial paths as {"e": vertex}, scalars as "num/den" strings.
 
-def _path_to_json(path: Path):
+def path_to_json(path: Path):
     if path.is_trivial:
         return {"e": path.source}
     return list(path.arrows)
 
+
 def _path_from_json(data, quiver):
     if isinstance(data, dict):
-        if set(data) != {"e"}:
+        if set(data) != {"e"} or not isinstance(data["e"], str):
             raise ValidationError(f"bad path encoding: {data!r}")
         return quiver.trivial_path(data["e"])
     if isinstance(data, list) and all(isinstance(s, str) for s in data):
@@ -326,8 +348,8 @@ def candidate_to_json(candidate: CoproductCandidate):
         terms = []
         for (u, v), c in tensor.sorted_items():
             terms.append({
-                "left": _path_to_json(u),
-                "right": _path_to_json(v),
+                "left": path_to_json(u),
+                "right": path_to_json(v),
                 "coeff": candidate.algebra.field.format(c),
             })
         out.append({"vertex": vertex, "terms": terms})

@@ -8,6 +8,8 @@ by row-reducing a spanning set of the ideal inside the space of short
 paths, one (source, target) block at a time.
 """
 
+from functools import cached_property
+
 from .errors import (
     InfiniteDimensionalError,
     InternalFaultError,
@@ -208,6 +210,30 @@ class AlgebraBasis:
     @property
     def dimension(self):
         return len(self.basis)
+
+    @cached_property
+    def product_table(self):
+        """Products of composable basis paths, over basis indices.
+
+        product_table[i][j] is the coordinate map {k: scalar} of
+        basis[i] * basis[j] (empty when the product vanishes), for every j
+        with source(basis[j]) = target(basis[i]), keyed in basis order.
+        Pairs that do not compose have no entry: their product is zero.
+        Built on first use and kept, so every verification of this algebra
+        shares it; treat it as read-only.
+        """
+        index = self.index
+        starting_at = {}
+        for j, b in enumerate(self.basis):
+            starting_at.setdefault(b.source, []).append((j, b))
+        table = []
+        for a in self.basis:
+            row = {}
+            for j, b in starting_at.get(a.target, ()):
+                coords = self.reduce_path(compose(a, b))
+                row[j] = {index[k]: c for k, c in coords.items()}
+            table.append(row)
+        return table
 
     def reduce_path(self, path: Path):
         """Coordinates of a single path; zero map when the path vanishes.

@@ -147,6 +147,10 @@ class TestCommands:
         ([{"vertex": "x", "terms": [{"right": ["a1"], "coeff": "1"}]}], "left, right and coeff"),
         (["oops"], "not an object"),
         ([{"vertex": "x", "terms": {"left": ["a2"]}}], "must be a list"),
+        ([{"vertex": "x", "terms": [{"left": {"e": ["1"]}, "right": ["a1"], "coeff": "1"}]}],
+         "bad path encoding"),
+        ([{"vertex": "x", "terms": [{"left": {"e": {"x": 1}}, "right": ["a1"], "coeff": "1"}]}],
+         "bad path encoding"),
     ])
     def test_verify_malformed_coproduct(self, capsys, tmp_path, diamond_file,
                                         payload, message):

@@ -1,0 +1,184 @@
+"""The composable-pair verifier against the all-pairs verifier it replaced.
+
+``reference_verify`` walks every ordered pair of basis paths and computes
+each product with ``compose`` and ``reduce_path``, the way
+``verify_coproduct`` did before it learned to skip non-composable pairs
+and to read products from the algebra's product table.  Both must agree
+on the verdict, on the first failing pair and on its three sides, for
+kernel vectors, for arbitrary candidates that satisfy the support
+condition, and for kernel vectors with a perturbation added.
+"""
+
+import functools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from frobq.families import (
+    gen_cycle,
+    gen_linear,
+    gen_radical_square_zero,
+    gen_random,
+    gen_toupie,
+)
+from frobq.frobenius import (
+    CoproductCandidate,
+    Counterexample,
+    TensorElement,
+    build_constraint_system,
+    solve_frobenius_space,
+    verify_coproduct,
+)
+from frobq.ideal import compute_basis
+from frobq.linalg import QQ, PrimeField
+from frobq.quiver import Quiver, compose
+
+
+def reference_extend(candidate, w):
+    """The induced value on a basis path: (w (x) 1) applied at its target."""
+    algebra = candidate.algebra
+    result = TensorElement(algebra.field)
+    base = candidate.value_at(w.target)
+    for (u, v), c in base.coefficients.items():
+        left = compose(w, u)
+        if left is None:
+            continue
+        for z, value in algebra.reduce_path(left).items():
+            result.add_term(z, v, c * value)
+    return result
+
+
+def reference_verify(algebra, candidate):
+    """Check the bimodule condition on all ordered pairs of basis paths."""
+    candidate.check_support()
+    field = algebra.field
+
+    delta = {b: reference_extend(candidate, b) for b in algebra.basis}
+
+    def delta_of_coords(coords):
+        out = TensorElement(field)
+        for b, c in coords.items():
+            for pair, value in delta[b].coefficients.items():
+                out.add_term(pair[0], pair[1], c * value)
+        return out
+
+    for x in algebra.basis:
+        for y in algebra.basis:
+            product = compose(x, y)
+            coords = algebra.reduce_path(product) if product is not None else {}
+            expected = delta_of_coords(coords)
+
+            left_side = TensorElement(field)
+            for (u, v), c in delta[y].coefficients.items():
+                glued = compose(x, u)
+                if glued is None:
+                    continue
+                for z, value in algebra.reduce_path(glued).items():
+                    left_side.add_term(z, v, c * value)
+
+            right_side = TensorElement(field)
+            for (u, v), c in delta[x].coefficients.items():
+                glued = compose(v, y)
+                if glued is None:
+                    continue
+                for z, value in algebra.reduce_path(glued).items():
+                    right_side.add_term(u, z, c * value)
+
+            if expected != left_side or expected != right_side:
+                return False, Counterexample(x, y, expected, left_side, right_side)
+    return True, None
+
+
+def loop_and_triangle():
+    q = Quiver(["p", "q", "r"],
+               [("x", "p", "p"), ("b", "p", "q"), ("c", "q", "r"), ("d", "r", "p")])
+    return gen_radical_square_zero(q)
+
+
+INSTANCES = {
+    "cycle(3,3)": gen_cycle(3, 3),
+    "cycle(2,4)": gen_cycle(2, 4),
+    "linear(4)": gen_linear(4),
+    "linear(5), relation of length 3": gen_linear(5, [(1, 3)]),
+    "diamond (2,3)": gen_toupie((2, 3), (), [(1, -1)]),
+    "toupie (2,3,2), mixed relations": gen_toupie((2, 3, 2), [(2, 1, 2)], [(1, -1, 0)]),
+    "rsz loop and triangle": loop_and_triangle(),
+    "random rsz": gen_random(5, 4, 5, "rsz"),
+}
+FIELDS = {"Q": QQ, "F5": PrimeField(5)}
+KINDS = ("kernel", "support", "perturbed")
+
+
+@functools.cache
+def solved(instance, field_name):
+    q, ideal = INSTANCES[instance]
+    algebra = compute_basis(q, ideal, FIELDS[field_name])
+    legend = build_constraint_system(algebra)[1]
+    return algebra, legend, solve_frobenius_space(algebra).basis
+
+
+def random_scalar(field, rng):
+    return field.coerce(rng.choice((-3, -2, -1, 1, 2, 3)))
+
+
+def add_support_terms(values, algebra, legend, rng, count):
+    for _ in range(count):
+        p, u, v = rng.choice(legend)
+        tensor = values.setdefault(p, TensorElement(algebra.field))
+        tensor.add_term(u, v, random_scalar(algebra.field, rng))
+
+
+def draw_candidate(instance, field_name, kind, rng):
+    algebra, legend, kernel = solved(instance, field_name)
+    values = {}
+    if kind in ("kernel", "perturbed"):
+        for generator in kernel:
+            factor = random_scalar(algebra.field, rng)
+            for vertex, tensor in generator.values.items():
+                total = values.setdefault(vertex, TensorElement(algebra.field))
+                for (u, v), c in tensor.coefficients.items():
+                    total.add_term(u, v, factor * c)
+    if kind == "support":
+        add_support_terms(values, algebra, legend, rng, rng.randint(1, 8))
+    if kind == "perturbed":
+        add_support_terms(values, algebra, legend, rng, rng.randint(1, 3))
+    return algebra, CoproductCandidate(algebra, values)
+
+
+def assert_same_verdict(algebra, candidate):
+    ok, counterexample = verify_coproduct(algebra, candidate)
+    ref_ok, ref_counterexample = reference_verify(algebra, candidate)
+    assert ok == ref_ok
+    if not ok:
+        assert (counterexample.x, counterexample.y) == \
+            (ref_counterexample.x, ref_counterexample.y)
+        assert counterexample.expected == ref_counterexample.expected
+        assert counterexample.left_side == ref_counterexample.left_side
+        assert counterexample.right_side == ref_counterexample.right_side
+        assert counterexample.describe() == ref_counterexample.describe()
+    return ok
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("instance", INSTANCES)
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False))
+def test_matches_all_pairs_reference(instance, field_name, kind, rng):
+    algebra, candidate = draw_candidate(instance, field_name, kind, rng)
+    ok = assert_same_verdict(algebra, candidate)
+    if kind == "kernel":
+        assert ok
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_failing_perturbations_match_reference(instance, field_name):
+    """Every instance yields a failing perturbed kernel vector, reported alike."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        algebra, candidate = draw_candidate(instance, field_name, "perturbed", rng)
+        if not assert_same_verdict(algebra, candidate):
+            return
+    pytest.fail(f"{instance} over {field_name}: no perturbation failed")
