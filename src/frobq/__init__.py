@@ -10,18 +10,16 @@ from .errors import (
     ValidationError,
 )
 from .quiver import Arrow, Path, PathExpr, Quiver, compose
-from .linalg import QQ, FpElement, KernelBasis, PrimeField, SparseMatrix, kernel_basis, rank, rref
+from .linalg import QQ, FpElement, PrimeField, SparseMatrix, kernel_basis, rank, rref
 from .ideal import (
     AlgebraBasis,
     IdealSpec,
     compute_basis,
     compute_bound,
-    monomial_finiteness_check,
     validate,
 )
 from .frobenius import (
     CoproductCandidate,
-    FrobeniusSpace,
     TensorElement,
     build_constraint_system,
     candidate_from_json,

@@ -1,10 +1,11 @@
 """Command line driver.
 
 Subcommands: basis, dim, space, verify, classify, patterns, gen.
-Exit codes: 0 ok, 1 parse error, 2 unsupported ideal regime, 3 infinite
-dimensional certificate failure, 4 verification failure, 5 internal
-consistency fault.  Text mode prints bare values for scripting; --json
-emits versioned frobq/1 documents with scalars as exact strings.
+Exit codes: 0 ok, 1 parse error or other bad input or usage, 2 unsupported
+ideal regime, 3 infinite dimensional certificate failure, 4 verification
+failure, 5 internal consistency fault.  Text mode prints bare values for
+scripting; --json emits versioned frobq/1 documents with scalars as exact
+strings.
 """
 
 import argparse
@@ -49,14 +50,21 @@ def _field_from_flag(text):
     if text == "Q":
         return QQ
     if text.startswith("F"):
-        return PrimeField(int(text[1:]))
+        return PrimeField(_ints(text[1:], 1)[0])
     raise ValidationError(f"bad field {text!r}; use Q or F<prime>")
 
 
+def _read(path):
+    """The text of a file, which must be UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load(path, field_flag):
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    return parse_document(text, field_override=_field_from_flag(field_flag))
+    return parse_document(_read(path), field_override=_field_from_flag(field_flag))
 
 
 def _emit(text, out=None):
@@ -71,32 +79,21 @@ def _emit(text, out=None):
 def cmd_basis(args):
     doc = _load(args.file, args.field)
     algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
+    blocks = [(key, paths) for key, paths in sorted(algebra.blocks.items()) if paths]
     if args.json:
-        blocks = []
-        for key in sorted(algebra.blocks):
-            paths = algebra.blocks[key]
-            if not paths:
-                continue
-            blocks.append({
-                "source": key[0],
-                "target": key[1],
-                "paths": [path_to_json(p) for p in paths],
-            })
         payload = {
             "schema": SCHEMA,
             "dimension": algebra.dimension,
             "bound": algebra.bound,
-            "blocks": blocks,
+            "blocks": [{"source": source, "target": target,
+                        "paths": [path_to_json(p) for p in paths]}
+                       for (source, target), paths in blocks],
         }
         _emit(json.dumps(payload, indent=2) + "\n")
     else:
         lines = [f"dimension {algebra.dimension}", f"bound {algebra.bound}"]
-        for key in sorted(algebra.blocks):
-            paths = algebra.blocks[key]
-            if not paths:
-                continue
-            listed = " ".join(str(p) for p in paths)
-            lines.append(f"block {key[0]} -> {key[1]}: {listed}")
+        for (source, target), paths in blocks:
+            lines.append(f"block {source} -> {target}: {' '.join(str(p) for p in paths)}")
         _emit("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -120,13 +117,13 @@ def cmd_space(args):
     if args.json:
         payload = {
             "schema": SCHEMA,
-            "dimension": space.dimension,
-            "candidates": [candidate_to_json(c) for c in space.basis],
+            "dimension": len(space),
+            "candidates": [candidate_to_json(c) for c in space],
         }
         _emit(json.dumps(payload, indent=2) + "\n")
     else:
-        lines = [f"dimension {space.dimension}"]
-        for i, candidate in enumerate(space.basis):
+        lines = [f"dimension {len(space)}"]
+        for i, candidate in enumerate(space):
             lines.append(f"candidate {i}:")
             for vertex in algebra.quiver.vertices:
                 tensor = candidate.values.get(vertex)
@@ -140,8 +137,10 @@ def cmd_space(args):
 def cmd_verify(args):
     doc = _load(args.file, args.field)
     algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
-    with open(args.coproduct, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+    try:
+        data = json.loads(_read(args.coproduct))
+    except RecursionError:
+        raise ValidationError(f"{args.coproduct}: JSON nested too deeply") from None
     try:
         candidate = candidate_from_json(data, algebra)
         ok, counterexample = verify_coproduct(algebra, candidate)
@@ -162,7 +161,7 @@ def cmd_classify(args):
     lines = [f"algebra dimension {algebra.dimension}",
              f"coproduct space dimension {dimension}"]
 
-    rsz = closed_forms.is_radical_square_zero(doc.quiver, doc.ideal, algebra)
+    rsz = closed_forms.is_radical_square_zero(algebra)
     lines.append(f"radical square zero: {'yes' if rsz else 'no'}")
     if rsz and doc.quiver.arrows:
         formula = closed_forms.radical_square_zero_dimension(doc.quiver)
@@ -180,16 +179,16 @@ def cmd_classify(args):
         lines.append(f"  predicted dimension {info.prediction}: "
                      + ("holds" if info.prediction_holds(dimension) else "VIOLATED"))
 
-    string = closed_forms.is_string(doc.quiver, doc.ideal, algebra)
+    string = closed_forms.is_string(algebra)
     if string:
         quadratic = closed_forms.is_string_quadratic(doc.ideal)
-        gentle = closed_forms.is_gentle(doc.quiver, doc.ideal, algebra)
+        gentle = closed_forms.is_gentle(algebra)
         kind = "gentle" if gentle else ("quadratic" if quadratic else "general")
         lines.append(f"string: yes ({kind})")
     else:
         lines.append("string: no")
 
-    matches = closed_forms.detect_local_patterns(doc.quiver, doc.ideal, algebra)
+    matches = closed_forms.detect_local_patterns(algebra)
     if matches:
         summary = ", ".join(f"pattern {m.pattern} at {m.vertex}" for m in matches)
         lines.append(f"local patterns: {summary}")
@@ -203,7 +202,7 @@ def cmd_classify(args):
 def cmd_patterns(args):
     doc = _load(args.file, args.field)
     algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
-    matches = closed_forms.detect_local_patterns(doc.quiver, doc.ideal, algebra)
+    matches = closed_forms.detect_local_patterns(algebra)
     if not matches:
         _emit("no local patterns\n")
         return EXIT_OK
@@ -219,11 +218,16 @@ def cmd_patterns(args):
     return EXIT_OK
 
 
-def _parse_int_list(text):
+def _ints(text, count=None):
+    """Comma separated integers; exactly count of them when count is given."""
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError:
         raise ValidationError(f"expected comma separated integers, got {text!r}") from None
+    if count is not None and len(values) != count:
+        raise ValidationError(f"expected {count} comma separated integer"
+                              f"{'' if count == 1 else 's'}, got {text!r}")
+    return values
 
 
 def _gen_params(args, count, usage):
@@ -235,32 +239,29 @@ def _gen_params(args, count, usage):
 def cmd_gen(args):
     family = args.family
     if family == "linear":
-        (n,) = _parse_int_list(_gen_params(args, 1, "<n>")[0])
-        rels = [tuple(_parse_int_list(p)) for p in args.relation]
+        n = _ints(_gen_params(args, 1, "<n>")[0], 1)[0]
+        rels = [tuple(_ints(p, 2)) for p in args.relation]
         quiver, ideal = families.gen_linear(n, rels)
     elif family == "cycle":
-        params = _gen_params(args, 2, "<n> <d>")
-        (n,), (d,) = _parse_int_list(params[0]), _parse_int_list(params[1])
+        n, d = (_ints(p, 1)[0] for p in _gen_params(args, 2, "<n> <d>"))
         quiver, ideal = families.gen_cycle(n, d)
     elif family == "canonical":
-        weights = tuple(_parse_int_list(_gen_params(args, 1, "<n1,n2,...>")[0]))
-        lambdas = tuple(_parse_int_list(args.lambdas)) if args.lambdas else ()
+        weights = tuple(_ints(_gen_params(args, 1, "<n1,n2,...>")[0]))
+        lambdas = tuple(_ints(args.lambdas)) if args.lambdas else ()
         quiver, ideal = families.gen_canonical(
             families.CanonicalSpec(weights, lambdas))
     elif family == "toupie":
-        lengths = tuple(_parse_int_list(_gen_params(args, 1, "<l1,l2,...>")[0]))
-        monomial = [tuple(_parse_int_list(p)) for p in args.monomial]
-        linear = [_parse_int_list(p) for p in args.linear]
+        lengths = tuple(_ints(_gen_params(args, 1, "<l1,l2,...>")[0]))
+        monomial = [tuple(_ints(p, 3)) for p in args.monomial]
+        linear = [_ints(p) for p in args.linear]
         quiver, ideal = families.gen_toupie(lengths, monomial, linear)
     elif family == "rsz":
         doc = _load(_gen_params(args, 1, "<quiver document>")[0], None)
         quiver, ideal = families.gen_radical_square_zero(doc.quiver)
     elif family == "random":
-        seed, vbound, abound, regime = _gen_params(
+        *numbers, regime = _gen_params(
             args, 4, "<seed> <vertex bound> <arrow bound> <regime>")
-        (seed,) = _parse_int_list(seed)
-        (vbound,) = _parse_int_list(vbound)
-        (abound,) = _parse_int_list(abound)
+        seed, vbound, abound = (_ints(p, 1)[0] for p in numbers)
         quiver, ideal = families.gen_random(seed, vbound, abound, regime)
     else:
         raise ValidationError(f"unknown family {family!r}; choose from "
@@ -270,8 +271,15 @@ def cmd_gen(args):
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they exit 1 with one line."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="frobq",
         description="Exact computation of nearly Frobenius coproduct spaces "
                     "on quotients of path algebras.",
@@ -322,9 +330,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .errors import ValidationError
 from .frobenius import CoproductCandidate, TensorElement, verify_coproduct
-from .ideal import AlgebraBasis, IdealSpec, compute_basis, validate
+from .ideal import AlgebraBasis, IdealSpec, has_subword, validate
 from .linalg import QQ, SparseMatrix, rank, rref
 from .quiver import Path, Quiver
 
@@ -20,11 +20,8 @@ from .quiver import Path, Quiver
 # ---------------------------------------------------------------------------
 # Radical square zero
 
-def is_radical_square_zero(quiver: Quiver, ideal: IdealSpec, algebra=None) -> bool:
+def is_radical_square_zero(algebra: AlgebraBasis) -> bool:
     """True when every length-2 path dies, i.e. no basis path has length >= 2."""
-    if algebra is None:
-        validate(quiver, ideal)
-        algebra = compute_basis(quiver, ideal)
     return all(len(p) <= 1 for p in algebra.basis)
 
 
@@ -132,15 +129,14 @@ def _composition_vanishes(algebra, incoming, outgoing):
     return not algebra.reduce_path(path)
 
 
-def detect_local_patterns(quiver: Quiver, ideal: IdealSpec, algebra=None):
+def detect_local_patterns(algebra: AlgebraBasis):
     """Scan every vertex for the five coproduct-forcing configurations.
 
     Vanishing is judged after full reduction, not just against the listed
     generators.  A vertex whose four compositions all vanish reports the
     most specific pattern (4), not its two pattern-3 weakenings.
     """
-    if algebra is None:
-        algebra = compute_basis(quiver, validate(quiver, ideal))
+    quiver = algebra.quiver
     matches = []
     for v in quiver.vertices:
         ins = sorted(quiver.in_arrows[v], key=lambda a: a.name)
@@ -208,12 +204,13 @@ def witness_coproduct(match: LocalPatternMatch, algebra: AlgebraBasis) -> Coprod
 # ---------------------------------------------------------------------------
 # String algebras
 
-def special_biserial_violation(quiver: Quiver, algebra: AlgebraBasis):
+def special_biserial_violation(algebra: AlgebraBasis):
     """First violated condition as a message, or None when special biserial.
 
     Checks that every vertex emits and receives at most two arrows, and
     that every arrow has at most one surviving continuation on each side.
     """
+    quiver = algebra.quiver
     for v in quiver.vertices:
         indeg, outdeg = quiver.degrees(v)
         if outdeg > 2:
@@ -234,22 +231,19 @@ def special_biserial_violation(quiver: Quiver, algebra: AlgebraBasis):
     return None
 
 
-def is_string(quiver: Quiver, ideal: IdealSpec, algebra=None) -> bool:
-    if algebra is None:
-        algebra = compute_basis(quiver, validate(quiver, ideal))
-    return ideal.is_monomial and special_biserial_violation(quiver, algebra) is None
+def is_string(algebra: AlgebraBasis) -> bool:
+    return algebra.ideal.is_monomial and special_biserial_violation(algebra) is None
 
 
 def is_string_quadratic(ideal: IdealSpec) -> bool:
     return ideal.is_monomial and all(len(p) == 2 for p in ideal.monomial_paths())
 
 
-def is_gentle(quiver: Quiver, ideal: IdealSpec, algebra=None) -> bool:
+def is_gentle(algebra: AlgebraBasis) -> bool:
     """String with quadratic relations and at most one forbidden pair per side."""
-    if algebra is None:
-        algebra = compute_basis(quiver, validate(quiver, ideal))
-    if not is_string(quiver, ideal, algebra) or not is_string_quadratic(ideal):
+    if not is_string(algebra) or not is_string_quadratic(algebra.ideal):
         return False
+    quiver = algebra.quiver
     for a in quiver.arrows:
         forbidden_after = [b for b in quiver.out_arrows[a.target]
                            if _composition_vanishes(algebra, a, b)]
@@ -262,19 +256,17 @@ def is_gentle(quiver: Quiver, ideal: IdealSpec, algebra=None) -> bool:
     return True
 
 
-def string_relation_witness(quiver: Quiver, ideal: IdealSpec, relation: Path,
-                            algebra=None) -> CoproductCandidate:
+def string_relation_witness(algebra: AlgebraBasis, relation: Path) -> CoproductCandidate:
     """Witness coproduct carried by one long monomial relation.
 
     For a relation a_1 ... a_s of length s >= 3 on a string bound quiver,
     the candidate places (tail after position i) (x) (head up to i) at
     every intermediate vertex of the relation and zero elsewhere.
     """
-    if algebra is None:
-        algebra = compute_basis(quiver, validate(quiver, ideal))
+    quiver, ideal = algebra.quiver, algebra.ideal
     if not ideal.is_monomial:
         raise ValidationError("string relation witness needs a monomial ideal")
-    violation = special_biserial_violation(quiver, algebra)
+    violation = special_biserial_violation(algebra)
     if violation is not None:
         raise ValidationError(f"not a string bound quiver: {violation}")
     if relation.arrows not in {p.arrows for p in ideal.monomial_paths()}:
@@ -375,13 +367,6 @@ def _toupie_branches(quiver: Quiver):
     return source, sink, branches
 
 
-def _is_subword(word, inside):
-    for i in range(len(inside) - len(word) + 1):
-        if inside[i:i + len(word)] == word:
-            return True
-    return False
-
-
 def toupie_classify(quiver: Quiver, ideal: IdealSpec, field=QQ) -> ToupieClassification:
     """Classify a toupie algebra and predict its coproduct space dimension.
 
@@ -401,7 +386,7 @@ def toupie_classify(quiver: Quiver, ideal: IdealSpec, field=QQ) -> ToupieClassif
     for g in ideal.generators:
         if g.is_monomial:
             word = next(iter(g.terms)).arrows
-            holders = [i for i, b in enumerate(branches) if _is_subword(word, b)]
+            holders = [i for i, b in enumerate(branches) if has_subword(b, (word,))]
             if not holders:
                 raise ValidationError(
                     f"relation {g} is not supported inside a single branch"

@@ -21,13 +21,12 @@ _TOKEN = re.compile(r"->|[*+\-:;/]|[A-Za-z0-9_.]+|\S")
 
 
 class QuiverDocument:
-    """A parsed document: quiver, validated ideal, field and locations."""
+    """A parsed document: quiver, validated ideal and field."""
 
-    def __init__(self, quiver, ideal, field, locations=None):
+    def __init__(self, quiver, ideal, field):
         self.quiver = quiver
         self.ideal = ideal
         self.field = field
-        self.locations = locations or {}
 
 
 def _tokenize(line, lineno):
@@ -51,7 +50,6 @@ def parse_document(text, field_override=None) -> QuiverDocument:
     vertices = []
     arrows = []
     relations = []
-    locations = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -71,9 +69,8 @@ def parse_document(text, field_override=None) -> QuiverDocument:
                 if not _is_identifier(name):
                     raise ParseError(f"bad vertex identifier {name!r}", ln, c)
                 vertices.append(name)
-                locations.setdefault(("vertex", name), (ln, c))
         elif head == "arrow":
-            arrows.append(_parse_arrow(rest, lineno, locations))
+            arrows.append(_parse_arrow(rest, lineno))
         elif head == "relation":
             if not rest or rest[-1][0] != ";":
                 where = rest[-1] if rest else tokens[0]
@@ -100,7 +97,7 @@ def parse_document(text, field_override=None) -> QuiverDocument:
         except ValidationError as exc:
             raise ParseError(str(exc), rel.lineno, 1) from None
         generators.append(g)
-    return QuiverDocument(quiver, IdealSpec(generators), field, locations)
+    return QuiverDocument(quiver, IdealSpec(generators), field)
 
 
 def _is_identifier(text):
@@ -125,7 +122,7 @@ def _parse_field(tokens, lineno):
     raise ParseError(f"unknown field {name!r}", ln, col)
 
 
-def _parse_arrow(tokens, lineno, locations):
+def _parse_arrow(tokens, lineno):
     texts = [t[0] for t in tokens]
     if len(texts) != 5 or texts[1] != ":" or texts[3] != "->":
         raise ParseError("arrow syntax is: arrow <id> : <vertex> -> <vertex>",
@@ -134,7 +131,6 @@ def _parse_arrow(tokens, lineno, locations):
     for value, token in ((name, tokens[0]), (source, tokens[2]), (target, tokens[4])):
         if not _is_identifier(value):
             raise ParseError(f"bad identifier {value!r}", token[1], token[2])
-    locations.setdefault(("arrow", name), (tokens[0][1], tokens[0][2]))
     return (name, source, target)
 
 
@@ -234,7 +230,7 @@ def _parse_term(tokens, position, quiver, field, lineno):
 
 
 def format_document(doc: QuiverDocument) -> str:
-    """Normalized text form; parse(format(doc)) == doc up to locations."""
+    """Normalized text form; parse(format(doc)) reproduces doc."""
     lines = []
     if isinstance(doc.field, PrimeField):
         lines.append(f"field F {doc.field.p}")

@@ -10,8 +10,6 @@ every side), using the algebra's full multiplication rather than arrows,
 so the cheap system is never trusted on its own.
 """
 
-import json
-
 from .errors import InternalFaultError, SupportViolationError, ValidationError
 from .ideal import AlgebraBasis
 from .linalg import SparseMatrix, kernel_basis, rank
@@ -36,13 +34,6 @@ class TensorElement:
             self.coefficients.pop(key, None)
         else:
             self.coefficients[key] = new
-
-    def scaled(self, factor):
-        out = TensorElement(self.field)
-        if factor != self.field.zero:
-            for pair, value in self.coefficients.items():
-                out.coefficients[pair] = value * factor
-        return out
 
     @property
     def is_zero(self):
@@ -97,27 +88,6 @@ class CoproductCandidate:
                         f"term {u}(x){v} at vertex {vertex} breaks the support "
                         f"condition source(left) = target(right) = {vertex}"
                     )
-
-    def coefficient_vector(self, legend_index):
-        vec = {}
-        for vertex, tensor in self.values.items():
-            for (u, v), value in tensor.coefficients.items():
-                col = legend_index.get((vertex, u, v))
-                if col is None:
-                    raise SupportViolationError(
-                        f"term {u}(x){v} at {vertex} is outside the support block"
-                    )
-                vec[col] = value
-        return vec
-
-
-class FrobeniusSpace:
-    """A basis of the space of all nearly Frobenius coproducts."""
-
-    def __init__(self, algebra, dimension, basis):
-        self.algebra = algebra
-        self.dimension = dimension
-        self.basis = list(basis)
 
 
 def _support_columns(algebra: AlgebraBasis):
@@ -181,11 +151,15 @@ def frobenius_dimension(algebra: AlgebraBasis) -> int:
     return len(legend) - rank(matrix)
 
 
-def solve_frobenius_space(algebra: AlgebraBasis) -> FrobeniusSpace:
+def solve_frobenius_space(algebra: AlgebraBasis) -> list:
+    """A basis of the space of all nearly Frobenius coproducts.
+
+    One verified CoproductCandidate per kernel vector of the constraint
+    system, so the length of the list is the dimension of the space.
+    """
     matrix, legend = build_constraint_system(algebra)
-    kernel = kernel_basis(matrix)
     candidates = []
-    for vec in kernel.vectors:
+    for vec in kernel_basis(matrix):
         values = {}
         for col, value in vec.items():
             p, u, v = legend[col]
@@ -199,7 +173,7 @@ def solve_frobenius_space(algebra: AlgebraBasis) -> FrobeniusSpace:
                 f"({counterexample.x}, {counterexample.y}); solver bug"
             )
         candidates.append(candidate)
-    return FrobeniusSpace(algebra, kernel.dimension, candidates)
+    return candidates
 
 
 def extend_coproduct(candidate: CoproductCandidate, w: Path) -> TensorElement:
@@ -383,8 +357,3 @@ def candidate_from_json(data, algebra: AlgebraBasis) -> CoproductCandidate:
             coeff = algebra.field.parse(str(term["coeff"]))
             tensor.add_term(u, v, coeff)
     return CoproductCandidate(algebra, values)
-
-
-def candidate_dumps(candidate: CoproductCandidate) -> str:
-    payload = {"schema": "frobq/1", "coproduct": candidate_to_json(candidate)}
-    return json.dumps(payload, indent=2) + "\n"

@@ -46,7 +46,7 @@ def validate(quiver: Quiver, ideal: IdealSpec) -> IdealSpec:
         if g.is_zero:
             raise ValidationError("zero generator in ideal")
         for path in g.terms:
-            if not quiver.contains_path(path):
+            if not quiver.has_path(path):
                 raise ValidationError(f"generator term is not a path of the quiver: {path}")
             if len(path) < 2:
                 raise ValidationError(
@@ -157,12 +157,6 @@ class AvoidanceAutomaton:
         return False, max(longest, default=0)
 
 
-def monomial_finiteness_check(quiver: Quiver, monomial_gens) -> bool:
-    """True iff only finitely many paths avoid every generator as a subword."""
-    has_cycle, _ = AvoidanceAutomaton(quiver, monomial_gens).explore()
-    return not has_cycle
-
-
 def compute_bound(quiver: Quiver, ideal: IdealSpec) -> int:
     """Least certified m with every path of length >= m inside the ideal.
 
@@ -242,53 +236,13 @@ class AlgebraBasis:
         read-only.
         """
         if len(path) >= self.bound:
-            if not self.quiver.contains_path(path):
+            if not self.quiver.has_path(path):
                 raise ValidationError(f"foreign path: {path}")
             return {}
         coords = self.table.get(path)
         if coords is None:
             raise ValidationError(f"foreign path: {path}")
         return coords
-
-    def reduce(self, expr):
-        """Linear extension of reduce_path to path expressions."""
-        if isinstance(expr, Path):
-            return dict(self.reduce_path(expr))
-        result = {}
-        for path, coeff in expr.terms.items():
-            for b, value in self.reduce_path(path).items():
-                new = result.get(b, self.field.zero) + coeff * value
-                if new == self.field.zero:
-                    result.pop(b, None)
-                else:
-                    result[b] = new
-        return result
-
-    def multiply(self, x, y):
-        """Product of two coordinate vectors over the basis."""
-        zero = self.field.zero
-        result = {}
-        for u, cu in x.items():
-            for v, cv in y.items():
-                w = compose(u, v)
-                if w is None:
-                    continue
-                coeff = cu * cv
-                for b, value in self.reduce_path(w).items():
-                    new = result.get(b, zero) + coeff * value
-                    if new == zero:
-                        result.pop(b, None)
-                    else:
-                        result[b] = new
-        return result
-
-    def unit(self):
-        """Coordinates of the identity, the sum of all trivial idempotents."""
-        one = self.field.one
-        return {self.quiver.trivial_path(v): one for v in self.quiver.vertices}
-
-    def coords_of(self, path):
-        return {path: self.field.one}
 
 
 def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
@@ -365,8 +319,9 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     return algebra
 
 
-def _contains_forbidden_word(word, forbidden_words):
-    for f in forbidden_words:
+def has_subword(word, subwords):
+    """True when one of the arrow words in subwords occurs inside word."""
+    for f in subwords:
         if len(f) <= len(word):
             for i in range(len(word) - len(f) + 1):
                 if word[i:i + len(f)] == f:
@@ -386,7 +341,7 @@ def _closure_check(algebra: AlgebraBasis):
     quiver = algebra.quiver
     forbidden = {p.arrows for p in algebra.ideal.monomial_paths()}
     for path, coords in algebra.table.items():
-        if len(path) == algebra.bound - 1 and _contains_forbidden_word(path.arrows, forbidden):
+        if len(path) == algebra.bound - 1 and has_subword(path.arrows, forbidden):
             if coords:
                 raise InternalFaultError(
                     f"path {path} contains a forbidden word but does not reduce to zero"
@@ -394,13 +349,13 @@ def _closure_check(algebra: AlgebraBasis):
     for b in algebra.basis:
         for arrow in quiver.out_arrows[b.target]:
             word = b.arrows + (arrow.name,)
-            if len(word) == algebra.bound and not _contains_forbidden_word(word, forbidden):
+            if len(word) == algebra.bound and not has_subword(word, forbidden):
                 raise InternalFaultError(
                     f"product {'*'.join(word)} reaches the bound without justification"
                 )
         for arrow in quiver.in_arrows[b.source]:
             word = (arrow.name,) + b.arrows
-            if len(word) == algebra.bound and not _contains_forbidden_word(word, forbidden):
+            if len(word) == algebra.bound and not has_subword(word, forbidden):
                 raise InternalFaultError(
                     f"product {'*'.join(word)} reaches the bound without justification"
                 )

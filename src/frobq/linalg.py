@@ -104,9 +104,6 @@ class RationalField:
     def scalar(self, num, den=1):
         return Fraction(num, den)
 
-    def contains(self, x):
-        return isinstance(x, (Fraction, int))
-
     def coerce(self, x):
         if isinstance(x, Fraction):
             return x
@@ -197,9 +194,6 @@ class PrimeField:
     def scalar(self, num, den=1):
         return FpElement(num, self.p) / FpElement(den, self.p)
 
-    def contains(self, x):
-        return isinstance(x, int) or (isinstance(x, FpElement) and x.p == self.p)
-
     def coerce(self, x):
         if isinstance(x, FpElement):
             if x.p != self.p:
@@ -270,26 +264,10 @@ class SparseMatrix:
             rows[i][j] = value
         return rows
 
-    def apply(self, vector):
-        """Multiply by a sparse column vector given as {column: scalar}."""
-        result = {}
-        for (i, j), value in self.entries.items():
-            if j in vector:
-                result[i] = result.get(i, self.field.zero) + value * vector[j]
-        return {i: v for i, v in result.items() if v != self.field.zero}
-
     def __eq__(self, other):
         return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.field == other.field
                 and self.entries == other.entries)
-
-
-class KernelBasis:
-    """A basis of the null space; vectors are sparse {column: scalar} maps."""
-
-    def __init__(self, dimension, vectors):
-        self.dimension = dimension
-        self.vectors = list(vectors)
 
 
 def rref(matrix: SparseMatrix):
@@ -361,8 +339,11 @@ def rank(matrix: SparseMatrix) -> int:
     return len(pivots)
 
 
-def kernel_basis(matrix: SparseMatrix) -> KernelBasis:
-    """Canonical kernel basis: one free column set to 1 per non-pivot column."""
+def kernel_basis(matrix: SparseMatrix) -> list:
+    """Canonical kernel basis: one free column set to 1 per non-pivot column.
+
+    The vectors are sparse {column: scalar} maps, in free column order.
+    """
     reduced, pivots = rref(matrix)
     pivot_set = set(pivots)
     vectors = {col: {col: matrix.field.one}
@@ -372,4 +353,4 @@ def kernel_basis(matrix: SparseMatrix) -> KernelBasis:
         for col, value in row.items():
             if col != pivot:
                 vectors[col][pivot] = -value
-    return KernelBasis(len(vectors), list(vectors.values()))
+    return list(vectors.values())

@@ -125,7 +125,7 @@ class Quiver:
                 )
         return Path(arrows[0].source, arrows[-1].target, arrow_names)
 
-    def contains_path(self, p):
+    def has_path(self, p):
         try:
             if p.is_trivial:
                 return p.source == p.target and p.source in self.out_arrows
@@ -160,9 +160,6 @@ class Quiver:
             if not frontier:
                 break
         return result
-
-    def is_acyclic(self):
-        return self.longest_path_length() is not None
 
     def longest_path_length(self):
         """Length of the longest path, or None when a directed cycle exists."""

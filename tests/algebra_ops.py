@@ -1,0 +1,66 @@
+"""Quotient algebra arithmetic on coordinate vectors, used only by tests.
+
+Coordinates are {basis Path: scalar} maps.  `multiply` composes paths
+with `compose` and rewrites each product with `AlgebraBasis.reduce_path`.
+It never reads `AlgebraBasis.product_table`, so the raw-definition
+oracle built on it stays independent of the table the verifier reads.
+"""
+
+from frobq.errors import SupportViolationError
+from frobq.quiver import compose
+
+
+def coords_of(algebra, path):
+    return {path: algebra.field.one}
+
+
+def unit(algebra):
+    """Coordinates of the identity, the sum of all trivial idempotents."""
+    one = algebra.field.one
+    return {algebra.quiver.trivial_path(v): one for v in algebra.quiver.vertices}
+
+
+def reduce(algebra, expr):
+    """Linear extension of reduce_path to path expressions."""
+    result = {}
+    for path, coeff in expr.terms.items():
+        for b, value in algebra.reduce_path(path).items():
+            new = result.get(b, algebra.field.zero) + coeff * value
+            if new == algebra.field.zero:
+                result.pop(b, None)
+            else:
+                result[b] = new
+    return result
+
+
+def multiply(algebra, x, y):
+    """Product of two coordinate vectors over the basis."""
+    zero = algebra.field.zero
+    result = {}
+    for u, cu in x.items():
+        for v, cv in y.items():
+            w = compose(u, v)
+            if w is None:
+                continue
+            coeff = cu * cv
+            for b, value in algebra.reduce_path(w).items():
+                new = result.get(b, zero) + coeff * value
+                if new == zero:
+                    result.pop(b, None)
+                else:
+                    result[b] = new
+    return result
+
+
+def coefficient_vector(candidate, legend_index):
+    """The candidate as a {column: scalar} vector over a constraint legend."""
+    vec = {}
+    for vertex, tensor in candidate.values.items():
+        for (u, v), value in tensor.coefficients.items():
+            col = legend_index.get((vertex, u, v))
+            if col is None:
+                raise SupportViolationError(
+                    f"term {u}(x){v} at {vertex} is outside the support block"
+                )
+            vec[col] = value
+    return vec

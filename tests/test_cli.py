@@ -179,6 +179,57 @@ class TestCommands:
         assert code == 0 and out == "1\n"
 
 
+class TestBadInput:
+    """Malformed input and usage end in exit 1 with one line, never a traceback."""
+
+    def assert_one_line_error(self, code, out, err):
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_undecodable_document(self, capsys, tmp_path):
+        doc = tmp_path / "bad.qv"
+        doc.write_bytes(b"\xff\xfe")
+        self.assert_one_line_error(*run(capsys, "dim", str(doc)))
+
+    def test_undecodable_coproduct(self, capsys, tmp_path, diamond_file):
+        cand = tmp_path / "cand.json"
+        cand.write_bytes(b"\xff\xfe")
+        self.assert_one_line_error(
+            *run(capsys, "verify", diamond_file, "--coproduct", str(cand)))
+
+    def test_deeply_nested_coproduct(self, capsys, tmp_path, diamond_file):
+        cand = tmp_path / "cand.json"
+        cand.write_text("[" * 100000)
+        self.assert_one_line_error(
+            *run(capsys, "verify", diamond_file, "--coproduct", str(cand)))
+
+    @pytest.mark.parametrize("argv", [
+        ["dim", "{doc}", "--field", "Fx"],
+        ["dim", "{doc}", "--field", "F"],
+        ["gen", "linear", "3,4"],
+        ["gen", "linear", ","],
+        ["gen", "linear", "4", "--relation", "1"],
+        ["gen", "toupie", "2,2", "--monomial", "1,1"],
+    ])
+    def test_bad_integer_lists(self, capsys, diamond_file, argv):
+        argv = [diamond_file if a == "{doc}" else a for a in argv]
+        self.assert_one_line_error(*run(capsys, *argv))
+
+    @pytest.mark.parametrize("argv", [
+        ["dim"],
+        ["bogus"],
+        ["dim", "x.q", "--nope"],
+    ])
+    def test_usage_errors(self, capsys, argv):
+        self.assert_one_line_error(*run(capsys, *argv))
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0 and "usage: frobq" in capsys.readouterr().out
+
+
 class TestFieldModulus:
     def test_large_prime_accepted(self, capsys, diamond_file):
         code, out, _ = run(capsys, "dim", diamond_file, "--field", "F2305843009213693951")

@@ -22,6 +22,8 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, SparseMatrix, rank
 from frobq.quiver import PathExpr, Quiver
 
+from algebra_ops import coords_of, multiply
+
 
 def mono(q, names):
     return PathExpr.from_path(q.path(names), QQ.one)
@@ -38,10 +40,10 @@ def definition_level_dimension(algebra):
 
     rows = []
     for a in basis:
-        ca = algebra.coords_of(a)
+        ca = coords_of(algebra, a)
         for b in basis:
-            cb = algebra.coords_of(b)
-            ab = algebra.multiply(ca, cb)
+            cb = coords_of(algebra, b)
+            ab = multiply(algebra, ca, cb)
             for side in (1, 2):
                 coord_rows = {}
 
@@ -57,14 +59,14 @@ def definition_level_dimension(algebra):
                 if side == 1:
                     # minus (a (x) 1) Delta(b)
                     for u in basis:
-                        au = algebra.multiply(ca, algebra.coords_of(u))
+                        au = multiply(algebra, ca, coords_of(algebra, u))
                         for w, cw in au.items():
                             for v in basis:
                                 bump(w, v, col(b, u, v), -cw)
                 else:
                     # minus Delta(a) (1 (x) b)
                     for v in basis:
-                        vb = algebra.multiply(algebra.coords_of(v), cb)
+                        vb = multiply(algebra, coords_of(algebra, v), cb)
                         for z, cz in vb.items():
                             for u in basis:
                                 bump(u, z, col(a, u, v), -cz)

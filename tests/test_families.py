@@ -87,7 +87,7 @@ class TestToupie:
         q, ideal = gen_toupie((2, 2), (), [(1, -1)])
         assert len(ideal.generators) == 1
         algebra = compute_basis(q, ideal)
-        assert solve_frobenius_space(algebra).dimension == 1
+        assert len(solve_frobenius_space(algebra)) == 1
 
     def test_generalized_diamond(self):
         q, ideal = gen_toupie((3, 2, 2), (), [(-1, 1, 0), (-1, 0, 1)])
@@ -138,15 +138,16 @@ class TestRandom:
         q, ideal = gen_random(seed, 5, 7, regime)
         validate(q, ideal)
         bound = compute_bound(q, ideal)
-        if q.is_acyclic():
-            assert bound == q.longest_path_length() + 1
+        longest = q.longest_path_length()
+        if longest is not None:
+            assert bound == longest + 1
 
     @pytest.mark.parametrize("seed", range(6))
     def test_string_quadratic_regime_is_string(self, seed):
         q, ideal = gen_random(seed, 5, 7, "string-quadratic")
         algebra = compute_basis(q, ideal)
-        assert special_biserial_violation(q, algebra) is None
-        assert is_string(q, ideal, algebra)
+        assert special_biserial_violation(algebra) is None
+        assert is_string(algebra)
         assert all(len(p) == 2 for p in ideal.monomial_paths())
 
     @pytest.mark.parametrize("seed", range(10))

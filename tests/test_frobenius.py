@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -8,7 +9,6 @@ from frobq.frobenius import (
     CoproductCandidate,
     TensorElement,
     build_constraint_system,
-    candidate_dumps,
     candidate_from_json,
     candidate_to_json,
     extend_coproduct,
@@ -19,6 +19,8 @@ from frobq.frobenius import (
 from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, SparseMatrix, rank
 from frobq.quiver import Path, PathExpr, Quiver, compose
+
+from algebra_ops import coefficient_vector, coords_of, multiply
 
 
 def mono(q, names):
@@ -75,14 +77,14 @@ class TestSolve:
         from frobq.families import CanonicalSpec, gen_canonical
         q, ideal = gen_canonical(CanonicalSpec((2, 2, 2), (1,)))
         space = solve_frobenius_space(compute_basis(q, ideal))
-        assert space.dimension == 0 and space.basis == []
+        assert space == []
 
     def test_diamond_linear_structure(self):
         q, ideal = gen_toupie((2, 2), (), [(1, -1)])
         algebra = compute_basis(q, ideal)
         space = solve_frobenius_space(algebra)
-        assert space.dimension == 1
-        generator = space.basis[0]
+        assert len(space) == 1
+        generator = space[0]
         bottom = q.path(["a2_1", "a2_2"])
         expected = {
             "0": {(bottom, q.trivial_path("0"))},
@@ -99,7 +101,7 @@ class TestSolve:
     def test_rsz_linear_three(self):
         q, ideal = gen_linear(3, [(1, 2)])
         space = solve_frobenius_space(compute_basis(q, ideal))
-        assert space.dimension == 3
+        assert len(space) == 3
 
     @pytest.mark.parametrize("case,expected", [(1, 3), (2, 3), (3, 2), (4, 4)])
     def test_quadratic_local_cases(self, case, expected):
@@ -109,14 +111,14 @@ class TestSolve:
     def test_dimension_matches_space(self):
         for build in [gen_linear(4), gen_cycle(3, 2), local_case(3)]:
             algebra = algebra_of(build)
-            assert frobenius_dimension(algebra) == solve_frobenius_space(algebra).dimension
+            assert frobenius_dimension(algebra) == len(solve_frobenius_space(algebra))
 
 
 class TestExtend:
     def test_diamond_first_arrow(self):
         q, ideal = gen_toupie((2, 2), (), [(1, -1)])
         algebra = compute_basis(q, ideal)
-        generator = solve_frobenius_space(algebra).basis[0]
+        generator = solve_frobenius_space(algebra)[0]
         scale = next(iter(generator.value_at("v1_1").coefficients.values()))
         value = extend_coproduct(generator, q.path(["a1_1"]))
         bottom = q.path(["a2_1", "a2_2"])
@@ -140,7 +142,7 @@ class TestExtend:
 
     def test_trivial_path_returns_vertex_value(self):
         algebra = algebra_of(gen_cycle(1, 2))
-        candidate = solve_frobenius_space(algebra).basis[0]
+        candidate = solve_frobenius_space(algebra)[0]
         e = algebra.quiver.trivial_path("1")
         assert extend_coproduct(candidate, e) == candidate.value_at("1")
 
@@ -162,9 +164,10 @@ class TestVerify:
     def test_perturbed_diamond_fails_between_branch_arrows(self):
         q, ideal = gen_toupie((2, 2), (), [(1, -1)])
         algebra = compute_basis(q, ideal)
-        generator = solve_frobenius_space(algebra).basis[0]
+        generator = solve_frobenius_space(algebra)[0]
         values = dict(generator.values)
-        values["w"] = values["w"].scaled(QQ.scalar(2))
+        values["w"] = TensorElement(QQ, {pair: 2 * c for pair, c in
+                                         values["w"].coefficients.items()})
         bad = CoproductCandidate(algebra, values)
         ok, ce = verify_coproduct(algebra, bad)
         assert not ok
@@ -286,11 +289,11 @@ def test_verifier_completeness_both_directions():
         matrix, legend = build_constraint_system(algebra)
         legend_index = {key: i for i, key in enumerate(legend)}
         space = solve_frobenius_space(algebra)
-        kernel_vectors = [c.coefficient_vector(legend_index) for c in space.basis]
-        for candidate in space.basis:
+        kernel_vectors = [coefficient_vector(c, legend_index) for c in space]
+        for candidate in space:
             ok, _ = verify_coproduct(algebra, candidate)
             assert ok
-        if space.dimension == len(legend):
+        if len(space) == len(legend):
             continue  # every candidate is a coproduct; nothing lies outside
         produced = 0
         attempts = 0
@@ -359,11 +362,11 @@ def test_inhomogeneous_generator_algebra():
     algebra = compute_basis(q, ideal)
     assert algebra.dimension == 13
     assert algebra.reduce_path(short) == {long: QQ.one}
-    x = algebra.coords_of(q.path(["a"]))
-    y = algebra.coords_of(q.path(["b"]))
-    assert algebra.multiply(x, y) == {long: QQ.one}
+    x = coords_of(algebra, q.path(["a"]))
+    y = coords_of(algebra, q.path(["b"]))
+    assert multiply(algebra, x, y) == {long: QQ.one}
     space = solve_frobenius_space(algebra)
-    assert space.dimension == frobenius_dimension(algebra)
+    assert len(space) == frobenius_dimension(algebra)
 
 
 def test_prime_field_dimensions_match_rationals():
@@ -376,18 +379,15 @@ def test_prime_field_dimensions_match_rationals():
 
 
 def test_candidate_json_round_trip():
-    import json
-
     q, ideal = gen_toupie((2, 2), (), [(1, -1)])
     algebra = compute_basis(q, ideal)
-    candidate = solve_frobenius_space(algebra).basis[0]
+    candidate = solve_frobenius_space(algebra)[0]
     data = candidate_to_json(candidate)
     back = candidate_from_json(data, algebra)
     assert {v: t.coefficients for v, t in back.values.items()} == \
         {v: t.coefficients for v, t in candidate.values.items()}
-    # the file serializer wraps the same payload under a schema key
-    dumped = json.loads(candidate_dumps(candidate))
-    assert dumped["schema"] == "frobq/1"
+    # a candidate file may wrap the same payload under a schema key
+    dumped = json.loads(json.dumps({"schema": "frobq/1", "coproduct": data}))
     again = candidate_from_json(dumped, algebra)
     assert {v: t.coefficients for v, t in again.values.items()} == \
         {v: t.coefficients for v, t in candidate.values.items()}

@@ -16,6 +16,15 @@ def dense(rows, field=QQ):
     return SparseMatrix(len(rows), len(rows[0]) if rows else 0, entries, field)
 
 
+def apply(matrix, vector):
+    """Multiply by a sparse column vector given as {column: scalar}."""
+    result = {}
+    for (i, j), value in matrix.entries.items():
+        if j in vector:
+            result[i] = result.get(i, matrix.field.zero) + value * vector[j]
+    return {i: v for i, v in result.items() if v != matrix.field.zero}
+
+
 class TestRref:
     def test_identity_fixed(self):
         m = dense([[1, 0], [0, 1]])
@@ -52,15 +61,13 @@ class TestRank:
 
 class TestKernel:
     def test_identity_trivial_kernel(self):
-        assert kernel_basis(dense([[1, 0], [0, 1]])).dimension == 0
+        assert kernel_basis(dense([[1, 0], [0, 1]])) == []
 
     def test_one_relation(self):
-        kb = kernel_basis(dense([[1, 1]]))
-        assert kb.dimension == 1
-        assert kb.vectors == [{1: Fraction(1), 0: Fraction(-1)}]
+        assert kernel_basis(dense([[1, 1]])) == [{1: Fraction(1), 0: Fraction(-1)}]
 
     def test_zero_matrix_full_kernel(self):
-        assert kernel_basis(SparseMatrix(2, 3, {})).dimension == 3
+        assert len(kernel_basis(SparseMatrix(2, 3, {}))) == 3
 
 
 def random_matrix(rng, field):
@@ -82,9 +89,9 @@ def test_rank_nullity_and_annihilation(field):
     for _ in range(count):
         m = random_matrix(rng, field)
         kb = kernel_basis(m)
-        assert rank(m) + kb.dimension == m.ncols
-        for vec in kb.vectors:
-            assert m.apply(vec) == {}
+        assert rank(m) + len(kb) == m.ncols
+        for vec in kb:
+            assert apply(m, vec) == {}
 
 
 def test_rref_idempotent():

@@ -1,0 +1,86 @@
+"""Invariants the mathematics guarantees, checked on seeded random algebras.
+
+Instances come from `families.gen_random` over all three regimes; every
+one of them has a monomial ideal.  Relabelling vertices and arrows is an
+isomorphism, the opposite algebra has an isomorphic coproduct space (flip
+the two tensor legs), and over F_p the constraint matrix of a monomial
+ideal is the integer matrix over Q reduced mod p, so its rank can only
+drop and the space can only grow.
+"""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from frobq.dsl import QuiverDocument, format_document, parse_document
+from frobq.families import REGIMES, gen_random
+from frobq.frobenius import frobenius_dimension
+from frobq.ideal import IdealSpec, compute_basis
+from frobq.linalg import QQ, PrimeField
+from frobq.quiver import PathExpr, Quiver
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                             database=None)
+
+# seed, vertex bound, arrow bound, regime
+instances = st.builds(gen_random, st.integers(0, 10 ** 6), st.just(6), st.just(8),
+                      st.sampled_from(REGIMES))
+
+
+def rebuilt(quiver, ideal, vertex, arrow, reverse=False):
+    """The bound quiver with names mapped, and with arrows reversed if asked."""
+    arrows = [(arrow[a.name], vertex[a.target], vertex[a.source]) if reverse
+              else (arrow[a.name], vertex[a.source], vertex[a.target])
+              for a in quiver.arrows]
+    image = Quiver([vertex[v] for v in quiver.vertices], arrows)
+    generators = []
+    for g in ideal.generators:
+        terms = {}
+        for path, coeff in g.terms.items():
+            word = [arrow[name] for name in path.arrows]
+            terms[image.path(word[::-1] if reverse else word)] = coeff
+        generators.append(PathExpr(terms))
+    return image, IdealSpec(generators)
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances, shuffle_seed=st.integers(0, 10 ** 6))
+def test_relabelling_keeps_dimensions(instance, shuffle_seed):
+    quiver, ideal = instance
+    rng = random.Random(shuffle_seed)
+    vertex_names = [f"v{i}" for i in range(len(quiver.vertices))]
+    arrow_names = [f"x{i}" for i in range(len(quiver.arrows))]
+    rng.shuffle(vertex_names)
+    rng.shuffle(arrow_names)
+    relabelled = rebuilt(quiver, ideal, dict(zip(quiver.vertices, vertex_names)),
+                         {a.name: new for a, new in zip(quiver.arrows, arrow_names)})
+    algebra = compute_basis(quiver, ideal)
+    image = compute_basis(*relabelled)
+    assert image.dimension == algebra.dimension
+    assert frobenius_dimension(image) == frobenius_dimension(algebra)
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances)
+def test_opposite_algebra_keeps_frobenius_dimension(instance):
+    quiver, ideal = instance
+    same_vertex = {v: v for v in quiver.vertices}
+    same_arrow = {a.name: a.name for a in quiver.arrows}
+    opposite = rebuilt(quiver, ideal, same_vertex, same_arrow, reverse=True)
+    assert frobenius_dimension(compute_basis(*opposite)) == \
+        frobenius_dimension(compute_basis(quiver, ideal))
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances)
+def test_format_parse_format_is_a_fixed_point(instance):
+    text = format_document(QuiverDocument(*instance, QQ))
+    assert format_document(parse_document(text)) == text
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances, p=st.sampled_from((2, 3, 5, 7)))
+def test_prime_field_dimension_at_least_rational(instance, p):
+    quiver, ideal = instance
+    assert frobenius_dimension(compute_basis(quiver, ideal, PrimeField(p))) >= \
+        frobenius_dimension(compute_basis(quiver, ideal))

@@ -137,13 +137,13 @@ class TestDegreesAndCycles:
 
     def test_linear_acyclic(self):
         q = linear(5)
-        assert q.is_acyclic() and q.longest_path_length() == 4
+        assert q.longest_path_length() == 4
 
     def test_loop_cyclic(self):
-        assert not LOOP.is_acyclic() and LOOP.longest_path_length() is None
+        assert LOOP.longest_path_length() is None
 
     def test_oriented_cycle_cyclic(self):
-        assert not CYCLE3.is_acyclic()
+        assert CYCLE3.longest_path_length() is None
 
 
 class TestPathExpr:

@@ -115,7 +115,7 @@ def solved(instance, field_name):
     q, ideal = INSTANCES[instance]
     algebra = compute_basis(q, ideal, FIELDS[field_name])
     legend = build_constraint_system(algebra)[1]
-    return algebra, legend, solve_frobenius_space(algebra).basis
+    return algebra, legend, solve_frobenius_space(algebra)
 
 
 def random_scalar(field, rng):
