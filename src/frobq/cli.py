@@ -5,10 +5,12 @@ Exit codes: 0 ok, 1 parse error or other bad input or usage, 2 unsupported
 ideal regime, 3 infinite dimensional certificate failure, 4 verification
 failure, 5 internal consistency fault.  Text mode prints bare values for
 scripting; --json emits versioned frobq/1 documents with scalars as exact
-strings.
+strings.  main can be called repeatedly in one process: it builds its
+parser once and looks up the cmd_<command> function on every call.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -278,6 +280,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
     parser = _Parser(
         prog="frobq",
@@ -293,26 +296,19 @@ def build_parser():
 
     p = with_file(sub.add_parser("basis", help="quotient algebra basis per block"))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_basis)
 
     p = with_file(sub.add_parser("dim", help="dimension of the coproduct space"))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_dim)
 
     p = with_file(sub.add_parser("space", help="basis of the coproduct space"))
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_space)
 
     p = with_file(sub.add_parser("verify", help="check a coproduct candidate file"))
     p.add_argument("--coproduct", required=True, help="candidate JSON file")
-    p.set_defaults(func=cmd_verify)
 
-    p = with_file(sub.add_parser("classify", help="family classification and "
-                                                  "predicted dimensions"))
-    p.set_defaults(func=cmd_classify)
-
-    p = with_file(sub.add_parser("patterns", help="local patterns with witnesses"))
-    p.set_defaults(func=cmd_patterns)
+    with_file(sub.add_parser("classify", help="family classification and "
+                                              "predicted dimensions"))
+    with_file(sub.add_parser("patterns", help="local patterns with witnesses"))
 
     p = sub.add_parser("gen", help="emit a family instance as a document")
     p.add_argument("family", help="linear | cycle | canonical | toupie | rsz | random")
@@ -325,14 +321,14 @@ def build_parser():
     p.add_argument("--linear", action="append", default=[],
                    help="toupie family: comma separated branch coefficients")
     p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_gen)
     return parser
 
 
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        # Looked up per call, so a cmd_* swapped on the module after import runs.
+        return globals()[f"cmd_{args.command}"](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

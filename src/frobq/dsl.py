@@ -248,6 +248,7 @@ def format_document(doc: QuiverDocument) -> str:
 def _format_expr(expr, field):
     parts = []
     for i, (path, coeff) in enumerate(expr.terms.items()):
+        coeff = field.coerce(coeff)
         negative = _is_negative(coeff, field)
         magnitude = -coeff if negative else coeff
         word = "*".join(path.arrows)

@@ -70,10 +70,6 @@ class CoproductCandidate:
     def value_at(self, vertex):
         return self.values.get(vertex, TensorElement(self.algebra.field))
 
-    @property
-    def is_zero(self):
-        return not self.values
-
     def check_support(self):
         for vertex, tensor in self.values.items():
             if vertex not in self.algebra.quiver.out_arrows:

@@ -92,14 +92,8 @@ class RationalField:
     """The field of rationals with exact Fraction arithmetic."""
 
     name = "Q"
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def scalar(self, num, den=1):
         return Fraction(num, den)
@@ -182,14 +176,8 @@ class PrimeField:
             raise ValidationError(f"modulus must be prime: {p}")
         self.p = p
         self.name = f"F{p}"
-
-    @property
-    def zero(self):
-        return FpElement(0, self.p)
-
-    @property
-    def one(self):
-        return FpElement(1, self.p)
+        self.zero = FpElement(0, p)
+        self.one = FpElement(1, p)
 
     def scalar(self, num, den=1):
         return FpElement(num, self.p) / FpElement(den, self.p)

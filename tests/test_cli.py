@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import frobq
+from frobq import cli
 from frobq.cli import main
 
 DIAMOND = """field Q
@@ -301,3 +306,114 @@ def test_space_json_golden(capsys, tmp_path, gen, flags, digest):
     path.write_text(doc)
     code, out, _ = run(capsys, "space", str(path), "--json", *flags)
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the other outputs on the same documents, recorded at the commit
+# before the CLI shared one parser across calls; `patterns` prints nothing
+# but "no local patterns" on those three, so A_6 with the relation a2*a3
+# adds a document with a witness.  The verify candidate is e_v (x) e_v at
+# the first vertex, which is never a coproduct there.
+GOLDEN_DOCUMENTS = {
+    "linear": (["linear", "12"], []),
+    "cycle": (["cycle", "5", "4"], ["--field", "F7"]),
+    "toupie": (["toupie", "3,3", "--linear", "2,-3"], []),
+    "pattern5": (["linear", "6", "--relation", "2,2"], []),
+}
+GOLDEN_OUTPUTS = [
+    ("linear", ["basis", "--json"], 0,
+     "949d56189a14b7fb6f4225c0173a5d6ae43009d7b1cba05cbc0836dbc37b17e0"),
+    ("linear", ["dim", "--json"], 0,
+     "d9c7782daf7025129524889ea68bc4a3011c0eed8003022d699ba535470bf79b"),
+    ("linear", ["classify"], 0,
+     "54312f094f112a585b901000336c6079f6c9d9bc2adebfae4b80f7db7a00d0e3"),
+    ("linear", ["patterns"], 0,
+     "806162a7637234c4cd28b7916a448ba21006bd41d130d834937dad792b242fdc"),
+    ("linear", ["verify"], 4,
+     "80f9e62001026ffb35c3d99c2ff6cf9ccd2ebac144bcb1575352a0f9fa3955c0"),
+    ("cycle", ["basis", "--json"], 0,
+     "0b98bb27a878cd56ef176546330b9c17a9228f0b44d1e0b6fa0df80d63c49763"),
+    ("cycle", ["dim", "--json"], 0,
+     "f2c8efbada82a82e90328cf7ab1f500cb33d6a1ca2ddcbc8913beae1f81b158b"),
+    ("cycle", ["classify"], 0,
+     "ec1a7c2465cf273da122a2a3263e1c07a92d811631895ae3c573132dee0226f5"),
+    ("cycle", ["patterns"], 0,
+     "806162a7637234c4cd28b7916a448ba21006bd41d130d834937dad792b242fdc"),
+    ("cycle", ["verify"], 4,
+     "c6ff6e4586bfc094f4320b05db779506877ab86f8fe2c3eef2868b88bd34bbc6"),
+    ("toupie", ["basis", "--json"], 0,
+     "b70d0b606112f665f91799e43f5356b83d9c0bb1491e90166fc2d028a61f730e"),
+    ("toupie", ["dim", "--json"], 0,
+     "d9c7782daf7025129524889ea68bc4a3011c0eed8003022d699ba535470bf79b"),
+    ("toupie", ["classify"], 0,
+     "bd59469bd1a290ea5a967289a18251353aae37f0597b1ab2be30dc2c2b47ac79"),
+    ("toupie", ["patterns"], 0,
+     "806162a7637234c4cd28b7916a448ba21006bd41d130d834937dad792b242fdc"),
+    ("toupie", ["verify"], 4,
+     "f8921a2a744618b84e64d4a725b869998ac49cd838fed9236eb46959b6ae1138"),
+    ("pattern5", ["classify"], 0,
+     "dabcbd871f2a50265b254f6fcf3e95027aa79b1901ce664635916bee295748f4"),
+    ("pattern5", ["patterns"], 0,
+     "56e052e0ca0c0a36b64e44ad091137e3c76509e201d77bf3ab864c7e862a7f46"),
+]
+
+
+@pytest.mark.parametrize("document, command, expected_code, digest", GOLDEN_OUTPUTS,
+                         ids=[f"{d}-{' '.join(c)}" for d, c, _, _ in GOLDEN_OUTPUTS])
+def test_cli_output_golden(capsys, tmp_path, document, command, expected_code, digest):
+    gen, flags = GOLDEN_DOCUMENTS[document]
+    code, doc, _ = run(capsys, "gen", *gen)
+    assert code == 0
+    path = tmp_path / "doc.qv"
+    path.write_text(doc)
+    subcommand, *options = command
+    if subcommand == "verify":
+        unit = {"e": doc.splitlines()[1].split()[1]}
+        candidate = tmp_path / "cand.json"
+        candidate.write_text(json.dumps(
+            [{"vertex": unit["e"], "terms": [{"left": unit, "right": unit, "coeff": "1"}]}]))
+        options = ["--coproduct", str(candidate)]
+    code, out, err = run(capsys, subcommand, str(path), *options, *flags)
+    assert (code, err) == (expected_code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestRepeatedCalls:
+    """main shares one parser across the calls of a process."""
+
+    def test_append_options_do_not_accumulate(self, capsys):
+        argv = ["gen", "toupie", "3,2", "--monomial", "1,1,2", "--linear", "1,-1"]
+        first = run(capsys, *argv)
+        second = run(capsys, *argv)
+        assert first == second and first[0] == 0
+        assert [line for line in first[1].splitlines() if line.startswith("relation")] == \
+            ["relation a1_1*a1_2 ;", "relation -a2_1*a2_2 + a1_1*a1_2*a1_3 ;"]
+
+    def test_output_matches_fresh_process_after_errors(self, capsys, diamond_file):
+        argv = ["classify", diamond_file]
+        src = os.path.dirname(os.path.dirname(frobq.__file__))
+        fresh = subprocess.run([sys.executable, "-m", "frobq", *argv],
+                               capture_output=True, text=True, timeout=60,
+                               env={**os.environ, "PYTHONPATH": src})
+        assert fresh.returncode == 0 and fresh.stderr == ""
+        assert run(capsys, "dim")[0] == 1
+        assert run(capsys, *argv) == (0, fresh.stdout, "")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        capsys.readouterr()
+        assert run(capsys, *argv) == (0, fresh.stdout, "")
+
+    def test_dispatch_reads_the_module_attribute(self, capsys, monkeypatch, diamond_file):
+        # perfbench's traced run swaps cli.cmd_* for wrappers after import.
+        assert run(capsys, "dim", diamond_file) == (0, "1\n", "")
+        seen = []
+        original = cli.cmd_dim
+
+        def wrapper(args):
+            seen.append(args.file)
+            original(args)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_dim", wrapper)
+        assert run(capsys, "dim", diamond_file) == (7, "1\n", "")
+        assert seen == [diamond_file]

@@ -144,3 +144,16 @@ def test_round_trip_every_family(built):
     assert [g.terms for g in parsed.ideal.generators] == \
         [g.terms for g in ideal.generators]
     assert format_document(parsed) == text
+
+
+@pytest.mark.parametrize("built, relation", [
+    (gen_linear(3, [(1, 2)]), "relation a1*a2 ;"),
+    (gen_toupie((3, 3), [], [(2, -3)]),
+     "relation 2 a1_1*a1_2*a1_3 + 2 a2_1*a2_2*a2_3 ;"),
+], ids=["linear", "toupie"])
+def test_prime_field_document_of_rational_ideal(built, relation):
+    # The generators build their ideals over Q; printed over F_5, each
+    # coefficient is its residue.
+    text = format_document(QuiverDocument(*built, PrimeField(5)))
+    assert text.startswith("field F 5\n") and relation in text.splitlines()
+    assert format_document(parse_document(text)) == text
