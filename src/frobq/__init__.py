@@ -10,7 +10,7 @@ from .errors import (
     ValidationError,
 )
 from .quiver import Arrow, Path, PathExpr, Quiver, compose
-from .linalg import QQ, FpElement, PrimeField, SparseMatrix, kernel_basis, rank, rref
+from .linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank, rref
 from .ideal import (
     AlgebraBasis,
     IdealSpec,

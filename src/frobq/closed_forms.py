@@ -97,8 +97,8 @@ def radical_square_zero_dimension(quiver: Quiver) -> int:
     spaces = RszSpaces(quiver)
     numerator_rows = [{spaces.pair_column(x, y): QQ.one} for x, y in spaces.numerator_pairs()]
     denominator_rows = spaces.denominator_rows()
-    rank_d = rank(SparseMatrix.from_rows(denominator_rows, spaces.ncols))
-    rank_nd = rank(SparseMatrix.from_rows(numerator_rows + denominator_rows, spaces.ncols))
+    rank_d = rank(SparseMatrix(denominator_rows, spaces.ncols))
+    rank_nd = rank(SparseMatrix(numerator_rows + denominator_rows, spaces.ncols))
     # dim N - dim(N meet D) collapses to rank(N + D) - rank(D) because the
     # numerator pairs are distinct coordinate vectors.
     return rank_nd - rank_d
@@ -400,12 +400,11 @@ def toupie_classify(quiver: Quiver, ideal: IdealSpec, field=QQ) -> ToupieClassif
                 raise ValidationError(
                     f"non-monomial relation term {path} is not a full branch path"
                 )
-            row[index] = field.coerce(coeff)
+            row[index] = coeff
         linear_rows.append(row)
 
-    matrix = SparseMatrix.from_rows(linear_rows, t, field)
-    reduced, pivots = rref(matrix)
-    for row in reduced.row_dicts():
+    reduced, pivots = rref(SparseMatrix(linear_rows, t, field))
+    for row in reduced.rows:
         if len(row) == 1:
             monomial_branches.add(next(iter(row)))
     independent_rank = t - len(pivots)

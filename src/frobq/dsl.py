@@ -138,7 +138,7 @@ def _parse_relation(rel, quiver, field):
     tokens = rel.tokens
     if not tokens:
         raise ParseError("empty relation", rel.lineno, 1)
-    terms = []
+    terms = {}
     position = 0
 
     def peek():
@@ -151,7 +151,9 @@ def _parse_relation(rel, quiver, field):
     while True:
         term, position = _parse_term(tokens, position, quiver, field, rel.lineno)
         coeff, path = term
-        terms.append((path, sign * coeff))
+        # Repeated paths merge here, so that a sum that vanishes in the
+        # field drops out of the relation.
+        terms[path] = field.reduce(terms.get(path, field.zero) + sign * coeff)
         if position >= len(tokens):
             break
         op, ln, col = tokens[position]
@@ -193,7 +195,11 @@ def _parse_term(tokens, position, quiver, field, lineno):
             if int(den) == 0:
                 raise ParseError("zero denominator", tokens[position + 2][1],
                                  tokens[position + 2][2])
-            coeff = field.scalar(int(text), int(den))
+            try:
+                coeff = field.scalar(int(text), int(den))
+            except ValidationError as exc:
+                raise ParseError(str(exc), tokens[position + 2][1],
+                                 tokens[position + 2][2]) from None
             position += 3
         elif nxt not in ("*", "+", "-", ";"):
             coeff = field.scalar(int(text))
@@ -246,17 +252,22 @@ def format_document(doc: QuiverDocument) -> str:
 
 
 def _format_expr(expr, field):
+    """The relation's terms in the field; terms that vanish there are left out."""
     parts = []
-    for i, (path, coeff) in enumerate(expr.terms.items()):
+    for path, coeff in expr.terms.items():
         coeff = field.coerce(coeff)
+        if not coeff:
+            continue
         negative = _is_negative(coeff, field)
         magnitude = -coeff if negative else coeff
         word = "*".join(path.arrows)
         body = word if magnitude == field.one else f"{field.format(magnitude)} {word}"
-        if i == 0:
+        if not parts:
             parts.append(("-" if negative else "") + body)
         else:
             parts.append(("- " if negative else "+ ") + body)
+    if not parts:
+        raise ValidationError(f"relation {expr} cancels to zero in {field.name}")
     return " ".join(parts)
 
 

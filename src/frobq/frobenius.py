@@ -29,8 +29,8 @@ class TensorElement:
 
     def add_term(self, u, v, value):
         key = (u, v)
-        new = self.coefficients.get(key, self.field.zero) + value
-        if new == self.field.zero:
+        new = self.field.reduce(self.coefficients.get(key, self.field.zero) + value)
+        if not new:
             self.coefficients.pop(key, None)
         else:
             self.coefficients[key] = new
@@ -51,7 +51,7 @@ class TensorElement:
             return "0"
         parts = []
         for (u, v), c in self.sorted_items():
-            prefix = "" if c == self.field.one else f"{c}*"
+            prefix = "" if c == self.field.one else f"{self.field.format(c)}*"
             parts.append(f"{prefix}{u}(x){v}")
         return " + ".join(parts)
 
@@ -84,6 +84,11 @@ class CoproductCandidate:
                         f"term {u}(x){v} at vertex {vertex} breaks the support "
                         f"condition source(left) = target(right) = {vertex}"
                     )
+
+
+def _reduced(terms, reduce):
+    """terms with every value reduced and the zero ones dropped."""
+    return {key: r for key, value in terms.items() if (r := reduce(value))}
 
 
 def _support_columns(algebra: AlgebraBasis):
@@ -134,11 +139,11 @@ def build_constraint_system(algebra: AlgebraBasis):
                         row = pair_rows.setdefault((u, z), {})
                         row[col] = row.get(col, field.zero) - c
         for pair in sorted(pair_rows, key=lambda wz: (wz[0].sort_key(), wz[1].sort_key())):
-            row = {col: c for col, c in pair_rows[pair].items() if c != field.zero}
+            row = _reduced(pair_rows[pair], field.reduce)
             if row:
                 rows.append(row)
 
-    matrix = SparseMatrix.from_rows(rows, len(legend), field)
+    matrix = SparseMatrix(rows, len(legend), field)
     return matrix, legend
 
 
@@ -210,10 +215,6 @@ class Counterexample:
                 f"(1 (x) right) form = {self.right_side}")
 
 
-def _nonzero(terms, zero):
-    return {key: value for key, value in terms.items() if value != zero}
-
-
 def _tensor_of_indices(algebra, terms):
     basis = algebra.basis
     return TensorElement(algebra.field, {(basis[a], basis[b]): c
@@ -248,7 +249,7 @@ def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
     make the candidate malformed rather than merely non-Frobenius.
     """
     candidate.check_support()
-    zero = algebra.field.zero
+    zero, reduce = algebra.field.zero, algebra.field.reduce
     basis, index = algebra.basis, algebra.index
     products = algebra.product_table
 
@@ -277,10 +278,10 @@ def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
                     right_side[key] = right_side.get(key, zero) + c * cz
 
             if expected == left_side == right_side:
-                continue  # equal with their zero entries, so equal without them
-            expected = _nonzero(expected, zero)
-            left_side = _nonzero(left_side, zero)
-            right_side = _nonzero(right_side, zero)
+                continue  # equal before reduction, so equal after it
+            expected = _reduced(expected, reduce)
+            left_side = _reduced(left_side, reduce)
+            right_side = _reduced(right_side, reduce)
             if expected != left_side or expected != right_side:
                 return False, Counterexample(
                     basis[i], basis[j], _tensor_of_indices(algebra, expected),

@@ -281,8 +281,8 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
                     if len(word) >= bound:
                         continue
                     p = Path(u.source, v.target, word)
-                    new = row.get(p, field.zero) + field.coerce(coeff)
-                    if new == field.zero:
+                    new = field.reduce(row.get(p, field.zero) + field.coerce(coeff))
+                    if not new:
                         row.pop(p, None)
                     else:
                         row[p] = new
@@ -296,7 +296,7 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
         block = blocks_paths[key]
         col_of = {p: j for j, p in enumerate(block)}
         rows = [{col_of[p]: c for p, c in row.items()} for row in rows_by_block[key]]
-        matrix = SparseMatrix.from_rows(rows, len(block), field)
+        matrix = SparseMatrix(rows, len(block), field)
         reduced, pivots = rref(matrix)
         pivot_set = set(pivots)
         block_basis = tuple(p for j, p in enumerate(block) if j not in pivot_set)
@@ -304,13 +304,12 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
         basis.extend(block_basis)
         for p in block_basis:
             table[p] = {p: field.one}
-        reduced_rows = reduced.row_dicts()
         for i, col in enumerate(pivots):
             coords = {}
-            for j, value in reduced_rows[i].items():
+            for j, value in reduced.rows[i].items():
                 if j == col:
                     continue
-                coords[block[j]] = -value
+                coords[block[j]] = field.reduce(-value)
             table[block[col]] = coords
 
     basis.sort(key=lambda p: (p.source, p.target, p.sort_key()))

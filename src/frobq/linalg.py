@@ -1,91 +1,16 @@
 """Exact scalar arithmetic and sparse exact linear algebra.
 
 Everything here is exact: rationals are arbitrary-precision fractions and
-prime fields are residues with modular inverses.  No floating point is
-used anywhere in the package.
+F_p scalars are plain ints in [0, p).  Each field owns its normalisation:
+`reduce` brings a sum or product of its scalars back into canonical form
+(x % p over F_p, the identity over Q) and `inverse` gives 1 / x, so the
+elimination code is the same for every field.  No floating point is used
+anywhere in the package.
 """
 
 from fractions import Fraction
 
 from .errors import ValidationError
-
-
-class FpElement:
-    """An element of the prime field F_p.
-
-    Supports the same operators as Fraction so the elimination code is
-    field-agnostic.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value, p):
-        self.value = value % p
-        self.p = p
-
-    def _coerce(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValidationError(f"mixed prime fields F_{self.p} and F_{other.p}")
-            return other
-        if isinstance(other, int):
-            return FpElement(other, self.p)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FpElement(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FpElement(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FpElement(other.value - self.value, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return FpElement(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return FpElement(self.value * pow(other.value, -1, self.p), self.p)
-
-    def __neg__(self):
-        return FpElement(-self.value, self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, FpElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.p})"
 
 
 class RationalField:
@@ -104,6 +29,12 @@ class RationalField:
         if isinstance(x, int):
             return Fraction(x)
         raise ValidationError(f"not a rational scalar: {x!r}")
+
+    def reduce(self, x):
+        return x
+
+    def inverse(self, x):
+        return 1 / x
 
     def parse(self, text):
         try:
@@ -166,6 +97,9 @@ def _is_prime(n):
 class PrimeField:
     """The prime field F_p behind the same interface as the rationals."""
 
+    zero = 0
+    one = 1
+
     def __init__(self, p):
         if p >= _MILLER_RABIN_LIMIT:
             raise ValidationError(
@@ -176,37 +110,39 @@ class PrimeField:
             raise ValidationError(f"modulus must be prime: {p}")
         self.p = p
         self.name = f"F{p}"
-        self.zero = FpElement(0, p)
-        self.one = FpElement(1, p)
 
     def scalar(self, num, den=1):
-        return FpElement(num, self.p) / FpElement(den, self.p)
+        if den % self.p == 0:
+            raise ValidationError(f"denominator {den} is zero in F_{self.p}")
+        return num * pow(den, -1, self.p) % self.p
 
     def coerce(self, x):
-        if isinstance(x, FpElement):
-            if x.p != self.p:
-                raise ValidationError(f"scalar from F_{x.p} used in F_{self.p}")
-            return x
         if isinstance(x, int):
-            return FpElement(x, self.p)
+            return x % self.p
         if isinstance(x, Fraction):
             return self.scalar(x.numerator, x.denominator)
         raise ValidationError(f"not an F_{self.p} scalar: {x!r}")
+
+    def reduce(self, x):
+        return x % self.p
+
+    def inverse(self, x):
+        return pow(x, -1, self.p)
 
     def parse(self, text):
         try:
             if "/" in text:
                 num, den = text.split("/", 1)
                 return self.scalar(int(num), int(den))
-            return FpElement(int(text), self.p)
-        except (ValueError, ZeroDivisionError) as exc:
+            return int(text) % self.p
+        except (ValueError, ValidationError) as exc:
             raise ValidationError(f"bad scalar literal {text!r}: {exc}") from None
 
     def format(self, x):
-        return str(x.value)
+        return str(x)
 
     def pivot_key(self, x):
-        return x.value
+        return x
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -222,40 +158,38 @@ QQ = RationalField()
 
 
 class SparseMatrix:
-    """An immutable sparse matrix over one fixed field."""
+    """An immutable sparse matrix over one fixed field.
 
-    def __init__(self, nrows, ncols, entries, field=QQ):
-        self.nrows = nrows
+    rows is a list of sparse {column: scalar} dictionaries holding only
+    nonzero entries.
+    """
+
+    def __init__(self, rows, ncols, field=QQ):
         self.ncols = ncols
         self.field = field
-        self.entries = {}
-        for (i, j), value in entries.items():
-            if not (0 <= i < nrows and 0 <= j < ncols):
-                raise ValidationError(f"entry index out of range: ({i}, {j})")
-            value = field.coerce(value)
-            if value != field.zero:
-                self.entries[(i, j)] = value
-
-    @classmethod
-    def from_rows(cls, rows, ncols, field=QQ):
-        """rows: iterable of sparse {column: scalar} dictionaries."""
-        entries = {}
-        rows = list(rows)
+        self.rows = []
         for i, row in enumerate(rows):
+            kept = {}
             for j, value in row.items():
-                entries[(i, j)] = value
-        return cls(len(rows), ncols, entries, field)
+                if not 0 <= j < ncols:
+                    raise ValidationError(f"entry index out of range: ({i}, {j})")
+                value = field.coerce(value)
+                if value:
+                    kept[j] = value
+            self.rows.append(kept)
 
-    def row_dicts(self):
-        rows = [{} for _ in range(self.nrows)]
-        for (i, j), value in self.entries.items():
-            rows[i][j] = value
-        return rows
+    @property
+    def nrows(self):
+        return len(self.rows)
+
+    @property
+    def entries(self):
+        """The nonzero entries as a {(row, column): scalar} map."""
+        return {(i, j): value for i, row in enumerate(self.rows) for j, value in row.items()}
 
     def __eq__(self, other):
-        return (isinstance(other, SparseMatrix) and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.field == other.field
-                and self.entries == other.entries)
+        return (isinstance(other, SparseMatrix) and self.ncols == other.ncols
+                and self.field == other.field and self.rows == other.rows)
 
 
 def rref(matrix: SparseMatrix):
@@ -276,8 +210,8 @@ def rref(matrix: SparseMatrix):
     on the way, which the smallest-magnitude rule keeps modest.
     """
     field = matrix.field
-    one = field.one
-    rows = matrix.row_dicts()
+    reduce, one = field.reduce, field.one
+    rows = [dict(row) for row in matrix.rows]
     holders = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -295,7 +229,8 @@ def rref(matrix: SparseMatrix):
         p = min(candidates, key=lambda i: (field.pivot_key(rows[i][col]), i))
         pivot_value = rows[p][col]
         if pivot_value != one:
-            rows[p] = {j: v / pivot_value for j, v in rows[p].items()}
+            inverse = field.inverse(pivot_value)
+            rows[p] = {j: reduce(v * inverse) for j, v in rows[p].items()}
         tail = [(j, v) for j, v in rows[p].items() if j != col]
         for k in holding:
             if k == p:
@@ -305,10 +240,10 @@ def rref(matrix: SparseMatrix):
             for j, v in tail:
                 old = row.get(j)
                 if old is None:
-                    row[j] = -factor * v
+                    row[j] = reduce(-factor * v)
                     holders[j].add(k)
                     continue
-                new = old - factor * v
+                new = reduce(old - factor * v)
                 if new:
                     row[j] = new
                 else:
@@ -318,8 +253,7 @@ def rref(matrix: SparseMatrix):
         pivot_rows.append(rows[p])
         pivots.append(col)
     pivot_rows.extend({} for _ in range(len(rows) - len(pivots)))
-    reduced = SparseMatrix.from_rows(pivot_rows, matrix.ncols, field)
-    return reduced, pivots
+    return SparseMatrix(pivot_rows, matrix.ncols, field), pivots
 
 
 def rank(matrix: SparseMatrix) -> int:
@@ -332,13 +266,14 @@ def kernel_basis(matrix: SparseMatrix) -> list:
 
     The vectors are sparse {column: scalar} maps, in free column order.
     """
+    field = matrix.field
     reduced, pivots = rref(matrix)
     pivot_set = set(pivots)
-    vectors = {col: {col: matrix.field.one}
+    vectors = {col: {col: field.one}
                for col in range(matrix.ncols) if col not in pivot_set}
     # Off its pivot, a row of the RREF is nonzero only in free columns.
-    for pivot, row in zip(pivots, reduced.row_dicts()):
+    for pivot, row in zip(pivots, reduced.rows):
         for col, value in row.items():
             if col != pivot:
-                vectors[col][pivot] = -value
+                vectors[col][pivot] = field.reduce(-value)
     return list(vectors.values())

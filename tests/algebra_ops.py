@@ -22,11 +22,12 @@ def unit(algebra):
 
 def reduce(algebra, expr):
     """Linear extension of reduce_path to path expressions."""
+    field = algebra.field
     result = {}
     for path, coeff in expr.terms.items():
         for b, value in algebra.reduce_path(path).items():
-            new = result.get(b, algebra.field.zero) + coeff * value
-            if new == algebra.field.zero:
+            new = field.reduce(result.get(b, field.zero) + field.coerce(coeff) * value)
+            if new == field.zero:
                 result.pop(b, None)
             else:
                 result[b] = new
@@ -35,7 +36,8 @@ def reduce(algebra, expr):
 
 def multiply(algebra, x, y):
     """Product of two coordinate vectors over the basis."""
-    zero = algebra.field.zero
+    field = algebra.field
+    zero = field.zero
     result = {}
     for u, cu in x.items():
         for v, cv in y.items():
@@ -44,7 +46,7 @@ def multiply(algebra, x, y):
                 continue
             coeff = cu * cv
             for b, value in algebra.reduce_path(w).items():
-                new = result.get(b, zero) + coeff * value
+                new = field.reduce(result.get(b, zero) + coeff * value)
                 if new == zero:
                     result.pop(b, None)
                 else:

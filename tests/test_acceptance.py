@@ -284,8 +284,8 @@ def test_criterion_08_toupie_classification():
 
 
 def in_span(vectors, candidate, ncols):
-    base = rank(SparseMatrix.from_rows(list(vectors), ncols))
-    return rank(SparseMatrix.from_rows(list(vectors) + [candidate], ncols)) == base
+    base = rank(SparseMatrix(list(vectors), ncols))
+    return rank(SparseMatrix(list(vectors) + [candidate], ncols)) == base
 
 
 def test_criterion_09_verifier_completeness():

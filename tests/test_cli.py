@@ -183,6 +183,19 @@ class TestCommands:
         code, out, _ = run(capsys, "dim", diamond_file, "--field", "F5")
         assert code == 0 and out == "1\n"
 
+    def test_failed_line_prints_prime_field_coefficient(self, capsys, tmp_path):
+        code, doc, _ = run(capsys, "gen", "cycle", "5", "4")
+        path = tmp_path / "cycle.qv"
+        path.write_text(doc)
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([{"vertex": "1", "terms": [
+            {"left": {"e": "1"}, "right": {"e": "1"}, "coeff": "3"}]}]))
+        code, out, _ = run(capsys, "verify", str(path), "--coproduct", str(cand),
+                           "--field", "F7")
+        assert code == 4
+        assert out == ("FAILED: pair (e_1, a1): value on product = 0, (left (x) 1) form = 0, "
+                       "(1 (x) right) form = 3*e_1(x)a1\n")
+
 
 class TestBadInput:
     """Malformed input and usage end in exit 1 with one line, never a traceback."""
@@ -220,6 +233,25 @@ class TestBadInput:
     def test_bad_integer_lists(self, capsys, diamond_file, argv):
         argv = [diamond_file if a == "{doc}" else a for a in argv]
         self.assert_one_line_error(*run(capsys, *argv))
+
+    @pytest.mark.parametrize("field_line, flags", [
+        ("field F 5", []),
+        ("field Q", ["--field", "F5"]),
+    ])
+    def test_denominator_divisible_by_p(self, capsys, tmp_path, field_line, flags):
+        doc = tmp_path / "doc.qv"
+        doc.write_text(f"{field_line}\nvertex 1 2 3\narrow a : 1 -> 2\n"
+                       "arrow b : 2 -> 3\nrelation 1/5 a*b ;\n")
+        code, out, err = run(capsys, "dim", str(doc), *flags)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("parse error: 5:12: ") and "Traceback" not in err
+
+    def test_coproduct_denominator_divisible_by_p(self, capsys, tmp_path, diamond_file):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([{"vertex": "0", "terms": [
+            {"left": {"e": "0"}, "right": {"e": "0"}, "coeff": "1/7"}]}]))
+        self.assert_one_line_error(*run(
+            capsys, "verify", diamond_file, "--coproduct", str(cand), "--field", "F7"))
 
     @pytest.mark.parametrize("argv", [
         ["dim"],

@@ -74,7 +74,7 @@ def definition_level_dimension(algebra):
                     row = {k: value for k, value in row.items() if value != QQ.zero}
                     if row:
                         rows.append(row)
-    matrix = SparseMatrix.from_rows(rows, n ** 3, QQ)
+    matrix = SparseMatrix(rows, n ** 3, QQ)
     return n ** 3 - rank(matrix)
 
 

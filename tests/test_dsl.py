@@ -1,7 +1,7 @@
 import pytest
 
 from frobq.dsl import QuiverDocument, format_document, parse_document
-from frobq.errors import ParseError
+from frobq.errors import ParseError, ValidationError
 from frobq.families import (
     CanonicalSpec,
     gen_canonical,
@@ -69,6 +69,14 @@ def test_prime_field_round_trip():
     assert parse_document(printed).ideal.generators[0].terms == \
         doc.ideal.generators[0].terms
     assert format_document(parse_document(printed)) == printed
+
+
+def test_repeated_terms_merge_in_the_field():
+    head = "field F 5\nvertex 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n"
+    with pytest.raises(ParseError, match="5:1: relation cancels to zero"):
+        parse_document(head + "relation 3 a*b + 2 a*b ;\n")
+    doc = parse_document(head + "arrow c : 1 -> 2\nrelation 3 a*b + 4 c*b + 2 a*b ;\n")
+    assert format_document(doc).splitlines()[-1] == "relation 4 c*b ;"
 
 
 def test_field_override():
@@ -150,10 +158,18 @@ def test_round_trip_every_family(built):
     (gen_linear(3, [(1, 2)]), "relation a1*a2 ;"),
     (gen_toupie((3, 3), [], [(2, -3)]),
      "relation 2 a1_1*a1_2*a1_3 + 2 a2_1*a2_2*a2_3 ;"),
-], ids=["linear", "toupie"])
+    (gen_toupie((3, 3), [], [(2, 5)]), "relation 2 a1_1*a1_2*a1_3 ;"),
+    (gen_toupie((3, 3), [], [(5, 5)]), None),
+], ids=["linear", "toupie", "toupie-term-vanishes", "toupie-all-terms-vanish"])
 def test_prime_field_document_of_rational_ideal(built, relation):
     # The generators build their ideals over Q; printed over F_5, each
-    # coefficient is its residue.
-    text = format_document(QuiverDocument(*built, PrimeField(5)))
+    # coefficient is its residue, and a term whose residue is 0 is left out.
+    # A relation with no term left is refused, as parse_document refuses it.
+    doc = QuiverDocument(*built, PrimeField(5))
+    if relation is None:
+        with pytest.raises(ValidationError, match="cancels to zero"):
+            format_document(doc)
+        return
+    text = format_document(doc)
     assert text.startswith("field F 5\n") and relation in text.splitlines()
     assert format_document(parse_document(text)) == text

@@ -249,19 +249,19 @@ def unrestricted_constraint_system(algebra):
                 if left is not None:
                     for w, c in algebra.reduce_path(left).items():
                         row = pair_rows.setdefault((w, v), {})
-                        row[col] = row.get(col, field.zero) + c
+                        row[col] = field.reduce(row.get(col, field.zero) + c)
             if vertex == p:
                 right = compose(v, arrow_path)
                 if right is not None:
                     for z, c in algebra.reduce_path(right).items():
                         row = pair_rows.setdefault((u, z), {})
-                        row[col] = row.get(col, field.zero) - c
+                        row[col] = field.reduce(row.get(col, field.zero) - c)
         for pair in sorted(pair_rows, key=lambda wz: (wz[0].sort_key(), wz[1].sort_key())):
             row = {col: c for col, c in pair_rows[pair].items() if c != field.zero}
             if row:
                 rows.append(row)
 
-    matrix = SparseMatrix.from_rows(rows, len(legend), field)
+    matrix = SparseMatrix(rows, len(legend), field)
     return matrix, legend
 
 
@@ -275,8 +275,8 @@ def test_support_forcing_matches_unrestricted():
 
 def in_span(vectors, candidate_vec, ncols):
     rows = list(vectors)
-    base = rank(SparseMatrix.from_rows(rows, ncols))
-    return rank(SparseMatrix.from_rows(rows + [candidate_vec], ncols)) == base
+    base = rank(SparseMatrix(rows, ncols))
+    return rank(SparseMatrix(rows + [candidate_vec], ncols)) == base
 
 
 def test_verifier_completeness_both_directions():

@@ -22,7 +22,7 @@ from frobq.ideal import (
     compute_bound,
     validate,
 )
-from frobq.linalg import QQ
+from frobq.linalg import QQ, PrimeField
 from frobq.quiver import PathExpr, Quiver
 
 from algebra_ops import coords_of, multiply, reduce, unit
@@ -185,6 +185,15 @@ class TestComputeBasis:
         q, ideal = diamond()
         algebra = compute_basis(q, ideal)
         assert sum(len(b) for b in algebra.blocks.values()) == algebra.dimension
+
+    def test_prime_field_coordinates_are_residues(self):
+        q, ideal = gen_toupie((2, 3), [], [(2, -3)])
+        algebra = compute_basis(q, ideal, PrimeField(5))
+        top = q.path(["a1_1", "a1_2"])
+        # 2 top - 3 bottom = 0, so top = 3/2 bottom = 4 bottom over F_5.
+        assert algebra.reduce_path(top) == {q.path(["a2_1", "a2_2", "a2_3"]): 4}
+        for coords in algebra.table.values():
+            assert all(type(c) is int and 0 <= c < 5 for c in coords.values())
 
 
 class TestReduce:

@@ -4,25 +4,32 @@ from fractions import Fraction
 import pytest
 
 from frobq.errors import ValidationError
-from frobq.linalg import QQ, FpElement, PrimeField, SparseMatrix, kernel_basis, rank, rref
+from frobq.linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank, rref
 
 
 def dense(rows, field=QQ):
-    entries = {}
-    for i, row in enumerate(rows):
-        for j, value in enumerate(row):
-            if value:
-                entries[(i, j)] = field.scalar(value)
-    return SparseMatrix(len(rows), len(rows[0]) if rows else 0, entries, field)
+    sparse = [{j: field.scalar(value) for j, value in enumerate(row) if value} for row in rows]
+    return SparseMatrix(sparse, len(rows[0]) if rows else 0, field)
 
 
 def apply(matrix, vector):
     """Multiply by a sparse column vector given as {column: scalar}."""
+    field = matrix.field
     result = {}
-    for (i, j), value in matrix.entries.items():
-        if j in vector:
-            result[i] = result.get(i, matrix.field.zero) + value * vector[j]
-    return {i: v for i, v in result.items() if v != matrix.field.zero}
+    for i, row in enumerate(matrix.rows):
+        for j, value in row.items():
+            if j in vector:
+                result[i] = field.reduce(result.get(i, field.zero) + value * vector[j])
+    return {i: v for i, v in result.items() if v != field.zero}
+
+
+def assert_exact(field, scalars):
+    """Every scalar is a Fraction over Q and an int in [0, p) over F_p."""
+    for value in scalars:
+        if field is QQ:
+            assert type(value) is Fraction
+        else:
+            assert type(value) is int and 0 <= value < field.p
 
 
 class TestRref:
@@ -37,15 +44,14 @@ class TestRref:
         assert reduced == m and pivots == [0]
 
     def test_zero_matrix(self):
-        m = SparseMatrix(2, 3, {})
+        m = SparseMatrix([{}, {}], 3)
         reduced, pivots = rref(m)
         assert reduced.entries == {} and pivots == []
 
-    def test_mixed_scalar_kinds_rejected(self):
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    def test_float_entry_rejected(self, field):
         with pytest.raises(ValidationError):
-            SparseMatrix(1, 1, {(0, 0): FpElement(1, 5)}, QQ)
-        with pytest.raises(ValidationError):
-            SparseMatrix(1, 1, {(0, 0): FpElement(1, 5)}, PrimeField(7))
+            SparseMatrix([{0: 0.5}], 1, field)
 
 
 class TestRank:
@@ -56,7 +62,7 @@ class TestRank:
         assert rank(dense([[2, 4], [1, 2]])) == 1
 
     def test_zero(self):
-        assert rank(SparseMatrix(3, 3, {})) == 0
+        assert rank(SparseMatrix([{}, {}, {}], 3)) == 0
 
 
 class TestKernel:
@@ -67,19 +73,19 @@ class TestKernel:
         assert kernel_basis(dense([[1, 1]])) == [{1: Fraction(1), 0: Fraction(-1)}]
 
     def test_zero_matrix_full_kernel(self):
-        assert len(kernel_basis(SparseMatrix(2, 3, {}))) == 3
+        assert len(kernel_basis(SparseMatrix([{}, {}], 3))) == 3
 
 
 def random_matrix(rng, field):
     nrows = rng.randint(1, 6)
     ncols = rng.randint(1, 6)
-    entries = {}
+    rows = [{} for _ in range(nrows)]
     for i in range(nrows):
         for j in range(ncols):
             if rng.random() < 0.5:
                 value = field.scalar(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
-                entries[(i, j)] = value
-    return SparseMatrix(nrows, ncols, entries, field)
+                rows[i][j] = value
+    return SparseMatrix(rows, ncols, field)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])
@@ -90,7 +96,9 @@ def test_rank_nullity_and_annihilation(field):
         m = random_matrix(rng, field)
         kb = kernel_basis(m)
         assert rank(m) + len(kb) == m.ncols
+        assert_exact(field, rref(m)[0].entries.values())
         for vec in kb:
+            assert_exact(field, vec.values())
             assert apply(m, vec) == {}
 
 
@@ -142,7 +150,7 @@ def reference_rref(matrix):
     """Dense-scan Gauss-Jordan: scans every row for every column."""
     field = matrix.field
     zero = field.zero
-    rows = matrix.row_dicts()
+    rows = [dict(row) for row in matrix.rows]
     pivots = []
     rank = 0
     for col in range(matrix.ncols):
@@ -159,7 +167,8 @@ def reference_rref(matrix):
         rows[rank], rows[i] = rows[i], rows[rank]
         pivot_value = rows[rank][col]
         if pivot_value != field.one:
-            rows[rank] = {j: v / pivot_value for j, v in rows[rank].items()}
+            inverse = field.inverse(pivot_value)
+            rows[rank] = {j: field.reduce(v * inverse) for j, v in rows[rank].items()}
         pivot_row = rows[rank]
         for k in range(len(rows)):
             if k == rank:
@@ -169,14 +178,14 @@ def reference_rref(matrix):
                 continue
             row = rows[k]
             for j, v in pivot_row.items():
-                new = row.get(j, zero) - factor * v
+                new = field.reduce(row.get(j, zero) - factor * v)
                 if new == zero:
                     row.pop(j, None)
                 else:
                     row[j] = new
         pivots.append(col)
         rank += 1
-    return SparseMatrix.from_rows(rows, matrix.ncols, field), pivots
+    return SparseMatrix(rows, matrix.ncols, field), pivots
 
 
 def random_sparse_rows(rng, field, nrows, ncols, per_row):
@@ -196,7 +205,7 @@ def combination(rng, field, rows):
     for row in rows:
         c = field.scalar(rng.choice([-2, -1, 1, 3]))
         for j, v in row.items():
-            out[j] = out.get(j, field.zero) + c * v
+            out[j] = field.reduce(out.get(j, field.zero) + c * v)
     return {j: v for j, v in out.items() if v != field.zero}
 
 
@@ -207,7 +216,7 @@ def sparse_matrix(rng, field):
     for _ in range(rng.randint(0, 4)):
         rows.append(combination(rng, field, rng.sample(rows, min(len(rows), 3))))
     rng.shuffle(rows)
-    return SparseMatrix.from_rows(rows, ncols, field)
+    return SparseMatrix(rows, ncols, field)
 
 
 def block_diagonal_matrix(rng, field):
@@ -224,7 +233,7 @@ def block_diagonal_matrix(rng, field):
     rng.shuffle(perm)
     rows = [{perm[j]: v for j, v in row.items()} for row in rows]
     rng.shuffle(rows)
-    return SparseMatrix.from_rows(rows, ncols, field)
+    return SparseMatrix(rows, ncols, field)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])
@@ -236,3 +245,6 @@ def test_rref_matches_reference(field, make):
         reduced, pivots = rref(m)
         expected, expected_pivots = reference_rref(m)
         assert reduced == expected and pivots == expected_pivots
+        assert_exact(field, reduced.entries.values())
+        for vec in kernel_basis(m):
+            assert_exact(field, vec.values())

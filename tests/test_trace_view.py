@@ -1,0 +1,52 @@
+"""perfbench's traced run reads the constraint matrix the solver builds.
+
+perfbench/tracing.py counts columns, rows and nonzeros from the
+SparseMatrix that build_constraint_system returns, and rank from the
+pivots of rref.  These tests pin those counts to what the library itself
+reports, so a change to SparseMatrix cannot silently break the traced
+per-layer metrics.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from frobq import cli
+from frobq.dsl import QuiverDocument, format_document, parse_document
+from frobq.families import gen_cycle, gen_toupie
+from frobq.frobenius import build_constraint_system
+from frobq.ideal import compute_basis
+from frobq.linalg import QQ, PrimeField, rank
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
+
+DOCUMENTS = {
+    "toupie-Q": format_document(QuiverDocument(*gen_toupie((2, 3), [], [(1, -2)]), QQ)),
+    "cycle-F7": format_document(QuiverDocument(*gen_cycle(4, 3), PrimeField(7))),
+}
+
+
+@pytest.mark.parametrize("command", ["dim", "space"])
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+def test_traced_sizes_match_the_library(capsys, tmp_path, name, command):
+    path = tmp_path / "doc.qv"
+    path.write_text(DOCUMENTS[name])
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer):
+        code = cli.main([command, str(path)])
+    capsys.readouterr()
+    assert code == 0
+    metrics = tracing.layer_metrics(tracer)
+
+    doc = parse_document(DOCUMENTS[name])
+    matrix, legend = build_constraint_system(compute_basis(doc.quiver, doc.ideal, doc.field))
+    matrix_rank = rank(matrix)
+    assert metrics["frobenius.cols"] == len(legend)
+    assert metrics["frobenius.rows"] == len(matrix.rows)
+    assert metrics["frobenius.nnz"] == sum(len(row) for row in matrix.rows)
+    assert metrics["linalg.rank"] == matrix_rank
+    assert metrics["linalg.kernel_dim"] == len(legend) - matrix_rank

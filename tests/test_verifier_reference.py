@@ -102,6 +102,8 @@ INSTANCES = {
     "linear(4)": gen_linear(4),
     "linear(5), relation of length 3": gen_linear(5, [(1, 3)]),
     "diamond (2,3)": gen_toupie((2, 3), (), [(1, -1)]),
+    # Over F5 the three sides of its kernel vectors agree only mod 5.
+    "toupie (2,3), relation 2,-3": gen_toupie((2, 3), (), [(2, -3)]),
     "toupie (2,3,2), mixed relations": gen_toupie((2, 3, 2), [(2, 1, 2)], [(1, -1, 0)]),
     "rsz loop and triangle": loop_and_triangle(),
     "random rsz": gen_random(5, 4, 5, "rsz"),
