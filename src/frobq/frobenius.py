@@ -24,7 +24,8 @@ class TensorElement:
         self.coefficients = {}
         if coefficients:
             for pair, value in coefficients.items():
-                if value != field.zero:
+                value = field.coerce(value)
+                if value:
                     self.coefficients[pair] = value
 
     def add_term(self, u, v, value):
@@ -131,13 +132,15 @@ def build_constraint_system(algebra: AlgebraBasis):
                 if left is not None:
                     for w, c in algebra.reduce_path(left).items():
                         row = pair_rows.setdefault((w, v), {})
-                        row[col] = row.get(col, field.zero) + c
+                        old = row.get(col)
+                        row[col] = c if old is None else old + c
             if vertex == p:
                 right = compose(v, arrow_path)
                 if right is not None:
                     for z, c in algebra.reduce_path(right).items():
                         row = pair_rows.setdefault((u, z), {})
-                        row[col] = row.get(col, field.zero) - c
+                        old = row.get(col)
+                        row[col] = -c if old is None else old - c
         for pair in sorted(pair_rows, key=lambda wz: (wz[0].sort_key(), wz[1].sort_key())):
             row = _reduced(pair_rows[pair], field.reduce)
             if row:

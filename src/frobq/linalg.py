@@ -6,9 +6,17 @@ F_p scalars are plain ints in [0, p).  Each field owns its normalisation:
 (x % p over F_p, the identity over Q) and `inverse` gives 1 / x, so the
 elimination code is the same for every field.  No floating point is used
 anywhere in the package.
+
+Over Q, `rref` runs that one elimination modulo the prime P = 2^61 - 1
+on ints, lifts the result back to fractions by rational reconstruction
+and proves it exact against the input; only when the proof fails (or P
+divides a denominator) does it eliminate over the fractions themselves.
+`rank`, `kernel_basis` and every other caller get the same exact RREF
+either way.
 """
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 from .errors import ValidationError
 
@@ -192,26 +200,58 @@ class SparseMatrix:
                 and self.field == other.field and self.rows == other.rows)
 
 
+# The modular route over Q row-reduces modulo this Mersenne prime.
+P = 2 ** 61 - 1
+_FP = PrimeField(P)
+# Wang's bound: since 2 * bound^2 < P, a residue is the image of at most
+# one fraction n/d with |n| <= bound and 0 < d <= bound.
+_LIFT_BOUND = isqrt(P // 2)
+
+
 def rref(matrix: SparseMatrix):
     """Reduced row echelon form and its pivot columns.
 
     The rows come back with the pivot rows first, in pivot order, then
-    the zero rows.  The elimination keeps an index from each column to
-    the rows holding it.  Invariant: each column's entry lists exactly
-    the rows that have a nonzero there; every fill-in adds a row to the
-    index and every cancellation removes it.  A column's pivot is chosen
-    only among the non-pivot rows in its entry (smallest
-    `field.pivot_key`, ties to the lowest row id), and only the rows in
-    its entry are eliminated.  So the cost follows the fill-in of the
-    elimination, not columns x rows.
+    the zero rows.  A matrix with no nonzero row is returned at once.
+
+    Over Q the elimination first runs modulo the prime P on plain ints.
+    Its RREF is lifted to fractions by rational reconstruction and
+    checked exactly against the input: each input row must be the
+    combination of the lifted rows named by its pivot-column entries,
+    which proves the lift is the RREF over Q (`_modular_rref` gives the
+    argument).  When P divides a denominator, an entry does not lift or
+    the check fails, the same elimination runs over the `Fraction`s
+    themselves.  So every Q result has either passed the exact check or
+    come from the `Fraction` elimination.
+    """
+    field = matrix.field
+    if not any(matrix.rows):
+        return SparseMatrix([{} for _ in matrix.rows], matrix.ncols, field), []
+    result = _modular_rref(matrix) if isinstance(field, RationalField) else None
+    if result is None:
+        result = _eliminate([dict(row) for row in matrix.rows], matrix.ncols, field)
+    rows, pivots = result
+    rows.extend({} for _ in range(matrix.nrows - len(pivots)))
+    return SparseMatrix(rows, matrix.ncols, field), pivots
+
+
+def _eliminate(rows, ncols, field):
+    """Gauss-Jordan on the row dicts in place: (pivot rows, pivot columns).
+
+    The pivot rows come back normalised, in pivot order.  The
+    elimination keeps an index from each column to the rows holding it.
+    Invariant: each column's entry lists exactly the rows that have a
+    nonzero there; every fill-in adds a row to the index and every
+    cancellation removes it.  A column's pivot is chosen only among the
+    non-pivot rows in its entry (smallest `field.pivot_key`, ties to the
+    lowest row id), and only the rows in its entry are eliminated.  So
+    the cost follows the fill-in of the elimination, not columns x rows.
 
     The RREF of a matrix is unique, so the pivot row choice cannot change
     the result: it only decides how large the rational coefficients grow
     on the way, which the smallest-magnitude rule keeps modest.
     """
-    field = matrix.field
     reduce, one = field.reduce, field.one
-    rows = [dict(row) for row in matrix.rows]
     holders = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -219,7 +259,7 @@ def rref(matrix: SparseMatrix):
     pivot_rows = []
     pivots = []
     is_pivot_row = set()
-    for col in range(matrix.ncols):
+    for col in range(ncols):
         # Elimination only ever fills in columns right of the current
         # pivot, so this column's entry is final once it is reached.
         holding = holders.pop(col, ())
@@ -252,8 +292,92 @@ def rref(matrix: SparseMatrix):
         is_pivot_row.add(p)
         pivot_rows.append(rows[p])
         pivots.append(col)
-    pivot_rows.extend({} for _ in range(len(rows) - len(pivots)))
-    return SparseMatrix(pivot_rows, matrix.ncols, field), pivots
+    return pivot_rows, pivots
+
+
+def _modular_rref(matrix: SparseMatrix):
+    """The RREF of a Q matrix M through F_P, or None when it is not proved.
+
+    M is mapped to F_P and row-reduced there.  Each off-pivot entry r of
+    that RREF is lifted to the fraction n/d with |n|, d <= _LIFT_BOUND
+    and n = d * r mod P, if there is one (`_lift`); pivots lift to 1.
+    The lifted R is then checked exactly against M: every row m of M must
+    equal the sum of m[p] * R_p over the pivot columns p.  On a pivot
+    column that holds by the form of R, so only the free columns are
+    tested, at the cost of the off-pivot nonzeros.  A passing check puts
+    rowspace(M) inside rowspace(R), so rank_Q(M) <= rank(R) = rank_P(M),
+    and rank_P(M) <= rank_Q(M) always holds (a minor nonzero mod P is
+    nonzero over Q).  So the two row spaces are equal, and R, being in
+    reduced row echelon form, is the RREF of M over Q, which is unique.
+
+    Returns None when P divides a denominator of M, an entry does not
+    lift, or the check fails.
+    """
+    residues = []
+    for row in matrix.rows:
+        residue_row = {}
+        for j, x in row.items():
+            num, den = x.numerator, x.denominator
+            if den == 1:
+                residue_row[j] = num % P
+            elif den % P == 0:
+                return None
+            else:
+                residue_row[j] = num * pow(den, -1, P) % P
+        residues.append(residue_row)
+    reduced, pivots = _eliminate(residues, matrix.ncols, _FP)
+    tails = {}
+    for pivot, row in zip(pivots, reduced):
+        tail = []
+        for j, r in row.items():
+            if j != pivot:
+                value = _lift(r)
+                if value is None:
+                    return None
+                tail.append((j, value))
+        tails[pivot] = tail
+    for row in matrix.rows:
+        combination = {}
+        for p, x in row.items():
+            tail = tails.get(p)
+            if tail:
+                # An integral multiplier as an int keeps most products int * int.
+                m = x.numerator if x.denominator == 1 else x
+                for j, v in tail:
+                    combination[j] = combination.get(j, 0) + m * v
+        for j, x in row.items():
+            if j not in tails and combination.pop(j, 0) != x:
+                return None
+        if any(combination.values()):
+            return None
+    rows = []
+    for pivot in pivots:
+        row = {pivot: QQ.one}
+        for j, v in tails[pivot]:
+            row[j] = Fraction(v)
+        rows.append(row)
+    return rows, pivots
+
+
+def _lift(r):
+    """The fraction with numerator and denominator within _LIFT_BOUND whose
+    image in F_P is the nonzero residue r, or None.
+
+    Small residues and their negatives are integers and lift directly (as
+    ints); any other residue goes through Wang's half-extended Euclid.
+    """
+    if r <= _LIFT_BOUND:
+        return r
+    if P - r <= _LIFT_BOUND:
+        return r - P
+    r0, r1, t0, t1 = P, r, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > _LIFT_BOUND or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def rank(matrix: SparseMatrix) -> int:

@@ -1,5 +1,6 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,7 +18,7 @@ from frobq.frobenius import (
     verify_coproduct,
 )
 from frobq.ideal import IdealSpec, compute_basis
-from frobq.linalg import QQ, SparseMatrix, rank
+from frobq.linalg import QQ, PrimeField, SparseMatrix, rank
 from frobq.quiver import Path, PathExpr, Quiver, compose
 
 from algebra_ops import coefficient_vector, coords_of, multiply
@@ -112,6 +113,18 @@ class TestSolve:
         for build in [gen_linear(4), gen_cycle(3, 2), local_case(3)]:
             algebra = algebra_of(build)
             assert frobenius_dimension(algebra) == len(solve_frobenius_space(algebra))
+
+
+class TestTensorElement:
+    def test_values_are_normalised_in_the_field(self):
+        q, _ = gen_cycle(1, 2)
+        pair = (q.trivial_path("1"), q.path(["a1"]))
+        f5 = PrimeField(5)
+        assert TensorElement(f5, {pair: 6}) == TensorElement(f5, {pair: 1})
+        vanishing = TensorElement(f5, {pair: 5})
+        assert vanishing.is_zero and str(vanishing) == "0"
+        value = TensorElement(QQ, {pair: 2}).coefficients[pair]
+        assert type(value) is Fraction and value == 2
 
 
 class TestExtend:

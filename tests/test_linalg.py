@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobq.errors import ValidationError
-from frobq.linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank, rref
+from frobq.linalg import P, QQ, PrimeField, SparseMatrix, _modular_rref, kernel_basis, rank, rref
 
 
 def dense(rows, field=QQ):
@@ -248,3 +249,73 @@ def test_rref_matches_reference(field, make):
         assert_exact(field, reduced.entries.values())
         for vec in kernel_basis(m):
             assert_exact(field, vec.values())
+
+
+# Q matrices the modular route must decline: P divides a denominator, or
+# an RREF entry, (10^12 + 1)/7, 5^30/3^40 or P + 1, is beyond the lift
+# bound.  P + 1 is 1 mod P, so it lifts to the wrong value 1 and only the
+# exact check declines it.  In the last matrix the RREF has P + 1, P + 1
+# and 1 in column 3 and the wrong lift has 1, 1, 1: it matches every row
+# that has an entry in column 3, and only the zero that the second row
+# has there tells it apart.
+DECLINED = [
+    [{0: Fraction(1, P), 1: 1}, {1: 2}],
+    [{0: 7, 1: 10 ** 12 + 1}],
+    [{0: 3 ** 40, 1: 5 ** 30}],
+    [{0: 1, 1: P + 1}],
+    [{0: 1, 1: -1}, {0: 1, 2: -(P + 1)}, {2: 1, 3: 1}],
+]
+
+
+@pytest.mark.parametrize("rows", DECLINED)
+def test_modular_route_declines_and_fraction_elimination_answers(rows):
+    m = SparseMatrix(rows, 1 + max(j for row in rows for j in row))
+    assert _modular_rref(m) is None
+    reduced, pivots = rref(m)
+    assert (reduced, pivots) == reference_rref(m)
+    assert_exact(QQ, reduced.entries.values())
+
+
+def test_modular_route_lifts_fractions():
+    # The RREF entries -3/7 and 6/7 are large residues mod P, so they go
+    # through Wang's lift; the entry -10 lifts directly.
+    m = SparseMatrix([{0: 2, 1: 1, 3: -10}, {0: 7, 2: -3}], 4)
+    rows, pivots = _modular_rref(m)
+    expected, expected_pivots = reference_rref(m)
+    assert pivots == expected_pivots
+    assert rows == expected.rows[:len(pivots)]
+    assert_exact(QQ, (v for row in rows for v in row.values()))
+
+
+def small_or_large_rational():
+    """Mostly small rationals, with numerators and denominators above 2^31 mixed in."""
+    small = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3]))
+    large = st.builds(Fraction, st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 36))
+    return st.one_of(small, small, large)
+
+
+@st.composite
+def rational_matrices(draw):
+    ncols = draw(st.integers(1, 7))
+    rows = draw(st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), small_or_large_rational(), max_size=4),
+        min_size=1, max_size=7))
+    return SparseMatrix(rows, ncols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(m=rational_matrices())
+def test_both_routes_match_reference(m):
+    expected, expected_pivots = reference_rref(m)
+    modular = _modular_rref(m)
+    if modular is not None:
+        rows, pivots = modular
+        assert pivots == expected_pivots and rows == expected.rows[:len(pivots)]
+    reduced, pivots = rref(m)
+    assert reduced == expected and pivots == expected_pivots
+    kb = kernel_basis(m)
+    assert rank(m) + len(kb) == m.ncols
+    assert_exact(QQ, reduced.entries.values())
+    for vec in kb:
+        assert_exact(QQ, vec.values())
+        assert apply(m, vec) == {}
