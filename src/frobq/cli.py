@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from . import closed_forms, families
+from . import closed_forms
 from .dsl import QuiverDocument, format_document, parse_document
 from .errors import (
     FrobqError,
@@ -143,6 +143,11 @@ def cmd_verify(args):
         data = json.loads(_read(args.coproduct))
     except RecursionError:
         raise ValidationError(f"{args.coproduct}: JSON nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refuses a JSON number this long
+        raise ValidationError(f"{args.coproduct}: JSON number longer than "
+                              f"{sys.get_int_max_str_digits()} digits") from None
     try:
         candidate = candidate_from_json(data, algebra)
         ok, counterexample = verify_coproduct(algebra, candidate)
@@ -239,6 +244,8 @@ def _gen_params(args, count, usage):
 
 
 def cmd_gen(args):
+    from . import families  # only gen needs it; other commands skip compiling it
+
     family = args.family
     if family == "linear":
         n = _ints(_gen_params(args, 1, "<n>")[0], 1)[0]

@@ -11,6 +11,7 @@ reproduces the document exactly for documents in normalized form.
 """
 
 import re
+import sys
 
 from .errors import ParseError, ValidationError
 from .ideal import IdealSpec, validate
@@ -116,7 +117,7 @@ def _parse_field(tokens, lineno):
         if len(tokens) != 2 or not tokens[1][0].isdigit():
             raise ParseError("field F needs a prime modulus", ln, col)
         try:
-            return PrimeField(int(tokens[1][0]))
+            return PrimeField(_integer(tokens[1]))
         except ValidationError as exc:
             raise ParseError(str(exc), tokens[1][1], tokens[1][2]) from None
     raise ParseError(f"unknown field {name!r}", ln, col)
@@ -179,6 +180,17 @@ def _looks_numeric(text):
     return text.isdigit()
 
 
+def _integer(token):
+    """The int a numeric token spells; a ParseError at the token when int() refuses it."""
+    text, ln, col = token
+    try:
+        return int(text)
+    except ValueError:
+        shown = text if len(text) <= 20 else f"{text[:20]}... ({len(text)} digits)"
+        raise ParseError(f"integer literal {shown} is not a decimal integer of at most "
+                         f"{sys.get_int_max_str_digits()} digits", ln, col) from None
+
+
 def _parse_term(tokens, position, quiver, field, lineno):
     if position >= len(tokens):
         raise ParseError("expected a term", lineno, 1)
@@ -191,18 +203,18 @@ def _parse_term(tokens, position, quiver, field, lineno):
         if nxt == "/":
             if position + 2 >= len(tokens) or not _looks_numeric(tokens[position + 2][0]):
                 raise ParseError("bad rational literal", ln, col)
-            den = tokens[position + 2][0]
-            if int(den) == 0:
+            den = _integer(tokens[position + 2])
+            if den == 0:
                 raise ParseError("zero denominator", tokens[position + 2][1],
                                  tokens[position + 2][2])
             try:
-                coeff = field.scalar(int(text), int(den))
+                coeff = field.scalar(_integer(tokens[position]), den)
             except ValidationError as exc:
                 raise ParseError(str(exc), tokens[position + 2][1],
                                  tokens[position + 2][2]) from None
             position += 3
         elif nxt not in ("*", "+", "-", ";"):
-            coeff = field.scalar(int(text))
+            coeff = field.scalar(_integer(tokens[position]))
             position += 1
     arrow_names = []
     while True:

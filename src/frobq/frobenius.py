@@ -5,10 +5,14 @@ those values are forced into one block of the tensor square: every term
 u (x) v of the value at p satisfies source(u) = p and target(v) = p.  The
 solver emits one constraint row per arrow and tensor basis pair; the
 verifier below re-checks candidates against the full bimodule condition
-on every composable pair of basis paths (all other pairs have zero on
-every side), using the algebra's full multiplication rather than arrows,
-so the cheap system is never trusted on its own.
+on every composable pair of basis paths that the candidate reaches (all
+other pairs have zero on every side), using the algebra's full
+multiplication rather than arrows, so the cheap system is never trusted
+on its own.  It computes on exact int representatives: the product table
+and the candidate each scaled by the lcm of their denominators.
 """
+
+from math import lcm
 
 from .errors import InternalFaultError, SupportViolationError, ValidationError
 from .ideal import AlgebraBasis
@@ -180,26 +184,56 @@ def solve_frobenius_space(algebra: AlgebraBasis) -> list:
     return candidates
 
 
+def _common_denominator(field, tensors):
+    """The lcm of the coefficients' denominators (1 over F_p)."""
+    return lcm(*(field.denominator(c) for t in tensors for c in t.coefficients.values()))
+
+
+def _integer_terms(algebra, tensor, scale):
+    """{(index of u, index of v): scale * c as an int} for the terms of tensor."""
+    index, integer = algebra.index, algebra.field.integer
+    terms = {}
+    for (u, v), c in tensor.coefficients.items():
+        j, l = index.get(u), index.get(v)
+        if j is None or l is None:
+            raise SupportViolationError(f"coproduct term {u}(x){v} does not use basis paths")
+        terms[(j, l)] = integer(c, scale)
+    return terms
+
+
+_EMPTY = {}
+
+
+def _delta(products, terms, reduce):
+    """D(basis[i]) over basis indices, with its zero values dropped.
+
+    products is product_table[i] and terms the int terms of the value at
+    target(basis[i]); the result is scaled by the product of their scales.
+    """
+    out = {}
+    for (j, l), c in terms.items():
+        for k, ck in products.get(j, _EMPTY).items():
+            key = (k, l)
+            out[key] = out.get(key, 0) + c * ck
+    return _reduced(out, reduce)
+
+
 def extend_coproduct(candidate: CoproductCandidate, w: Path) -> TensorElement:
     """The induced value on a basis path: (w (x) 1) applied at its target.
 
-    Left legs of the value at target(w) must be basis paths (check_support
-    guarantees it); a leg that does not start at target(w) contributes zero.
+    Both legs of the value at target(w) must be basis paths (check_support
+    guarantees it); a leg that does not start at target(w) contributes
+    zero.  Computed on the int representatives verify_coproduct uses.
     """
     algebra = candidate.algebra
-    basis, index = algebra.basis, algebra.index
-    i = index.get(w)
+    i = algebra.index.get(w)
     if i is None:
         raise ValidationError(f"foreign path: {w}")
-    products = algebra.product_table[i]
-    result = TensorElement(algebra.field)
-    for (u, v), c in candidate.value_at(w.target).coefficients.items():
-        j = index.get(u)
-        if j is None:
-            raise SupportViolationError(f"coproduct term {u}(x){v} does not use basis paths")
-        for k, value in products.get(j, {}).items():
-            result.add_term(basis[k], v, c * value)
-    return result
+    tensor = candidate.value_at(w.target)
+    scale = _common_denominator(algebra.field, (tensor,))
+    terms = _delta(algebra.product_table[i], _integer_terms(algebra, tensor, scale),
+                   algebra.field.reduce)
+    return _tensor_of_indices(algebra, terms, scale * algebra.product_scale)
 
 
 class Counterexample:
@@ -218,9 +252,10 @@ class Counterexample:
                 f"(1 (x) right) form = {self.right_side}")
 
 
-def _tensor_of_indices(algebra, terms):
-    basis = algebra.basis
-    return TensorElement(algebra.field, {(basis[a], basis[b]): c
+def _tensor_of_indices(algebra, terms, scale):
+    """The TensorElement of int terms over basis indices that are scale times its coefficients."""
+    basis, scalar = algebra.basis, algebra.field.scalar
+    return TensorElement(algebra.field, {(basis[a], basis[b]): scalar(c, scale)
                                          for (a, b), c in terms.items()})
 
 
@@ -242,9 +277,24 @@ def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
       acts on the left leg only, so each right leg of D(x) ends at
       target(x) != source(y); hence (right leg) * y = 0.
 
+    Of the composable pairs, those the candidate does not reach are
+    skipped too.  Let S be the basis indices b with D(b) != 0.  A pair
+    with x, y outside S whose product xy has no coordinate in S has zero
+    on all three sides: D(xy) is a combination of D(b) over those
+    coordinates, so it is 0; (x (x) 1) D(y) = 0 because D(y) = 0; and
+    D(x) (1 (x) y) = 0 because D(x) = 0.  So the skip drops no check.
+
     Pairs are visited in basis order of x, then of y, so the first failing
     pair is the one a walk over all ordered pairs would find.  Products of
     basis paths come from algebra.product_table, built once per algebra.
+
+    The scalars are exact ints.  Every side is linear in the candidate
+    and of degree 2 in the product table, whose ints are product_scale
+    times its coordinates; with the candidate's coefficients scaled by
+    the lcm L of their denominators, every side is an int equal to
+    product_scale**2 * L times the true side (the scale is 1 over F_p).
+    So the sides agree exactly when their ints do, after field.reduce
+    over F_p; a Counterexample maps its sides back with field.scalar.
 
     This is the independent oracle: it does not share the arrow-only
     shortcut of the constraint system.  Returns (True, None) or
@@ -252,33 +302,41 @@ def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
     make the candidate malformed rather than merely non-Frobenius.
     """
     candidate.check_support()
-    zero, reduce = algebra.field.zero, algebra.field.reduce
-    basis, index = algebra.basis, algebra.index
+    reduce = algebra.field.reduce
+    basis = algebra.basis
     products = algebra.product_table
-
-    delta = [{(index[u], index[v]): c
-              for (u, v), c in extend_coproduct(candidate, b).coefficients.items()}
-             for b in basis]
+    candidate_scale = _common_denominator(algebra.field, candidate.values.values())
+    values = {vertex: _integer_terms(algebra, tensor, candidate_scale)
+              for vertex, tensor in candidate.values.items()}
+    delta = [_delta(products[i], terms, reduce) if (terms := values.get(b.target)) else _EMPTY
+             for i, b in enumerate(basis)]
 
     for i, row in enumerate(products):
         delta_x = delta[i]
         for j, coords in row.items():
+            delta_y = delta[j]
+            if not delta_x and not delta_y:
+                for k in coords:
+                    if delta[k]:
+                        break
+                else:
+                    continue  # zero on all three sides, see above
             expected = {}
             for k, ck in coords.items():
                 for pair, c in delta[k].items():
-                    expected[pair] = expected.get(pair, zero) + ck * c
+                    expected[pair] = expected.get(pair, 0) + ck * c
 
             left_side = {}
-            for (u, v), c in delta[j].items():
+            for (u, v), c in delta_y.items():
                 for z, cz in row[u].items():
                     key = (z, v)
-                    left_side[key] = left_side.get(key, zero) + c * cz
+                    left_side[key] = left_side.get(key, 0) + c * cz
 
             right_side = {}
             for (u, v), c in delta_x.items():
                 for z, cz in products[v][j].items():
                     key = (u, z)
-                    right_side[key] = right_side.get(key, zero) + c * cz
+                    right_side[key] = right_side.get(key, 0) + c * cz
 
             if expected == left_side == right_side:
                 continue  # equal before reduction, so equal after it
@@ -286,10 +344,11 @@ def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
             left_side = _reduced(left_side, reduce)
             right_side = _reduced(right_side, reduce)
             if expected != left_side or expected != right_side:
+                scale = algebra.product_scale ** 2 * candidate_scale
                 return False, Counterexample(
-                    basis[i], basis[j], _tensor_of_indices(algebra, expected),
-                    _tensor_of_indices(algebra, left_side),
-                    _tensor_of_indices(algebra, right_side))
+                    basis[i], basis[j], _tensor_of_indices(algebra, expected, scale),
+                    _tensor_of_indices(algebra, left_side, scale),
+                    _tensor_of_indices(algebra, right_side, scale))
     return True, None
 
 

@@ -9,6 +9,7 @@ paths, one (source, target) block at a time.
 """
 
 from functools import cached_property
+from math import lcm
 
 from .errors import (
     InfiniteDimensionalError,
@@ -205,29 +206,41 @@ class AlgebraBasis:
     def dimension(self):
         return len(self.basis)
 
-    @cached_property
+    @property
     def product_table(self):
-        """Products of composable basis paths, over basis indices.
+        """Products of composable basis paths, over basis indices, as ints.
 
-        product_table[i][j] is the coordinate map {k: scalar} of
-        basis[i] * basis[j] (empty when the product vanishes), for every j
-        with source(basis[j]) = target(basis[i]), keyed in basis order.
-        Pairs that do not compose have no entry: their product is zero.
-        Built on first use and kept, so every verification of this algebra
-        shares it; treat it as read-only.
+        product_table[i][j] is the coordinate map {k: int} of
+        basis[i] * basis[j] scaled by product_scale (empty when the product
+        vanishes), for every j with source(basis[j]) = target(basis[i]),
+        keyed in basis order.  Pairs that do not compose have no entry:
+        their product is zero.  product_scale is the lcm of the
+        coordinates' denominators (1 over F_p), so every entry is an exact
+        int.  Built on first use and kept, so every verification of this
+        algebra shares it; treat it as read-only.
         """
-        index = self.index
+        return self._products[0]
+
+    @property
+    def product_scale(self):
+        """The int that scales every coordinate in product_table."""
+        return self._products[1]
+
+    @cached_property
+    def _products(self):
+        field, index = self.field, self.index
         starting_at = {}
         for j, b in enumerate(self.basis):
             starting_at.setdefault(b.source, []).append((j, b))
-        table = []
-        for a in self.basis:
-            row = {}
-            for j, b in starting_at.get(a.target, ()):
-                coords = self.reduce_path(compose(a, b))
-                row[j] = {index[k]: c for k, c in coords.items()}
-            table.append(row)
-        return table
+        # Rows first hold the reduction table's own maps, then their ints.
+        table = [{j: self.reduce_path(compose(a, b)) for j, b in starting_at.get(a.target, ())}
+                 for a in self.basis]
+        scale = lcm(*(field.denominator(c) for row in table
+                      for coords in row.values() for c in coords.values()))
+        for row in table:
+            for j, coords in row.items():
+                row[j] = {index[k]: field.integer(c, scale) for k, c in coords.items()}
+        return table, scale
 
     def reduce_path(self, path: Path):
         """Coordinates of a single path; zero map when the path vanishes.

@@ -4,8 +4,10 @@ Everything here is exact: rationals are arbitrary-precision fractions and
 F_p scalars are plain ints in [0, p).  Each field owns its normalisation:
 `reduce` brings a sum or product of its scalars back into canonical form
 (x % p over F_p, the identity over Q) and `inverse` gives 1 / x, so the
-elimination code is the same for every field.  No floating point is used
-anywhere in the package.
+elimination code is the same for every field.  `denominator` and
+`integer` give exact int representatives (each scalar times a common
+denominator, which is 1 over F_p) and `scalar(n, d)` maps one back.  No
+floating point is used anywhere in the package.
 
 Over Q, `rref` runs that one elimination modulo the prime P = 2^61 - 1
 on ints, lifts the result back to fractions by rational reconstruction
@@ -43,6 +45,13 @@ class RationalField:
 
     def inverse(self, x):
         return 1 / x
+
+    def denominator(self, x):
+        return x.denominator
+
+    def integer(self, x, scale):
+        """x * scale as an int, for a scale that denominator(x) divides."""
+        return x.numerator * (scale // x.denominator)
 
     def parse(self, text):
         try:
@@ -136,6 +145,12 @@ class PrimeField:
 
     def inverse(self, x):
         return pow(x, -1, self.p)
+
+    def denominator(self, x):
+        return 1
+
+    def integer(self, x, scale):
+        return x * scale
 
     def parse(self, text):
         try:

@@ -253,6 +253,29 @@ class TestBadInput:
         self.assert_one_line_error(*run(
             capsys, "verify", diamond_file, "--coproduct", str(cand), "--field", "F7"))
 
+    # Python's int() refuses a decimal string of more than 4300 digits.
+    @pytest.mark.parametrize("text, where", [
+        ("field Q\nrelation {n} a*b ;\n", "5:10: "),
+        ("field Q\nrelation 1/{n} a*b ;\n", "5:12: "),
+        ("field F {n}\n", "1:9: "),
+        ("field Q\nrelation ² a*b ;\n", "5:10: "),
+    ], ids=["coefficient", "denominator", "modulus", "non-decimal digit"])
+    def test_unreadable_integer_literal(self, capsys, tmp_path, text, where):
+        header, body = text.replace("{n}", "9" * 5000).split("\n", 1)
+        doc = tmp_path / "doc.qv"
+        doc.write_text(f"{header}\nvertex 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n{body}",
+                       encoding="utf-8")
+        code, out, err = run(capsys, "dim", str(doc))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("parse error: " + where) and "Traceback" not in err
+
+    def test_coproduct_number_too_long(self, capsys, tmp_path, diamond_file):
+        cand = tmp_path / "cand.json"
+        cand.write_text('[{"vertex": "0", "terms": [{"left": {"e": "0"}, '
+                        '"right": {"e": "0"}, "coeff": ' + "9" * 5000 + "}]}]")
+        self.assert_one_line_error(
+            *run(capsys, "verify", diamond_file, "--coproduct", str(cand)))
+
     @pytest.mark.parametrize("argv", [
         ["dim"],
         ["bogus"],

@@ -6,16 +6,22 @@ each product with ``compose`` and ``reduce_path``, the way
 and to read products from the algebra's product table.  Both must agree
 on the verdict, on the first failing pair and on its three sides, for
 kernel vectors, for arbitrary candidates that satisfy the support
-condition, and for kernel vectors with a perturbation added.
+condition, and for kernel vectors with a perturbation added.  Over Q the
+candidates draw non-integral coefficients and two instances have a
+product table with non-integral entries, so the int representatives that
+``verify_coproduct`` computes on carry scales above 1.
 """
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobq.families import (
+    CanonicalSpec,
+    gen_canonical,
     gen_cycle,
     gen_linear,
     gen_radical_square_zero,
@@ -105,6 +111,8 @@ INSTANCES = {
     # Over F5 the three sides of its kernel vectors agree only mod 5.
     "toupie (2,3), relation 2,-3": gen_toupie((2, 3), (), [(2, -3)]),
     "toupie (2,3,2), mixed relations": gen_toupie((2, 3, 2), [(2, 1, 2)], [(1, -1, 0)]),
+    # Over Q its product table has the entries 1/3 and -1/3.
+    "canonical (2,2,2), lambda 1/3": gen_canonical(CanonicalSpec((2, 2, 2), (Fraction(1, 3),))),
     "rsz loop and triangle": loop_and_triangle(),
     "random rsz": gen_random(5, 4, 5, "rsz"),
 }
@@ -120,8 +128,11 @@ def solved(instance, field_name):
     return algebra, legend, solve_frobenius_space(algebra)
 
 
+SCALARS = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 7))
+
+
 def random_scalar(field, rng):
-    return field.coerce(rng.choice((-3, -2, -1, 1, 2, 3)))
+    return field.coerce(rng.choice(SCALARS))
 
 
 def add_support_terms(values, algebra, legend, rng, count):
@@ -184,3 +195,48 @@ def test_failing_perturbations_match_reference(instance, field_name):
         if not assert_same_verdict(algebra, candidate):
             return
     pytest.fail(f"{instance} over {field_name}: no perturbation failed")
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_counterexample_sides_hold_field_scalars(instance, field_name):
+    """The sides map back from ints to Fractions over Q and residues over F_5."""
+    field = FIELDS[field_name]
+    for seed in range(20):
+        algebra, candidate = draw_candidate(instance, field_name, "perturbed", random.Random(seed))
+        ok, counterexample = verify_coproduct(algebra, candidate)
+        if not ok:
+            break
+    else:
+        pytest.fail(f"{instance} over {field_name}: no perturbation failed")
+    for side in (counterexample.expected, counterexample.left_side, counterexample.right_side):
+        for value in side.coefficients.values():
+            if field == QQ:
+                assert type(value) is Fraction
+            else:
+                assert type(value) is int and 0 <= value < 5
+
+
+def test_product_tables_with_denominators():
+    """The instances that must exercise a product table scale above 1 do."""
+    for instance in ("canonical (2,2,2), lambda 1/3", "toupie (2,3), relation 2,-3"):
+        assert solved(instance, "Q")[0].product_scale > 1
+
+
+def test_skip_rule_does_not_rest_on_associativity():
+    """The skipped pairs are zero on all three sides by the docstring's proof alone.
+
+    Here the arrow a1 of cycle(2,3) multiplies to zero from either side
+    while a1 * a2 stays nonzero, so the product is no longer associative
+    and D(xy) = (x (x) 1) D(y) does not follow from how D extends; each
+    side must still be checked wherever the reference finds it nonzero.
+    """
+    q, ideal = gen_cycle(2, 3)
+    algebra = compute_basis(q, ideal, QQ)
+    algebra.table[q.path(["a1"])] = {}
+    legend = build_constraint_system(algebra)[1]
+    for seed in range(30):
+        rng = random.Random(seed)
+        values = {}
+        add_support_terms(values, algebra, legend, rng, rng.randint(1, 3))
+        assert_same_verdict(algebra, CoproductCandidate(algebra, values))
