@@ -31,7 +31,6 @@ from .frobenius import (
 )
 from .closed_forms import (
     LocalPatternMatch,
-    RszSpaces,
     ToupieClassification,
     detect_local_patterns,
     is_gentle,

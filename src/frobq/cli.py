@@ -24,6 +24,7 @@ from .errors import (
     SupportViolationError,
     UnsupportedIdealRegimeError,
     ValidationError,
+    shorten,
 )
 from .frobenius import (
     candidate_from_json,
@@ -53,7 +54,7 @@ def _field_from_flag(text):
         return QQ
     if text.startswith("F"):
         return PrimeField(_ints(text[1:], 1)[0])
-    raise ValidationError(f"bad field {text!r}; use Q or F<prime>")
+    raise ValidationError(f"bad field {shorten(text, repr)}; use Q or F<prime>")
 
 
 def _read(path):
@@ -230,10 +231,11 @@ def _ints(text, count=None):
     try:
         values = [int(part) for part in text.split(",") if part]
     except ValueError:
-        raise ValidationError(f"expected comma separated integers, got {text!r}") from None
+        raise ValidationError(
+            f"expected comma separated integers, got {shorten(text, repr)}") from None
     if count is not None and len(values) != count:
         raise ValidationError(f"expected {count} comma separated integer"
-                              f"{'' if count == 1 else 's'}, got {text!r}")
+                              f"{'' if count == 1 else 's'}, got {shorten(text, repr)}")
     return values
 
 

@@ -25,80 +25,49 @@ def is_radical_square_zero(algebra: AlgebraBasis) -> bool:
     return all(len(p) <= 1 for p in algebra.basis)
 
 
-class RszSpaces:
-    """Formal spans used by the radical square zero dimension formula.
+def radical_square_zero_dimension(quiver: Quiver) -> int:
+    """Dimension of the coproduct space of the radical square zero algebra.
 
     The ambient space is spanned by ordered pairs x (x) y with x, y drawn
     from trivial paths and arrows.  Per vertex p the numerator collects
     (arrow out of p) (x) (e_p or arrow into p) and the mirrored shape; the
     denominator kills the e_p legs at vertices of in/out degree two or
     more and glues the two legs of each arrow with the relator
-    arrow (x) e_source - e_target (x) arrow.
+    arrow (x) e_source - e_target (x) arrow.  The dimension is
+    dim(numerator) - dim(numerator meet denominator), which equals
+    rank(numerator + denominator) - rank(denominator).
     """
+    if not quiver.arrows:
+        raise ValidationError("dimension formula needs at least one arrow")
+    tokens = [("e", v) for v in quiver.vertices] + [("a", a.name) for a in quiver.arrows]
+    token_index = {t: i for i, t in enumerate(tokens)}
+    ncols = len(tokens) ** 2
 
-    def __init__(self, quiver: Quiver):
-        if not quiver.arrows:
-            raise ValidationError("dimension formula needs at least one arrow")
-        self.quiver = quiver
-        tokens = [("e", v) for v in quiver.vertices]
-        tokens += [("a", a.name) for a in quiver.arrows]
-        self.tokens = tokens
-        self.token_index = {t: i for i, t in enumerate(tokens)}
-        self.ncols = len(tokens) ** 2
+    def column(x, y):
+        return token_index[x] * len(tokens) + token_index[y]
 
-    def pair_column(self, x, y):
-        return self.token_index[x] * len(self.tokens) + self.token_index[y]
-
-    def numerator_pairs(self):
-        pairs = []
-        seen = set()
-
-        def push(x, y):
-            if (x, y) not in seen:
-                seen.add((x, y))
-                pairs.append((x, y))
-
-        for p in self.quiver.vertices:
-            outs = [("a", a.name) for a in self.quiver.out_arrows[p]]
-            ins = [("a", a.name) for a in self.quiver.in_arrows[p]]
-            for x in outs:
-                push(x, ("e", p))
-                for y in ins:
-                    push(x, y)
-            for y in ins:
-                push(("e", p), y)
-        return pairs
-
-    def denominator_rows(self):
-        one = QQ.one
-        rows = []
-        for p in self.quiver.vertices:
-            indeg, outdeg = self.quiver.degrees(p)
-            if outdeg >= 2:
-                for a in self.quiver.out_arrows[p]:
-                    rows.append({self.pair_column(("a", a.name), ("e", p)): one})
-            if indeg >= 2:
-                for a in self.quiver.in_arrows[p]:
-                    rows.append({self.pair_column(("e", p), ("a", a.name)): one})
-        for a in self.quiver.arrows:
-            rows.append({
-                self.pair_column(("a", a.name), ("e", a.source)): one,
-                self.pair_column(("e", a.target), ("a", a.name)): -one,
-            })
-        return rows
-
-
-def radical_square_zero_dimension(quiver: Quiver) -> int:
-    """Dimension of the coproduct space of the radical square zero algebra.
-
-    Computed as dim(numerator) - dim(numerator meet denominator), which
-    equals rank(numerator + denominator) - rank(denominator).
-    """
-    spaces = RszSpaces(quiver)
-    numerator_rows = [{spaces.pair_column(x, y): QQ.one} for x, y in spaces.numerator_pairs()]
-    denominator_rows = spaces.denominator_rows()
-    rank_d = rank(SparseMatrix(denominator_rows, spaces.ncols))
-    rank_nd = rank(SparseMatrix(numerator_rows + denominator_rows, spaces.ncols))
+    # A pair (arrow x, .) arises only at source(x) and a pair (e_p, .) only
+    # at p, so no pair is pushed twice.
+    numerator_rows = []
+    denominator_rows = []
+    for p in quiver.vertices:
+        outs = [("a", a.name) for a in quiver.out_arrows[p]]
+        ins = [("a", a.name) for a in quiver.in_arrows[p]]
+        for x in outs:
+            numerator_rows.append({column(x, ("e", p)): 1})
+            numerator_rows.extend({column(x, y): 1} for y in ins)
+        numerator_rows.extend({column(("e", p), y): 1} for y in ins)
+        if len(outs) >= 2:
+            denominator_rows.extend({column(x, ("e", p)): 1} for x in outs)
+        if len(ins) >= 2:
+            denominator_rows.extend({column(("e", p), y): 1} for y in ins)
+    for a in quiver.arrows:
+        denominator_rows.append({
+            column(("a", a.name), ("e", a.source)): 1,
+            column(("e", a.target), ("a", a.name)): -1,
+        })
+    rank_d = rank(SparseMatrix(denominator_rows, ncols))
+    rank_nd = rank(SparseMatrix(numerator_rows + denominator_rows, ncols))
     # dim N - dim(N meet D) collapses to rank(N + D) - rank(D) because the
     # numerator pairs are distinct coordinate vectors.
     return rank_nd - rank_d

@@ -13,7 +13,7 @@ reproduces the document exactly for documents in normalized form.
 import re
 import sys
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, shorten
 from .ideal import IdealSpec, validate
 from .linalg import QQ, PrimeField, RationalField
 from .quiver import PathExpr, Quiver
@@ -186,8 +186,7 @@ def _integer(token):
     try:
         return int(text)
     except ValueError:
-        shown = text if len(text) <= 20 else f"{text[:20]}... ({len(text)} digits)"
-        raise ParseError(f"integer literal {shown} is not a decimal integer of at most "
+        raise ParseError(f"integer literal {shorten(text)} is not a decimal integer of at most "
                          f"{sys.get_int_max_str_digits()} digits", ln, col) from None
 
 

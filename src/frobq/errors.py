@@ -37,8 +37,8 @@ class InfiniteDimensionalError(FrobqError):
     """The quotient is provably infinite dimensional.
 
     Only raised for purely monomial ideals, where surviving paths form a
-    basis of the quotient and a live cycle in the avoidance automaton
-    pumps arbitrarily long survivors.
+    basis of the quotient and a reachable cycle of walks that avoid the
+    generators pumps arbitrarily long survivors.
     """
 
 
@@ -48,3 +48,9 @@ class SupportViolationError(ValidationError):
 
 class InternalFaultError(FrobqError):
     """An internal consistency check failed; indicates a bug, not bad input."""
+
+
+def shorten(text, show=str):
+    """text as an error message echoes it: show(text), or for more than 20
+    characters show() of its first 20 followed by its length."""
+    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"

@@ -1,11 +1,12 @@
 """Admissible ideals and normal-form bases of the quotient algebra.
 
 The engine certifies that the quotient is finite dimensional before it
-builds anything: acyclic quivers are finite outright, and cyclic quivers
-are accepted only when the monomial generators alone forbid every cycle
-(checked with a subword-avoidance automaton).  The basis is then computed
-by row-reducing a spanning set of the ideal inside the space of short
-paths, one (source, target) block at a time.
+builds anything, with one longest-walk pass (longest_surviving_walk).
+An acyclic quiver is finite outright, with bound its longest path + 1.
+A cyclic quiver is accepted only when the walks that avoid the monomial
+generators' words reach no cycle, with bound the longest such walk + 1.
+The basis is then computed by row-reducing a spanning set of the ideal
+inside the space of short paths, one (source, target) block at a time.
 """
 
 from functools import cached_property
@@ -57,105 +58,52 @@ def validate(quiver: Quiver, ideal: IdealSpec) -> IdealSpec:
     return ideal
 
 
-def _prefixes(words):
-    out = {()}
-    for w in words:
-        for i in range(len(w)):
-            out.add(w[:i])
-    return out
+def longest_surviving_walk(quiver: Quiver, forbidden_words) -> int | None:
+    """Length of the longest walk with no forbidden arrow word inside it.
 
-
-class AvoidanceAutomaton:
-    """Walks of the quiver that avoid a set of forbidden arrow words.
-
-    States are (vertex, longest suffix of the walk that is a proper prefix
-    of some forbidden word).  A transition dies when it completes a
-    forbidden word, so walks through live states correspond exactly to
-    surviving paths.
+    None when such walks are unbounded.  A state is (vertex, longest suffix
+    of the walk that is a proper prefix of some forbidden word), and a step
+    that completes a forbidden word dies, so walks through the states
+    reachable from every (v, ()) are exactly the surviving walks.  One Kahn
+    pass over those states gives the longest walk ending at each; a state it
+    never frees lies on or after a reachable cycle, which pumps survivors of
+    every length.  With no forbidden words the states are the vertices, and
+    the result is the quiver's longest path.
     """
-
-    def __init__(self, quiver, forbidden_paths):
-        self.quiver = quiver
-        self.words = {p.arrows for p in forbidden_paths}
-        self.prefixes = _prefixes(self.words)
-
-    def _step(self, state, arrow):
-        suffix = state[1] + (arrow.name,)
-        for word in self.words:
-            if len(suffix) >= len(word) and suffix[-len(word):] == word:
-                return None
-        for i in range(len(suffix) + 1):
-            if suffix[i:] in self.prefixes:
-                return (arrow.target, suffix[i:])
-        raise InternalFaultError("suffix bookkeeping broke in avoidance automaton")
-
-    def explore(self):
-        """(has_live_cycle, longest_surviving_length or None)."""
-        starts = [(v, ()) for v in self.quiver.vertices]
-        order = []
-        index = {}
-        edges = {}
-        stack = list(reversed(starts))
-        for s in starts:
-            index[s] = len(order)
-            order.append(s)
-        while stack:
-            state = stack.pop()
-            targets = []
-            for arrow in self.quiver.out_arrows[state[0]]:
-                nxt = self._step(state, arrow)
-                if nxt is None:
-                    continue
-                if nxt not in index:
-                    index[nxt] = len(order)
-                    order.append(nxt)
-                    stack.append(nxt)
-                targets.append(index[nxt])
-            edges[index[state]] = targets
-
-        n = len(order)
-        # Iterative depth-first search for a reachable cycle.
-        color = [0] * n  # 0 unvisited, 1 on stack, 2 done
-        for root in range(n):
-            if color[root]:
+    words = {tuple(w) for w in forbidden_words}
+    # The empty word is a prefix of every word, so the suffix search below
+    # always stops.
+    prefixes = {()} | {w[:i] for w in words for i in range(len(w))}
+    lengths = {len(w) for w in words}
+    stack = [(v, ()) for v in quiver.vertices]
+    indegree = dict.fromkeys(stack, 0)
+    edges = {}
+    while stack:
+        state = stack.pop()
+        edges[state] = targets = []
+        for arrow in quiver.out_arrows[state[0]]:
+            walked = state[1] + (arrow.name,)
+            # A word ending at this step began with a proper prefix that
+            # the state's suffix kept, so the word is a suffix of walked.
+            if any(walked[-k:] in words for k in lengths):
                 continue
-            work = [(root, iter(edges[root]))]
-            color[root] = 1
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for nxt in it:
-                    if color[nxt] == 1:
-                        return True, None
-                    if color[nxt] == 0:
-                        color[nxt] = 1
-                        work.append((nxt, iter(edges[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = 2
-                    work.pop()
+            suffix = next(walked[i:] for i in range(len(walked) + 1) if walked[i:] in prefixes)
+            nxt = (arrow.target, suffix)
+            if nxt not in indegree:
+                stack.append(nxt)
+            indegree[nxt] = indegree.get(nxt, 0) + 1
+            targets.append(nxt)
 
-        # Acyclic: longest walk by dynamic programming in reverse topological order.
-        longest = [0] * n
-        done = [False] * n
-        for root in range(n):
-            if done[root]:
-                continue
-            work = [(root, iter(edges[root]))]
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for nxt in it:
-                    if not done[nxt]:
-                        work.append((nxt, iter(edges[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    longest[node] = max((longest[t] + 1 for t in edges[node]), default=0)
-                    done[node] = True
-                    work.pop()
-        return False, max(longest, default=0)
+    longest = dict.fromkeys(indegree, 0)
+    free = [state for state, degree in indegree.items() if degree == 0]
+    while free:
+        state = free.pop()
+        for nxt in edges[state]:
+            longest[nxt] = max(longest[nxt], longest[state] + 1)
+            indegree[nxt] -= 1
+            if indegree[nxt] == 0:
+                free.append(nxt)
+    return None if any(indegree.values()) else max(longest.values())
 
 
 def compute_bound(quiver: Quiver, ideal: IdealSpec) -> int:
@@ -166,12 +114,10 @@ def compute_bound(quiver: Quiver, ideal: IdealSpec) -> int:
     they are not, a purely monomial ideal is provably infinite dimensional
     while a mixed one is merely out of scope for this engine.
     """
-    longest = quiver.longest_path_length()
-    if longest is not None:
-        return longest + 1
-    monomial_paths = [Path(p.source, p.target, p.arrows) for p in ideal.monomial_paths()]
-    has_cycle, survivor = AvoidanceAutomaton(quiver, monomial_paths).explore()
-    if has_cycle:
+    longest = longest_surviving_walk(quiver, ())
+    if longest is None:
+        longest = longest_surviving_walk(quiver, [p.arrows for p in ideal.monomial_paths()])
+    if longest is None:
         if ideal.is_monomial:
             raise InfiniteDimensionalError(
                 "monomial quotient is infinite dimensional: paths avoiding the "
@@ -181,7 +127,7 @@ def compute_bound(quiver: Quiver, ideal: IdealSpec) -> int:
             "cyclic quiver whose monomial generators do not certify a finite "
             "quotient; the non-monomial relations are not used for this proof"
         )
-    return survivor + 1
+    return longest + 1
 
 
 class AlgebraBasis:
@@ -263,11 +209,10 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     bound = compute_bound(quiver, ideal)
     paths = quiver.enumerate_paths(bound - 1)
 
+    # paths is in canonical order, so every block is too.
     blocks_paths = {}
     for p in paths:
         blocks_paths.setdefault((p.source, p.target), []).append(p)
-    for key in blocks_paths:
-        blocks_paths[key].sort(key=Path.sort_key)
 
     # Spanning rows of the ideal inside each block: u * g * v with terms of
     # length >= bound dropped (they are zero in the quotient by the
@@ -302,6 +247,8 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
                 if row:
                     rows_by_block[(u.source, v.target)].append(row)
 
+    # Blocks in sorted (source, target) order leave the basis in
+    # (source, target, sort_key) order.
     basis = []
     blocks = {}
     table = {}
@@ -325,7 +272,6 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
                 coords[block[j]] = field.reduce(-value)
             table[block[col]] = coords
 
-    basis.sort(key=lambda p: (p.source, p.target, p.sort_key()))
     algebra = AlgebraBasis(quiver, ideal, field, bound, tuple(basis), blocks, table)
     _closure_check(algebra)
     return algebra

@@ -20,7 +20,24 @@ either way.
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import ValidationError
+from .errors import ValidationError, shorten
+
+
+def _parse_scalar(field, kind, text):
+    """The scalar of field that text spells as an int or num/den.
+
+    Python's reason for refusing it may repeat the whole literal or carry
+    int()'s advice on its digit limit, so a shortened literal goes without.
+    """
+    try:
+        if "/" not in text:
+            return field.coerce(int(text))
+        num, den = text.split("/", 1)
+        return field.scalar(int(num), int(den))
+    except (ValueError, ZeroDivisionError, ValidationError) as exc:
+        shown = shorten(text, repr)
+        reason = f": {exc}" if shown == repr(text) else ""
+        raise ValidationError(f"bad {kind} literal {shown}{reason}") from None
 
 
 class RationalField:
@@ -54,13 +71,7 @@ class RationalField:
         return x.numerator * (scale // x.denominator)
 
     def parse(self, text):
-        try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return Fraction(int(num), int(den))
-            return Fraction(int(text))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValidationError(f"bad rational literal {text!r}: {exc}") from None
+        return _parse_scalar(self, "rational", text)
 
     def format(self, x):
         if x.denominator == 1:
@@ -120,11 +131,11 @@ class PrimeField:
     def __init__(self, p):
         if p >= _MILLER_RABIN_LIMIT:
             raise ValidationError(
-                f"modulus too large to certify as prime: {p} "
+                f"modulus too large to certify as prime: {shorten(str(p))} "
                 f"(must be below {_MILLER_RABIN_LIMIT})"
             )
         if not _is_prime(p):
-            raise ValidationError(f"modulus must be prime: {p}")
+            raise ValidationError(f"modulus must be prime: {shorten(str(p))}")
         self.p = p
         self.name = f"F{p}"
 
@@ -153,13 +164,7 @@ class PrimeField:
         return x * scale
 
     def parse(self, text):
-        try:
-            if "/" in text:
-                num, den = text.split("/", 1)
-                return self.scalar(int(num), int(den))
-            return int(text) % self.p
-        except (ValueError, ValidationError) as exc:
-            raise ValidationError(f"bad scalar literal {text!r}: {exc}") from None
+        return _parse_scalar(self, "scalar", text)
 
     def format(self, x):
         return str(x)

@@ -161,33 +161,6 @@ class Quiver:
                 break
         return result
 
-    def longest_path_length(self):
-        """Length of the longest path, or None when a directed cycle exists."""
-        order = self._topological_order()
-        if order is None:
-            return None
-        longest = {v: 0 for v in self.vertices}
-        for v in order:
-            for a in self.out_arrows[v]:
-                if longest[v] + 1 > longest[a.target]:
-                    longest[a.target] = longest[v] + 1
-        return max(longest.values())
-
-    def _topological_order(self):
-        indeg = {v: len(self.in_arrows[v]) for v in self.vertices}
-        queue = [v for v in self.vertices if indeg[v] == 0]
-        order = []
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            for a in self.out_arrows[v]:
-                indeg[a.target] -= 1
-                if indeg[a.target] == 0:
-                    queue.append(a.target)
-        if len(order) != len(self.vertices):
-            return None
-        return order
-
 
 def compose(p: Path, q: Path) -> Optional[Path]:
     """Concatenate two paths, or return None when endpoints mismatch.

@@ -276,6 +276,27 @@ class TestBadInput:
         self.assert_one_line_error(
             *run(capsys, "verify", diamond_file, "--coproduct", str(cand)))
 
+    # Messages show a literal of over 20 characters as its first 20 and its length.
+    @pytest.mark.parametrize("field, coeff", [
+        ("F" + "9" * 5000, None),
+        ("F" + ",".join(["1"] * 2000), None),
+        ("F" + "9" * 4000, None),
+        (None, "9" * 5000),
+        (None, "x" * 3000),
+    ], ids=["long modulus", "long modulus list", "modulus too large", "long coefficient",
+            "junk coefficient"])
+    def test_long_literal_is_shortened(self, capsys, tmp_path, diamond_file, field, coeff):
+        if field:
+            argv = ["dim", diamond_file, "--field", field]
+        else:
+            cand = tmp_path / "cand.json"
+            cand.write_text(json.dumps([{"vertex": "0", "terms": [
+                {"left": {"e": "0"}, "right": {"e": "0"}, "coeff": coeff}]}]))
+            argv = ["verify", diamond_file, "--coproduct", str(cand)]
+        code, out, err = run(capsys, *argv)
+        self.assert_one_line_error(code, out, err)
+        assert len(err.encode()) < 200
+
     @pytest.mark.parametrize("argv", [
         ["dim"],
         ["bogus"],

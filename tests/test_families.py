@@ -13,7 +13,7 @@ from frobq.families import (
     gen_toupie,
 )
 from frobq.frobenius import frobenius_dimension, solve_frobenius_space
-from frobq.ideal import compute_basis, compute_bound, validate
+from frobq.ideal import compute_basis, compute_bound, longest_surviving_walk, validate
 from frobq.quiver import Quiver
 
 
@@ -138,7 +138,7 @@ class TestRandom:
         q, ideal = gen_random(seed, 5, 7, regime)
         validate(q, ideal)
         bound = compute_bound(q, ideal)
-        longest = q.longest_path_length()
+        longest = longest_surviving_walk(q, ())
         if longest is not None:
             assert bound == longest + 1
 

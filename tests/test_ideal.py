@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobq.errors import (
     InfiniteDimensionalError,
@@ -16,10 +17,11 @@ from frobq.families import (
     gen_toupie,
 )
 from frobq.ideal import (
-    AvoidanceAutomaton,
     IdealSpec,
     compute_basis,
     compute_bound,
+    has_subword,
+    longest_surviving_walk,
     validate,
 )
 from frobq.linalg import QQ, PrimeField
@@ -70,8 +72,7 @@ class TestValidate:
 
 def monomial_finiteness_check(quiver, monomial_gens):
     """True iff only finitely many paths avoid every generator as a subword."""
-    has_cycle, _ = AvoidanceAutomaton(quiver, monomial_gens).explore()
-    return not has_cycle
+    return longest_surviving_walk(quiver, [g.arrows for g in monomial_gens]) is not None
 
 
 class TestFinitenessAutomaton:
@@ -120,6 +121,80 @@ class TestComputeBound:
         ideal = IdealSpec([PathExpr({full: QQ.one, twice: QQ.one})])
         with pytest.raises(UnsupportedIdealRegimeError):
             compute_bound(CYCLE3, ideal)
+
+
+def surviving_path_exists(quiver, words, length):
+    """Reference for the bound: is there a path of this length with no word of words inside?
+
+    A depth-first search over paths that prunes a path as soon as
+    has_subword finds a word in it.  Whether a path extends depends only on
+    its end vertex, its last max|w| - 1 arrows and the length still to go,
+    so dead ends are remembered by that key.
+    """
+    keep = max(map(len, words), default=1) - 1
+    dead = set()
+
+    def extend(vertex, arrows, remaining):
+        if remaining == 0:
+            return True
+        key = (vertex, arrows[-keep:] if keep else (), remaining)
+        if key in dead:
+            return False
+        for a in quiver.out_arrows[vertex]:
+            walked = arrows + (a.name,)
+            if not has_subword(walked, words) and extend(a.target, walked, remaining - 1):
+                return True
+        dead.add(key)
+        return False
+
+    return any(extend(v, (), length) for v in quiver.vertices)
+
+
+@st.composite
+def monomial_instances(draw):
+    """A connected quiver on 1-4 vertices, loops and parallel arrows allowed,
+    with 0-4 monomial generators drawn as random walks of length 2-3."""
+    vertices = [str(i) for i in range(draw(st.integers(1, 4)))]
+    ends = []
+    for i in range(1, len(vertices)):
+        j = draw(st.integers(0, i - 1))
+        ends.append((vertices[i], vertices[j]) if draw(st.booleans())
+                    else (vertices[j], vertices[i]))
+    ends += draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                          max_size=4))
+    quiver = Quiver(vertices, [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+    generators = []
+    for _ in range(draw(st.integers(0, 4))):
+        vertex, names = draw(st.sampled_from(vertices)), []
+        for _ in range(draw(st.integers(2, 3))):
+            if not quiver.out_arrows[vertex]:
+                break
+            arrow = draw(st.sampled_from(quiver.out_arrows[vertex]))
+            names.append(arrow.name)
+            vertex = arrow.target
+        if len(names) >= 2:
+            generators.append(mono(quiver, names))
+    return quiver, IdealSpec(generators)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(instance=monomial_instances())
+def test_bound_matches_brute_force(instance):
+    quiver, ideal = instance
+    words = [p.arrows for p in ideal.monomial_paths()]
+    # A path as long as the vertex count repeats a vertex.
+    cyclic = surviving_path_exists(quiver, [], len(quiver.vertices))
+    try:
+        bound = compute_bound(quiver, ideal)
+    except InfiniteDimensionalError:
+        # More than the automaton's states: |V| times the prefixes of the words.
+        length = len(quiver.vertices) * (1 + sum(map(len, words))) + 1
+        assert cyclic and surviving_path_exists(quiver, words, length)
+        return
+    # An acyclic quiver's bound is its longest path + 1, whatever the ideal.
+    avoided = words if cyclic else []
+    assert surviving_path_exists(quiver, avoided, bound - 1)
+    assert not surviving_path_exists(quiver, avoided, bound)
 
 
 def survivors(quiver, generator_paths, max_len):

@@ -17,7 +17,7 @@ from frobq.families import REGIMES, gen_random
 from frobq.frobenius import frobenius_dimension
 from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
-from frobq.quiver import PathExpr, Quiver
+from frobq.quiver import Path, PathExpr, Quiver
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -43,19 +43,30 @@ def rebuilt(quiver, ideal, vertex, arrow, reverse=False):
     return image, IdealSpec(generators)
 
 
+def assert_canonical_order(algebra):
+    """The basis is in (source, target, sort_key) order and every block in sort_key order."""
+    assert list(algebra.basis) == sorted(
+        algebra.basis, key=lambda p: (p.source, p.target, p.sort_key()))
+    for block in algebra.blocks.values():
+        assert list(block) == sorted(block, key=Path.sort_key)
+
+
 @PROPERTY_SETTINGS
 @given(instance=instances, shuffle_seed=st.integers(0, 10 ** 6))
 def test_relabelling_keeps_dimensions(instance, shuffle_seed):
     quiver, ideal = instance
     rng = random.Random(shuffle_seed)
-    vertex_names = [f"v{i}" for i in range(len(quiver.vertices))]
-    arrow_names = [f"x{i}" for i in range(len(quiver.arrows))]
+    # From 9 up, so that "10" sorts before "9" as a string.
+    vertex_names = [str(9 + i) for i in range(len(quiver.vertices))]
+    arrow_names = [f"x{9 + i}" for i in range(len(quiver.arrows))]
     rng.shuffle(vertex_names)
     rng.shuffle(arrow_names)
     relabelled = rebuilt(quiver, ideal, dict(zip(quiver.vertices, vertex_names)),
                          {a.name: new for a, new in zip(quiver.arrows, arrow_names)})
     algebra = compute_basis(quiver, ideal)
     image = compute_basis(*relabelled)
+    assert_canonical_order(algebra)
+    assert_canonical_order(image)
     assert image.dimension == algebra.dimension
     assert frobenius_dimension(image) == frobenius_dimension(algebra)
 
