@@ -275,7 +275,7 @@ def cmd_gen(args):
         seed, vbound, abound = (_ints(p, 1)[0] for p in numbers)
         quiver, ideal = families.gen_random(seed, vbound, abound, regime)
     else:
-        raise ValidationError(f"unknown family {family!r}; choose from "
+        raise ValidationError(f"unknown family {shorten(family, repr)}; choose from "
                               "linear, cycle, canonical, toupie, rsz, random")
     doc = QuiverDocument(quiver, ideal, QQ)
     _emit(format_document(doc), args.output)

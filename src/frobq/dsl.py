@@ -40,12 +40,6 @@ def _tokenize(line, lineno):
     return tokens
 
 
-class _Relation:
-    def __init__(self, tokens, lineno):
-        self.tokens = tokens
-        self.lineno = lineno
-
-
 def parse_document(text, field_override=None) -> QuiverDocument:
     field = None
     vertices = []
@@ -53,10 +47,9 @@ def parse_document(text, field_override=None) -> QuiverDocument:
     relations = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
         tokens = _tokenize(raw, lineno)
+        if not tokens:
+            continue
         head, line_, col = tokens[0]
         rest = tokens[1:]
         if head == "field":
@@ -76,9 +69,9 @@ def parse_document(text, field_override=None) -> QuiverDocument:
             if not rest or rest[-1][0] != ";":
                 where = rest[-1] if rest else tokens[0]
                 raise ParseError("relation must end with ';'", where[1], where[2])
-            relations.append(_Relation(rest[:-1], lineno))
+            relations.append((rest[:-1], lineno))
         else:
-            raise ParseError(f"unknown statement {head!r}", lineno, col)
+            raise ParseError(f"unknown statement {shorten(head, repr)}", lineno, col)
 
     if field is None:
         field = QQ
@@ -91,12 +84,12 @@ def parse_document(text, field_override=None) -> QuiverDocument:
         raise ParseError(str(exc), 1, 1) from None
 
     generators = []
-    for rel in relations:
-        g = _parse_relation(rel, quiver, field)
+    for tokens, lineno in relations:
+        g = _parse_relation(tokens, lineno, quiver, field)
         try:
             validate(quiver, IdealSpec([g]))
         except ValidationError as exc:
-            raise ParseError(str(exc), rel.lineno, 1) from None
+            raise ParseError(str(exc), lineno, 1) from None
         generators.append(g)
     return QuiverDocument(quiver, IdealSpec(generators), field)
 
@@ -120,7 +113,7 @@ def _parse_field(tokens, lineno):
             return PrimeField(_integer(tokens[1]))
         except ValidationError as exc:
             raise ParseError(str(exc), tokens[1][1], tokens[1][2]) from None
-    raise ParseError(f"unknown field {name!r}", ln, col)
+    raise ParseError(f"unknown field {shorten(name, repr)}", ln, col)
 
 
 def _parse_arrow(tokens, lineno):
@@ -135,10 +128,9 @@ def _parse_arrow(tokens, lineno):
     return (name, source, target)
 
 
-def _parse_relation(rel, quiver, field):
-    tokens = rel.tokens
+def _parse_relation(tokens, lineno, quiver, field):
     if not tokens:
-        raise ParseError("empty relation", rel.lineno, 1)
+        raise ParseError("empty relation", lineno, 1)
     terms = {}
     position = 0
 
@@ -150,7 +142,7 @@ def _parse_relation(rel, quiver, field):
         sign = -field.one
         position += 1
     while True:
-        term, position = _parse_term(tokens, position, quiver, field, rel.lineno)
+        term, position = _parse_term(tokens, position, quiver, field, lineno)
         coeff, path = term
         # Repeated paths merge here, so that a sum that vanishes in the
         # field drops out of the relation.
@@ -163,7 +155,7 @@ def _parse_relation(rel, quiver, field):
         elif op == "-":
             sign = -field.one
         else:
-            raise ParseError(f"expected + or - between terms, got {op!r}", ln, col)
+            raise ParseError(f"expected + or - between terms, got {shorten(op, repr)}", ln, col)
         position += 1
         if position >= len(tokens):
             raise ParseError("relation ends with a dangling sign", ln, col)
@@ -172,12 +164,8 @@ def _parse_relation(rel, quiver, field):
         if expr.is_zero:
             raise ValidationError("relation cancels to zero")
     except ValidationError as exc:
-        raise ParseError(str(exc), rel.lineno, 1) from None
+        raise ParseError(str(exc), lineno, 1) from None
     return expr
-
-
-def _looks_numeric(text):
-    return text.isdigit()
 
 
 def _integer(token):
@@ -197,10 +185,10 @@ def _parse_term(tokens, position, quiver, field, lineno):
     text, ln, col = tokens[position]
     # A leading number is a coefficient when an arrow (or a /den part)
     # follows; otherwise it is read as an arrow name.
-    if _looks_numeric(text) and position + 1 < len(tokens):
+    if text.isdigit() and position + 1 < len(tokens):
         nxt = tokens[position + 1][0]
         if nxt == "/":
-            if position + 2 >= len(tokens) or not _looks_numeric(tokens[position + 2][0]):
+            if position + 2 >= len(tokens) or not tokens[position + 2][0].isdigit():
                 raise ParseError("bad rational literal", ln, col)
             den = _integer(tokens[position + 2])
             if den == 0:
@@ -227,7 +215,7 @@ def _parse_term(tokens, position, quiver, field, lineno):
         if not _is_identifier(text):
             raise ParseError(f"expected an arrow name, got {text!r}", ln, col)
         if text not in quiver.arrow_by_name:
-            raise ParseError(f"unknown arrow {text!r}", ln, col)
+            raise ParseError(f"unknown arrow {shorten(text, repr)}", ln, col)
         arrow_names.append(text)
         position += 1
         if position < len(tokens) and tokens[position][0] == "*":

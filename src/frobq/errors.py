@@ -52,5 +52,10 @@ class InternalFaultError(FrobqError):
 
 def shorten(text, show=str):
     """text as an error message echoes it: show(text), or for more than 20
-    characters show() of its first 20 followed by its length."""
-    return show(text) if len(text) <= 20 else f"{show(text[:20])}... ({len(text)} characters)"
+    characters show() of its first 20 followed by its length.  Any other
+    value (a JSON list or object, say) is echoed as show(value), cut the
+    same way after 60 characters."""
+    limit = 20
+    if not isinstance(text, str):
+        text, show, limit = show(text), str, 60
+    return show(text) if len(text) <= limit else f"{show(text[:limit])}... ({len(text)} characters)"

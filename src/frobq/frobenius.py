@@ -8,16 +8,18 @@ verifier below re-checks candidates against the full bimodule condition
 on every composable pair of basis paths that the candidate reaches (all
 other pairs have zero on every side), using the algebra's full
 multiplication rather than arrows, so the cheap system is never trusted
-on its own.  It computes on exact int representatives: the product table
-and the candidate each scaled by the lcm of their denominators.
+on its own.  Both take every product of basis paths from the algebra's
+int product table, over basis indices.  The verifier computes on exact
+int representatives: the product table and the candidate each scaled by
+the lcm of their denominators.
 """
 
 from math import lcm
 
-from .errors import InternalFaultError, SupportViolationError, ValidationError
+from .errors import InternalFaultError, SupportViolationError, ValidationError, shorten
 from .ideal import AlgebraBasis
 from .linalg import SparseMatrix, kernel_basis, rank
-from .quiver import Path, compose
+from .quiver import Path
 
 
 class TensorElement:
@@ -96,61 +98,55 @@ def _reduced(terms, reduce):
     return {key: r for key, value in terms.items() if (r := reduce(value))}
 
 
-def _support_columns(algebra: AlgebraBasis):
-    """Columns (p, u, v) with source(u) = p and target(v) = p, fixed order."""
-    by_source = {}
-    by_target = {}
-    for b in algebra.basis:
-        by_source.setdefault(b.source, []).append(b)
-        by_target.setdefault(b.target, []).append(b)
-    for d in (by_source, by_target):
-        for paths in d.values():
-            paths.sort(key=Path.sort_key)
-    legend = []
-    for p in algebra.quiver.vertices:
-        for u in by_source.get(p, ()):
-            for v in by_target.get(p, ()):
-                legend.append((p, u, v))
-    return legend
-
-
 def build_constraint_system(algebra: AlgebraBasis):
     """The linear system whose kernel is the Frobenius space.
 
     Unknowns are the coefficients of each candidate value at each vertex,
     one column per (p, u, v) with source(u) = target(v) = p: the support
     condition is imposed structurally, so only arrow constraints remain.
+    The legend lists the columns vertex by vertex, with u and then v in
+    sort_key order, so each vertex owns one contiguous range of columns.
+
+    An arrow a: p -> q gives one row per tensor pair of basis indices in
+    (a (x) 1) D(e_q) - D(e_p) (1 (x) a).  The products a * u and v * a
+    come from algebra.product_table, the table the verifier reads; a is
+    a basis path, since every generator term has length >= 2.  Over Q
+    those ints are product_scale times the true coordinates, so the
+    matrix is product_scale times the true one, which has the same RREF
+    and kernel.  Neither depends on the order of the rows, so the rows
+    stay in the order they are built.
     """
-    field = algebra.field
-    legend = _support_columns(algebra)
+    basis, products = algebra.basis, algebra.product_table
+    by_source = {}
+    by_target = {}
+    for i in sorted(range(len(basis)), key=lambda i: basis[i].sort_key()):
+        by_source.setdefault(basis[i].source, []).append(i)
+        by_target.setdefault(basis[i].target, []).append(i)
+    legend = []
+    columns = {}
+    for p in algebra.quiver.vertices:
+        columns[p] = []
+        for u in by_source[p]:
+            for v in by_target[p]:
+                columns[p].append((len(legend), u, v))
+                legend.append((p, basis[u], basis[v]))
 
     rows = []
     for arrow in algebra.quiver.arrows:
         p, q = arrow.source, arrow.target
-        arrow_path = Path(p, q, (arrow.name,))
-        # Coefficient of each tensor pair in (arrow (x) 1) D(e_q) - D(e_p) (1 (x) arrow).
+        a = algebra.index[Path(p, q, (arrow.name,))]
         pair_rows = {}
-        for col, (vertex, u, v) in enumerate(legend):
-            if vertex == q:
-                left = compose(arrow_path, u)
-                if left is not None:
-                    for w, c in algebra.reduce_path(left).items():
-                        row = pair_rows.setdefault((w, v), {})
-                        old = row.get(col)
-                        row[col] = c if old is None else old + c
-            if vertex == p:
-                right = compose(v, arrow_path)
-                if right is not None:
-                    for z, c in algebra.reduce_path(right).items():
-                        row = pair_rows.setdefault((u, z), {})
-                        old = row.get(col)
-                        row[col] = -c if old is None else old - c
-        for pair in sorted(pair_rows, key=lambda wz: (wz[0].sort_key(), wz[1].sort_key())):
-            row = _reduced(pair_rows[pair], field.reduce)
-            if row:
-                rows.append(row)
+        for col, u, v in columns[q]:
+            for w, c in products[a][u].items():
+                row = pair_rows.setdefault((w, v), {})
+                row[col] = row.get(col, 0) + c
+        for col, u, v in columns[p]:
+            for z, c in products[v][a].items():
+                row = pair_rows.setdefault((u, z), {})
+                row[col] = row.get(col, 0) - c
+        rows.extend(r for row in pair_rows.values() if (r := _reduced(row, algebra.field.reduce)))
 
-    matrix = SparseMatrix(rows, len(legend), field)
+    matrix = SparseMatrix(rows, len(legend), algebra.field)
     return matrix, legend
 
 
@@ -365,11 +361,11 @@ def path_to_json(path: Path):
 def _path_from_json(data, quiver):
     if isinstance(data, dict):
         if set(data) != {"e"} or not isinstance(data["e"], str):
-            raise ValidationError(f"bad path encoding: {data!r}")
+            raise ValidationError(f"bad path encoding: {shorten(data, repr)}")
         return quiver.trivial_path(data["e"])
     if isinstance(data, list) and all(isinstance(s, str) for s in data):
         return quiver.path(data)
-    raise ValidationError(f"bad path encoding: {data!r}")
+    raise ValidationError(f"bad path encoding: {shorten(data, repr)}")
 
 
 def candidate_to_json(candidate: CoproductCandidate):
@@ -397,19 +393,19 @@ def candidate_from_json(data, algebra: AlgebraBasis) -> CoproductCandidate:
     values = {}
     for entry in data:
         if not isinstance(entry, dict):
-            raise ValidationError(f"coproduct entry is not an object: {entry!r}")
+            raise ValidationError(f"coproduct entry is not an object: {shorten(entry, repr)}")
         vertex = entry.get("vertex")
         if not isinstance(vertex, str) or vertex not in algebra.quiver.out_arrows:
-            raise ValidationError(f"unknown vertex in coproduct: {vertex!r}")
+            raise ValidationError(f"unknown vertex in coproduct: {shorten(vertex, repr)}")
         tensor = values.setdefault(vertex, TensorElement(algebra.field))
         terms = entry.get("terms", [])
         if not isinstance(terms, list):
-            raise ValidationError(f"terms at vertex {vertex!r} must be a list")
+            raise ValidationError(f"terms at vertex {shorten(vertex, repr)} must be a list")
         for term in terms:
             if not isinstance(term, dict) or not {"left", "right", "coeff"} <= set(term):
                 raise ValidationError(
-                    f"term at vertex {vertex!r} must be an object with "
-                    f"left, right and coeff: {term!r}"
+                    f"term at vertex {shorten(vertex, repr)} must be an object with "
+                    f"left, right and coeff: {shorten(term, repr)}"
                 )
             u = _path_from_json(term["left"], algebra.quiver)
             v = _path_from_json(term["right"], algebra.quiver)

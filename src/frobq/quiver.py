@@ -10,7 +10,7 @@ Every value in this module is immutable and safe to share.
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ValidationError
+from .errors import ValidationError, shorten
 
 
 @dataclass(frozen=True)
@@ -56,19 +56,21 @@ class Quiver:
             if not isinstance(v, str) or not v:
                 raise ValidationError(f"vertex identifier must be a non-empty string: {v!r}")
             if v in seen:
-                raise ValidationError(f"duplicate vertex identifier: {v}")
+                raise ValidationError(f"duplicate vertex identifier: {shorten(v)}")
             seen.add(v)
         names = set()
         for a in arrows:
             if not isinstance(a.name, str) or not a.name:
                 raise ValidationError(f"arrow identifier must be a non-empty string: {a.name!r}")
             if a.name in names:
-                raise ValidationError(f"duplicate arrow identifier: {a.name}")
+                raise ValidationError(f"duplicate arrow identifier: {shorten(a.name)}")
             names.add(a.name)
             if a.source not in seen:
-                raise ValidationError(f"arrow {a.name}: unknown source vertex {a.source}")
+                raise ValidationError(
+                    f"arrow {shorten(a.name)}: unknown source vertex {shorten(a.source)}")
             if a.target not in seen:
-                raise ValidationError(f"arrow {a.name}: unknown target vertex {a.target}")
+                raise ValidationError(
+                    f"arrow {shorten(a.name)}: unknown target vertex {shorten(a.target)}")
         self.vertices = vertices
         self.arrows = arrows
         self.arrow_by_name = {a.name: a for a in arrows}
@@ -102,7 +104,7 @@ class Quiver:
 
     def trivial_path(self, v):
         if v not in self.out_arrows:
-            raise ValidationError(f"unknown vertex: {v}")
+            raise ValidationError(f"unknown vertex: {shorten(v)}")
         return Path(v, v, ())
 
     def path(self, arrow_names):
@@ -115,7 +117,7 @@ class Quiver:
         for name in arrow_names:
             a = self.arrow_by_name.get(name)
             if a is None:
-                raise ValidationError(f"unknown arrow: {name}")
+                raise ValidationError(f"unknown arrow: {shorten(name)}")
             arrows.append(a)
         for left, right in zip(arrows, arrows[1:]):
             if left.target != right.source:
@@ -136,7 +138,7 @@ class Quiver:
     def degrees(self, v):
         """(indegree, outdegree) of a vertex; a loop counts once in each."""
         if v not in self.out_arrows:
-            raise ValidationError(f"unknown vertex: {v}")
+            raise ValidationError(f"unknown vertex: {shorten(v)}")
         return (len(self.in_arrows[v]), len(self.out_arrows[v]))
 
     def enumerate_paths(self, max_len):

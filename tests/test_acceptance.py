@@ -6,10 +6,12 @@ an integer equality, not a tolerance.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
 
+import frobq
 from frobq.closed_forms import (
     detect_local_patterns,
     radical_square_zero_dimension,
@@ -341,8 +343,9 @@ GEN_COMMANDS = [
 
 
 def run_cli(argv):
+    src = os.path.dirname(os.path.dirname(frobq.__file__))
     result = subprocess.run([sys.executable, "-m", "frobq", *argv],
-                            capture_output=True)
+                            capture_output=True, env={**os.environ, "PYTHONPATH": src})
     return result.returncode, result.stdout, result.stderr
 
 

@@ -32,6 +32,8 @@ arrow y : p -> p
 relation x*x ;
 """
 
+LONG = "v" * 5000
+
 
 @pytest.fixture
 def diamond_file(tmp_path):
@@ -296,6 +298,41 @@ class TestBadInput:
         code, out, err = run(capsys, *argv)
         self.assert_one_line_error(code, out, err)
         assert len(err.encode()) < 200
+
+    # Names and JSON values of over 20 characters are shortened the same way.
+    @pytest.mark.parametrize("document, coproduct", [
+        (None, [{"vertex": LONG, "terms": []}]),
+        (None, [{"vertex": "0", "terms": [{"left": {"e": "0"}, LONG: 1}]}]),
+        (None, [{"vertex": "0", "terms": [{"left": {"e": LONG}, "right": {"e": "0"},
+                                           "coeff": "1"}]}]),
+        (None, [{"vertex": "0", "terms": [{"left": [LONG], "right": {"e": "0"},
+                                           "coeff": "1"}]}]),
+        (None, [LONG]),
+        (None, [{"vertex": "0", "terms": [{"left": {LONG: "0"}, "right": {"e": "0"},
+                                           "coeff": "1"}]}]),
+        (LONG + "\n", None),
+        ("vertex 1 2\narrow a : 1 -> 2\nrelation a*" + LONG + " ;\n", None),
+        ("vertex 1 2\narrow a : 1 -> 2\nrelation a " + LONG + " ;\n", None),
+        ("field " + LONG + "\nvertex 1\n", None),
+        ("vertex 1\narrow a : 1 -> " + LONG + "\n", None),
+        ("vertex " + LONG + " " + LONG + "\n", None),
+    ], ids=["unknown vertex", "term with an extra field", "unknown e vertex", "unknown arrow",
+            "entry not an object", "bad path encoding", "unknown statement",
+            "unknown relation arrow", "no sign between terms", "unknown field",
+            "unknown target vertex", "duplicate vertex"])
+    def test_long_name_is_shortened(self, capsys, tmp_path, diamond_file, document, coproduct):
+        doc = diamond_file
+        if document is not None:
+            doc = tmp_path / "doc.qv"
+            doc.write_text(document)
+        argv = ["dim", str(doc)]
+        if coproduct is not None:
+            cand = tmp_path / "cand.json"
+            cand.write_text(json.dumps(coproduct))
+            argv = ["verify", str(doc), "--coproduct", str(cand)]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "Traceback" not in err and len(err.encode()) < 200
 
     @pytest.mark.parametrize("argv", [
         ["dim"],

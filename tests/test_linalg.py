@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frobq.errors import ValidationError
-from frobq.linalg import P, QQ, PrimeField, SparseMatrix, _modular_rref, kernel_basis, rank, rref
+from frobq.linalg import (
+    P, QQ, PrimeField, SparseMatrix, _eliminate, _modular_rref, kernel_basis, rank, rref,
+)
 
 
 def dense(rows, field=QQ):
@@ -303,9 +305,25 @@ def rational_matrices(draw):
     return SparseMatrix(rows, ncols)
 
 
+def assert_row_order_ignored(m, order):
+    """m with its rows shuffled by order has the same RREF, pivots and kernel.
+
+    Over Q both routes are run on their own: the modular one and the
+    elimination over the Fractions, which rref only takes when the
+    modular route declines.
+    """
+    shuffled = SparseMatrix(order.sample(m.rows, m.nrows), m.ncols, m.field)
+    assert rref(shuffled) == rref(m)
+    assert kernel_basis(shuffled) == kernel_basis(m)
+    if m.field == QQ:
+        assert _modular_rref(shuffled) == _modular_rref(m)
+        assert _eliminate([dict(row) for row in shuffled.rows], m.ncols, QQ) == \
+            _eliminate([dict(row) for row in m.rows], m.ncols, QQ)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(m=rational_matrices())
-def test_both_routes_match_reference(m):
+@given(m=rational_matrices(), order=st.randoms(use_true_random=False))
+def test_both_routes_match_reference(m, order):
     expected, expected_pivots = reference_rref(m)
     modular = _modular_rref(m)
     if modular is not None:
@@ -319,3 +337,6 @@ def test_both_routes_match_reference(m):
     for vec in kb:
         assert_exact(QQ, vec.values())
         assert apply(m, vec) == {}
+    assert_row_order_ignored(m, order)
+    residues = [{j: v.numerator for j, v in row.items()} for row in m.rows]
+    assert_row_order_ignored(SparseMatrix(residues, m.ncols, PrimeField(5)), order)

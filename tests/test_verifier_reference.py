@@ -10,6 +10,9 @@ condition, and for kernel vectors with a perturbation added.  Over Q the
 candidates draw non-integral coefficients and two instances have a
 product table with non-integral entries, so the int representatives that
 ``verify_coproduct`` computes on carry scales above 1.
+
+The product table itself, which the verifier and the constraint build
+both read, is checked entry by entry against ``multiply``.
 """
 
 import functools
@@ -39,6 +42,8 @@ from frobq.frobenius import (
 from frobq.ideal import compute_basis
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import Quiver, compose
+
+from algebra_ops import multiply
 
 
 def reference_extend(candidate, w):
@@ -240,3 +245,33 @@ def test_skip_rule_does_not_rest_on_associativity():
         values = {}
         add_support_terms(values, algebra, legend, rng, rng.randint(1, 3))
         assert_same_verdict(algebra, CoproductCandidate(algebra, values))
+
+
+def assert_product_table_matches_multiply(algebra):
+    """product_table[i][j] is product_scale times basis[i] * basis[j], over indices.
+
+    The constraint build and the verifier both read the table, so it is
+    checked here against multiply, which composes and reduces paths.
+    """
+    basis, index, scale = algebra.basis, algebra.index, algebra.product_scale
+    one = algebra.field.one
+    for i, x in enumerate(basis):
+        row = algebra.product_table[i]
+        assert list(row) == [j for j, y in enumerate(basis) if y.source == x.target]
+        for j, coords in row.items():
+            product = multiply(algebra, {x: one}, {basis[j]: one})
+            assert coords == {index[b]: c * scale for b, c in product.items()}
+            assert all(type(c) is int for c in coords.values())
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("instance", INSTANCES)
+def test_product_table_matches_multiply(instance, field_name):
+    assert_product_table_matches_multiply(solved(instance, field_name)[0])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_product_table_matches_multiply_on_random(seed):
+    regime = ("rsz", "acyclic-monomial", "string-quadratic")[seed % 3]
+    q, ideal = gen_random(seed, 5, 7, regime)
+    assert_product_table_matches_multiply(compute_basis(q, ideal, QQ))
