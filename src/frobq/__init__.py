@@ -9,7 +9,7 @@ from .errors import (
     UnsupportedIdealRegimeError,
     ValidationError,
 )
-from .quiver import Arrow, Path, PathExpr, Quiver, compose
+from .quiver import Arrow, Path, PathExpr, Quiver
 from .linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank, rref
 from .ideal import (
     AlgebraBasis,

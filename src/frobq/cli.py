@@ -283,9 +283,18 @@ def cmd_gen(args):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValidationError, so they exit 1 with one line."""
+    """Usage errors raise ValidationError, so they exit 1 with one line, in
+    which each argument, or value after "=", echoed goes through shorten."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.arguments = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
+        echoes = {text for arg in self.arguments for text in (arg, arg.partition("=")[2])}
+        for text in sorted(echoes, key=len, reverse=True):
+            message = message.replace(repr(text), shorten(text, repr))
+            message = message.replace(text, shorten(text))
         raise ValidationError(f"{self.prog}: {message}")
 
 

@@ -80,17 +80,22 @@ class CoproductCandidate:
     def check_support(self):
         for vertex, tensor in self.values.items():
             if vertex not in self.algebra.quiver.out_arrows:
-                raise SupportViolationError(f"unknown vertex {vertex} in coproduct")
+                raise SupportViolationError(f"unknown vertex {shorten(vertex)} in coproduct")
             for (u, v) in tensor.coefficients:
                 if u not in self.algebra.index or v not in self.algebra.index:
                     raise SupportViolationError(
-                        f"coproduct term {u}(x){v} does not use basis paths"
+                        f"coproduct term {_term(u, v)} does not use basis paths"
                     )
                 if u.source != vertex or v.target != vertex:
                     raise SupportViolationError(
-                        f"term {u}(x){v} at vertex {vertex} breaks the support "
-                        f"condition source(left) = target(right) = {vertex}"
+                        f"term {_term(u, v)} at vertex {shorten(vertex)} breaks the support "
+                        f"condition source(left) = target(right) = {shorten(vertex)}"
                     )
+
+
+def _term(u, v):
+    """u (x) v as an error message echoes it, each path cut by shorten."""
+    return f"{shorten(str(u))}(x){shorten(str(v))}"
 
 
 def _reduced(terms, reduce):
@@ -192,7 +197,7 @@ def _integer_terms(algebra, tensor, scale):
     for (u, v), c in tensor.coefficients.items():
         j, l = index.get(u), index.get(v)
         if j is None or l is None:
-            raise SupportViolationError(f"coproduct term {u}(x){v} does not use basis paths")
+            raise SupportViolationError(f"coproduct term {_term(u, v)} does not use basis paths")
         terms[(j, l)] = integer(c, scale)
     return terms
 

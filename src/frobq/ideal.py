@@ -19,7 +19,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import QQ, SparseMatrix, rref
-from .quiver import Path, Quiver, compose
+from .quiver import Path, Quiver
 
 
 class IdealSpec:
@@ -135,7 +135,9 @@ class AlgebraBasis:
 
     basis paths are grouped by (source, target) block and the reduction
     table rewrites every path of length < bound into coordinates over the
-    basis.  Paths of length >= bound are zero in the quotient.
+    basis indices.  A path is keyed by its arrow word, which fixes it
+    since arrow names are unique, and the trivial path e_v by the vertex
+    name v.  Paths of length >= bound are zero in the quotient.
     """
 
     def __init__(self, quiver, ideal, field, bound, basis, blocks, table):
@@ -145,7 +147,7 @@ class AlgebraBasis:
         self.bound = bound
         self.basis = basis          # tuple of Paths, canonical order
         self.blocks = blocks        # {(source, target): tuple of Paths}
-        self.table = table          # {Path: {basis Path: scalar}}
+        self.table = table          # {arrow word or vertex: {basis index: scalar}}
         self.index = {p: i for i, p in enumerate(basis)}
 
     @property
@@ -175,34 +177,31 @@ class AlgebraBasis:
 
     @cached_property
     def _products(self):
-        field, index = self.field, self.index
+        """(product_table, product_scale).  The product of composable basis
+        paths is the path of their joined word, e_v when both are trivial,
+        so each entry is one table lookup, or zero at or past the bound."""
+        field, table, bound = self.field, self.table, self.bound
         starting_at = {}
         for j, b in enumerate(self.basis):
-            starting_at.setdefault(b.source, []).append((j, b))
-        # Rows first hold the reduction table's own maps, then their ints.
-        table = [{j: self.reduce_path(compose(a, b)) for j, b in starting_at.get(a.target, ())}
-                 for a in self.basis]
-        scale = lcm(*(field.denominator(c) for row in table
+            starting_at.setdefault(b.source, []).append((j, b.arrows))
+        rows = [{j: table[word or a.source] if len(word := a.arrows + w) < bound else {}
+                 for j, w in starting_at.get(a.target, ())}
+                for a in self.basis]
+        scale = lcm(*(field.denominator(c) for row in rows
                       for coords in row.values() for c in coords.values()))
-        for row in table:
+        for row in rows:
             for j, coords in row.items():
-                row[j] = {index[k]: field.integer(c, scale) for k, c in coords.items()}
-        return table, scale
+                row[j] = {k: field.integer(c, scale) for k, c in coords.items()}
+        return rows, scale
 
     def reduce_path(self, path: Path):
-        """Coordinates of a single path; zero map when the path vanishes.
-
-        The returned map is shared with the reduction table; treat it as
-        read-only.
-        """
-        if len(path) >= self.bound:
-            if not self.quiver.has_path(path):
-                raise ValidationError(f"foreign path: {path}")
-            return {}
-        coords = self.table.get(path)
-        if coords is None:
+        """Coordinates {basis Path: scalar} of a single path; zero map when
+        the path vanishes.  The map is built afresh on every call."""
+        if not self.quiver.has_path(path):
             raise ValidationError(f"foreign path: {path}")
-        return coords
+        if len(path) >= self.bound:
+            return {}
+        return {self.basis[k]: c for k, c in self.table[path.arrows or path.source].items()}
 
 
 def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
@@ -210,43 +209,38 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     bound = compute_bound(quiver, ideal)
     paths = quiver.enumerate_paths(bound - 1)
 
-    # paths is in canonical order, so every block is too.
+    # paths is in canonical order, so every block is too.  A nontrivial
+    # word fixes its path, so column maps it to the path's column in its
+    # block; the ideal's rows never hold a trivial path.
     blocks_paths = {}
-    for p in paths:
-        blocks_paths.setdefault((p.source, p.target), []).append(p)
-
-    # Spanning rows of the ideal inside each block: u * g * v with terms of
-    # length >= bound dropped (they are zero in the quotient by the
-    # certified bound).
-    rows_by_block = {key: [] for key in blocks_paths}
+    column = {}
     by_target = {}
     by_source = {}
     for p in paths:
+        block = blocks_paths.setdefault((p.source, p.target), [])
+        column[p.arrows] = len(block)
+        block.append(p)
         by_target.setdefault(p.target, []).append(p)
         by_source.setdefault(p.source, []).append(p)
+
+    # Spanning rows of the ideal inside each block: u * g * v over the
+    # block's columns, with terms of length >= bound dropped (they are zero
+    # in the quotient by the certified bound).  The terms of g have distinct
+    # words, so those of u * g * v do too.
+    rows_by_block = {}
     for g in ideal.generators:
-        g_source, g_target = g.source(), g.target()
-        min_len = g.min_term_length()
-        for u in by_target.get(g_source, ()):
+        terms = [(t.arrows, c) for t, coeff in g.terms.items() if (c := field.coerce(coeff))]
+        min_len = min(map(len, g.terms))
+        for u in by_target.get(g.source(), ()):
             room_after_u = bound - 1 - len(u) - min_len
             if room_after_u < 0:
                 continue
-            for v in by_source.get(g_target, ()):
+            for v in by_source.get(g.target(), ()):
                 if len(v) > room_after_u:
                     continue
-                row = {}
-                for term, coeff in g.terms.items():
-                    word = u.arrows + term.arrows + v.arrows
-                    if len(word) >= bound:
-                        continue
-                    p = Path(u.source, v.target, word)
-                    new = field.reduce(row.get(p, field.zero) + field.coerce(coeff))
-                    if not new:
-                        row.pop(p, None)
-                    else:
-                        row[p] = new
+                row = {column[w]: c for t, c in terms if len(w := u.arrows + t + v.arrows) < bound}
                 if row:
-                    rows_by_block[(u.source, v.target)].append(row)
+                    rows_by_block.setdefault((u.source, v.target), []).append(row)
 
     # Blocks in sorted (source, target) order leave the basis in
     # (source, target, sort_key) order.
@@ -255,23 +249,19 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     table = {}
     for key in sorted(blocks_paths):
         block = blocks_paths[key]
-        col_of = {p: j for j, p in enumerate(block)}
-        rows = [{col_of[p]: c for p, c in row.items()} for row in rows_by_block[key]]
-        matrix = SparseMatrix(rows, len(block), field)
+        matrix = SparseMatrix(rows_by_block.get(key, ()), len(block), field)
         reduced, pivots = rref(matrix)
         pivot_set = set(pivots)
-        block_basis = tuple(p for j, p in enumerate(block) if j not in pivot_set)
-        blocks[key] = block_basis
-        basis.extend(block_basis)
-        for p in block_basis:
-            table[p] = {p: field.one}
+        index_of = {}           # block column -> basis index
+        for j, p in enumerate(block):
+            if j not in pivot_set:
+                index_of[j] = len(basis)
+                table[p.arrows or p.source] = {len(basis): field.one}
+                basis.append(p)
+        blocks[key] = tuple(block[j] for j in index_of)
         for i, col in enumerate(pivots):
-            coords = {}
-            for j, value in reduced.rows[i].items():
-                if j == col:
-                    continue
-                coords[block[j]] = field.reduce(-value)
-            table[block[col]] = coords
+            table[block[col].arrows] = {index_of[j]: field.reduce(-value)
+                                        for j, value in reduced.rows[i].items() if j != col}
 
     algebra = AlgebraBasis(quiver, ideal, field, bound, tuple(basis), blocks, table)
     _closure_check(algebra)
@@ -299,21 +289,17 @@ def _closure_check(algebra: AlgebraBasis):
     """
     quiver = algebra.quiver
     forbidden = {p.arrows for p in algebra.ideal.monomial_paths()}
-    for path, coords in algebra.table.items():
-        if len(path) == algebra.bound - 1 and has_subword(path.arrows, forbidden):
+    for word, coords in algebra.table.items():
+        # Vertex names key the trivial paths, which contain no word.
+        if type(word) is tuple and len(word) == algebra.bound - 1 and has_subword(word, forbidden):
             if coords:
                 raise InternalFaultError(
-                    f"path {path} contains a forbidden word but does not reduce to zero"
+                    f"path {'*'.join(word)} contains a forbidden word but does not reduce to zero"
                 )
     for b in algebra.basis:
-        for arrow in quiver.out_arrows[b.target]:
-            word = b.arrows + (arrow.name,)
-            if len(word) == algebra.bound and not has_subword(word, forbidden):
-                raise InternalFaultError(
-                    f"product {'*'.join(word)} reaches the bound without justification"
-                )
-        for arrow in quiver.in_arrows[b.source]:
-            word = (arrow.name,) + b.arrows
+        words = [b.arrows + (a.name,) for a in quiver.out_arrows[b.target]]
+        words += [(a.name,) + b.arrows for a in quiver.in_arrows[b.source]]
+        for word in words:
             if len(word) == algebra.bound and not has_subword(word, forbidden):
                 raise InternalFaultError(
                     f"product {'*'.join(word)} reaches the bound without justification"

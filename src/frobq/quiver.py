@@ -8,7 +8,6 @@ Every value in this module is immutable and safe to share.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ValidationError, shorten
 
@@ -122,8 +121,9 @@ class Quiver:
         for left, right in zip(arrows, arrows[1:]):
             if left.target != right.source:
                 raise ValidationError(
-                    f"arrows do not compose: {left.name} ends at {left.target}, "
-                    f"{right.name} starts at {right.source}"
+                    f"arrows do not compose: {shorten(left.name)} ends at "
+                    f"{shorten(left.target)}, {shorten(right.name)} starts at "
+                    f"{shorten(right.source)}"
                 )
         return Path(arrows[0].source, arrows[-1].target, arrow_names)
 
@@ -162,17 +162,6 @@ class Quiver:
             if not frontier:
                 break
         return result
-
-
-def compose(p: Path, q: Path) -> Optional[Path]:
-    """Concatenate two paths, or return None when endpoints mismatch.
-
-    Non-composability is an ordinary value here because the path algebra
-    product is zero in that case, not an error.
-    """
-    if p.target != q.source:
-        return None
-    return Path(p.source, q.target, p.arrows + q.arrows)
 
 
 class PathExpr:
@@ -219,9 +208,6 @@ class PathExpr:
 
     def target(self):
         return next(iter(self.terms)).target if self.terms else None
-
-    def min_term_length(self):
-        return min(len(p) for p in self.terms)
 
     def __eq__(self, other):
         return isinstance(other, PathExpr) and self.terms == other.terms

@@ -7,7 +7,18 @@ oracle built on it stays independent of the table the verifier reads.
 """
 
 from frobq.errors import SupportViolationError
-from frobq.quiver import compose
+from frobq.quiver import Path
+
+
+def compose(p, q):
+    """Concatenate two paths, or return None when endpoints mismatch.
+
+    Non-composability is an ordinary value here because the path algebra
+    product is zero in that case, not an error.
+    """
+    if p.target != q.source:
+        return None
+    return Path(p.source, q.target, p.arrows + q.arrows)
 
 
 def coords_of(algebra, path):

@@ -316,10 +316,12 @@ class TestBadInput:
         ("field " + LONG + "\nvertex 1\n", None),
         ("vertex 1\narrow a : 1 -> " + LONG + "\n", None),
         ("vertex " + LONG + " " + LONG + "\n", None),
+        ("vertex 1 2 3\narrow " + LONG + " : 1 -> 2\narrow b : 1 -> 3\n",
+         [{"vertex": "1", "terms": [{"left": [LONG, "b"], "right": {"e": "1"}, "coeff": "1"}]}]),
     ], ids=["unknown vertex", "term with an extra field", "unknown e vertex", "unknown arrow",
             "entry not an object", "bad path encoding", "unknown statement",
             "unknown relation arrow", "no sign between terms", "unknown field",
-            "unknown target vertex", "duplicate vertex"])
+            "unknown target vertex", "duplicate vertex", "arrows do not compose"])
     def test_long_name_is_shortened(self, capsys, tmp_path, diamond_file, document, coproduct):
         doc = diamond_file
         if document is not None:
@@ -334,13 +336,28 @@ class TestBadInput:
         assert code == 1 and out == "" and err.count("\n") == 1
         assert "Traceback" not in err and len(err.encode()) < 200
 
+    def test_long_name_in_support_violation_is_shortened(self, capsys, tmp_path):
+        doc = tmp_path / "doc.qv"
+        doc.write_text("vertex 1 2\narrow " + LONG + " : 1 -> 2\n")
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([{"vertex": "2", "terms": [
+            {"left": [LONG], "right": {"e": "2"}, "coeff": "1"}]}]))
+        code, out, err = run(capsys, "verify", str(doc), "--coproduct", str(cand))
+        assert code == 4 and err == ""
+        assert out.startswith("SUPPORT VIOLATION: ") and out.count("\n") == 1
+        assert len(out.encode()) < 200
+
     @pytest.mark.parametrize("argv", [
         ["dim"],
         ["bogus"],
         ["dim", "x.q", "--nope"],
+        ["dim", "x.q", LONG],
+        [LONG],
     ])
     def test_usage_errors(self, capsys, argv):
-        self.assert_one_line_error(*run(capsys, *argv))
+        code, out, err = run(capsys, *argv)
+        self.assert_one_line_error(code, out, err)
+        assert len(err.encode()) < 200
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -19,9 +19,9 @@ from frobq.frobenius import (
 )
 from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField, SparseMatrix, rank
-from frobq.quiver import Path, PathExpr, Quiver, compose
+from frobq.quiver import Path, PathExpr, Quiver
 
-from algebra_ops import coefficient_vector, coords_of, multiply
+from algebra_ops import coefficient_vector, compose, coords_of, multiply
 
 
 def mono(q, names):

@@ -25,7 +25,7 @@ from frobq.ideal import (
     validate,
 )
 from frobq.linalg import QQ, PrimeField
-from frobq.quiver import PathExpr, Quiver
+from frobq.quiver import Path, PathExpr, Quiver
 
 from algebra_ops import coords_of, multiply, reduce, unit
 
@@ -295,6 +295,12 @@ class TestReduce:
         other, _ = gen_linear(5)
         with pytest.raises(ValidationError, match="foreign"):
             algebra.reduce_path(other.path(["a3"]))
+        # The table keys a path by its word and e_v by v, so neither key
+        # alone may let a path that is not in the quiver through.
+        with pytest.raises(ValidationError, match="foreign"):
+            algebra.reduce_path(Path("2", "1", ("a1",)))
+        with pytest.raises(ValidationError, match="foreign"):
+            algebra.reduce_path(Path("9", "9", ()))
 
     def test_reduce_is_idempotent_and_block_preserving(self):
         q, ideal = diamond()

@@ -4,7 +4,9 @@ import pytest
 
 from frobq.errors import ValidationError
 from frobq.ideal import longest_surviving_walk
-from frobq.quiver import Path, PathExpr, Quiver, compose
+from frobq.quiver import Path, PathExpr, Quiver
+
+from algebra_ops import compose
 
 
 def linear(n):

@@ -2,9 +2,10 @@
 
 perfbench/tracing.py counts columns, rows and nonzeros from the
 SparseMatrix that build_constraint_system returns, and rank from the
-pivots of rref.  These tests pin those counts to what the library itself
-reports, so a change to SparseMatrix cannot silently break the traced
-per-layer metrics.
+pivots of rref, and path and basis counts from the algebra that
+compute_basis returns.  These tests pin those counts to what the library
+itself reports, so a change to SparseMatrix or to the reduction table's
+keys cannot silently break the traced per-layer metrics.
 """
 
 import importlib.util
@@ -43,8 +44,12 @@ def test_traced_sizes_match_the_library(capsys, tmp_path, name, command):
     metrics = tracing.layer_metrics(tracer)
 
     doc = parse_document(DOCUMENTS[name])
-    matrix, legend = build_constraint_system(compute_basis(doc.quiver, doc.ideal, doc.field))
+    algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
+    matrix, legend = build_constraint_system(algebra)
     matrix_rank = rank(matrix)
+    # The tracer reads these two off the reduction table and the basis.
+    assert metrics["quiver.paths"] == len(doc.quiver.enumerate_paths(algebra.bound - 1))
+    assert metrics["ideal.dim_A"] == algebra.dimension
     assert metrics["frobenius.cols"] == len(legend)
     assert metrics["frobenius.rows"] == len(matrix.rows)
     assert metrics["frobenius.nnz"] == sum(len(row) for row in matrix.rows)

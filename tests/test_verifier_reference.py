@@ -39,11 +39,11 @@ from frobq.frobenius import (
     solve_frobenius_space,
     verify_coproduct,
 )
-from frobq.ideal import compute_basis
+from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
-from frobq.quiver import Quiver, compose
+from frobq.quiver import PathExpr, Quiver
 
-from algebra_ops import multiply
+from algebra_ops import compose, multiply, reduce
 
 
 def reference_extend(candidate, w):
@@ -238,7 +238,12 @@ def test_skip_rule_does_not_rest_on_associativity():
     """
     q, ideal = gen_cycle(2, 3)
     algebra = compute_basis(q, ideal, QQ)
-    algebra.table[q.path(["a1"])] = {}
+    algebra.table[("a1",)] = {}
+    # The mutation must reach every reader of the table, or the test is vacuous.
+    a1, index = q.path(["a1"]), algebra.index
+    assert algebra.reduce_path(a1) == {}
+    assert algebra.product_table[index[q.trivial_path("1")]][index[a1]] == {}
+    assert algebra.product_table[index[a1]][index[q.trivial_path("2")]] == {}
     legend = build_constraint_system(algebra)[1]
     for seed in range(30):
         rng = random.Random(seed)
@@ -275,3 +280,79 @@ def test_product_table_matches_multiply_on_random(seed):
     regime = ("rsz", "acyclic-monomial", "string-quadratic")[seed % 3]
     q, ideal = gen_random(seed, 5, 7, regime)
     assert_product_table_matches_multiply(compute_basis(q, ideal, QQ))
+
+
+def corpus_toupie(seed):
+    """A toupie drawn much as perfbench's corpus draws one.
+
+    2-4 branches of lengths 2-4, a monomial relation half the time, and
+    linear relations with coefficients from (-2, -1, 1, 2, 3): always
+    one, and two on four branches half the time, so that the top path of
+    a branch often reduces to several coordinates.
+    """
+    rng = random.Random(f"toupie/{seed}")
+    branches = 2 + seed % 3
+    lengths = [rng.randint(2, 4) for _ in range(branches)]
+    monomial = []
+    if rng.random() < 0.5:
+        branch = rng.randrange(branches)
+        length = rng.randint(2, lengths[branch])
+        monomial.append((branch + 1, rng.randint(1, lengths[branch] - length + 1), length))
+    linear = [[rng.choice((-2, -1, 1, 2, 3)) for _ in range(branches)]
+              for _ in range(rng.randint(1, max(1, branches - 2)))]
+    return gen_toupie(lengths, monomial, linear)
+
+
+def commutative_grid(n):
+    """The n x n grid of vertices with every square commuting."""
+    vertices = [f"{i},{j}" for i in range(n) for j in range(n)]
+    arrows = [(f"h{i}{j}", f"{i},{j}", f"{i},{j + 1}") for i in range(n) for j in range(n - 1)]
+    arrows += [(f"v{i}{j}", f"{i},{j}", f"{i + 1},{j}") for i in range(n - 1) for j in range(n)]
+    q = Quiver(vertices, arrows)
+    squares = [PathExpr({q.path([f"h{i}{j}", f"v{i}{j + 1}"]): 1,
+                         q.path([f"v{i}{j}", f"h{i + 1}{j}"]): -1})
+               for i in range(n - 1) for j in range(n - 1)]
+    return q, IdealSpec(squares)
+
+
+MIXED = {f"corpus toupie {seed}": corpus_toupie(seed) for seed in range(12)}
+# Over F_5 the relation loses its 5 term and over F_7 its 7 term.
+MIXED["toupie (2,3,3,2), relation 5,1,-2,7"] = gen_toupie((2, 3, 3, 2), (), [(5, 1, -2, 7)])
+MIXED["commutativity square"] = gen_toupie((2, 2), (), [(1, -1)])
+MIXED["commutative 3x3 grid"] = commutative_grid(3)
+MIXED_FIELDS = {"Q": QQ, "F5": PrimeField(5), "F7": PrimeField(7)}
+
+
+@pytest.mark.parametrize("field_name", MIXED_FIELDS)
+@pytest.mark.parametrize("instance", MIXED)
+def test_product_table_matches_multiply_on_mixed_relations(instance, field_name):
+    q, ideal = MIXED[instance]
+    assert_product_table_matches_multiply(compute_basis(q, ideal, MIXED_FIELDS[field_name]))
+
+
+@pytest.mark.parametrize("field_name", MIXED_FIELDS)
+@pytest.mark.parametrize("instance", MIXED)
+def test_mixed_relations_vanish_in_the_quotient(instance, field_name):
+    """u * g * v reduces to zero for every generator g and all paths u, v.
+
+    The test above checks the product table against reduce_path; this one
+    checks the normal forms both read against the ideal itself.
+    """
+    q, ideal = MIXED[instance]
+    algebra = compute_basis(q, ideal, MIXED_FIELDS[field_name])
+    paths = q.enumerate_paths(algebra.bound - 1)
+    for g in ideal.generators:
+        for u in (u for u in paths if u.target == g.source()):
+            for v in (v for v in paths if v.source == g.target()):
+                terms = {compose(compose(u, t), v): c for t, c in g.terms.items()}
+                assert reduce(algebra, PathExpr(terms)) == {}
+
+
+@pytest.mark.parametrize("field_name", MIXED_FIELDS)
+def test_mixed_relations_reduce_paths_to_several_coordinates(field_name):
+    """The instances above do hold pivot paths whose normal form has several terms."""
+    several = 0
+    for q, ideal in MIXED.values():
+        table = compute_basis(q, ideal, MIXED_FIELDS[field_name]).table
+        several += any(len(coords) > 1 for coords in table.values())
+    assert several >= 4
