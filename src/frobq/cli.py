@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 
-from . import closed_forms
 from .dsl import QuiverDocument, format_document, parse_document
 from .errors import (
     FrobqError,
@@ -163,6 +162,8 @@ def cmd_verify(args):
 
 
 def cmd_classify(args):
+    from . import closed_forms  # as in cmd_gen: only classify and patterns compile it
+
     doc = _load(args.file, args.field)
     algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
     dimension = frobenius_dimension(algebra)
@@ -208,6 +209,8 @@ def cmd_classify(args):
 
 
 def cmd_patterns(args):
+    from . import closed_forms
+
     doc = _load(args.file, args.field)
     algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
     matches = closed_forms.detect_local_patterns(algebra)

@@ -8,8 +8,6 @@ the toupie classifier predicts the dimension statement that the solver
 then has to reproduce.
 """
 
-from dataclasses import dataclass, field as dataclass_field
-
 from .errors import ValidationError
 from .frobenius import CoproductCandidate, TensorElement, verify_coproduct
 from .ideal import AlgebraBasis, IdealSpec, has_subword, validate
@@ -76,21 +74,21 @@ def radical_square_zero_dimension(quiver: Quiver) -> int:
 # ---------------------------------------------------------------------------
 # Local vertex patterns
 
-@dataclass
 class LocalPatternMatch:
     """One of the five local configurations that force a nonzero coproduct.
 
     in_arrows/out_arrows are the arrows of the matched vertex, sorted by
     name; vanishing lists the length-2 compositions that reduce to zero,
-    as witnessed by the ideal.
+    as witnessed by the ideal, and surviving those that do not.
     """
 
-    pattern: int
-    vertex: str
-    in_arrows: tuple
-    out_arrows: tuple
-    vanishing: tuple
-    surviving: tuple = dataclass_field(default=())
+    def __init__(self, pattern, vertex, in_arrows, out_arrows, vanishing, surviving=()):
+        self.pattern = pattern
+        self.vertex = vertex
+        self.in_arrows = in_arrows
+        self.out_arrows = out_arrows
+        self.vanishing = vanishing
+        self.surviving = surviving
 
 
 def _composition_vanishes(algebra, incoming, outgoing):
@@ -274,15 +272,24 @@ M_ZERO_OTHER = "M_ZERO_OTHER"
 M_POSITIVE = "M_POSITIVE"
 
 
-@dataclass
 class ToupieClassification:
-    kind: str
-    source: str
-    sink: str
-    branches: tuple          # arrow name tuples, one per branch
-    monomial_branches: tuple  # indices of branches carrying monomial relations
-    independent_rank: int    # number of linearly independent branch classes
-    prediction: str          # "=0", "=1" or ">=1"
+    """A toupie's kind and the dimension statement it predicts.
+
+    branches holds one arrow name tuple per branch, monomial_branches the
+    indices of the branches that carry monomial relations, independent_rank
+    the number of linearly independent branch classes, and prediction one
+    of "=0", "=1" or ">=1".
+    """
+
+    def __init__(self, kind, source, sink, branches, monomial_branches,
+                 independent_rank, prediction):
+        self.kind = kind
+        self.source = source
+        self.sink = sink
+        self.branches = branches
+        self.monomial_branches = monomial_branches
+        self.independent_rank = independent_rank
+        self.prediction = prediction
 
     @property
     def branch_lengths(self):

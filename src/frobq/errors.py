@@ -52,10 +52,14 @@ class InternalFaultError(FrobqError):
 
 def shorten(text, show=str):
     """text as an error message echoes it: show(text), or for more than 20
-    characters show() of its first 20 followed by its length.  Any other
-    value (a JSON list or object, say) is echoed as show(value), cut the
-    same way after 60 characters."""
+    characters show() of its first 20 followed by its length.  Text with a
+    character that is not printable, a line break say, is shown by repr,
+    which escapes it, so the message stays one line.  Any other value (a
+    JSON list or object, say) is echoed as show(value), cut the same way
+    after 60 characters."""
     limit = 20
     if not isinstance(text, str):
         text, show, limit = show(text), str, 60
+    elif not text.isprintable():
+        show = repr
     return show(text) if len(text) <= limit else f"{show(text[:limit])}... ({len(text)} characters)"

@@ -6,7 +6,6 @@ walk.  Random generation is a pure function of its seed.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -15,26 +14,24 @@ from .linalg import QQ
 from .quiver import PathExpr, Quiver
 
 
-@dataclass(frozen=True)
 class CanonicalSpec:
     """Weights n_1..n_t (t >= 2) and pairwise distinct nonzero lambdas."""
 
-    weights: tuple
-    lambdas: tuple
-
-    def __post_init__(self):
-        if len(self.weights) < 2 or any(n < 1 for n in self.weights):
+    def __init__(self, weights, lambdas):
+        if len(weights) < 2 or any(n < 1 for n in weights):
             raise ValidationError("need at least two weights, all >= 1")
-        if len(self.lambdas) != len(self.weights) - 2:
+        if len(lambdas) != len(weights) - 2:
             raise ValidationError(
-                f"{len(self.weights)} weights need exactly "
-                f"{len(self.weights) - 2} lambdas"
+                f"{len(weights)} weights need exactly "
+                f"{len(weights) - 2} lambdas"
             )
-        values = [Fraction(l) for l in self.lambdas]
+        values = [Fraction(l) for l in lambdas]
         if any(v == 0 for v in values):
             raise ValidationError("lambdas must be nonzero")
         if len(set(values)) != len(values):
             raise ValidationError("lambdas must be pairwise distinct")
+        self.weights = weights
+        self.lambdas = lambdas
 
 
 def gen_linear(n, relations=()):

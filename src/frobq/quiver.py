@@ -7,25 +7,71 @@ first, so consecutive arrows satisfy ``target(a_k) == source(a_{k+1})``.
 Every value in this module is immutable and safe to share.
 """
 
-from dataclasses import dataclass
-
 from .errors import ValidationError, shorten
 
-
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    source: str
-    target: str
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Path:
+class _Frozen:
+    """Fields in ``__slots__`` that are set once; repr and pickling follow them.
+
+    Not a frozen dataclass: importing ``dataclasses`` pulls in ``inspect``
+    and ``ast``, which cost each process start more than this module does.
+    Equality and hashing stay in each subclass, on its own fields.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Arrow(_Frozen):
+    __slots__ = ("name", "source", "target")
+
+    def __init__(self, name, source, target):
+        _set(self, "name", name)
+        _set(self, "source", source)
+        _set(self, "target", target)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name == other.name and self.source == other.source
+                and self.target == other.target)
+
+    def __hash__(self):
+        return hash((self.name, self.source, self.target))
+
+
+class Path(_Frozen):
     """A composable arrow sequence; empty sequences are trivial paths e_v."""
 
-    source: str
-    target: str
-    arrows: tuple
+    __slots__ = ("source", "target", "arrows")
+
+    def __init__(self, source, target, arrows):
+        _set(self, "source", source)
+        _set(self, "target", target)
+        _set(self, "arrows", arrows)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arrows == other.arrows and self.source == other.source
+                and self.target == other.target)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.arrows))
 
     def __len__(self):
         return len(self.arrows)
@@ -128,12 +174,17 @@ class Quiver:
         return Path(arrows[0].source, arrows[-1].target, arrow_names)
 
     def has_path(self, p):
-        try:
-            if p.is_trivial:
-                return p.source == p.target and p.source in self.out_arrows
-            return self.path(p.arrows) == p
-        except ValidationError:
-            return False
+        """True when p's arrows are arrows of this quiver that compose from
+        p.source to p.target; a trivial p needs a vertex of this quiver."""
+        if p.is_trivial:
+            return p.source == p.target and p.source in self.out_arrows
+        at = p.source
+        for name in p.arrows:
+            a = self.arrow_by_name.get(name)
+            if a is None or a.source != at:
+                return False
+            at = a.target
+        return at == p.target
 
     def degrees(self, v):
         """(indegree, outdegree) of a vertex; a loop counts once in each."""

@@ -81,6 +81,15 @@ class TestCanonical:
         with pytest.raises(ValidationError):
             CanonicalSpec((2, 2, 2), (1, 2))
 
+    @pytest.mark.parametrize("weights", [(2,), (2, 0, 2)])
+    def test_too_few_or_empty_weights_rejected(self, weights):
+        with pytest.raises(ValidationError, match="at least two weights"):
+            CanonicalSpec(weights, (1,) * max(len(weights) - 2, 0))
+
+    def test_keeps_its_fields(self):
+        spec = CanonicalSpec((2, 3, 4), (5,))
+        assert (spec.weights, spec.lambdas) == ((2, 3, 4), (5,))
+
 
 class TestToupie:
     def test_commutative_diamond(self):

@@ -1,10 +1,12 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
 from frobq.errors import ValidationError
 from frobq.ideal import longest_surviving_walk
-from frobq.quiver import Path, PathExpr, Quiver
+from frobq.quiver import Arrow, Path, PathExpr, Quiver
 
 from algebra_ops import compose
 
@@ -86,6 +88,89 @@ class TestTrivialPath:
     def test_unknown_vertex(self):
         with pytest.raises(ValidationError, match="unknown vertex"):
             linear(3).trivial_path("7")
+
+
+class TestHasPath:
+    def test_valid_path(self):
+        assert linear(4).has_path(Path("1", "4", ("a1", "a2", "a3")))
+
+    def test_unknown_arrow(self):
+        assert not linear(3).has_path(Path("1", "3", ("a1", "zz")))
+
+    def test_arrows_that_do_not_compose(self):
+        assert not linear(3).has_path(Path("1", "3", ("a2", "a1")))
+
+    @pytest.mark.parametrize("source, target", [("2", "2"), ("1", "3"), ("2", "1")])
+    def test_known_word_with_wrong_endpoints(self, source, target):
+        assert not linear(3).has_path(Path(source, target, ("a1",)))
+
+    def test_trivial_path_at_unknown_vertex(self):
+        assert not linear(3).has_path(Path("7", "7", ()))
+        assert linear(3).has_path(Path("2", "2", ()))
+
+    def test_trivial_path_with_different_ends(self):
+        assert not linear(3).has_path(Path("1", "2", ()))
+
+    @pytest.mark.parametrize("quiver", [linear(4), LOOP, CYCLE3, KRONECKER])
+    def test_every_enumerated_path(self, quiver):
+        assert all(quiver.has_path(p) for p in quiver.enumerate_paths(3))
+
+
+class TestValueSemantics:
+    """Arrow and Path are immutable values: equal and hashed by their fields."""
+
+    FIELDS = {Arrow: ("a", "1", "2"), Path: ("1", "3", ("a1", "a2"))}
+
+    @pytest.mark.parametrize("cls", [Arrow, Path])
+    def test_equal_fields_equal_objects(self, cls):
+        fields = self.FIELDS[cls]
+        assert cls(*fields) == cls(*fields)
+        assert hash(cls(*fields)) == hash(cls(*fields))
+        assert len({cls(*fields), cls(*fields)}) == 1
+
+    @pytest.mark.parametrize("cls", [Arrow, Path])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_any_changed_field_is_unequal(self, cls, position):
+        fields = list(self.FIELDS[cls])
+        original = cls(*fields)
+        fields[position] = ("b",) if isinstance(fields[position], tuple) else "9"
+        assert cls(*fields) != original and not cls(*fields) == original
+
+    def test_path_is_not_its_field_tuple(self):
+        fields = self.FIELDS[Path]
+        assert Path(*fields) != fields and fields != Path(*fields)
+        assert Path(*fields) not in {fields: 1}
+
+    def test_arrow_and_path_never_equal(self):
+        assert Arrow("1", "2", "3") != Path("1", "2", "3")
+        assert Path("1", "2", "3") != Arrow("1", "2", "3")
+
+    @pytest.mark.parametrize("cls", [Arrow, Path])
+    def test_fields_cannot_be_assigned(self, cls):
+        value = cls(*self.FIELDS[cls])
+        for name in value.__slots__ + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, "x")
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        assert value == cls(*self.FIELDS[cls])
+
+    @pytest.mark.parametrize("cls, text", [
+        (Arrow, "Arrow(name='a', source='1', target='2')"),
+        (Path, "Path(source='1', target='3', arrows=('a1', 'a2'))"),
+    ])
+    def test_repr_copy_and_pickle_follow_the_fields(self, cls, text):
+        value = cls(*self.FIELDS[cls])
+        assert repr(value) == text
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_str_and_order(self):
+        assert str(Path("1", "3", ("a1", "a2"))) == "a1*a2"
+        assert str(Path("2", "2", ())) == "e_2"
+        assert len(Path("1", "3", ("a1", "a2"))) == 2
+        assert Path("1", "3", ("a1", "a2")).sort_key() == (2, ("a1", "a2"))
+        assert Path("2", "2", ()).is_trivial and not Path("1", "2", ("a1",)).is_trivial
 
 
 class TestEnumeratePaths:
