@@ -287,7 +287,9 @@ def cmd_gen(args):
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ValidationError, so they exit 1 with one line, in
-    which each argument, or value after "=", echoed goes through shorten."""
+    which each argument, or value after "=", that is echoed and that
+    shorten cuts or escapes goes through shorten.  Other text stays as it
+    is, so an empty or blank argument does not rewrite the message."""
 
     def parse_known_args(self, args=None, namespace=None):
         self.arguments = sys.argv[1:] if args is None else list(args)
@@ -296,8 +298,9 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         echoes = {text for arg in self.arguments for text in (arg, arg.partition("=")[2])}
         for text in sorted(echoes, key=len, reverse=True):
-            message = message.replace(repr(text), shorten(text, repr))
-            message = message.replace(text, shorten(text))
+            if len(text) > 20 or not text.isprintable():
+                message = message.replace(repr(text), shorten(text, repr))
+                message = message.replace(text, shorten(text))
         raise ValidationError(f"{self.prog}: {message}")
 
 

@@ -54,12 +54,13 @@ def shorten(text, show=str):
     """text as an error message echoes it: show(text), or for more than 20
     characters show() of its first 20 followed by its length.  Text with a
     character that is not printable, a line break say, is shown by repr,
-    which escapes it, so the message stays one line.  Any other value (a
-    JSON list or object, say) is echoed as show(value), cut the same way
-    after 60 characters."""
+    which escapes it, so the message stays one line; so is empty text and
+    text with leading or trailing whitespace, so the reader sees where it
+    ends.  Any other value (a JSON list or object, say) is echoed as
+    show(value), cut the same way after 60 characters."""
     limit = 20
     if not isinstance(text, str):
         text, show, limit = show(text), str, 60
-    elif not text.isprintable():
+    elif not text.isprintable() or not text or text != text.strip():
         show = repr
     return show(text) if len(text) <= limit else f"{show(text[:limit])}... ({len(text)} characters)"

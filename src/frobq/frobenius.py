@@ -5,13 +5,14 @@ those values are forced into one block of the tensor square: every term
 u (x) v of the value at p satisfies source(u) = p and target(v) = p.  The
 solver emits one constraint row per arrow and tensor basis pair; the
 verifier below re-checks candidates against the full bimodule condition
-on every composable pair of basis paths that the candidate reaches (all
+on every composable pair of basis paths that some candidate reaches (all
 other pairs have zero on every side), using the algebra's full
 multiplication rather than arrows, so the cheap system is never trusted
-on its own.  Both take every product of basis paths from the algebra's
-int product table, over basis indices.  The verifier computes on exact
-int representatives: the product table and the candidate each scaled by
-the lcm of their denominators.
+on its own.  The solver's whole kernel basis is checked in one such
+walk.  Both take every product of basis paths from the algebra's int
+product table, over basis indices.  The verifier computes on exact int
+representatives: the product table and each candidate scaled by the lcm
+of their denominators.
 """
 
 from math import lcm
@@ -54,12 +55,16 @@ class TensorElement:
         return isinstance(other, TensorElement) and self.coefficients == other.coefficients
 
     def __str__(self):
+        return self._text(str)
+
+    def _text(self, show):
+        """The terms joined by " + ", each path written by show."""
         if self.is_zero:
             return "0"
         parts = []
         for (u, v), c in self.sorted_items():
             prefix = "" if c == self.field.one else f"{self.field.format(c)}*"
-            parts.append(f"{prefix}{u}(x){v}")
+            parts.append(f"{prefix}{show(u)}(x){show(v)}")
         return " + ".join(parts)
 
 
@@ -163,8 +168,9 @@ def frobenius_dimension(algebra: AlgebraBasis) -> int:
 def solve_frobenius_space(algebra: AlgebraBasis) -> list:
     """A basis of the space of all nearly Frobenius coproducts.
 
-    One verified CoproductCandidate per kernel vector of the constraint
-    system, so the length of the list is the dimension of the space.
+    One CoproductCandidate per kernel vector of the constraint system, so
+    the length of the list is the dimension of the space.  All of them
+    are verified together, in one walk over the product table.
     """
     matrix, legend = build_constraint_system(algebra)
     candidates = []
@@ -174,14 +180,12 @@ def solve_frobenius_space(algebra: AlgebraBasis) -> list:
             p, u, v = legend[col]
             tensor = values.setdefault(p, TensorElement(algebra.field))
             tensor.add_term(u, v, value)
-        candidate = CoproductCandidate(algebra, values)
-        ok, counterexample = verify_coproduct(algebra, candidate)
-        if not ok:
-            raise InternalFaultError(
-                "kernel vector failed independent verification at pair "
-                f"({counterexample.x}, {counterexample.y}); solver bug"
-            )
-        candidates.append(candidate)
+        candidates.append(CoproductCandidate(algebra, values))
+    if failure := _first_failure(algebra, candidates):
+        raise InternalFaultError(
+            "kernel vector failed independent verification at pair "
+            f"({failure[1].x}, {failure[1].y}); solver bug"
+        )
     return candidates
 
 
@@ -190,15 +194,15 @@ def _common_denominator(field, tensors):
     return lcm(*(field.denominator(c) for t in tensors for c in t.coefficients.values()))
 
 
-def _integer_terms(algebra, tensor, scale):
-    """{(index of u, index of v): scale * c as an int} for the terms of tensor."""
+def _integer_terms(algebra, tensor, scale, n):
+    """{(index of u, index of v, n): scale * c as an int} for the terms of tensor."""
     index, integer = algebra.index, algebra.field.integer
     terms = {}
     for (u, v), c in tensor.coefficients.items():
         j, l = index.get(u), index.get(v)
         if j is None or l is None:
             raise SupportViolationError(f"coproduct term {_term(u, v)} does not use basis paths")
-        terms[(j, l)] = integer(c, scale)
+        terms[(j, l, n)] = integer(c, scale)
     return terms
 
 
@@ -208,13 +212,15 @@ _EMPTY = {}
 def _delta(products, terms, reduce):
     """D(basis[i]) over basis indices, with its zero values dropped.
 
-    products is product_table[i] and terms the int terms of the value at
-    target(basis[i]); the result is scaled by the product of their scales.
+    products is product_table[i] and terms the int terms, keyed (index,
+    index, candidate), of the values at target(basis[i]); each
+    candidate's part of the result is scaled by the product of the
+    table's scale and its own.
     """
     out = {}
-    for (j, l), c in terms.items():
+    for (j, l, n), c in terms.items():
         for k, ck in products.get(j, _EMPTY).items():
-            key = (k, l)
+            key = (k, l, n)
             out[key] = out.get(key, 0) + c * ck
     return _reduced(out, reduce)
 
@@ -232,9 +238,9 @@ def extend_coproduct(candidate: CoproductCandidate, w: Path) -> TensorElement:
         raise ValidationError(f"foreign path: {w}")
     tensor = candidate.value_at(w.target)
     scale = _common_denominator(algebra.field, (tensor,))
-    terms = _delta(algebra.product_table[i], _integer_terms(algebra, tensor, scale),
+    terms = _delta(algebra.product_table[i], _integer_terms(algebra, tensor, scale, 0),
                    algebra.field.reduce)
-    return _tensor_of_indices(algebra, terms, scale * algebra.product_scale)
+    return _tensor_of_indices(algebra, terms, scale * algebra.product_scale, 0)
 
 
 class Counterexample:
@@ -248,20 +254,48 @@ class Counterexample:
         self.right_side = right_side
 
     def describe(self):
-        return (f"pair ({self.x}, {self.y}): value on product = {self.expected}, "
-                f"(left (x) 1) form = {self.left_side}, "
-                f"(1 (x) right) form = {self.right_side}")
+        """One line with every arrow and vertex name cut by shorten."""
+        return (f"pair ({_short(self.x)}, {_short(self.y)}): "
+                f"value on product = {self.expected._text(_short)}, "
+                f"(left (x) 1) form = {self.left_side._text(_short)}, "
+                f"(1 (x) right) form = {self.right_side._text(_short)}")
 
 
-def _tensor_of_indices(algebra, terms, scale):
-    """The TensorElement of int terms over basis indices that are scale times its coefficients."""
+def _short(path):
+    """str(path) with each arrow or vertex name cut by shorten."""
+    if path.is_trivial:
+        return f"e_{shorten(path.source)}"
+    return "*".join(map(shorten, path.arrows))
+
+
+def _tensor_of_indices(algebra, terms, scale, n):
+    """The TensorElement of candidate n whose coefficients times scale are
+    the int terms keyed (index, index, n)."""
     basis, scalar = algebra.basis, algebra.field.scalar
     return TensorElement(algebra.field, {(basis[a], basis[b]): scalar(c, scale)
-                                         for (a, b), c in terms.items()})
+                                         for (a, b, m), c in terms.items() if m == n})
 
 
 def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
     """Check the bimodule condition on every composable pair of basis paths.
+
+    This is the independent oracle: it does not share the arrow-only
+    shortcut of the constraint system.  Returns (True, None) or
+    (False, Counterexample) at the first failing pair.  Support
+    violations raise instead, since they make the candidate malformed
+    rather than merely non-Frobenius.  The walk is _first_failure's.
+    """
+    failure = _first_failure(algebra, [candidate])
+    return (True, None) if failure is None else (False, failure[1])
+
+
+def _first_failure(algebra: AlgebraBasis, candidates):
+    """(n, Counterexample) for the first of the candidates that fails, or None.
+
+    All candidates are checked in one walk.  Every int term is keyed
+    (basis index, basis index, candidate index n), so candidates never
+    mix: each side below is linear in the candidate, and its terms keyed
+    n are candidate n's side alone.
 
     For basis paths x, y the three sides are the value on the product,
     D(xy) = sum of c_b D(b) over the coordinates of xy, the left form
@@ -278,37 +312,44 @@ def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
       acts on the left leg only, so each right leg of D(x) ends at
       target(x) != source(y); hence (right leg) * y = 0.
 
-    Of the composable pairs, those the candidate does not reach are
-    skipped too.  Let S be the basis indices b with D(b) != 0.  A pair
-    with x, y outside S whose product xy has no coordinate in S has zero
-    on all three sides: D(xy) is a combination of D(b) over those
+    Of the composable pairs, those no candidate reaches are skipped too.
+    Let S be the basis indices b with D(b) != 0 for some candidate, the
+    union of the candidates' reach.  A pair with x, y outside S whose
+    product xy has no coordinate in S has zero on all three sides for
+    every candidate: D(xy) is a combination of D(b) over those
     coordinates, so it is 0; (x (x) 1) D(y) = 0 because D(y) = 0; and
     D(x) (1 (x) y) = 0 because D(x) = 0.  So the skip drops no check.
 
-    Pairs are visited in basis order of x, then of y, so the first failing
-    pair is the one a walk over all ordered pairs would find.  Products of
-    basis paths come from algebra.product_table, built once per algebra.
+    Pairs are visited in basis order of x, then of y, so a candidate's
+    first failing pair is the one a walk over all ordered pairs would
+    find.  Products of basis paths come from algebra.product_table,
+    built once per algebra.
 
     The scalars are exact ints.  Every side is linear in the candidate
     and of degree 2 in the product table, whose ints are product_scale
-    times its coordinates; with the candidate's coefficients scaled by
-    the lcm L of their denominators, every side is an int equal to
-    product_scale**2 * L times the true side (the scale is 1 over F_p).
-    So the sides agree exactly when their ints do, after field.reduce
-    over F_p; a Counterexample maps its sides back with field.scalar.
+    times its coordinates; with candidate n's coefficients scaled by the
+    lcm L_n of their denominators, its side is an int equal to
+    product_scale**2 * L_n times the true side (the scale is 1 over
+    F_p).  So the sides agree exactly when their ints do, after
+    field.reduce over F_p; a Counterexample maps its sides back with
+    field.scalar.
 
-    This is the independent oracle: it does not share the arrow-only
-    shortcut of the constraint system.  Returns (True, None) or
-    (False, Counterexample).  Support violations raise instead, since they
-    make the candidate malformed rather than merely non-Frobenius.
+    At the first pair where some candidate fails, n is the lowest such
+    candidate, failing there for the first time; the candidates before
+    it have passed every pair so far, so they are walked again alone.
     """
-    candidate.check_support()
+    if not candidates:
+        return None
     reduce = algebra.field.reduce
     basis = algebra.basis
     products = algebra.product_table
-    candidate_scale = _common_denominator(algebra.field, candidate.values.values())
-    values = {vertex: _integer_terms(algebra, tensor, candidate_scale)
-              for vertex, tensor in candidate.values.items()}
+    scales = []
+    values = {}
+    for n, candidate in enumerate(candidates):
+        candidate.check_support()
+        scales.append(_common_denominator(algebra.field, candidate.values.values()))
+        for vertex, tensor in candidate.values.items():
+            values.setdefault(vertex, {}).update(_integer_terms(algebra, tensor, scales[n], n))
     delta = [_delta(products[i], terms, reduce) if (terms := values.get(b.target)) else _EMPTY
              for i, b in enumerate(basis)]
 
@@ -324,33 +365,33 @@ def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
                     continue  # zero on all three sides, see above
             expected = {}
             for k, ck in coords.items():
-                for pair, c in delta[k].items():
-                    expected[pair] = expected.get(pair, 0) + ck * c
+                for key, c in delta[k].items():
+                    expected[key] = expected.get(key, 0) + ck * c
 
             left_side = {}
-            for (u, v), c in delta_y.items():
+            for (u, v, n), c in delta_y.items():
                 for z, cz in row[u].items():
-                    key = (z, v)
+                    key = (z, v, n)
                     left_side[key] = left_side.get(key, 0) + c * cz
 
             right_side = {}
-            for (u, v), c in delta_x.items():
+            for (u, v, n), c in delta_x.items():
                 for z, cz in products[v][j].items():
-                    key = (u, z)
+                    key = (u, z, n)
                     right_side[key] = right_side.get(key, 0) + c * cz
 
             if expected == left_side == right_side:
                 continue  # equal before reduction, so equal after it
-            expected = _reduced(expected, reduce)
-            left_side = _reduced(left_side, reduce)
-            right_side = _reduced(right_side, reduce)
-            if expected != left_side or expected != right_side:
-                scale = algebra.product_scale ** 2 * candidate_scale
-                return False, Counterexample(
-                    basis[i], basis[j], _tensor_of_indices(algebra, expected, scale),
-                    _tensor_of_indices(algebra, left_side, scale),
-                    _tensor_of_indices(algebra, right_side, scale))
-    return True, None
+            sides = [_reduced(side, reduce) for side in (expected, left_side, right_side)]
+            failing = [key[2] for key in sides[0].keys() | sides[1].keys() | sides[2].keys()
+                       if not sides[0].get(key) == sides[1].get(key) == sides[2].get(key)]
+            if failing:
+                n = min(failing)
+                scale = algebra.product_scale ** 2 * scales[n]
+                return _first_failure(algebra, candidates[:n]) or (n, Counterexample(
+                    basis[i], basis[j], *(_tensor_of_indices(algebra, side, scale, n)
+                                          for side in sides)))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,26 @@ class TestBadInput:
         assert out.startswith("SUPPORT VIOLATION: ") and out.count("\n") == 1
         assert len(out.encode()) < 200
 
+    def test_long_name_in_failed_line_is_shortened(self, capsys, tmp_path):
+        doc = tmp_path / "doc.qv"
+        doc.write_text("vertex 1 2\narrow " + LONG + " : 1 -> 2\n")
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([{"vertex": "2", "terms": [
+            {"left": {"e": "2"}, "right": [LONG], "coeff": "1"}]}]))
+        code, out, err = run(capsys, "verify", str(doc), "--coproduct", str(cand))
+        assert code == 4 and err == ""
+        assert out.startswith("FAILED: pair (e_1, ") and out.count("\n") == 1
+        assert len(out.encode()) < 1000
+
+    @pytest.mark.parametrize("name, shown", [(" ", "' '"), ("a1 ", "'a1 '")])
+    def test_blank_edged_name_is_quoted(self, capsys, tmp_path, diamond_file, name, shown):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([{"vertex": "0", "terms": [
+            {"left": [name], "right": {"e": "0"}, "coeff": "1"}]}]))
+        code, out, err = run(capsys, "verify", diamond_file, "--coproduct", str(cand))
+        self.assert_one_line_error(code, out, err)
+        assert err == f"error: unknown arrow: {shown}\n"
+
     @pytest.mark.parametrize("argv", [
         ["dim"],
         ["bogus"],

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from frobq.errors import SupportViolationError
+from frobq import frobenius
+from frobq.errors import InternalFaultError, SupportViolationError
 from frobq.families import gen_cycle, gen_linear, gen_random, gen_toupie
 from frobq.frobenius import (
     CoproductCandidate,
@@ -284,6 +285,30 @@ def test_support_forcing_matches_unrestricted():
         m1, l1 = build_constraint_system(algebra)
         m2, l2 = unrestricted_constraint_system(algebra)
         assert len(l1) - rank(m1) == len(l2) - rank(m2)
+
+
+def test_failing_kernel_vector_is_a_solver_bug(monkeypatch):
+    """A kernel vector that fails verification raises at its own first failing pair."""
+    algebra = algebra_of(gen_cycle(3, 3))
+    matrix, legend = build_constraint_system(algebra)
+    kernel_basis = frobenius.kernel_basis
+
+    def corrupted(matrix):
+        vectors = kernel_basis(matrix)
+        vectors[2][0] = vectors[2].get(0, 0) + 1
+        return vectors
+
+    values = {}
+    for col, value in corrupted(matrix)[2].items():
+        p, u, v = legend[col]
+        values.setdefault(p, TensorElement(algebra.field)).add_term(u, v, value)
+    ok, counterexample = verify_coproduct(algebra, CoproductCandidate(algebra, values))
+    assert not ok
+    monkeypatch.setattr(frobenius, "kernel_basis", corrupted)
+    with pytest.raises(InternalFaultError) as excinfo:
+        solve_frobenius_space(algebra)
+    assert str(excinfo.value) == ("kernel vector failed independent verification at pair "
+                                  f"({counterexample.x}, {counterexample.y}); solver bug")
 
 
 def in_span(vectors, candidate_vec, ncols):

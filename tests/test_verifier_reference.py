@@ -11,6 +11,11 @@ candidates draw non-integral coefficients and two instances have a
 product table with non-integral entries, so the int representatives that
 ``verify_coproduct`` computes on carry scales above 1.
 
+The solver checks a whole kernel basis in one walk, ``_first_failure``
+over a list of candidates.  It must report the same first failing
+candidate, and the same counterexample, as ``verify_coproduct`` called
+on each candidate in turn.
+
 The product table itself, which the verifier and the constraint build
 both read, is checked entry by entry against ``multiply``.
 """
@@ -35,6 +40,7 @@ from frobq.frobenius import (
     CoproductCandidate,
     Counterexample,
     TensorElement,
+    _first_failure,
     build_constraint_system,
     solve_frobenius_space,
     verify_coproduct,
@@ -220,6 +226,85 @@ def test_counterexample_sides_hold_field_scalars(instance, field_name):
                 assert type(value) is Fraction
             else:
                 assert type(value) is int and 0 <= value < 5
+
+
+def first_single_failure(algebra, candidates):
+    """(index, describe()) of the first candidate verify_coproduct fails, or None."""
+    for n, candidate in enumerate(candidates):
+        ok, counterexample = verify_coproduct(algebra, candidate)
+        if not ok:
+            return n, counterexample.describe()
+    return None
+
+
+def first_batch_failure(algebra, candidates):
+    failure = _first_failure(algebra, candidates)
+    return failure and (failure[0], failure[1].describe())
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("instance", INSTANCES)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(rng=st.randoms(use_true_random=False),
+       kinds=st.lists(st.sampled_from(KINDS), max_size=6))
+def test_batch_matches_single_walks(instance, field_name, rng, kinds):
+    """One walk over a list reports what a walk per candidate reports."""
+    algebra = solved(instance, field_name)[0]
+    candidates = [draw_candidate(instance, field_name, kind, rng)[1] for kind in kinds]
+    assert first_batch_failure(algebra, candidates) == first_single_failure(algebra, candidates)
+
+
+def test_batch_reports_an_earlier_candidate_that_fails_later():
+    """The first candidate is reported even when the second fails at an earlier pair."""
+    algebra = solved("cycle(3,3)", "Q")[0]
+    failing = []
+    for seed in range(20):
+        candidate = draw_candidate("cycle(3,3)", "Q", "perturbed", random.Random(seed))[1]
+        ok, counterexample = verify_coproduct(algebra, candidate)
+        if not ok:
+            failing.append((algebra.index[counterexample.x], candidate))
+    late, early = max(failing, key=lambda f: f[0]), min(failing, key=lambda f: f[0])
+    assert late[0] > early[0]
+    candidates = [late[1], early[1]]
+    assert first_batch_failure(algebra, candidates) == first_single_failure(algebra, candidates)
+    assert first_batch_failure(algebra, candidates)[0] == 0
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+def test_cancelling_candidates_both_fail(field_name):
+    """K1 + E and K2 - E each fail, though their sum K1 + K2 verifies.
+
+    A walk that let the terms of different candidates meet would see only
+    the sum and pass both.  K1, K2 and E have integral coefficients, so
+    every candidate carries the same scale.
+    """
+    algebra, legend, kernel = solved("cycle(3,3)", field_name)
+
+    def combination(*terms):
+        values = {}
+        for sign, candidate in terms:
+            for vertex, tensor in candidate.values.items():
+                total = values.setdefault(vertex, TensorElement(algebra.field))
+                for (u, v), c in tensor.coefficients.items():
+                    total.add_term(u, v, sign * c)
+        return CoproductCandidate(algebra, values)
+
+    p, u, v = legend[0]
+    error = CoproductCandidate(algebra, {p: TensorElement(algebra.field, {(u, v): 1})})
+    k1, k2 = kernel[:2]
+    assert {c for k in (k1, k2) for t in k.values.values() for c in t.coefficients.values()} \
+        <= {1, algebra.field.reduce(-1)}
+    candidates = [combination((1, k1), (1, error)), combination((1, k2), (-1, error))]
+    assert verify_coproduct(algebra, combination((1, k1), (1, k2)))[0]
+    assert first_single_failure(algebra, candidates)[0] == 0
+    assert first_single_failure(algebra, candidates[1:])[0] == 0
+    assert first_batch_failure(algebra, candidates) == first_single_failure(algebra, candidates)
+    assert first_batch_failure(algebra, candidates[1:]) == \
+        first_single_failure(algebra, candidates[1:])
+
+
+def test_empty_batch_reports_no_failure():
+    assert _first_failure(solved("cycle(3,3)", "Q")[0], []) is None
 
 
 def test_product_tables_with_denominators():
