@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .dsl import QuiverDocument, format_document, parse_document
 from .errors import (
@@ -69,6 +70,41 @@ def _load(path, field_flag):
     return parse_document(_read(path), field_override=_field_from_flag(field_flag))
 
 
+def _dumps(value, pad="\n"):
+    """The text json.dumps writes for value with an indent of 2, for str
+    dict keys.
+
+    An indent makes json fall back to its pure-Python encoder, so the two
+    containers are written here and strings by the C string encoder;
+    pad is a line break and the indent of value's own line.  Any other
+    leaf (None, a bool, a float) is written the same with or without
+    indent, so json.dumps writes it.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = pad + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_dumps(item, inner)}"
+                 for key, item in value.items()]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        if all(isinstance(item, str) for item in value):  # an arrow word
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = [_dumps(item, inner) for item in value]
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    # One f-string copies the joined items once; a chain of + copies them
+    # once per +, and the large copies raise the process's peak memory.
+    return f"{brackets[0]}{inner}{sep.join(items)}{pad}{brackets[1]}"
+
+
 def _emit(text, out=None):
     stream = sys.stdout if out is None else open(out, "w", encoding="utf-8")
     try:
@@ -91,7 +127,7 @@ def cmd_basis(args):
                         "paths": [path_to_json(p) for p in paths]}
                        for (source, target), paths in blocks],
         }
-        _emit(json.dumps(payload, indent=2) + "\n")
+        _emit(_dumps(payload) + "\n")
     else:
         lines = [f"dimension {algebra.dimension}", f"bound {algebra.bound}"]
         for (source, target), paths in blocks:
@@ -106,7 +142,7 @@ def cmd_dim(args):
     dimension = frobenius_dimension(algebra)
     if args.json:
         payload = {"schema": SCHEMA, "frobenius_dimension": dimension}
-        _emit(json.dumps(payload, indent=2) + "\n")
+        _emit(_dumps(payload) + "\n")
     else:
         _emit(f"{dimension}\n")
     return EXIT_OK
@@ -122,7 +158,7 @@ def cmd_space(args):
             "dimension": len(space),
             "candidates": [candidate_to_json(c) for c in space],
         }
-        _emit(json.dumps(payload, indent=2) + "\n")
+        _emit(_dumps(payload) + "\n")
     else:
         lines = [f"dimension {len(space)}"]
         for i, candidate in enumerate(space):
@@ -289,11 +325,20 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors raise ValidationError, so they exit 1 with one line, in
     which each argument, or value after "=", that is echoed and that
     shorten cuts or escapes goes through shorten.  Other text stays as it
-    is, so an empty or blank argument does not rewrite the message."""
+    is, so an empty or blank argument does not rewrite the message; the
+    unrecognized arguments, which parse_args has as a list, are each
+    shown by shorten, so a blank one is quoted."""
 
     def parse_known_args(self, args=None, namespace=None):
         self.arguments = sys.argv[1:] if args is None else list(args)
         return super().parse_known_args(args, namespace)
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            raise ValidationError(f"{self.prog}: unrecognized arguments: "
+                                  + " ".join(map(shorten, extras)))
+        return args
 
     def error(self, message):
         echoes = {text for arg in self.arguments for text in (arg, arg.partition("=")[2])}

@@ -37,7 +37,8 @@ class TensorElement:
 
     def add_term(self, u, v, value):
         key = (u, v)
-        new = self.field.reduce(self.coefficients.get(key, self.field.zero) + value)
+        old = self.coefficients.get(key)
+        new = self.field.reduce(value if old is None else old + value)
         if not new:
             self.coefficients.pop(key, None)
         else:
@@ -404,13 +405,18 @@ def path_to_json(path: Path):
     return list(path.arrows)
 
 
-def _path_from_json(data, quiver):
+def _path_from_json(data, quiver, words):
+    """The path data encodes.  words maps arrow words to the basis paths
+    they spell; any other word is built by quiver.path, which refuses an
+    unknown arrow or arrows that do not compose."""
     if isinstance(data, dict):
         if set(data) != {"e"} or not isinstance(data["e"], str):
             raise ValidationError(f"bad path encoding: {shorten(data, repr)}")
         return quiver.trivial_path(data["e"])
     if isinstance(data, list) and all(isinstance(s, str) for s in data):
-        return quiver.path(data)
+        word = tuple(data)
+        path = words.get(word)
+        return quiver.path(word) if path is None else path
     raise ValidationError(f"bad path encoding: {shorten(data, repr)}")
 
 
@@ -436,6 +442,7 @@ def candidate_from_json(data, algebra: AlgebraBasis) -> CoproductCandidate:
         data = data["coproduct"]
     if not isinstance(data, list):
         raise ValidationError("coproduct file must be a list of per-vertex objects")
+    words = {p.arrows: p for p in algebra.basis if p.arrows}
     values = {}
     for entry in data:
         if not isinstance(entry, dict):
@@ -453,8 +460,8 @@ def candidate_from_json(data, algebra: AlgebraBasis) -> CoproductCandidate:
                     f"term at vertex {shorten(vertex, repr)} must be an object with "
                     f"left, right and coeff: {shorten(term, repr)}"
                 )
-            u = _path_from_json(term["left"], algebra.quiver)
-            v = _path_from_json(term["right"], algebra.quiver)
+            u = _path_from_json(term["left"], algebra.quiver, words)
+            v = _path_from_json(term["right"], algebra.quiver, words)
             coeff = algebra.field.parse(str(term["coeff"]))
             tensor.add_term(u, v, coeff)
     return CoproductCandidate(algebra, values)

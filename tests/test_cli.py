@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frobq
 from frobq import cli
@@ -140,6 +141,23 @@ class TestCommands:
         code, out, _ = run(capsys, "space", str(doc), "--json")
         data = json.loads(out)
         assert code == 0 and data["dimension"] == 0 and data["candidates"] == []
+
+    # A word that is not a basis path is built by Quiver.path, so it fails
+    # as it would if no basis path were looked up first.
+    @pytest.mark.parametrize("word, code, out, err", [
+        (["a1", "a2"], 4,
+         "SUPPORT VIOLATION: coproduct term e_w(x)a1*a2 does not use basis paths\n", ""),
+        (["zz"], 1, "", "error: unknown arrow: zz\n"),
+        (["a1", "b2"], 1, "", "error: arrows do not compose: a1 ends at x, b2 starts at y\n"),
+    ], ids=["relation word", "unknown arrow", "not composable"])
+    def test_verify_word_outside_the_basis(self, capsys, tmp_path, diamond_file,
+                                           word, code, out, err):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([
+            {"vertex": "w", "terms": [{"left": {"e": "w"}, "right": word, "coeff": "1"}]}
+        ]))
+        assert run(capsys, "verify", diamond_file, "--coproduct", str(cand)) == \
+            (code, out, err)
 
     def test_verify_support_violation(self, capsys, tmp_path, diamond_file):
         cand = tmp_path / "cand.json"
@@ -379,6 +397,12 @@ class TestBadInput:
         self.assert_one_line_error(code, out, err)
         assert len(err.encode()) < 200
 
+    @pytest.mark.parametrize("arg, shown", [(" ", "' '"), ("", "''"), (" x", "' x'")])
+    def test_blank_unrecognized_argument_is_quoted(self, capsys, diamond_file, arg, shown):
+        code, out, err = run(capsys, "dim", diamond_file, arg)
+        self.assert_one_line_error(code, out, err)
+        assert err == f"error: frobq: unrecognized arguments: {shown}\n"
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
@@ -525,6 +549,46 @@ def test_cli_output_golden(capsys, tmp_path, document, command, expected_code, d
     code, out, err = run(capsys, subcommand, str(path), *options, *flags)
     assert (code, err) == (expected_code, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# JSON text with the characters json escapes: quotes, backslashes, control
+# characters, non-ASCII and astral characters, and a lone surrogate.
+JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800'
+                                              "\U0001f600"),
+                              st.characters()), max_size=8)
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_TEXT, st.integers(), st.integers(min_value=2 ** 64),
+              st.integers(max_value=-2 ** 64), st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(JSON_TEXT, max_size=4),
+                            st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+class TestJsonWriter:
+    """cli._dumps writes the bytes of json.dumps(value, indent=2)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [[], {}, [[]], {"a": {}}, ["a", 1, ["b"]], 2 ** 70,
+                                       -5, True, None, [False, "x"], 1.5])
+    def test_edge_values(self, value):
+        assert cli._dumps(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("gen, flags",
+                             [*GOLDEN_DOCUMENTS.values(), (["cycle", "12", "9"], [])],
+                             ids=[*GOLDEN_DOCUMENTS, "cycle-12-9"])
+    def test_cli_payloads(self, capsys, tmp_path, gen, flags):
+        code, doc, _ = run(capsys, "gen", *gen)
+        path = tmp_path / "doc.qv"
+        path.write_text(doc)
+        for command in ("basis", "dim", "space"):
+            code, out, _ = run(capsys, command, str(path), "--json", *flags)
+            payload = json.loads(out)
+            assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
+            assert cli._dumps(payload) == out[:-1]
 
 
 class TestRepeatedCalls:

@@ -416,6 +416,27 @@ def test_prime_field_dimensions_match_rationals():
         assert frobenius_dimension(compute_basis(q, ideal, PrimeField(p))) == 4
 
 
+@pytest.mark.parametrize("field, coeffs, total", [
+    (QQ, ("1/2", "-1/2"), None),
+    (QQ, ("1/2", "1/3"), Fraction(5, 6)),
+    (PrimeField(7), ("3", "4"), None),
+    (PrimeField(7), ("3", "5"), 1),
+    (PrimeField(7), ("7", "2"), 2),
+])
+def test_candidate_from_json_sums_repeated_terms(field, coeffs, total):
+    q, ideal = gen_toupie((2, 2), (), [(1, -1)])
+    algebra = compute_basis(q, ideal, field)
+    vertex = q.vertices[-1]
+    word = [q.in_arrows[vertex][0].name]
+    terms = [{"left": {"e": vertex}, "right": word, "coeff": c} for c in coeffs]
+    candidate = candidate_from_json([{"vertex": vertex, "terms": terms}], algebra)
+    key = (q.trivial_path(vertex), q.path(word))
+    if total is None:
+        assert candidate.values == {}
+    else:
+        assert candidate.values[vertex].coefficients == {key: total}
+
+
 def test_candidate_json_round_trip():
     q, ideal = gen_toupie((2, 2), (), [(1, -1)])
     algebra = compute_basis(q, ideal)

@@ -39,11 +39,11 @@ arrow b2 : y -> w
 relation a1*a2 - b1*b2 ;
 """
 
-# Run in a fresh interpreter; prints one JSON line.
-DIM_PROBE = """
+# Run in a fresh interpreter on a command line; prints one JSON line last.
+CLI_PROBE = """
 import json, sys
 from frobq import cli
-code = cli.main(["dim", sys.argv[1]])
+code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
@@ -75,11 +75,23 @@ def _fresh(probe, *args):
 def test_dim_imports_no_closed_forms_families_or_dataclasses(tmp_path):
     doc = tmp_path / "diamond.qv"
     doc.write_text(DIAMOND)
-    result = _fresh(DIM_PROBE, str(doc))
+    result = _fresh(CLI_PROBE, "dim", str(doc))
     assert result["code"] == 0
     loaded = set(result["modules"])
     assert "frobq.ideal" in loaded and "frobq.frobenius" in loaded
     assert not loaded & {"dataclasses", "frobq.closed_forms", "frobq.families"}
+
+
+def test_json_output_imports_nothing_dim_does_not(tmp_path):
+    # The --json writer uses json's C string encoder, which `import json`
+    # already loads, so writing JSON adds nothing to a cold start.
+    doc = tmp_path / "diamond.qv"
+    doc.write_text(DIAMOND)
+    dim = _fresh(CLI_PROBE, "dim", str(doc))
+    assert "json.encoder" in dim["modules"]
+    for command in ("space", "basis", "dim"):
+        result = _fresh(CLI_PROBE, command, str(doc), "--json")
+        assert result["code"] == 0 and result["modules"] == dim["modules"]
 
 
 def test_package_names_resolve_and_closed_forms_load_on_first_use():
