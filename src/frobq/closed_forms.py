@@ -352,7 +352,7 @@ def toupie_classify(quiver: Quiver, ideal: IdealSpec, field=QQ) -> ToupieClassif
     kills that branch path outright and therefore counts as a monomial
     relation on it.
     """
-    validate(quiver, ideal)
+    validate(quiver, ideal, field)
     source, sink, branches = _toupie_branches(quiver)
     t = len(branches)
     full = {b: i for i, b in enumerate(branches)}

@@ -6,8 +6,10 @@
     relation <term> { (+|-) <term> } ;     term := [<rational>] <arrow> { * <arrow> }
 
 `#` starts a comment.  Rationals are written `num` or `num/den`.  Every
-error carries the line and column it happened at.  parse(format(doc))
-reproduces the document exactly for documents in normalized form.
+error carries the line and column it happened at; one that no single
+token causes (a quiver that is not connected) points at 1:1.
+parse(format(doc)) reproduces the document exactly for documents in
+normalized form.
 """
 
 import re
@@ -62,7 +64,7 @@ def parse_document(text, field_override=None) -> QuiverDocument:
             for name, ln, c in rest:
                 if not _is_identifier(name):
                     raise ParseError(f"bad vertex identifier {name!r}", ln, c)
-                vertices.append(name)
+            vertices.extend(rest)
         elif head == "arrow":
             arrows.append(_parse_arrow(rest, lineno))
         elif head == "relation":
@@ -79,9 +81,17 @@ def parse_document(text, field_override=None) -> QuiverDocument:
         field = field_override
 
     try:
-        quiver = Quiver(vertices, arrows)
+        quiver = Quiver([v[0] for v in vertices], [[t[0] for t in a] for a in arrows])
     except ValidationError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+        # The token at fault; a fault of the whole quiver (not connected,
+        # no vertex) has none and points at 1:1.
+        if exc.at is None:
+            line, col = 1, 1
+        elif exc.at[0] == "vertex":
+            _, line, col = vertices[exc.at[1]]
+        else:
+            _, line, col = arrows[exc.at[1]][exc.at[2]]
+        raise ParseError(str(exc), line, col) from None
 
     generators = []
     for tokens, lineno in relations:
@@ -117,15 +127,16 @@ def _parse_field(tokens, lineno):
 
 
 def _parse_arrow(tokens, lineno):
+    """The name, source and target tokens of an arrow line."""
     texts = [t[0] for t in tokens]
     if len(texts) != 5 or texts[1] != ":" or texts[3] != "->":
         raise ParseError("arrow syntax is: arrow <id> : <vertex> -> <vertex>",
                          lineno, tokens[0][2] if tokens else 1)
-    name, source, target = texts[0], texts[2], texts[4]
-    for value, token in ((name, tokens[0]), (source, tokens[2]), (target, tokens[4])):
+    parts = (tokens[0], tokens[2], tokens[4])
+    for value, ln, col in parts:
         if not _is_identifier(value):
-            raise ParseError(f"bad identifier {value!r}", token[1], token[2])
-    return (name, source, target)
+            raise ParseError(f"bad identifier {value!r}", ln, col)
+    return parts
 
 
 def _parse_relation(tokens, lineno, quiver, field):

@@ -21,7 +21,17 @@ class ParseError(FrobqError):
 
 
 class ValidationError(FrobqError):
-    """Semantic error: malformed quiver, ideal, or coproduct data."""
+    """Semantic error: malformed quiver, ideal, or coproduct data.
+
+    at names the item a Quiver check found at fault, so that a parser can
+    point at its token: ("vertex", i) is the i-th vertex, a duplicate, and
+    ("arrow", i, k) the name (k = 0, a duplicate), source (1) or target
+    (2, an unknown vertex) of the i-th arrow.  None elsewhere.
+    """
+
+    def __init__(self, message, at=None):
+        super().__init__(message)
+        self.at = at
 
 
 class UnsupportedIdealRegimeError(FrobqError):

@@ -169,8 +169,8 @@ def gen_random(seed, vertex_bound, arrow_bound, regime):
     """
     if regime not in REGIMES:
         raise ValidationError(f"unknown regime {regime!r}; choose from {REGIMES}")
-    if vertex_bound < 1 or arrow_bound < 1:
-        raise ValidationError("bounds must be >= 1")
+    if vertex_bound < 2 or arrow_bound < 1:
+        raise ValidationError("vertex bound must be >= 2 and arrow bound >= 1")
     rng = random.Random(f"{regime}/{vertex_bound}/{arrow_bound}/{seed}")
     for _ in range(200):
         built = _try_random(rng, vertex_bound, arrow_bound, regime)
@@ -188,7 +188,7 @@ def gen_random(seed, vertex_bound, arrow_bound, regime):
 
 def _try_random(rng, vertex_bound, arrow_bound, regime):
     # the spanning tree alone uses n - 1 arrows, so n respects both bounds
-    n = rng.randint(2, max(2, min(vertex_bound, arrow_bound + 1)))
+    n = rng.randint(2, min(vertex_bound, arrow_bound + 1))
     vertices = [str(i) for i in range(1, n + 1)]
     acyclic = regime != "rsz"
     max_degree = 2 if regime == "string-quadratic" else None

@@ -5,8 +5,8 @@ builds anything, with one longest-walk pass (longest_surviving_walk).
 An acyclic quiver is finite outright, with bound its longest path + 1.
 A cyclic quiver is accepted only when the walks that avoid the monomial
 generators' words reach no cycle, with bound the longest such walk + 1.
-The basis is then computed by row-reducing a spanning set of the ideal
-inside the space of short paths, one (source, target) block at a time.
+The basis is then computed by one row reduction of a spanning set of the
+ideal inside the space of short paths; its pivots give every block.
 """
 
 from functools import cached_property
@@ -37,15 +37,15 @@ class IdealSpec:
         return [next(iter(g.terms)) for g in self.generators if g.is_monomial]
 
 
-def validate(quiver: Quiver, ideal: IdealSpec) -> IdealSpec:
+def validate(quiver: Quiver, ideal: IdealSpec, field=QQ) -> IdealSpec:
     """Check admissibility of the generator list.
 
-    Every generator must be nonzero, parallel (enforced by PathExpr),
-    supported on genuine paths of the quiver, and contained in the square
-    of the arrow ideal, i.e. all terms have length >= 2.
+    Every generator must be nonzero over field, parallel (enforced by
+    PathExpr), supported on genuine paths of the quiver, and contained in
+    the square of the arrow ideal, i.e. all terms have length >= 2.
     """
     for g in ideal.generators:
-        if g.is_zero:
+        if not any(map(field.coerce, g.terms.values())):
             raise ValidationError("zero generator in ideal")
         for path in g.terms:
             if not quiver.has_path(path):
@@ -205,29 +205,24 @@ class AlgebraBasis:
 
 
 def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
-    validate(quiver, ideal)
+    validate(quiver, ideal, field)
     bound = compute_bound(quiver, ideal)
-    paths = quiver.enumerate_paths(bound - 1)
-
-    # paths is in canonical order, so every block is too.  A nontrivial
-    # word fixes its path, so column maps it to the path's column in its
-    # block; the ideal's rows never hold a trivial path.
-    blocks_paths = {}
-    column = {}
+    # One column per path of length < bound, grouped by (source, target)
+    # block with a stable sort, so each block keeps the canonical order.  A
+    # nontrivial word fixes its path; the ideal's rows hold no trivial one.
+    paths = sorted(quiver.enumerate_paths(bound - 1), key=lambda p: (p.source, p.target))
+    column = {p.arrows: j for j, p in enumerate(paths)}
     by_target = {}
     by_source = {}
     for p in paths:
-        block = blocks_paths.setdefault((p.source, p.target), [])
-        column[p.arrows] = len(block)
-        block.append(p)
         by_target.setdefault(p.target, []).append(p)
         by_source.setdefault(p.source, []).append(p)
 
-    # Spanning rows of the ideal inside each block: u * g * v over the
-    # block's columns, with terms of length >= bound dropped (they are zero
-    # in the quotient by the certified bound).  The terms of g have distinct
-    # words, so those of u * g * v do too.
-    rows_by_block = {}
+    # Spanning rows of the ideal: u * g * v, with terms of length >= bound
+    # dropped (they are zero in the quotient by the certified bound).  The
+    # terms of g have distinct words, so those of u * g * v do too, and all
+    # run from source(u) to target(v): no row crosses a block.
+    rows = []
     for g in ideal.generators:
         terms = [(t.arrows, c) for t, coeff in g.terms.items() if (c := field.coerce(coeff))]
         min_len = min(map(len, g.terms))
@@ -240,29 +235,28 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
                     continue
                 row = {column[w]: c for t, c in terms if len(w := u.arrows + t + v.arrows) < bound}
                 if row:
-                    rows_by_block.setdefault((u.source, v.target), []).append(row)
+                    rows.append(row)
 
-    # Blocks in sorted (source, target) order leave the basis in
-    # (source, target, sort_key) order.
+    # Hence the matrix is block diagonal, and its unique RREF is that of
+    # each block.  The free columns, in order, are the basis in (source,
+    # target, sort_key) order; each pivot row rewrites its path over them.
+    reduced, pivots = rref(SparseMatrix(rows, len(paths), field))
+    pivot_set = set(pivots)
     basis = []
     blocks = {}
     table = {}
-    for key in sorted(blocks_paths):
-        block = blocks_paths[key]
-        matrix = SparseMatrix(rows_by_block.get(key, ()), len(block), field)
-        reduced, pivots = rref(matrix)
-        pivot_set = set(pivots)
-        index_of = {}           # block column -> basis index
-        for j, p in enumerate(block):
-            if j not in pivot_set:
-                index_of[j] = len(basis)
-                table[p.arrows or p.source] = {len(basis): field.one}
-                basis.append(p)
-        blocks[key] = tuple(block[j] for j in index_of)
-        for i, col in enumerate(pivots):
-            table[block[col].arrows] = {index_of[j]: field.reduce(-value)
-                                        for j, value in reduced.rows[i].items() if j != col}
-
+    index_of = {}               # column -> basis index
+    for j, p in enumerate(paths):
+        block = blocks.setdefault((p.source, p.target), [])
+        if j not in pivot_set:
+            index_of[j] = len(basis)
+            table[p.arrows or p.source] = {len(basis): field.one}
+            block.append(p)
+            basis.append(p)
+    for i, col in enumerate(pivots):
+        table[paths[col].arrows] = {index_of[j]: field.reduce(-value)
+                                    for j, value in reduced.rows[i].items() if j != col}
+    blocks = {key: tuple(block) for key, block in blocks.items()}
     algebra = AlgebraBasis(quiver, ideal, field, bound, tuple(basis), blocks, table)
     _closure_check(algebra)
     return algebra

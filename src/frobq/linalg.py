@@ -232,7 +232,7 @@ def rref(matrix: SparseMatrix):
     """Reduced row echelon form and its pivot columns.
 
     The rows come back with the pivot rows first, in pivot order, then
-    the zero rows.  A matrix with no nonzero row is returned at once.
+    the zero rows.
 
     Over Q the elimination first runs modulo the prime P on plain ints.
     Its RREF is lifted to fractions by rational reconstruction and
@@ -245,8 +245,6 @@ def rref(matrix: SparseMatrix):
     come from the `Fraction` elimination.
     """
     field = matrix.field
-    if not any(matrix.rows):
-        return SparseMatrix([{} for _ in matrix.rows], matrix.ncols, field), []
     result = _modular_rref(matrix) if isinstance(field, RationalField) else None
     if result is None:
         result = _eliminate([dict(row) for row in matrix.rows], matrix.ncols, field)

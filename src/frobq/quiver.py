@@ -97,25 +97,28 @@ class Quiver:
         vertices = tuple(vertices)
         arrows = tuple(Arrow(*a) if not isinstance(a, Arrow) else a for a in arrows)
         seen = set()
-        for v in vertices:
+        for i, v in enumerate(vertices):
             if not isinstance(v, str) or not v:
                 raise ValidationError(f"vertex identifier must be a non-empty string: {v!r}")
             if v in seen:
-                raise ValidationError(f"duplicate vertex identifier: {shorten(v)}")
+                raise ValidationError(f"duplicate vertex identifier: {shorten(v)}", ("vertex", i))
             seen.add(v)
         names = set()
-        for a in arrows:
+        for i, a in enumerate(arrows):
             if not isinstance(a.name, str) or not a.name:
                 raise ValidationError(f"arrow identifier must be a non-empty string: {a.name!r}")
             if a.name in names:
-                raise ValidationError(f"duplicate arrow identifier: {shorten(a.name)}")
+                raise ValidationError(f"duplicate arrow identifier: {shorten(a.name)}",
+                                      ("arrow", i, 0))
             names.add(a.name)
             if a.source not in seen:
                 raise ValidationError(
-                    f"arrow {shorten(a.name)}: unknown source vertex {shorten(a.source)}")
+                    f"arrow {shorten(a.name)}: unknown source vertex {shorten(a.source)}",
+                    ("arrow", i, 1))
             if a.target not in seen:
                 raise ValidationError(
-                    f"arrow {shorten(a.name)}: unknown target vertex {shorten(a.target)}")
+                    f"arrow {shorten(a.name)}: unknown target vertex {shorten(a.target)}",
+                    ("arrow", i, 2))
         self.vertices = vertices
         self.arrows = arrows
         self.arrow_by_name = {a.name: a for a in arrows}

@@ -254,6 +254,11 @@ class TestBadInput:
         argv = [diamond_file if a == "{doc}" else a for a in argv]
         self.assert_one_line_error(*run(capsys, *argv))
 
+    def test_random_vertex_bound_below_two(self, capsys):
+        code, out, err = run(capsys, "gen", "random", "1", "1", "1", "rsz")
+        self.assert_one_line_error(code, out, err)
+        assert err == "error: vertex bound must be >= 2 and arrow bound >= 1\n"
+
     @pytest.mark.parametrize("field_line, flags", [
         ("field F 5", []),
         ("field Q", ["--field", "F5"]),

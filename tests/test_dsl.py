@@ -86,10 +86,11 @@ def test_field_override():
 
 
 class TestErrors:
-    def assert_location(self, text, line, fragment):
+    def assert_location(self, text, line, fragment, column=None):
         with pytest.raises(ParseError) as excinfo:
             parse_document(text)
         assert excinfo.value.line == line
+        assert column is None or excinfo.value.column == column
         assert fragment in str(excinfo.value)
 
     def test_admissibility(self):
@@ -120,6 +121,24 @@ class TestErrors:
 
     def test_duplicate_field_line(self):
         self.assert_location("field Q\nfield Q\nvertex 1\n", 2, "duplicate")
+
+    # Quiver faults point at the token at fault, even when the vertices
+    # are declared after the arrows that use them.
+    def test_duplicate_vertex(self):
+        self.assert_location("field Q\nvertex 1 2\narrow a : 1 -> 2\nvertex 3 2\n",
+                             4, "4:10: duplicate vertex identifier: 2", column=10)
+
+    def test_duplicate_arrow(self):
+        self.assert_location("arrow a : 1 -> 2\n\n  arrow a : 2 -> 1\nvertex 1 2\n",
+                             3, "3:9: duplicate arrow identifier: a", column=9)
+
+    def test_unknown_source_vertex(self):
+        self.assert_location("field Q\narrow a : 1 -> 2\narrow b : x -> 2\nvertex 1 2\n",
+                             3, "3:11: arrow b: unknown source vertex x", column=11)
+
+    def test_unknown_target_vertex(self):
+        self.assert_location("field Q\nvertex 1 2\narrow a : 1 -> 2\narrow b : 2 -> 3\n",
+                             4, "4:16: arrow b: unknown target vertex 3", column=16)
 
     def test_disconnected_quiver(self):
         with pytest.raises(ParseError, match="not connected"):

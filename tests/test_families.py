@@ -168,6 +168,19 @@ class TestRandom:
         with pytest.raises(ValidationError):
             gen_random(1, 3, 3, "mystery")
 
+    # Every random quiver has at least two vertices, so a vertex bound
+    # below 2 cannot be kept.
+    @pytest.mark.parametrize("vertex_bound, arrow_bound", [(1, 1), (1, 5), (0, 3), (2, 0)])
+    def test_bounds_it_cannot_keep_rejected(self, vertex_bound, arrow_bound):
+        with pytest.raises(ValidationError, match="vertex bound must be >= 2"):
+            gen_random(1, vertex_bound, arrow_bound, "rsz")
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @pytest.mark.parametrize("vertex_bound, arrow_bound", [(2, 1), (2, 4), (3, 1)])
+    def test_small_bounds_are_kept(self, regime, vertex_bound, arrow_bound):
+        q, _ = gen_random(3, vertex_bound, arrow_bound, regime)
+        assert 2 <= len(q.vertices) <= vertex_bound and 1 <= len(q.arrows) <= arrow_bound
+
 
 def test_equal_branch_diamond_has_dimension_one():
     q, ideal = gen_toupie((3, 3), (), [(1, -1)])

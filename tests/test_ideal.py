@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobq.closed_forms import toupie_classify
 from frobq.errors import (
     InfiniteDimensionalError,
     UnsupportedIdealRegimeError,
@@ -68,6 +69,22 @@ class TestValidate:
         q, _ = gen_linear(3)
         with pytest.raises(ValidationError, match="zero generator"):
             validate(q, IdealSpec([PathExpr({})]))
+
+    # A generator whose every coefficient p divides is zero over F_p.  Taken
+    # as a monomial there, 5 a*b would certify a bound for the 2-cycle,
+    # whose quotient over F_5 is the infinite dimensional path algebra.
+    def test_generator_zero_in_the_field_rejected(self):
+        ideal = IdealSpec([PathExpr.from_path(CYCLE2.path(["a", "b"]), 5),
+                           PathExpr.from_path(CYCLE2.path(["b", "a"]), 5)])
+        assert compute_basis(CYCLE2, ideal, PrimeField(7)).dimension == 4
+        with pytest.raises(ValidationError, match="zero generator"):
+            validate(CYCLE2, ideal, PrimeField(5))
+        with pytest.raises(ValidationError, match="zero generator"):
+            compute_basis(CYCLE2, ideal, PrimeField(5))
+        q, ideal = gen_toupie((2, 2), (), [(7, 0)])
+        assert validate(q, ideal, PrimeField(5)) is ideal
+        with pytest.raises(ValidationError, match="zero generator"):
+            toupie_classify(q, ideal, PrimeField(7))
 
 
 def monomial_finiteness_check(quiver, monomial_gens):

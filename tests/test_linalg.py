@@ -46,10 +46,16 @@ class TestRref:
         reduced, pivots = rref(m)
         assert reduced == m and pivots == [0]
 
-    def test_zero_matrix(self):
-        m = SparseMatrix([{}, {}], 3)
+    # No row, or only empty rows: nothing to eliminate, every column free.
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    @pytest.mark.parametrize("nrows, ncols", [(0, 1), (0, 4), (1, 1), (2, 3), (3, 465)])
+    def test_zero_matrix(self, field, nrows, ncols):
+        m = SparseMatrix([{} for _ in range(nrows)], ncols, field)
         reduced, pivots = rref(m)
+        assert reduced.nrows == m.nrows and reduced.ncols == ncols
         assert reduced.entries == {} and pivots == []
+        assert rank(m) == 0
+        assert kernel_basis(m) == [{j: field.one} for j in range(ncols)]
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
     def test_float_entry_rejected(self, field):
