@@ -246,7 +246,11 @@ def _parse_term(tokens, position, quiver, field, lineno):
 
 
 def format_document(doc: QuiverDocument) -> str:
-    """Normalized text form; parse(format(doc)) reproduces doc."""
+    """Normalized text form; parse(format(doc)) reproduces doc, whose names must be identifiers."""
+    for kind, names in (("vertex", doc.quiver.vertices), ("arrow", doc.quiver.arrow_by_name)):
+        for name in names:
+            if not _is_identifier(name):
+                raise ValidationError(f"{kind} name {shorten(name, repr)} is not an identifier")
     lines = []
     if isinstance(doc.field, PrimeField):
         lines.append(f"field F {doc.field.p}")

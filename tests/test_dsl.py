@@ -10,7 +10,9 @@ from frobq.families import (
     gen_random,
     gen_toupie,
 )
+from frobq.ideal import IdealSpec
 from frobq.linalg import QQ, PrimeField
+from frobq.quiver import Quiver
 
 
 def test_minimal_document():
@@ -192,3 +194,18 @@ def test_prime_field_document_of_rational_ideal(built, relation):
     text = format_document(doc)
     assert text.startswith("field F 5\n") and relation in text.splitlines()
     assert format_document(parse_document(text)) == text
+
+
+# Quiver takes any non-empty name, but the language reads only
+# [A-Za-z0-9_.]+: "0,0" would not parse, "a b" would parse as two
+# vertices and "x#" as the vertex x followed by a comment.
+@pytest.mark.parametrize("vertices, arrows, message", [
+    (["0,0"], [], "vertex name '0,0' is not an identifier"),
+    (["a b"], [], "vertex name 'a b' is not an identifier"),
+    (["x#"], [], "vertex name 'x#' is not an identifier"),
+    (["1", "2"], [("a b", "1", "2")], "arrow name 'a b' is not an identifier"),
+], ids=["comma", "space", "hash", "arrow"])
+def test_format_refuses_names_the_language_cannot_read(vertices, arrows, message):
+    doc = QuiverDocument(Quiver(vertices, arrows), IdealSpec([]), QQ)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        format_document(doc)

@@ -1,7 +1,8 @@
 import itertools
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobq.closed_forms import toupie_classify
 from frobq.errors import (
@@ -10,8 +11,10 @@ from frobq.errors import (
     ValidationError,
 )
 from frobq.families import (
+    REGIMES,
     CanonicalSpec,
     gen_canonical,
+    gen_cycle,
     gen_linear,
     gen_radical_square_zero,
     gen_random,
@@ -29,6 +32,7 @@ from frobq.linalg import QQ, PrimeField
 from frobq.quiver import Path, PathExpr, Quiver
 
 from algebra_ops import coords_of, multiply, reduce, unit
+from strategies import has_zero_generator, mixed_algebras
 
 
 def mono(q, names):
@@ -212,6 +216,56 @@ def test_bound_matches_brute_force(instance):
     avoided = words if cyclic else []
     assert surviving_path_exists(quiver, avoided, bound - 1)
     assert not surviving_path_exists(quiver, avoided, bound)
+
+
+FIXED_INSTANCES = [
+    (*gen_cycle(3, 2), QQ),
+    (*gen_cycle(4, 5), PrimeField(3)),
+    (*gen_linear(5, [(1, 3), (3, 2)]), QQ),
+    (*gen_canonical(CanonicalSpec((2, 3, 4), (Fraction(1, 2),))), PrimeField(5)),
+    (*gen_toupie((2, 3, 3), [(2, 1, 2)], [(1, -1, 2)]), QQ),
+]
+
+# (quiver, ideal, field) from the four sources; monomial_instances may be
+# infinite dimensional and mixed_algebras may hold a generator zero in the field.
+closure_instances = st.one_of(
+    monomial_instances().map(lambda drawn: (*drawn, QQ)),
+    st.builds(lambda seed, regime, field: (*gen_random(seed, 6, 8, regime), field),
+              st.integers(0, 10 ** 6), st.sampled_from(REGIMES),
+              st.sampled_from((QQ, PrimeField(2), PrimeField(3)))),
+    mixed_algebras().map(lambda drawn: drawn[:3]),
+    st.sampled_from(FIXED_INSTANCES),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(instance=closure_instances)
+def test_bound_closes_the_table(instance):
+    """The certified bound agrees with the table that compute_basis builds on it.
+
+    (a) Every path shorter than the bound that contains a monomial
+    generator's word is zero.  (b) Every basis path extended by one arrow
+    on either side to the bound's length contains such a word; on an
+    acyclic quiver no such extension exists.
+    """
+    quiver, ideal, field = instance
+    assume(not has_zero_generator(ideal, field))
+    try:
+        algebra = compute_basis(quiver, ideal, field)
+    except InfiniteDimensionalError:
+        return
+    words = [p.arrows for p in ideal.monomial_paths()]
+    for word, coords in algebra.table.items():
+        # Vertex names key the trivial paths, which contain no word.
+        if type(word) is tuple and has_subword(word, words):
+            assert coords == {}, word
+    acyclic = longest_surviving_walk(quiver, ()) is not None
+    for b in algebra.basis:
+        extended = [b.arrows + (a.name,) for a in quiver.out_arrows[b.target]]
+        extended += [(a.name,) + b.arrows for a in quiver.in_arrows[b.source]]
+        for word in extended:
+            if len(word) == algebra.bound:
+                assert not acyclic and has_subword(word, words), word
 
 
 def survivors(quiver, generator_paths, max_len):

@@ -1,23 +1,30 @@
 """Invariants the mathematics guarantees, checked on seeded random algebras.
 
-Instances come from `families.gen_random` over all three regimes; every
-one of them has a monomial ideal.  Relabelling vertices and arrows is an
-isomorphism, the opposite algebra has an isomorphic coproduct space (flip
-the two tensor legs), and over F_p the constraint matrix of a monomial
-ideal is the integer matrix over Q reduced mod p, so its rank can only
-drop and the space can only grow.
+Instances come from `families.gen_random` over all three regimes, whose
+ideals are monomial with coefficient 1, and from
+`strategies.mixed_algebras`, whose ideals are not, in the drawn field.
+Relabelling vertices and arrows is an isomorphism, and the opposite
+algebra has an isomorphic coproduct space (flip the two tensor legs).
+Over F_p the constraint matrix of a monomial ideal is the integer matrix
+over Q reduced mod p, so its rank can only drop and the space can only
+grow; as every row is e_i - e_j or +-e_i, the rank does not drop at all.
 """
 
 import random
+import re
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from frobq.dsl import QuiverDocument, format_document, parse_document
+from frobq.errors import ValidationError
 from frobq.families import REGIMES, gen_random
 from frobq.frobenius import frobenius_dimension
 from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import Path, PathExpr, Quiver
+
+from strategies import has_zero_generator, mixed_algebras
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -25,6 +32,14 @@ PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
 # seed, vertex bound, arrow bound, regime
 instances = st.builds(gen_random, st.integers(0, 10 ** 6), st.just(6), st.just(8),
                       st.sampled_from(REGIMES))
+
+
+def nonzero_mixed(drawn):
+    """(quiver, ideal, field) of a mixed draw; a draw with a generator that
+    is zero in the field is skipped."""
+    quiver, ideal, field, _ = drawn
+    assume(not has_zero_generator(ideal, field))
+    return quiver, ideal, field
 
 
 def rebuilt(quiver, ideal, vertex, arrow, reverse=False):
@@ -51,10 +66,7 @@ def assert_canonical_order(algebra):
         assert list(block) == sorted(block, key=Path.sort_key)
 
 
-@PROPERTY_SETTINGS
-@given(instance=instances, shuffle_seed=st.integers(0, 10 ** 6))
-def test_relabelling_keeps_dimensions(instance, shuffle_seed):
-    quiver, ideal = instance
+def assert_relabelling_keeps_dimensions(quiver, ideal, field, shuffle_seed):
     rng = random.Random(shuffle_seed)
     # From 9 up, so that "10" sorts before "9" as a string.
     vertex_names = [str(9 + i) for i in range(len(quiver.vertices))]
@@ -63,30 +75,68 @@ def test_relabelling_keeps_dimensions(instance, shuffle_seed):
     rng.shuffle(arrow_names)
     relabelled = rebuilt(quiver, ideal, dict(zip(quiver.vertices, vertex_names)),
                          {a.name: new for a, new in zip(quiver.arrows, arrow_names)})
-    algebra = compute_basis(quiver, ideal)
-    image = compute_basis(*relabelled)
+    algebra = compute_basis(quiver, ideal, field)
+    image = compute_basis(*relabelled, field)
     assert_canonical_order(algebra)
     assert_canonical_order(image)
     assert image.dimension == algebra.dimension
     assert frobenius_dimension(image) == frobenius_dimension(algebra)
 
 
-@PROPERTY_SETTINGS
-@given(instance=instances)
-def test_opposite_algebra_keeps_frobenius_dimension(instance):
-    quiver, ideal = instance
+def assert_opposite_keeps_frobenius_dimension(quiver, ideal, field):
     same_vertex = {v: v for v in quiver.vertices}
     same_arrow = {a.name: a.name for a in quiver.arrows}
     opposite = rebuilt(quiver, ideal, same_vertex, same_arrow, reverse=True)
-    assert frobenius_dimension(compute_basis(*opposite)) == \
-        frobenius_dimension(compute_basis(quiver, ideal))
+    assert frobenius_dimension(compute_basis(*opposite, field)) == \
+        frobenius_dimension(compute_basis(quiver, ideal, field))
+
+
+def assert_format_parse_format_is_a_fixed_point(quiver, ideal, field):
+    text = format_document(QuiverDocument(quiver, ideal, field))
+    assert format_document(parse_document(text)) == text
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances, shuffle_seed=st.integers(0, 10 ** 6))
+def test_relabelling_keeps_dimensions(instance, shuffle_seed):
+    assert_relabelling_keeps_dimensions(*instance, QQ, shuffle_seed)
+
+
+@PROPERTY_SETTINGS
+@given(drawn=mixed_algebras(), shuffle_seed=st.integers(0, 10 ** 6))
+def test_relabelling_keeps_dimensions_of_mixed_algebras(drawn, shuffle_seed):
+    assert_relabelling_keeps_dimensions(*nonzero_mixed(drawn), shuffle_seed)
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances)
+def test_opposite_algebra_keeps_frobenius_dimension(instance):
+    assert_opposite_keeps_frobenius_dimension(*instance, QQ)
+
+
+@PROPERTY_SETTINGS
+@given(drawn=mixed_algebras())
+def test_opposite_mixed_algebra_keeps_frobenius_dimension(drawn):
+    assert_opposite_keeps_frobenius_dimension(*nonzero_mixed(drawn))
 
 
 @PROPERTY_SETTINGS
 @given(instance=instances)
 def test_format_parse_format_is_a_fixed_point(instance):
-    text = format_document(QuiverDocument(*instance, QQ))
-    assert format_document(parse_document(text)) == text
+    assert_format_parse_format_is_a_fixed_point(*instance, QQ)
+
+
+@PROPERTY_SETTINGS
+@given(drawn=mixed_algebras())
+def test_format_parse_format_of_mixed_algebras_is_a_fixed_point(drawn):
+    quiver, ideal, field = nonzero_mixed(drawn)
+    # The grids' vertices are named "i,j", which the language cannot read.
+    names = [*quiver.vertices, *quiver.arrow_by_name]
+    if all(re.fullmatch(r"[A-Za-z0-9_.]+", name) for name in names):
+        assert_format_parse_format_is_a_fixed_point(quiver, ideal, field)
+    else:
+        with pytest.raises(ValidationError, match="is not an identifier"):
+            format_document(QuiverDocument(quiver, ideal, field))
 
 
 @PROPERTY_SETTINGS
@@ -95,3 +145,12 @@ def test_prime_field_dimension_at_least_rational(instance, p):
     quiver, ideal = instance
     assert frobenius_dimension(compute_basis(quiver, ideal, PrimeField(p))) >= \
         frobenius_dimension(compute_basis(quiver, ideal))
+
+
+@PROPERTY_SETTINGS
+@given(instance=instances)
+def test_monomial_dimension_is_field_independent(instance):
+    quiver, ideal = instance
+    rational = frobenius_dimension(compute_basis(quiver, ideal))
+    for p in (2, 3, 5):
+        assert frobenius_dimension(compute_basis(quiver, ideal, PrimeField(p))) == rational
