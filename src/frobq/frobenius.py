@@ -13,13 +13,22 @@ walk.  Both take every product of basis paths from the algebra's int
 product table, over basis indices.  The verifier computes on exact int
 representatives: the product table and each candidate scaled by the lcm
 of their denominators.
+
+Only a non-monomial ideal's system is built and row-reduced: over a
+monomial ideal each product of basis paths is one basis path or zero, so
+every row is e_i - e_j or +-e_i, and the kernel is spanned by the
+indicator vectors of the components of the graph joining the columns of
+each two-entry row that hold no one-entry row.  These are exactly
+kernel_basis's vectors, because the RREF is unique and a component's one
+column relation has all coefficients equal, so the elimination leaves its
+largest column free and makes every other one a pivot.
 """
 
 from math import lcm
 
 from .errors import InternalFaultError, SupportViolationError, ValidationError, shorten
 from .ideal import AlgebraBasis
-from .linalg import SparseMatrix, kernel_basis, rank
+from .linalg import SparseMatrix, kernel_basis
 from .quiver import Path
 
 
@@ -109,25 +118,14 @@ def _reduced(terms, reduce):
     return {key: r for key, value in terms.items() if (r := reduce(value))}
 
 
-def build_constraint_system(algebra: AlgebraBasis):
-    """The linear system whose kernel is the Frobenius space.
+def _columns(algebra: AlgebraBasis):
+    """The legend, one column per (p, u, v) with source(u) = target(v) = p,
+    and {p: [(column, index of u, index of v)]}.
 
-    Unknowns are the coefficients of each candidate value at each vertex,
-    one column per (p, u, v) with source(u) = target(v) = p: the support
-    condition is imposed structurally, so only arrow constraints remain.
-    The legend lists the columns vertex by vertex, with u and then v in
-    sort_key order, so each vertex owns one contiguous range of columns.
-
-    An arrow a: p -> q gives one row per tensor pair of basis indices in
-    (a (x) 1) D(e_q) - D(e_p) (1 (x) a).  The products a * u and v * a
-    come from algebra.product_table, the table the verifier reads; a is
-    a basis path, since every generator term has length >= 2.  Over Q
-    those ints are product_scale times the true coordinates, so the
-    matrix is product_scale times the true one, which has the same RREF
-    and kernel.  Neither depends on the order of the rows, so the rows
-    stay in the order they are built.
+    The columns run vertex by vertex, with u and then v in sort_key
+    order, so each vertex owns one contiguous range of columns.
     """
-    basis, products = algebra.basis, algebra.product_table
+    basis = algebra.basis
     by_source = {}
     by_target = {}
     for i in sorted(range(len(basis)), key=lambda i: basis[i].sort_key()):
@@ -141,7 +139,28 @@ def build_constraint_system(algebra: AlgebraBasis):
             for v in by_target[p]:
                 columns[p].append((len(legend), u, v))
                 legend.append((p, basis[u], basis[v]))
+    return legend, columns
 
+
+def build_constraint_system(algebra: AlgebraBasis):
+    """The linear system whose kernel is the Frobenius space.
+
+    Unknowns are the coefficients of each candidate value at each vertex,
+    one column per (p, u, v) with source(u) = target(v) = p, laid out by
+    _columns: the support condition is imposed structurally, so only
+    arrow constraints remain.
+
+    An arrow a: p -> q gives one row per tensor pair of basis indices in
+    (a (x) 1) D(e_q) - D(e_p) (1 (x) a).  The products a * u and v * a
+    come from algebra.product_table, the table the verifier reads; a is
+    a basis path, since every generator term has length >= 2.  Over Q
+    those ints are product_scale times the true coordinates, so the
+    matrix is product_scale times the true one, which has the same RREF
+    and kernel.  Neither depends on the order of the rows, so the rows
+    stay in the order they are built.
+    """
+    products = algebra.product_table
+    legend, columns = _columns(algebra)
     rows = []
     for arrow in algebra.quiver.arrows:
         p, q = arrow.source, arrow.target
@@ -161,9 +180,57 @@ def build_constraint_system(algebra: AlgebraBasis):
     return matrix, legend
 
 
-def frobenius_dimension(algebra: AlgebraBasis) -> int:
+def _monomial_kernel(algebra: AlgebraBasis):
+    """(legend, kernel_basis) of a monomial ideal's constraint system, by
+    union-find over the columns (the module docstring says why).
+
+    Each row (w, v) of an arrow a: p -> q holds at most the column
+    (q, u, v) with a * u = w and the column (p, w, v') with v' * a = v.
+    It joins the two, or the one it holds to the node ncols, for zero.
+    """
+    products = algebra.product_table
+    legend, columns = _columns(algebra)
+    ncols = len(legend)
+    parent = list(range(ncols + 1))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    for arrow in algebra.quiver.arrows:
+        p, q = arrow.source, arrow.target
+        a = algebra.index[Path(p, q, (arrow.name,))]
+        left = {(w, v): col for col, u, v in columns[q] for w in products[a][u]}
+        for col, u, v in columns[p]:
+            for z in products[v][a]:
+                parent[find(col)] = find(left.pop((u, z), ncols))
+        for col in left.values():
+            parent[find(col)] = find(ncols)
+    components = {}
+    for c in range(ncols + 1):
+        components.setdefault(find(c), []).append(c)
+    del components[find(ncols)]
+    live = sorted(components.values(), key=lambda cols: cols[-1])
+    return legend, [dict.fromkeys(cols, algebra.field.one) for cols in live]
+
+
+def _kernel(algebra: AlgebraBasis):
+    """(legend, kernel_basis of the constraint system); only a non-monomial
+    ideal builds the rows and row-reduces them."""
+    if algebra.ideal.is_monomial:
+        return _monomial_kernel(algebra)
     matrix, legend = build_constraint_system(algebra)
-    return len(legend) - rank(matrix)
+    return legend, kernel_basis(matrix)
+
+
+def frobenius_dimension(algebra: AlgebraBasis) -> int:
+    """The dimension of the space of nearly Frobenius coproducts.
+
+    The number of kernel vectors solve_frobenius_space would turn into
+    candidates; none of them is verified here.
+    """
+    return len(_kernel(algebra)[1])
 
 
 def solve_frobenius_space(algebra: AlgebraBasis) -> list:
@@ -173,9 +240,9 @@ def solve_frobenius_space(algebra: AlgebraBasis) -> list:
     the length of the list is the dimension of the space.  All of them
     are verified together, in one walk over the product table.
     """
-    matrix, legend = build_constraint_system(algebra)
+    legend, vectors = _kernel(algebra)
     candidates = []
-    for vec in kernel_basis(matrix):
+    for vec in vectors:
         values = {}
         for col, value in vec.items():
             p, u, v = legend[col]

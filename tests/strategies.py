@@ -1,21 +1,24 @@
-"""Hypothesis strategies for bound quivers with non-monomial ideals.
+"""Hypothesis strategies for bound quivers.
 
-`mixed_algebras` draws toupies with monomial and linear relations,
-canonical algebras with rational lambdas and grids of (possibly scaled)
-commutativity squares, over Q, F_5 and F_7, with coefficients that p may
-divide, so a generator can be zero in the drawn field.
+`random_algebras` draws `families.gen_random` instances, whose ideals are
+monomial, over Q, F_2, F_3 and F_5.  `mixed_algebras` draws toupies with
+monomial and linear relations, canonical algebras with rational lambdas
+and grids of (possibly scaled) commutativity squares, over Q, F_5 and
+F_7, with coefficients that p may divide, so a generator can be zero in
+the drawn field.
 """
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from frobq.families import CanonicalSpec, gen_canonical, gen_toupie
+from frobq.families import REGIMES, CanonicalSpec, gen_canonical, gen_random, gen_toupie
 from frobq.ideal import IdealSpec
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import PathExpr, Quiver
 
 FIELDS = (QQ, PrimeField(5), PrimeField(7))
+MONOMIAL_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(5))
 
 # Nonzero over Q; 5, 7 and their multiples vanish over F_5 or F_7.
 coefficients = st.one_of(st.integers(-3, 3).filter(bool),
@@ -63,6 +66,13 @@ def square_grids(draw):
                 generators.append(PathExpr({q.path([f"h{i}{j}", f"v{i}{j + 1}"]): 1,
                                             q.path([f"v{i}{j}", f"h{i + 1}{j}"]): -c}))
     return q, IdealSpec(generators)
+
+
+def random_algebras():
+    """(quiver, ideal, field): gen_random(seed, 6, 8, regime) over a drawn field."""
+    return st.builds(lambda seed, regime, field: (*gen_random(seed, 6, 8, regime), field),
+                     st.integers(0, 10 ** 6), st.sampled_from(REGIMES),
+                     st.sampled_from(MONOMIAL_FIELDS))
 
 
 def mixed_algebras():

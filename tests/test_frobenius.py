@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from frobq import frobenius
 from frobq.errors import InternalFaultError, SupportViolationError
@@ -19,10 +20,11 @@ from frobq.frobenius import (
     verify_coproduct,
 )
 from frobq.ideal import IdealSpec, compute_basis
-from frobq.linalg import QQ, PrimeField, SparseMatrix, rank
+from frobq.linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank
 from frobq.quiver import Path, PathExpr, Quiver
 
 from algebra_ops import coefficient_vector, compose, coords_of, multiply
+from strategies import has_zero_generator, mixed_algebras, random_algebras
 
 
 def mono(q, names):
@@ -287,9 +289,29 @@ def test_support_forcing_matches_unrestricted():
         assert len(l1) - rank(m1) == len(l2) - rank(m2)
 
 
+def assert_solver_bug_at_first_failing_pair(monkeypatch, algebra, name, corrupted, legend,
+                                            vector):
+    """With frobenius.<name> replaced by corrupted, which feeds the solver
+    vector, solve_frobenius_space raises at the vector's first failing pair."""
+    values = {}
+    for col, value in vector.items():
+        p, u, v = legend[col]
+        values.setdefault(p, TensorElement(algebra.field)).add_term(u, v, value)
+    ok, counterexample = verify_coproduct(algebra, CoproductCandidate(algebra, values))
+    assert not ok
+    monkeypatch.setattr(frobenius, name, corrupted)
+    with pytest.raises(InternalFaultError) as excinfo:
+        solve_frobenius_space(algebra)
+    assert str(excinfo.value) == ("kernel vector failed independent verification at pair "
+                                  f"({counterexample.x}, {counterexample.y}); solver bug")
+
+
 def test_failing_kernel_vector_is_a_solver_bug(monkeypatch):
-    """A kernel vector that fails verification raises at its own first failing pair."""
-    algebra = algebra_of(gen_cycle(3, 3))
+    """A kernel vector that fails verification raises at its own first failing pair.
+
+    The toupie's ideal is not monomial, so kernel_basis feeds the solver.
+    """
+    algebra = algebra_of(gen_toupie((3, 3), [(1, 1, 2)], [(1, -2)]))
     matrix, legend = build_constraint_system(algebra)
     kernel_basis = frobenius.kernel_basis
 
@@ -298,23 +320,47 @@ def test_failing_kernel_vector_is_a_solver_bug(monkeypatch):
         vectors[2][0] = vectors[2].get(0, 0) + 1
         return vectors
 
-    values = {}
-    for col, value in corrupted(matrix)[2].items():
-        p, u, v = legend[col]
-        values.setdefault(p, TensorElement(algebra.field)).add_term(u, v, value)
-    ok, counterexample = verify_coproduct(algebra, CoproductCandidate(algebra, values))
-    assert not ok
-    monkeypatch.setattr(frobenius, "kernel_basis", corrupted)
-    with pytest.raises(InternalFaultError) as excinfo:
-        solve_frobenius_space(algebra)
-    assert str(excinfo.value) == ("kernel vector failed independent verification at pair "
-                                  f"({counterexample.x}, {counterexample.y}); solver bug")
+    assert_solver_bug_at_first_failing_pair(monkeypatch, algebra, "kernel_basis", corrupted,
+                                            legend, corrupted(matrix)[2])
+
+
+def test_failing_monomial_kernel_vector_is_a_solver_bug(monkeypatch):
+    """The same on a monomial ideal, whose kernel comes from the union-find."""
+    algebra = algebra_of(gen_cycle(3, 3))
+    monomial_kernel = frobenius._monomial_kernel
+
+    def corrupted(algebra):
+        legend, vectors = monomial_kernel(algebra)
+        vectors[2][0] = vectors[2].get(0, 0) + 1
+        return legend, vectors
+
+    legend, vectors = corrupted(algebra)
+    assert_solver_bug_at_first_failing_pair(monkeypatch, algebra, "_monomial_kernel", corrupted,
+                                            legend, vectors[2])
 
 
 def in_span(vectors, candidate_vec, ncols):
     rows = list(vectors)
     base = rank(SparseMatrix(rows, ncols))
     return rank(SparseMatrix(rows + [candidate_vec], ncols)) == base
+
+
+# The monomial draws of mixed_algebras: toupies with no linear relation,
+# or one of a single term, and grids with no square.
+monomial_mixed_algebras = mixed_algebras().filter(
+    lambda drawn: drawn[1].is_monomial).map(lambda drawn: drawn[:3])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn=st.one_of(random_algebras(), monomial_mixed_algebras))
+def test_union_find_kernel_is_kernel_basis(drawn):
+    """The monomial route gives the legend and kernel vectors, in order,
+    that the constraint matrix and kernel_basis give."""
+    quiver, ideal, field = drawn
+    assume(not has_zero_generator(ideal, field))
+    algebra = compute_basis(quiver, ideal, field)
+    matrix, legend = build_constraint_system(algebra)
+    assert frobenius._monomial_kernel(algebra) == (legend, kernel_basis(matrix))
 
 
 def test_verifier_completeness_both_directions():

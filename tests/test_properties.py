@@ -8,6 +8,12 @@ algebra has an isomorphic coproduct space (flip the two tensor legs).
 Over F_p the constraint matrix of a monomial ideal is the integer matrix
 over Q reduced mod p, so its rank can only drop and the space can only
 grow; as every row is e_i - e_j or +-e_i, the rank does not drop at all.
+
+The paper's claims on its monomial families are properties too: a
+radical square zero algebra with a path of length two, a string algebra
+that is not gentle and an algebra with a local pattern each carry a
+nonzero coproduct, the closed form gives the first one's dimension, and
+every witness the closed forms build verifies.
 """
 
 import random
@@ -16,10 +22,18 @@ import re
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from frobq.closed_forms import (
+    detect_local_patterns,
+    is_gentle,
+    is_string,
+    radical_square_zero_dimension,
+    string_relation_witness,
+    witness_coproduct,
+)
 from frobq.dsl import QuiverDocument, format_document, parse_document
 from frobq.errors import ValidationError
-from frobq.families import REGIMES, gen_random
-from frobq.frobenius import frobenius_dimension
+from frobq.families import REGIMES, gen_linear, gen_random
+from frobq.frobenius import frobenius_dimension, verify_coproduct
 from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import Path, PathExpr, Quiver
@@ -154,3 +168,54 @@ def test_monomial_dimension_is_field_independent(instance):
     rational = frobenius_dimension(compute_basis(quiver, ideal))
     for p in (2, 3, 5):
         assert frobenius_dimension(compute_basis(quiver, ideal, PrimeField(p))) == rational
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 10 ** 6))
+def test_radical_square_zero_with_a_length_two_path_is_nearly_frobenius(seed):
+    quiver, ideal = gen_random(seed, 6, 8, "rsz")
+    # Every path of length two is a generator.
+    assume(ideal.generators)
+    dimension = frobenius_dimension(compute_basis(quiver, ideal))
+    assert dimension >= 1
+    assert dimension == radical_square_zero_dimension(quiver)
+
+
+@st.composite
+def linear_string_algebras(draw):
+    """A_n with 1-3 monomial relations of length 2-4: a string algebra,
+    gentle only when every relation has length 2."""
+    n = draw(st.integers(3, 8))
+    relations = set()
+    for _ in range(draw(st.integers(1, 3))):
+        length = draw(st.integers(2, min(4, n - 1)))
+        relations.add((draw(st.integers(1, n - length)), length))
+    return gen_linear(n, relations)
+
+
+@PROPERTY_SETTINGS
+@given(instance=st.one_of(
+    st.builds(gen_random, st.integers(0, 10 ** 6), st.just(6), st.just(8),
+              st.just("string-quadratic")),
+    linear_string_algebras()))
+def test_string_algebra_that_is_not_gentle_is_nearly_frobenius(instance):
+    quiver, ideal = instance
+    algebra = compute_basis(quiver, ideal)
+    assume(is_string(algebra) and not is_gentle(algebra))
+    assert frobenius_dimension(algebra) >= 1
+    for relation in ideal.monomial_paths():
+        if len(relation) >= 3:
+            witness = string_relation_witness(algebra, relation)
+            assert verify_coproduct(algebra, witness)[0] and witness.values
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 10 ** 6), regime=st.sampled_from(("rsz", "string-quadratic")))
+def test_every_local_pattern_has_a_verified_witness(seed, regime):
+    algebra = compute_basis(*gen_random(seed, 6, 8, regime))
+    matches = detect_local_patterns(algebra)
+    assume(matches)
+    for match in matches:
+        witness = witness_coproduct(match, algebra)
+        assert verify_coproduct(algebra, witness)[0] and witness.values
+    assert frobenius_dimension(algebra) >= 1
