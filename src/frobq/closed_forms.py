@@ -2,16 +2,15 @@
 
 Everything in this module has an independent route through the generic
 solver; tests cross-check the two.  The radical square zero dimension is
-a quotient-rank formula over a formal span of arrow/idempotent pairs, the
-local patterns yield explicit witness coproducts that must verify, and
-the toupie classifier predicts the dimension statement that the solver
-then has to reproduce.
+a count over vertex and arrow degrees, the local patterns yield explicit
+witness coproducts that must verify, and the toupie classifier predicts
+the dimension statement that the solver then has to reproduce.
 """
 
 from .errors import ValidationError
 from .frobenius import CoproductCandidate, TensorElement, verify_coproduct
-from .ideal import AlgebraBasis, IdealSpec, has_subword, validate
-from .linalg import QQ, SparseMatrix, rank, rref
+from .ideal import AlgebraBasis, IdealSpec, validate
+from .linalg import QQ, SparseMatrix, rref
 from .quiver import Path, Quiver
 
 
@@ -26,49 +25,22 @@ def is_radical_square_zero(algebra: AlgebraBasis) -> bool:
 def radical_square_zero_dimension(quiver: Quiver) -> int:
     """Dimension of the coproduct space of the radical square zero algebra.
 
-    The ambient space is spanned by ordered pairs x (x) y with x, y drawn
-    from trivial paths and arrows.  Per vertex p the numerator collects
-    (arrow out of p) (x) (e_p or arrow into p) and the mirrored shape; the
-    denominator kills the e_p legs at vertices of in/out degree two or
-    more and glues the two legs of each arrow with the relator
-    arrow (x) e_source - e_target (x) arrow.  The dimension is
-    dim(numerator) - dim(numerator meet denominator), which equals
-    rank(numerator + denominator) - rank(denominator).
+    The count is sum_v in(v) * out(v) plus the number of arrows a with
+    out(source a) = 1 = in(target a).  It comes from a quotient of formal
+    spans of pairs x (x) y of trivial paths and arrows.  The numerator N
+    is spanned by, at each vertex p, (arrow out of p) (x) (e_p or arrow
+    into p) and e_p (x) (arrow into p).  The denominator D kills the e_p
+    legs at vertices of in/out degree two or more and glues the two legs
+    of each arrow with arrow (x) e_source - e_target (x) arrow.  Every
+    vector of D lies in N, and the relators touch disjoint pairs of
+    coordinates.  So N/D keeps the arrow (x) arrow pairs, and one class for
+    each arrow whose two e legs D does not kill.
     """
     if not quiver.arrows:
         raise ValidationError("dimension formula needs at least one arrow")
-    tokens = [("e", v) for v in quiver.vertices] + [("a", a.name) for a in quiver.arrows]
-    token_index = {t: i for i, t in enumerate(tokens)}
-    ncols = len(tokens) ** 2
-
-    def column(x, y):
-        return token_index[x] * len(tokens) + token_index[y]
-
-    # A pair (arrow x, .) arises only at source(x) and a pair (e_p, .) only
-    # at p, so no pair is pushed twice.
-    numerator_rows = []
-    denominator_rows = []
-    for p in quiver.vertices:
-        outs = [("a", a.name) for a in quiver.out_arrows[p]]
-        ins = [("a", a.name) for a in quiver.in_arrows[p]]
-        for x in outs:
-            numerator_rows.append({column(x, ("e", p)): 1})
-            numerator_rows.extend({column(x, y): 1} for y in ins)
-        numerator_rows.extend({column(("e", p), y): 1} for y in ins)
-        if len(outs) >= 2:
-            denominator_rows.extend({column(x, ("e", p)): 1} for x in outs)
-        if len(ins) >= 2:
-            denominator_rows.extend({column(("e", p), y): 1} for y in ins)
-    for a in quiver.arrows:
-        denominator_rows.append({
-            column(("a", a.name), ("e", a.source)): 1,
-            column(("e", a.target), ("a", a.name)): -1,
-        })
-    rank_d = rank(SparseMatrix(denominator_rows, ncols))
-    rank_nd = rank(SparseMatrix(numerator_rows + denominator_rows, ncols))
-    # dim N - dim(N meet D) collapses to rank(N + D) - rank(D) because the
-    # numerator pairs are distinct coordinate vectors.
-    return rank_nd - rank_d
+    ins, outs = quiver.in_arrows, quiver.out_arrows
+    return (sum(len(ins[v]) * len(outs[v]) for v in quiver.vertices)
+            + sum(len(outs[a.source]) == 1 == len(ins[a.target]) for a in quiver.arrows))
 
 
 # ---------------------------------------------------------------------------
@@ -346,33 +318,31 @@ def _toupie_branches(quiver: Quiver):
 def toupie_classify(quiver: Quiver, ideal: IdealSpec, field=QQ) -> ToupieClassification:
     """Classify a toupie algebra and predict its coproduct space dimension.
 
-    Relations must be branch-supported: a single path inside one branch,
-    or a linear combination of full branch paths.  Linear relations are
-    row-reduced over the branches; a reduced row touching a single branch
-    kills that branch path outright and therefore counts as a monomial
-    relation on it.
+    Relations must be branch-supported: a single path, which always lies
+    inside one branch, or a linear combination of full branch paths.
+    Linear relations are row-reduced over the branches; a reduced row
+    touching a single branch kills that branch path outright and therefore
+    counts as a monomial relation on it.
     """
     validate(quiver, ideal, field)
     source, sink, branches = _toupie_branches(quiver)
     t = len(branches)
-    full = {b: i for i, b in enumerate(branches)}
 
+    # validate made every relation term a path.  A path that enters a
+    # branch stays inside it: the vertices inside a branch have one arrow in
+    # and one out, and the sink has none out.  So its first arrow names its
+    # branch.
+    branch_of = {name: i for i, b in enumerate(branches) for name in b}
     monomial_branches = set()
     linear_rows = []
     for g in ideal.generators:
         if g.is_monomial:
-            word = next(iter(g.terms)).arrows
-            holders = [i for i, b in enumerate(branches) if has_subword(b, (word,))]
-            if not holders:
-                raise ValidationError(
-                    f"relation {g} is not supported inside a single branch"
-                )
-            monomial_branches.add(holders[0])
+            monomial_branches.add(branch_of[next(iter(g.terms)).arrows[0]])
             continue
         row = {}
         for path, coeff in g.terms.items():
-            index = full.get(path.arrows)
-            if index is None:
+            index = branch_of[path.arrows[0]]
+            if path.arrows != branches[index]:
                 raise ValidationError(
                     f"non-monomial relation term {path} is not a full branch path"
                 )

@@ -5,8 +5,9 @@ builds anything, with one longest-walk pass (longest_surviving_walk).
 An acyclic quiver is finite outright, with bound its longest path + 1.
 A cyclic quiver is accepted only when the walks that avoid the monomial
 generators' words reach no cycle, with bound the longest such walk + 1.
-The basis is then computed by one row reduction of a spanning set of the
-ideal inside the space of short paths; its pivots give every block.
+A path holding a monomial generator's word is zero, which one recurrence
+over path length finds.  Only the other generators' rows, on the other
+short paths, are row-reduced, all at once; the pivots give every block.
 The tests in tests/, not each call, check that this bound is sound.
 """
 
@@ -213,64 +214,68 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     """
     validate(quiver, ideal, field)
     bound = compute_bound(quiver, ideal)
-    # One column per path of length < bound, grouped by (source, target)
-    # block with a stable sort, so each block keeps the canonical order.  A
-    # nontrivial word fixes its path; the ideal's rows hold no trivial one.
-    paths = sorted(quiver.enumerate_paths(bound - 1), key=lambda p: (p.source, p.target))
-    column = {p.arrows: j for j, p in enumerate(paths)}
+    # A word is zero modulo the monomial generators when it is one of their
+    # words or stays zero without its last or its first arrow.  Paths come
+    # shorter first, so both of those are known by then.  Zero paths
+    # rewrite to {}, and every other ("live") path gets a column.
+    paths = quiver.enumerate_paths(bound - 1)
+    words = {p.arrows for p in ideal.monomial_paths()}
+    table = {}
+    for p in paths if words else ():
+        w = p.arrows
+        if w in words or w[:-1] in table or w[1:] in table:
+            table[w] = {}
+    # The columns are grouped by (source, target) block with a stable sort,
+    # so each block keeps the canonical order.  A nontrivial word fixes its
+    # path; the ideal's rows hold no trivial one.
+    paths.sort(key=lambda p: (p.source, p.target))
+    blocks = {}
+    live = []
     by_target = {}
     by_source = {}
     for p in paths:
-        by_target.setdefault(p.target, []).append(p)
-        by_source.setdefault(p.source, []).append(p)
+        blocks.setdefault((p.source, p.target), [])
+        if p.arrows not in table:
+            live.append(p)
+            by_target.setdefault(p.target, []).append(p)
+            by_source.setdefault(p.source, []).append(p)
+    column = {p.arrows: j for j, p in enumerate(live)}
 
-    # Spanning rows of the ideal: u * g * v, with terms of length >= bound
-    # dropped (they are zero in the quotient by the certified bound).  The
-    # terms of g have distinct words, so those of u * g * v do too, and all
-    # run from source(u) to target(v): no row crosses a block.
+    # The ideal is spanned by the zero paths and the rows u * g * v of the
+    # other generators with u, v live, each term dropped when its word is
+    # not a column: it is zero, or of length >= bound and so zero by the
+    # certified bound.  The terms of g have distinct words, so those of
+    # u * g * v do too, and all run from source(u) to target(v): no row
+    # crosses a block.
     rows = []
     for g in ideal.generators:
+        if g.is_monomial:
+            continue
         terms = [(t.arrows, c) for t, coeff in g.terms.items() if (c := field.coerce(coeff))]
-        min_len = min(map(len, g.terms))
         for u in by_target.get(g.source(), ()):
-            room_after_u = bound - 1 - len(u) - min_len
-            if room_after_u < 0:
-                continue
             for v in by_source.get(g.target(), ()):
-                if len(v) > room_after_u:
-                    continue
-                row = {column[w]: c for t, c in terms if len(w := u.arrows + t + v.arrows) < bound}
+                row = {j: c for t, c in terms
+                       if (j := column.get(u.arrows + t + v.arrows)) is not None}
                 if row:
                     rows.append(row)
 
     # Hence the matrix is block diagonal, and its unique RREF is that of
-    # each block.  The free columns, in order, are the basis in (source,
-    # target, sort_key) order; each pivot row rewrites its path over them.
-    reduced, pivots = rref(SparseMatrix(rows, len(paths), field))
+    # each block.  With a unit row for each zero path it would have the
+    # same RREF plus those rows.  The free columns, in order, are the basis
+    # in (source, target, sort_key) order; each pivot row rewrites its path
+    # over them.
+    reduced, pivots = rref(SparseMatrix(rows, len(live), field))
     pivot_set = set(pivots)
     basis = []
-    blocks = {}
-    table = {}
     index_of = {}               # column -> basis index
-    for j, p in enumerate(paths):
-        block = blocks.setdefault((p.source, p.target), [])
+    for j, p in enumerate(live):
         if j not in pivot_set:
             index_of[j] = len(basis)
             table[p.arrows or p.source] = {len(basis): field.one}
-            block.append(p)
+            blocks[p.source, p.target].append(p)
             basis.append(p)
     for i, col in enumerate(pivots):
-        table[paths[col].arrows] = {index_of[j]: field.reduce(-value)
-                                    for j, value in reduced.rows[i].items() if j != col}
+        table[live[col].arrows] = {index_of[j]: field.reduce(-value)
+                                   for j, value in reduced.rows[i].items() if j != col}
     blocks = {key: tuple(block) for key, block in blocks.items()}
     return AlgebraBasis(quiver, ideal, field, bound, tuple(basis), blocks, table)
-
-
-def has_subword(word, subwords):
-    """True when one of the arrow words in subwords occurs inside word."""
-    for f in subwords:
-        if len(f) <= len(word):
-            for i in range(len(word) - len(f) + 1):
-                if word[i:i + len(f)] == f:
-                    return True
-    return False

@@ -4,6 +4,8 @@ Coordinates are {basis Path: scalar} maps.  `multiply` composes paths
 with `compose` and rewrites each product with `AlgebraBasis.reduce_path`.
 It never reads `AlgebraBasis.product_table`, so the raw-definition
 oracle built on it stays independent of the table the verifier reads.
+`has_subword` tells whether an arrow word holds one of the given words,
+as a path that is zero modulo monomial generators does.
 """
 
 from frobq.errors import SupportViolationError
@@ -19,6 +21,16 @@ def compose(p, q):
     if p.target != q.source:
         return None
     return Path(p.source, q.target, p.arrows + q.arrows)
+
+
+def has_subword(word, subwords):
+    """True when one of the arrow words in subwords occurs inside word."""
+    for f in subwords:
+        if len(f) <= len(word):
+            for i in range(len(word) - len(f) + 1):
+                if word[i:i + len(f)] == f:
+                    return True
+    return False
 
 
 def coords_of(algebra, path):

@@ -1,0 +1,119 @@
+"""CLI output sweep: the sha256 of every frobq output on the benchmark documents.
+
+Run from a checkout:
+
+    python tests/output_sweep.py OUT.tsv [--seeds 1 2 3]
+
+It imports frobq from this checkout's src/ and builds the documents with
+perfbench/workloads.py: the seed 1-3 documents of elim, verify and
+corpus, each with its warm-up document.  On each document, over the
+document's field, with --field F5 and with --field F7, it runs in process:
+
+* basis, dim and space, as text and with --json;
+* classify and patterns;
+* verify of the sum of space's candidates, of that sum plus e_v (x) e_v
+  at the document's outside vertex, and of each of the first three
+  candidates alone.
+
+Each output is one line of OUT.tsv: document, field, command, exit code,
+and the sha256 of stdout and of stderr.  Two checkouts give the same
+file exactly when their outputs are byte-identical, so compare the files
+with diff or cmp.  Files are named relative to a scratch directory, so no
+output holds a temporary path.  pytest does not collect this file.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402  (perfbench/workloads.py)
+from frobq import cli  # noqa: E402
+
+FIELDS = (None, "F5", "F7")    # None: the document's own field
+CANDIDATES_ALONE = 3
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = "raised"
+            err.write(traceback.format_exc())
+    return code, out.getvalue(), err.getvalue()
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def sweep_document(name, inst, field):
+    """(command, (exit code, stdout, stderr)) of every command on one
+    document over one field."""
+    flag = ["--field", field] if field else []
+    as_json = {}
+    for command in ("basis", "dim", "space"):
+        yield command, run([command, name, *flag])
+        as_json[command] = run([command, name, "--json", *flag])
+        yield command + " --json", as_json[command]
+    for command in ("classify", "patterns"):
+        yield command, run([command, name, *flag])
+    code, out, _ = as_json["space"]
+    if code != 0:
+        return
+    candidates = json.loads(out)["candidates"]
+    prime = int(field[1:]) if field else inst.prime
+    coproducts = [("verify sum", workloads.combine(candidates, prime)),
+                  ("verify sum+e_v(x)e_v",
+                   workloads.combine(candidates, prime, inst.outside_vertex))]
+    coproducts += [(f"verify candidate {i}", {"schema": "frobq/1", "coproduct": c})
+                   for i, c in enumerate(candidates[:CANDIDATES_ALONE])]
+    for label, payload in coproducts:
+        with open("coproduct.json", "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+        yield label, run(["verify", name, "--coproduct", "coproduct.json", *flag])
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("output", help="file to write the output hashes to")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    output = Path(args.output).resolve()
+    home = os.getcwd()
+    count = 0
+    with tempfile.TemporaryDirectory() as scratch, \
+            open(output, "w", encoding="utf-8") as lines:
+        os.chdir(scratch)
+        for workload in workloads.WORKLOADS:
+            for seed in args.seeds:
+                instances, warm = workloads.build(workload, seed)
+                for inst in instances + [warm]:
+                    name = f"{workload}-{seed}-{inst.id}.fq"
+                    with open(name, "w", encoding="utf-8") as handle:
+                        handle.write(inst.text)
+                    for field in FIELDS:
+                        for label, (code, out, err) in sweep_document(name, inst, field):
+                            lines.write(f"{name}\t{field or 'doc'}\t{label}\t{code}\t"
+                                        f"{sha(out)}\t{sha(err)}\n")
+                            count += 1
+        os.chdir(home)
+    print(f"{count} outputs written to {output}")
+
+
+if __name__ == "__main__":
+    main()

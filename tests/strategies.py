@@ -1,5 +1,6 @@
 """Hypothesis strategies for bound quivers.
 
+`small_quivers` draws connected quivers with loops and parallel arrows.
 `random_algebras` draws `families.gen_random` instances, whose ideals are
 monomial, over Q, F_2, F_3 and F_5.  `mixed_algebras` draws toupies with
 monomial and linear relations, canonical algebras with rational lambdas
@@ -66,6 +67,21 @@ def square_grids(draw):
                 generators.append(PathExpr({q.path([f"h{i}{j}", f"v{i}{j + 1}"]): 1,
                                             q.path([f"v{i}{j}", f"h{i + 1}{j}"]): -c}))
     return q, IdealSpec(generators)
+
+
+@st.composite
+def small_quivers(draw):
+    """A connected quiver on 1-4 vertices: a random spanning tree of
+    arrows, then up to 4 more arrows, loops and parallel arrows allowed."""
+    vertices = [str(i) for i in range(draw(st.integers(1, 4)))]
+    ends = []
+    for i in range(1, len(vertices)):
+        j = draw(st.integers(0, i - 1))
+        ends.append((vertices[i], vertices[j]) if draw(st.booleans())
+                    else (vertices[j], vertices[i]))
+    ends += draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
+                          max_size=4))
+    return Quiver(vertices, [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
 
 
 def random_algebras():

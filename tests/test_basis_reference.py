@@ -1,10 +1,11 @@
 """compute_basis against a per-block reference, on non-monomial algebras.
 
-`compute_basis` row-reduces the whole ideal once.  Its spanning rows
-u * g * v never cross a (source, target) block, so that one RREF must be
-the union of the RREFs of the blocks taken one at a time, which is what
-`basis_by_blocks` computes.  The instances are drawn by
-`strategies.mixed_algebras`.
+`compute_basis` sets the paths that hold a monomial generator's word to
+zero and row-reduces the rows u * g * v of the other generators once.
+No row crosses a (source, target) block, so the result must be the union
+of the RREFs of the blocks taken one at a time over all the rows,
+monomial ones included, which is what `basis_by_blocks` computes.  The
+instances are drawn by `strategies.mixed_algebras`.
 """
 
 from fractions import Fraction
@@ -15,11 +16,12 @@ from hypothesis import given, settings
 import frobq.ideal
 from frobq.closed_forms import toupie_classify
 from frobq.errors import ValidationError
-from frobq.families import CanonicalSpec, gen_canonical, gen_cycle
+from frobq.families import CanonicalSpec, gen_canonical, gen_cycle, gen_linear, gen_toupie
 from frobq.frobenius import frobenius_dimension
 from frobq.ideal import compute_basis, compute_bound
-from frobq.linalg import SparseMatrix, rref
+from frobq.linalg import QQ, SparseMatrix, rref
 
+from algebra_ops import has_subword
 from strategies import has_zero_generator, mixed_algebras
 
 
@@ -83,17 +85,49 @@ def test_one_elimination_matches_per_block_reference(drawn):
         assert toupie_classify(quiver, ideal, field).prediction_holds(dimension)
 
 
+def live_columns_and_linear_rows(quiver, ideal, field, bound):
+    """The paths of length < bound that hold no monomial generator's word,
+    in block order, and the rows u * g * v over them of the non-monomial
+    generators g, for u and v among those paths."""
+    words = [p.arrows for p in ideal.monomial_paths()]
+    live = [p for p in sorted(quiver.enumerate_paths(bound - 1),
+                              key=lambda p: (p.source, p.target))
+            if not has_subword(p.arrows, words)]
+    column = {p.arrows: j for j, p in enumerate(live)}
+    rows = []
+    for g in ideal.generators:
+        if g.is_monomial:
+            continue
+        for u in live:
+            for v in live:
+                if u.target == g.source() and v.source == g.target():
+                    row = {column[w]: field.coerce(c) for t, c in g.terms.items()
+                           if (w := u.arrows + t.arrows + v.arrows) in column
+                           and field.coerce(c)}
+                    if row:
+                        rows.append(row)
+    return live, rows
+
+
 def test_compute_basis_eliminates_once(monkeypatch):
+    """One rref, with a column for each live path and rows only from the
+    non-monomial generators: none at all for a monomial ideal."""
     calls = []
 
     def counting_rref(matrix):
-        calls.append(matrix.ncols)
+        calls.append(matrix)
         return rref(matrix)
 
     monkeypatch.setattr(frobq.ideal, "rref", counting_rref)
     for quiver, ideal in (gen_canonical(CanonicalSpec((2, 3, 4), (Fraction(1, 2),))),
-                          gen_cycle(4, 3)):
+                          gen_cycle(4, 3),
+                          gen_linear(6, [(1, 2), (3, 3)]),
+                          gen_toupie((3, 4), [(2, 2, 2)], [(1, -2)])):
         calls.clear()
         algebra = compute_basis(quiver, ideal)
         assert len(algebra.blocks) > 1
-        assert calls == [len(quiver.enumerate_paths(algebra.bound - 1))]
+        live, rows = live_columns_and_linear_rows(quiver, ideal, QQ, algebra.bound)
+        [matrix] = calls
+        assert matrix.ncols == len(live)
+        assert sorted(sorted(r.items()) for r in matrix.rows) == \
+            sorted(sorted(r.items()) for r in rows)

@@ -75,8 +75,8 @@ class TestDimensionFormula:
             assert formula == solver, f"seed {seed}: formula {formula} != solver {solver}"
 
     def test_agreement_on_loop_carrying_quivers(self):
-        # the formula's scope on loops is not obvious a priori; these
-        # instances are the empirical record that it matches the solver
+        # a loop counts once in in(v) and once in out(v); these fixed cases
+        # sit beside the property on drawn quivers in test_properties.py
         loop = Quiver(["p"], [("x", "p", "p")])
         loop_and_arrow = Quiver(["p", "q"], [("x", "p", "p"), ("b", "p", "q")])
         arrow_and_loop = Quiver(["p", "q"], [("b", "p", "q"), ("y", "q", "q")])

@@ -24,15 +24,14 @@ from frobq.ideal import (
     IdealSpec,
     compute_basis,
     compute_bound,
-    has_subword,
     longest_surviving_walk,
     validate,
 )
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import Path, PathExpr, Quiver
 
-from algebra_ops import coords_of, multiply, reduce, unit
-from strategies import has_zero_generator, mixed_algebras
+from algebra_ops import coords_of, has_subword, multiply, reduce, unit
+from strategies import has_zero_generator, mixed_algebras, small_quivers
 
 
 def mono(q, names):
@@ -173,20 +172,12 @@ def surviving_path_exists(quiver, words, length):
 
 @st.composite
 def monomial_instances(draw):
-    """A connected quiver on 1-4 vertices, loops and parallel arrows allowed,
-    with 0-4 monomial generators drawn as random walks of length 2-3."""
-    vertices = [str(i) for i in range(draw(st.integers(1, 4)))]
-    ends = []
-    for i in range(1, len(vertices)):
-        j = draw(st.integers(0, i - 1))
-        ends.append((vertices[i], vertices[j]) if draw(st.booleans())
-                    else (vertices[j], vertices[i]))
-    ends += draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
-                          max_size=4))
-    quiver = Quiver(vertices, [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+    """A small_quivers draw with 0-4 monomial generators drawn as random
+    walks of length 2-3."""
+    quiver = draw(small_quivers())
     generators = []
     for _ in range(draw(st.integers(0, 4))):
-        vertex, names = draw(st.sampled_from(vertices)), []
+        vertex, names = draw(st.sampled_from(quiver.vertices)), []
         for _ in range(draw(st.integers(2, 3))):
             if not quiver.out_arrows[vertex]:
                 break

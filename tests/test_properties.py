@@ -32,13 +32,13 @@ from frobq.closed_forms import (
 )
 from frobq.dsl import QuiverDocument, format_document, parse_document
 from frobq.errors import ValidationError
-from frobq.families import REGIMES, gen_linear, gen_random
+from frobq.families import REGIMES, gen_linear, gen_radical_square_zero, gen_random
 from frobq.frobenius import frobenius_dimension, verify_coproduct
 from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import Path, PathExpr, Quiver
 
-from strategies import has_zero_generator, mixed_algebras
+from strategies import has_zero_generator, mixed_algebras, small_quivers
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                              database=None)
@@ -179,6 +179,18 @@ def test_radical_square_zero_with_a_length_two_path_is_nearly_frobenius(seed):
     dimension = frobenius_dimension(compute_basis(quiver, ideal))
     assert dimension >= 1
     assert dimension == radical_square_zero_dimension(quiver)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(quiver=small_quivers())
+def test_radical_square_zero_degree_count_on_loops_and_parallel_arrows(quiver):
+    # gen_random's rsz regime draws no loops; small_quivers draws both.
+    if not quiver.arrows:
+        with pytest.raises(ValidationError, match="at least one arrow"):
+            radical_square_zero_dimension(quiver)
+        return
+    solver = frobenius_dimension(compute_basis(*gen_radical_square_zero(quiver)))
+    assert radical_square_zero_dimension(quiver) == solver
 
 
 @st.composite

@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from frobq.families import (
     CanonicalSpec,
@@ -50,6 +50,7 @@ from frobq.linalg import QQ, PrimeField
 from frobq.quiver import PathExpr, Quiver
 
 from algebra_ops import compose, multiply, reduce
+from strategies import has_zero_generator, mixed_algebras
 
 
 def reference_extend(candidate, w):
@@ -415,22 +416,39 @@ def test_product_table_matches_multiply_on_mixed_relations(instance, field_name)
     assert_product_table_matches_multiply(compute_basis(q, ideal, MIXED_FIELDS[field_name]))
 
 
-@pytest.mark.parametrize("field_name", MIXED_FIELDS)
-@pytest.mark.parametrize("instance", MIXED)
-def test_mixed_relations_vanish_in_the_quotient(instance, field_name):
+def assert_relations_vanish(algebra):
     """u * g * v reduces to zero for every generator g and all paths u, v.
 
-    The test above checks the product table against reduce_path; this one
-    checks the normal forms both read against the ideal itself.
+    assert_product_table_matches_multiply checks the product table against
+    reduce_path; this checks the normal forms both read against the ideal
+    itself.
     """
-    q, ideal = MIXED[instance]
-    algebra = compute_basis(q, ideal, MIXED_FIELDS[field_name])
-    paths = q.enumerate_paths(algebra.bound - 1)
-    for g in ideal.generators:
+    paths = algebra.quiver.enumerate_paths(algebra.bound - 1)
+    for g in algebra.ideal.generators:
         for u in (u for u in paths if u.target == g.source()):
             for v in (v for v in paths if v.source == g.target()):
                 terms = {compose(compose(u, t), v): c for t, c in g.terms.items()}
                 assert reduce(algebra, PathExpr(terms)) == {}
+
+
+@pytest.mark.parametrize("field_name", MIXED_FIELDS)
+@pytest.mark.parametrize("instance", MIXED)
+def test_mixed_relations_vanish_in_the_quotient(instance, field_name):
+    q, ideal = MIXED[instance]
+    assert_relations_vanish(compute_basis(q, ideal, MIXED_FIELDS[field_name]))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(drawn=mixed_algebras())
+def test_product_table_and_relations_on_mixed_algebras(drawn):
+    """The two checks above on drawn algebras.  Toupies with a monomial
+    relation are where the zero paths and the rows of linear relations
+    meet in compute_basis."""
+    quiver, ideal, field, _ = drawn
+    assume(not has_zero_generator(ideal, field))
+    algebra = compute_basis(quiver, ideal, field)
+    assert_product_table_matches_multiply(algebra)
+    assert_relations_vanish(algebra)
 
 
 @pytest.mark.parametrize("field_name", MIXED_FIELDS)
