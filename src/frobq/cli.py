@@ -35,7 +35,7 @@ from .frobenius import (
     verify_coproduct,
 )
 from .ideal import compute_basis
-from .linalg import QQ, PrimeField
+from .linalg import DECIMAL, QQ, PrimeField
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -52,7 +52,7 @@ def _field_from_flag(text):
         return None
     if text == "Q":
         return QQ
-    if text.startswith("F"):
+    if text.startswith("F") and DECIMAL.fullmatch(text, 1):
         return PrimeField(_ints(text[1:], 1)[0])
     raise ValidationError(f"bad field {shorten(text, repr)}; use Q or F<prime>")
 
@@ -266,9 +266,12 @@ def cmd_patterns(args):
 
 
 def _ints(text, count=None):
-    """Comma separated integers; exactly count of them when count is given."""
+    """Comma separated DECIMAL integers; exactly count of them when count is given."""
+    parts = [part for part in text.split(",") if part]
     try:
-        values = [int(part) for part in text.split(",") if part]
+        if not all(map(DECIMAL.fullmatch, parts)):
+            raise ValueError
+        values = list(map(int, parts))
     except ValueError:
         raise ValidationError(
             f"expected comma separated integers, got {shorten(text, repr)}") from None

@@ -64,8 +64,8 @@ class LocalPatternMatch:
 
 
 def _composition_vanishes(algebra, incoming, outgoing):
-    path = Path(incoming.source, outgoing.target, (incoming.name, outgoing.name))
-    return not algebra.reduce_path(path)
+    # A word at or past the bound has no table entry: it is zero too.
+    return not algebra.table.get((incoming.name, outgoing.name))
 
 
 def detect_local_patterns(algebra: AlgebraBasis):
@@ -84,7 +84,7 @@ def detect_local_patterns(algebra: AlgebraBasis):
         for a in ins:
             for b in outs:
                 pair = Path(a.source, b.target, (a.name, b.name))
-                (dead if not algebra.reduce_path(pair) else alive).append(pair)
+                (dead if _composition_vanishes(algebra, a, b) else alive).append(pair)
         shape = (len(ins), len(outs))
         pattern = None
         if shape == (2, 1) and len(dead) == 2:
@@ -199,8 +199,9 @@ def string_relation_witness(algebra: AlgebraBasis, relation: Path) -> CoproductC
     """Witness coproduct carried by one long monomial relation.
 
     For a relation a_1 ... a_s of length s >= 3 on a string bound quiver,
-    the candidate places (tail after position i) (x) (head up to i) at
-    every intermediate vertex of the relation and zero elsewhere.
+    the candidate's value at a vertex is the sum of (tail after position i)
+    (x) (head up to i) over the 0 < i < s where the relation passes it,
+    which on a cycle (x*x*x on a loop, say) is more than one i.
     """
     quiver, ideal = algebra.quiver, algebra.ideal
     if not ideal.is_monomial:
@@ -218,13 +219,10 @@ def string_relation_witness(algebra: AlgebraBasis, relation: Path) -> CoproductC
     for i in range(1, s):
         head = quiver.path(relation.arrows[:i])
         tail = quiver.path(relation.arrows[i:])
-        vertex = head.target
-        tensor = TensorElement(algebra.field)
+        tensor = values.setdefault(head.target, TensorElement(algebra.field))
         for left, cl in algebra.reduce_path(tail).items():
             for right, cr in algebra.reduce_path(head).items():
                 tensor.add_term(left, right, cl * cr)
-        if not tensor.is_zero:
-            values[vertex] = tensor
     candidate = CoproductCandidate(algebra, values)
     ok, counterexample = verify_coproduct(algebra, candidate)
     if not ok:
@@ -280,45 +278,35 @@ class ToupieClassification:
 
 
 def _toupie_branches(quiver: Quiver):
-    """Branch decomposition, or a ValidationError when the shape is wrong."""
-    if len(quiver.vertices) == 1 and not quiver.arrows:
-        v = quiver.vertices[0]
-        return v, v, []
+    """Branch decomposition, or a ValidationError when the shape is wrong.
+
+    Past the degree checks a walk from the source is forced and meets no
+    vertex twice (that one would have two arrows in), so it ends at the sink.
+    Every arrow is on such a walk: arrows in from it lead back to the source,
+    as a cycle of (1, 1) vertices would be a component, and Quiver refuses it.
+    """
     sources = [v for v in quiver.vertices if quiver.degrees(v)[0] == 0]
     sinks = [v for v in quiver.vertices if quiver.degrees(v)[1] == 0]
     if len(sources) != 1 or len(sinks) != 1:
         raise ValidationError("not a toupie quiver: need a unique source and a unique sink")
     source, sink = sources[0], sinks[0]
     for v in quiver.vertices:
-        if v in (source, sink):
-            continue
-        if quiver.degrees(v) != (1, 1):
-            raise ValidationError(
-                f"not a toupie quiver: intermediate vertex {v} has degrees "
-                f"{quiver.degrees(v)}"
-            )
+        if v not in (source, sink) and quiver.degrees(v) != (1, 1):
+            raise ValidationError(f"not a toupie quiver: intermediate vertex {v} has "
+                                  f"degrees {quiver.degrees(v)}")
     branches = []
-    used = set()
-    for start in quiver.out_arrows[source]:
-        walk = [start.name]
-        current = start.target
-        while current != sink:
-            nxt = quiver.out_arrows[current][0]
-            walk.append(nxt.name)
-            current = nxt.target
-            if len(walk) > len(quiver.arrows):
-                raise ValidationError("not a toupie quiver: branch walk does not close")
-        branches.append(tuple(walk))
-        used.update(walk)
-    if len(used) != len(quiver.arrows):
-        raise ValidationError("not a toupie quiver: arrows outside every branch")
+    for arrow in quiver.out_arrows[source]:
+        walk = [arrow]
+        while walk[-1].target != sink:
+            walk.append(quiver.out_arrows[walk[-1].target][0])
+        branches.append(tuple(a.name for a in walk))
     return source, sink, branches
 
 
 def toupie_classify(quiver: Quiver, ideal: IdealSpec, field=QQ) -> ToupieClassification:
     """Classify a toupie algebra and predict its coproduct space dimension.
 
-    Relations must be branch-supported: a single path, which always lies
+    Relations are branch-supported: a single path, which always lies
     inside one branch, or a linear combination of full branch paths.
     Linear relations are row-reduced over the branches; a reduced row
     touching a single branch kills that branch path outright and therefore
@@ -331,23 +319,18 @@ def toupie_classify(quiver: Quiver, ideal: IdealSpec, field=QQ) -> ToupieClassif
     # validate made every relation term a path.  A path that enters a
     # branch stays inside it: the vertices inside a branch have one arrow in
     # and one out, and the sink has none out.  So its first arrow names its
-    # branch.
+    # branch and fixes the rest of its walk, and the distinct parallel terms
+    # of a non-monomial generator leave the source by different branches,
+    # which meet only at the sink: each term is a full branch path.
     branch_of = {name: i for i, b in enumerate(branches) for name in b}
     monomial_branches = set()
     linear_rows = []
     for g in ideal.generators:
         if g.is_monomial:
             monomial_branches.add(branch_of[next(iter(g.terms)).arrows[0]])
-            continue
-        row = {}
-        for path, coeff in g.terms.items():
-            index = branch_of[path.arrows[0]]
-            if path.arrows != branches[index]:
-                raise ValidationError(
-                    f"non-monomial relation term {path} is not a full branch path"
-                )
-            row[index] = coeff
-        linear_rows.append(row)
+        else:
+            linear_rows.append({branch_of[path.arrows[0]]: coeff
+                                for path, coeff in g.terms.items()})
 
     reduced, pivots = rref(SparseMatrix(linear_rows, t, field))
     for row in reduced.rows:

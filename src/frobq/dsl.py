@@ -17,7 +17,7 @@ import sys
 
 from .errors import ParseError, ValidationError, shorten
 from .ideal import IdealSpec, validate
-from .linalg import QQ, PrimeField, RationalField
+from .linalg import DECIMAL, QQ, PrimeField, RationalField
 from .quiver import PathExpr, Quiver
 
 _TOKEN = re.compile(r"->|[*+\-:;/]|[A-Za-z0-9_.]+|\S")
@@ -117,7 +117,7 @@ def _parse_field(tokens, lineno):
             raise ParseError("trailing tokens after field Q", tokens[1][1], tokens[1][2])
         return QQ
     if name == "F":
-        if len(tokens) != 2 or not tokens[1][0].isdigit():
+        if len(tokens) != 2 or not DECIMAL.fullmatch(tokens[1][0]):
             raise ParseError("field F needs a prime modulus", ln, col)
         try:
             return PrimeField(_integer(tokens[1]))
@@ -196,10 +196,10 @@ def _parse_term(tokens, position, quiver, field, lineno):
     text, ln, col = tokens[position]
     # A leading number is a coefficient when an arrow (or a /den part)
     # follows; otherwise it is read as an arrow name.
-    if text.isdigit() and position + 1 < len(tokens):
+    if DECIMAL.fullmatch(text) and position + 1 < len(tokens):
         nxt = tokens[position + 1][0]
         if nxt == "/":
-            if position + 2 >= len(tokens) or not tokens[position + 2][0].isdigit():
+            if position + 2 >= len(tokens) or not DECIMAL.fullmatch(tokens[position + 2][0]):
                 raise ParseError("bad rational literal", ln, col)
             den = _integer(tokens[position + 2])
             if den == 0:
@@ -256,8 +256,7 @@ def format_document(doc: QuiverDocument) -> str:
         lines.append(f"field F {doc.field.p}")
     else:
         lines.append("field Q")
-    if doc.quiver.vertices:
-        lines.append("vertex " + " ".join(doc.quiver.vertices))
+    lines.append("vertex " + " ".join(doc.quiver.vertices))
     for a in doc.quiver.arrows:
         lines.append(f"arrow {a.name} : {a.source} -> {a.target}")
     for g in doc.ideal.generators:

@@ -17,27 +17,32 @@ divides a denominator) does it eliminate over the fractions themselves.
 either way.
 """
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import ValidationError, shorten
 
+# An integer in any input; int() also reads "_", "+", blanks and other digits.
+DECIMAL = re.compile(r"-?[0-9]+")
+
 
 def _parse_scalar(field, kind, text):
-    """The scalar of field that text spells as an int or num/den.
+    """The scalar of field that text spells: DECIMAL num or num/den, den unsigned.
 
     Python's reason for refusing it may repeat the whole literal or carry
     int()'s advice on its digit limit, so a shortened literal goes without.
     """
+    num, slash, den = text.partition("/")
+    reason = ""
     try:
-        if "/" not in text:
-            return field.coerce(int(text))
-        num, den = text.split("/", 1)
-        return field.scalar(int(num), int(den))
+        # "-" + den is a DECIMAL exactly when den is digits alone.
+        if DECIMAL.fullmatch(num) and (not slash or DECIMAL.fullmatch("-" + den)):
+            return field.scalar(int(num), int(den or 1))
     except (ValueError, ZeroDivisionError, ValidationError) as exc:
-        shown = shorten(text, repr)
-        reason = f": {exc}" if shown == repr(text) else ""
-        raise ValidationError(f"bad {kind} literal {shown}{reason}") from None
+        reason = f": {exc}"
+    shown = shorten(text, repr)
+    raise ValidationError(f"bad {kind} literal {shown}{reason if shown == repr(text) else ''}")
 
 
 class RationalField:

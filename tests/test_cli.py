@@ -254,6 +254,45 @@ class TestBadInput:
         argv = [diamond_file if a == "{doc}" else a for a in argv]
         self.assert_one_line_error(*run(capsys, *argv))
 
+    # Numbers are ASCII decimal digits with at most a leading "-": int() also
+    # reads "_", "+", blanks and other Unicode digits, and --field takes no list.
+    @pytest.mark.parametrize("argv, error", [
+        (["--field", "F5,"], "bad field 'F5,'; use Q or F<prime>"),
+        (["--field", "F,5"], "bad field 'F,5'; use Q or F<prime>"),
+        (["--field", "F 5"], "bad field 'F 5'; use Q or F<prime>"),
+        (["--field", "F+5"], "bad field 'F+5'; use Q or F<prime>"),
+        (["--field", "F\u0667"], "bad field 'F\u0667'; use Q or F<prime>"),
+        (["gen", "linear", "1_0"], "expected comma separated integers, got '1_0'"),
+        (["gen", "linear", " 3"], "expected comma separated integers, got ' 3'"),
+        (["gen", "cycle", "\u0663", "3"], "expected comma separated integers, got '\u0663'"),
+        (["gen", "toupie", "2,+3"], "expected comma separated integers, got '2,+3'"),
+        (["gen", "linear", "4", "--relation", "1, 2"],
+         "expected comma separated integers, got '1, 2'"),
+    ])
+    def test_numbers_are_ascii_decimal(self, capsys, diamond_file, argv, error):
+        if argv[0] == "--field":
+            argv = ["dim", diamond_file, *argv]
+        assert run(capsys, *argv) == (1, "", f"error: {error}\n")
+
+    @pytest.mark.parametrize("field, kind", [(None, "rational"), ("F7", "scalar")])
+    @pytest.mark.parametrize("coeff", ["1_0", "\u0663", "3/-4", "+1", " 1", "1/ 2", "1/+2"])
+    def test_coproduct_numbers_are_ascii_decimal(self, capsys, tmp_path, diamond_file,
+                                                 field, kind, coeff):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([{"vertex": "0", "terms": [
+            {"left": {"e": "0"}, "right": {"e": "0"}, "coeff": coeff}]}]))
+        flags = ["--field", field] if field else []
+        assert run(capsys, "verify", diamond_file, "--coproduct", str(cand), *flags) == \
+            (1, "", f"error: bad {kind} literal {coeff!r}\n")
+
+    @pytest.mark.parametrize("coeff", ["-3/4", "-3", "12/8"])
+    def test_coproduct_signed_numerator_is_read(self, capsys, tmp_path, diamond_file, coeff):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([{"vertex": "0", "terms": [
+            {"left": {"e": "0"}, "right": {"e": "0"}, "coeff": coeff}]}]))
+        code, out, err = run(capsys, "verify", diamond_file, "--coproduct", str(cand))
+        assert code == 4 and out.startswith("FAILED: ") and err == ""
+
     def test_random_vertex_bound_below_two(self, capsys):
         code, out, err = run(capsys, "gen", "random", "1", "1", "1", "rsz")
         self.assert_one_line_error(code, out, err)

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobq.closed_forms import (
     GENERALIZED_DIAMOND,
@@ -233,6 +236,27 @@ class TestStringRelationWitness:
         with pytest.raises(ValidationError, match="not a generator"):
             string_relation_witness(compute_basis(q, ideal), q.path(["a2", "a3", "a4"]))
 
+    # A relation on a cycle can pass a vertex twice; the value there sums
+    # the tail (x) head of both positions.
+    def test_cube_of_a_loop(self):
+        q = Quiver(["p"], [("x", "p", "p")])
+        ideal = IdealSpec([mono(q, ["x", "x", "x"])])
+        algebra = compute_basis(q, ideal)
+        witness = string_relation_witness(algebra, q.path(["x", "x", "x"]))
+        x, xx = q.path(["x"]), q.path(["x", "x"])
+        assert witness.value_at("p").coefficients == {(xx, x): QQ.one, (x, xx): QQ.one}
+
+    def test_square_of_a_two_cycle_word(self):
+        q = Quiver(["1", "2"], [("a", "1", "2"), ("b", "2", "1")])
+        ideal = IdealSpec([mono(q, ["a", "b", "a", "b"])])
+        algebra = compute_basis(q, ideal)
+        witness = string_relation_witness(algebra, q.path(["a", "b", "a", "b"]))
+        a, b = q.path(["a"]), q.path(["b"])
+        assert witness.value_at("1").coefficients == \
+            {(q.path(["a", "b"]), q.path(["a", "b"])): QQ.one}
+        assert witness.value_at("2").coefficients == \
+            {(q.path(["b", "a", "b"]), a): QQ.one, (b, q.path(["a", "b", "a"])): QQ.one}
+
 
 class TestToupieClassify:
     def test_linear_quiver(self):
@@ -287,6 +311,67 @@ class TestToupieClassify:
         assert info.kind == M_POSITIVE
         dim = frobenius_dimension(compute_basis(mixed, ideal))
         assert info.prediction_holds(dim)
+
+
+@st.composite
+def near_toupies(draw):
+    """A toupie with 1-4 branches of length 1-4 and drawn monomial and
+    linear relations; or that toupie with one more arrow (a loop, say), or
+    with one arrow reversed and the relations it breaks dropped."""
+    lengths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    monomial = set()
+    for _ in range(draw(st.integers(0, 2))):
+        branch = draw(st.integers(1, len(lengths)))
+        if lengths[branch - 1] >= 2:
+            length = draw(st.integers(2, lengths[branch - 1]))
+            start = draw(st.integers(1, lengths[branch - 1] - length + 1))
+            monomial.add((branch, start, length))
+    linear = []
+    for _ in range(draw(st.integers(0, 2))):
+        # a branch of length 1 is no term of an admissible relation
+        row = [draw(st.integers(-2, 2)) if n >= 2 else 0 for n in lengths]
+        if any(row):
+            linear.append(row)
+    quiver, ideal = gen_toupie(lengths, sorted(monomial), linear)
+    arrows = [(a.name, a.source, a.target) for a in quiver.arrows]
+    change = draw(st.sampled_from((None, None, "extra arrow", "reversed arrow")))
+    if change == "extra arrow":
+        ends = st.sampled_from(quiver.vertices)
+        arrows.append(("z", draw(ends), draw(ends)))
+    elif change == "reversed arrow":
+        k = draw(st.integers(0, len(arrows) - 1))
+        name, source, target = arrows[k]
+        arrows[k] = (name, target, source)
+    quiver = Quiver(quiver.vertices, arrows)
+    kept = [g for g in ideal.generators if all(map(quiver.has_path, g.terms))]
+    return quiver, IdealSpec(kept)
+
+
+REFUSALS = re.compile(r"not a toupie quiver: (need a unique source and a unique sink"
+                      r"|intermediate vertex \S+ has degrees \(\d+, \d+\))")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(drawn=near_toupies())
+def test_toupie_branches_partition_the_arrows(drawn):
+    # toupie_classify keeps no guard for a branch walk that does not reach
+    # the sink, for an arrow outside every branch or for a linear relation
+    # term that is not a full branch path: _toupie_branches and
+    # toupie_classify argue that none can happen, and this holds them to it.
+    quiver, ideal = drawn
+    try:
+        info = toupie_classify(quiver, ideal)
+    except ValidationError as exc:
+        assert REFUSALS.fullmatch(str(exc))
+        return
+    names = [name for branch in info.branches for name in branch]
+    assert sorted(names) == sorted(quiver.arrow_by_name)
+    for branch in info.branches:
+        path = quiver.path(branch)
+        assert (path.source, path.target) == (info.source, info.sink)
+    for g in ideal.generators:
+        if not g.is_monomial:
+            assert all(path.arrows in info.branches for path in g.terms)
 
 
 class TestDiamondUniqueness:

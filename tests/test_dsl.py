@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from frobq.dsl import QuiverDocument, format_document, parse_document
@@ -149,6 +151,67 @@ class TestErrors:
     def test_dangling_sign(self):
         self.assert_location("vertex 1 2\narrow a : 1 -> 2\narrow b : 1 -> 2\n"
                              "relation a + ;\n", 4, "dangling sign")
+
+
+H = "vertex 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n"
+LONG = "9" * 5000
+
+
+# Every place parse_document raises a ParseError, with the exact text:
+# "line:column: message".  Numbers are ASCII decimal digits: other Unicode
+# digits are no numbers, and "-" is a token of its own.
+@pytest.mark.parametrize("document, error", [
+    ("field Q\nfield Q\nvertex 1\n", "2:1: duplicate field line"),
+    ("vertex\n", "1:1: vertex line needs at least one identifier"),
+    ("vertex 1 ->\n", "1:10: bad vertex identifier '->'"),
+    (H + "relation a*b\n", "4:12: relation must end with ';'"),
+    (H + "relation\n", "4:1: relation must end with ';'"),
+    ("edge 1 2\n", "1:1: unknown statement 'edge'"),
+    ("", "1:1: quiver must have at least one vertex"),
+    ("vertex 1 2\n", "1:1: quiver is not connected; unreachable vertices: 2"),
+    ("vertex 1 1\n", "1:10: duplicate vertex identifier: 1"),
+    ("vertex 1 2\narrow a : 1 -> 2\narrow a : 2 -> 1\n", "3:7: duplicate arrow identifier: a"),
+    ("vertex 1\narrow a : 0 -> 1\n", "2:11: arrow a: unknown source vertex 0"),
+    ("vertex 1\narrow a : 1 -> 2\n", "2:16: arrow a: unknown target vertex 2"),
+    (H + "relation a ;\n", "4:1: generator term a has length 1; admissible ideals sit "
+                           "inside the square of the arrow ideal"),
+    ("field\nvertex 1\n", "1:1: field line needs Q or F <prime>"),
+    ("field Q 5\nvertex 1\n", "1:9: trailing tokens after field Q"),
+    ("field F\nvertex 1\n", "1:7: field F needs a prime modulus"),
+    ("field F -5\nvertex 1\n", "1:7: field F needs a prime modulus"),
+    ("field F \u0667\nvertex 1\n", "1:7: field F needs a prime modulus"),
+    ("field F 4\nvertex 1\n", "1:9: modulus must be prime: 4"),
+    ("field R\nvertex 1\n", "1:7: unknown field 'R'"),
+    ("vertex 1 2\narrow a 1 -> 2\n", "2:7: arrow syntax is: arrow <id> : <vertex> -> <vertex>"),
+    ("vertex 1\narrow\n", "2:1: arrow syntax is: arrow <id> : <vertex> -> <vertex>"),
+    ("vertex 1 2\narrow a : 1 -> ;\n", "2:16: bad identifier ';'"),
+    (H + "relation ;\n", "4:1: empty relation"),
+    (H + "relation a*b a*b ;\n", "4:14: expected + or - between terms, got 'a'"),
+    (H + "relation a*b + ;\n", "4:14: relation ends with a dangling sign"),
+    (H + "relation a*b - a*b ;\n", "4:1: relation cancels to zero"),
+    (H + "relation a*b + a ;\n", "4:1: non-parallel combination: a*b is 1->3 but a is 1->2"),
+    (H + f"relation {LONG} a*b ;\n",
+     "4:10: integer literal 99999999999999999999... (5000 characters) is not a decimal "
+     f"integer of at most {sys.get_int_max_str_digits()} digits"),
+    (H + "relation - ;\n", "4:1: expected a term"),
+    (H + "relation 1/x a*b ;\n", "4:10: bad rational literal"),
+    (H + "relation 1/-2 a*b ;\n", "4:10: bad rational literal"),
+    (H + "relation 1/\u0662 a*b ;\n", "4:10: bad rational literal"),
+    (H + "relation 1/0 a*b ;\n", "4:12: zero denominator"),
+    ("field F 5\n" + H + "relation 1/5 a*b ;\n", "5:12: denominator 5 is zero in F_5"),
+    (H + "relation *a ;\n", "4:10: unexpected '*'"),
+    (H + "relation a*: ;\n", "4:12: expected an arrow name, got ':'"),
+    (H + "relation \u0662 a*b ;\n", "4:10: expected an arrow name, got '\u0662'"),
+    (H + "relation \u00b2 a*b ;\n", "4:10: expected an arrow name, got '\u00b2'"),
+    (H + "relation a*c ;\n", "4:12: unknown arrow 'c'"),
+    (H + "relation a* ;\n", "4:11: dangling '*'"),
+    (H + "relation a*b + - a*b ;\n", "4:16: term has no arrows"),
+    (H + "relation b*a ;\n", "4:12: arrows do not compose: b ends at 3, a starts at 1"),
+])
+def test_every_parse_error(document, error):
+    with pytest.raises(ParseError) as excinfo:
+        parse_document(document)
+    assert str(excinfo.value) == error
 
 
 FAMILIES = [
