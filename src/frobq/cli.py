@@ -52,7 +52,8 @@ def _field_from_flag(text):
         return None
     if text == "Q":
         return QQ
-    if text.startswith("F") and DECIMAL.fullmatch(text, 1):
+    # _ints drops empty list items, so "F5," would read as F5.
+    if text.startswith("F") and "," not in text:
         return PrimeField(_ints(text[1:], 1)[0])
     raise ValidationError(f"bad field {shorten(text, repr)}; use Q or F<prime>")
 

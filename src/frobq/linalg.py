@@ -25,22 +25,22 @@ from .errors import ValidationError, shorten
 
 # An integer in any input; int() also reads "_", "+", blanks and other digits.
 DECIMAL = re.compile(r"-?[0-9]+")
+_SCALAR = re.compile(DECIMAL.pattern + r"(?:/[0-9]+)?")
 
 
 def _parse_scalar(field, kind, text):
-    """The scalar of field that text spells: DECIMAL num or num/den, den unsigned.
+    """The scalar of field that text spells: a DECIMAL, or one over unsigned digits.
 
     Python's reason for refusing it may repeat the whole literal or carry
     int()'s advice on its digit limit, so a shortened literal goes without.
     """
-    num, slash, den = text.partition("/")
     reason = ""
-    try:
-        # "-" + den is a DECIMAL exactly when den is digits alone.
-        if DECIMAL.fullmatch(num) and (not slash or DECIMAL.fullmatch("-" + den)):
+    if _SCALAR.fullmatch(text):
+        num, _, den = text.partition("/")
+        try:
             return field.scalar(int(num), int(den or 1))
-    except (ValueError, ZeroDivisionError, ValidationError) as exc:
-        reason = f": {exc}"
+        except (ValueError, ZeroDivisionError, ValidationError) as exc:
+            reason = f": {exc}"
     shown = shorten(text, repr)
     raise ValidationError(f"bad {kind} literal {shown}{reason if shown == repr(text) else ''}")
 

@@ -23,6 +23,7 @@ from frobq.errors import ValidationError
 from frobq.families import (
     CanonicalSpec,
     gen_canonical,
+    gen_cycle,
     gen_linear,
     gen_radical_square_zero,
     gen_random,
@@ -256,6 +257,28 @@ class TestStringRelationWitness:
             {(q.path(["a", "b"]), q.path(["a", "b"])): QQ.one}
         assert witness.value_at("2").coefficients == \
             {(q.path(["b", "a", "b"]), a): QQ.one, (b, q.path(["a", "b", "a"])): QQ.one}
+
+    # Every (n, d) that the string property would draw: the n-cycle with
+    # every length-d path killed is a string algebra, not gentle, and each
+    # relation with d > n passes a vertex more than once.
+    @pytest.mark.parametrize("n", range(1, 5))
+    @pytest.mark.parametrize("d", range(3, 9))
+    def test_every_cycle_relation_has_a_nonzero_witness(self, n, d):
+        q, ideal = gen_cycle(n, d)
+        algebra = compute_basis(q, ideal)
+        assert is_string(algebra) and not is_gentle(algebra)
+        assert frobenius_dimension(algebra) >= 1
+        for relation in ideal.monomial_paths():
+            witness = string_relation_witness(algebra, relation)
+            assert verify_coproduct(algebra, witness)[0] and witness.values
+
+    # A relation that holds another generator: every split of a1*a2*a3 has
+    # a head or a tail that a1*a2 or a2*a3 kills, so its witness is zero.
+    def test_relation_holding_another_generator_has_a_zero_witness(self):
+        q, ideal = gen_linear(4, [(1, 2), (2, 2), (1, 3)])
+        algebra = compute_basis(q, ideal)
+        witness = string_relation_witness(algebra, q.path(["a1", "a2", "a3"]))
+        assert verify_coproduct(algebra, witness)[0] and not witness.values
 
 
 class TestToupieClassify:
