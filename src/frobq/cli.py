@@ -71,6 +71,11 @@ def _load(path, field_flag):
     return parse_document(_read(path), field_override=_field_from_flag(field_flag))
 
 
+def _algebra(args):
+    doc = _load(args.file, args.field)
+    return compute_basis(doc.quiver, doc.ideal, doc.field)
+
+
 def _dumps(value, pad="\n"):
     """The text json.dumps writes for value with an indent of 2, for str
     dict keys.
@@ -116,8 +121,7 @@ def _emit(text, out=None):
 
 
 def cmd_basis(args):
-    doc = _load(args.file, args.field)
-    algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
+    algebra = _algebra(args)
     blocks = [(key, paths) for key, paths in sorted(algebra.blocks.items()) if paths]
     if args.json:
         payload = {
@@ -138,8 +142,7 @@ def cmd_basis(args):
 
 
 def cmd_dim(args):
-    doc = _load(args.file, args.field)
-    algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
+    algebra = _algebra(args)
     dimension = frobenius_dimension(algebra)
     if args.json:
         payload = {"schema": SCHEMA, "frobenius_dimension": dimension}
@@ -150,8 +153,7 @@ def cmd_dim(args):
 
 
 def cmd_space(args):
-    doc = _load(args.file, args.field)
-    algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
+    algebra = _algebra(args)
     space = solve_frobenius_space(algebra)
     if args.json:
         payload = {
@@ -174,8 +176,7 @@ def cmd_space(args):
 
 
 def cmd_verify(args):
-    doc = _load(args.file, args.field)
-    algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
+    algebra = _algebra(args)
     try:
         data = json.loads(_read(args.coproduct))
     except RecursionError:
@@ -201,21 +202,20 @@ def cmd_verify(args):
 def cmd_classify(args):
     from . import closed_forms  # as in cmd_gen: only classify and patterns compile it
 
-    doc = _load(args.file, args.field)
-    algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
+    algebra = _algebra(args)
     dimension = frobenius_dimension(algebra)
     lines = [f"algebra dimension {algebra.dimension}",
              f"coproduct space dimension {dimension}"]
 
     rsz = closed_forms.is_radical_square_zero(algebra)
     lines.append(f"radical square zero: {'yes' if rsz else 'no'}")
-    if rsz and doc.quiver.arrows:
-        formula = closed_forms.radical_square_zero_dimension(doc.quiver)
+    if rsz and algebra.quiver.arrows:
+        formula = closed_forms.radical_square_zero_dimension(algebra.quiver)
         agree = "agrees with solver" if formula == dimension else "DISAGREES with solver"
         lines.append(f"  quotient formula dimension: {formula} ({agree})")
 
     try:
-        info = closed_forms.toupie_classify(doc.quiver, doc.ideal, doc.field)
+        info = closed_forms.toupie_classify(algebra.quiver, algebra.ideal, algebra.field)
     except ValidationError:
         lines.append("toupie: no")
     else:
@@ -227,7 +227,7 @@ def cmd_classify(args):
 
     string = closed_forms.is_string(algebra)
     if string:
-        quadratic = closed_forms.is_string_quadratic(doc.ideal)
+        quadratic = closed_forms.is_string_quadratic(algebra)
         gentle = closed_forms.is_gentle(algebra)
         kind = "gentle" if gentle else ("quadratic" if quadratic else "general")
         lines.append(f"string: yes ({kind})")
@@ -248,8 +248,7 @@ def cmd_classify(args):
 def cmd_patterns(args):
     from . import closed_forms
 
-    doc = _load(args.file, args.field)
-    algebra = compute_basis(doc.quiver, doc.ideal, doc.field)
+    algebra = _algebra(args)
     matches = closed_forms.detect_local_patterns(algebra)
     if not matches:
         _emit("no local patterns\n")

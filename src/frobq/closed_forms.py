@@ -174,13 +174,16 @@ def is_string(algebra: AlgebraBasis) -> bool:
     return algebra.ideal.is_monomial and special_biserial_violation(algebra) is None
 
 
-def is_string_quadratic(ideal: IdealSpec) -> bool:
-    return ideal.is_monomial and all(len(p) == 2 for p in ideal.monomial_paths())
+def is_string_quadratic(algebra: AlgebraBasis) -> bool:
+    """Monomial, and every generator of length >= 3 holds a shorter zero path."""
+    return algebra.ideal.is_monomial and all(
+        len(w) == 2 or not (algebra.table.get(w[:-1]) and algebra.table.get(w[1:]))
+        for w in (p.arrows for p in algebra.ideal.monomial_paths()))
 
 
 def is_gentle(algebra: AlgebraBasis) -> bool:
     """String with quadratic relations and at most one forbidden pair per side."""
-    if not is_string(algebra) or not is_string_quadratic(algebra.ideal):
+    if not is_string(algebra) or not is_string_quadratic(algebra):
         return False
     quiver = algebra.quiver
     for a in quiver.arrows:

@@ -9,10 +9,10 @@ on every composable pair of basis paths that some candidate reaches (all
 other pairs have zero on every side), using the algebra's full
 multiplication rather than arrows, so the cheap system is never trusted
 on its own.  The solver's whole kernel basis is checked in one such
-walk.  Both take every product of basis paths from the algebra's int
-product table, over basis indices.  The verifier computes on exact int
-representatives: the product table and each candidate scaled by the lcm
-of their denominators.
+walk.  The solver reads each product off the reduction table by arrow
+word; the verifier reads the algebra's int product table, over basis
+indices, and computes on exact int representatives: the product table
+and each candidate scaled by the lcm of their denominators.
 
 Only a non-monomial ideal's system is built and row-reduced: over a
 monomial ideal each product of basis paths is one basis path or zero, so
@@ -118,9 +118,12 @@ def _reduced(terms, reduce):
     return {key: r for key, value in terms.items() if (r := reduce(value))}
 
 
+_EMPTY = {}
+
+
 def _columns(algebra: AlgebraBasis):
     """The legend, one column per (p, u, v) with source(u) = target(v) = p,
-    and {p: [(column, index of u, index of v)]}.
+    {p: [(column, index of u, index of v)]} and the basis paths' words.
 
     The columns run vertex by vertex, with u and then v in sort_key
     order, so each vertex owns one contiguous range of columns.
@@ -139,7 +142,7 @@ def _columns(algebra: AlgebraBasis):
             for v in by_target[p]:
                 columns[p].append((len(legend), u, v))
                 legend.append((p, basis[u], basis[v]))
-    return legend, columns
+    return legend, columns, [b.arrows for b in basis]
 
 
 def build_constraint_system(algebra: AlgebraBasis):
@@ -151,27 +154,26 @@ def build_constraint_system(algebra: AlgebraBasis):
     arrow constraints remain.
 
     An arrow a: p -> q gives one row per tensor pair of basis indices in
-    (a (x) 1) D(e_q) - D(e_p) (1 (x) a).  The products a * u and v * a
-    come from algebra.product_table, the table the verifier reads; a is
-    a basis path, since every generator term has length >= 2.  Over Q
-    those ints are product_scale times the true coordinates, so the
-    matrix is product_scale times the true one, which has the same RREF
-    and kernel.  Neither depends on the order of the rows, so the rows
+    (a (x) 1) D(e_q) - D(e_p) (1 (x) a).  The coordinates of a * u and
+    v * a are the reduction table's entry for their joined arrow word:
+    a is a basis path, since every generator term has length >= 2, and
+    a word with no entry is at or past the bound, so zero.  Neither the
+    RREF nor the kernel depends on the order of the rows, so the rows
     stay in the order they are built.
     """
-    products = algebra.product_table
-    legend, columns = _columns(algebra)
+    table = algebra.table
+    legend, columns, words = _columns(algebra)
     rows = []
     for arrow in algebra.quiver.arrows:
         p, q = arrow.source, arrow.target
-        a = algebra.index[Path(p, q, (arrow.name,))]
+        a = (arrow.name,)
         pair_rows = {}
         for col, u, v in columns[q]:
-            for w, c in products[a][u].items():
+            for w, c in table.get(a + words[u], _EMPTY).items():
                 row = pair_rows.setdefault((w, v), {})
                 row[col] = row.get(col, 0) + c
         for col, u, v in columns[p]:
-            for z, c in products[v][a].items():
+            for z, c in table.get(words[v] + a, _EMPTY).items():
                 row = pair_rows.setdefault((u, z), {})
                 row[col] = row.get(col, 0) - c
         rows.extend(r for row in pair_rows.values() if (r := _reduced(row, algebra.field.reduce)))
@@ -188,8 +190,8 @@ def _monomial_kernel(algebra: AlgebraBasis):
     (q, u, v) with a * u = w and the column (p, w, v') with v' * a = v.
     It joins the two, or the one it holds to the node ncols, for zero.
     """
-    products = algebra.product_table
-    legend, columns = _columns(algebra)
+    table = algebra.table
+    legend, columns, words = _columns(algebra)
     ncols = len(legend)
     parent = list(range(ncols + 1))
 
@@ -200,10 +202,10 @@ def _monomial_kernel(algebra: AlgebraBasis):
 
     for arrow in algebra.quiver.arrows:
         p, q = arrow.source, arrow.target
-        a = algebra.index[Path(p, q, (arrow.name,))]
-        left = {(w, v): col for col, u, v in columns[q] for w in products[a][u]}
+        a = (arrow.name,)
+        left = {(w, v): col for col, u, v in columns[q] for w in table.get(a + words[u], ())}
         for col, u, v in columns[p]:
-            for z in products[v][a]:
+            for z in table.get(words[v] + a, ()):
                 parent[find(col)] = find(left.pop((u, z), ncols))
         for col in left.values():
             parent[find(col)] = find(ncols)
@@ -272,9 +274,6 @@ def _integer_terms(algebra, tensor, scale, n):
             raise SupportViolationError(f"coproduct term {_term(u, v)} does not use basis paths")
         terms[(j, l, n)] = integer(c, scale)
     return terms
-
-
-_EMPTY = {}
 
 
 def _delta(products, terms, reduce):

@@ -165,9 +165,8 @@ class AlgebraBasis:
         keyed in basis order.  Pairs that do not compose have no entry:
         their product is zero.  product_scale is the lcm of the
         coordinates' denominators (1 over F_p), so every entry is an exact
-        int.  Built on first use and kept, so the constraint build and
-        every verification of this algebra share it; treat it as
-        read-only.
+        int.  Built on the verifier's first use and kept, so every
+        verification of this algebra shares it; treat it as read-only.
         """
         return self._products[0]
 

@@ -191,6 +191,15 @@ class TestCommands:
         assert "toupie: yes, kind GENERALIZED_DIAMOND" in out
         assert "predicted dimension =1: holds" in out
 
+    # a1*a2*a3 holds a1*a2, so it leaves the gentle algebra as it is.
+    @pytest.mark.parametrize("redundant", ["", "relation a1*a2*a3 ;\n"])
+    def test_classify_judges_the_algebra_not_its_generators(self, capsys, tmp_path, redundant):
+        doc = tmp_path / "a4.qv"
+        doc.write_text("vertex 1 2 3 4\narrow a1 : 1 -> 2\narrow a2 : 2 -> 3\n"
+                       "arrow a3 : 3 -> 4\nrelation a1*a2 ;\nrelation a2*a3 ;\n" + redundant)
+        code, out, _ = run(capsys, "classify", str(doc))
+        assert code == 0 and "string: yes (gentle)\n" in out
+
     def test_patterns(self, capsys, tmp_path):
         doc = tmp_path / "a3.qv"
         doc.write_text("vertex 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n"

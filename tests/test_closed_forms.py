@@ -164,8 +164,9 @@ class TestLocalPatterns:
 class TestStringChecks:
     def test_linear_with_relations_is_string(self):
         q, ideal = gen_linear(4, [(1, 3)])
-        assert is_string(compute_basis(q, ideal))
-        assert not is_string_quadratic(ideal)
+        algebra = compute_basis(q, ideal)
+        assert is_string(algebra)
+        assert not is_string_quadratic(algebra)
 
     def test_three_out_arrows_not_string(self):
         q = Quiver(["p", "a", "b", "c"],
@@ -174,9 +175,10 @@ class TestStringChecks:
 
     def test_case_four_quadratic_not_gentle(self):
         q, ideal = case_four()
-        assert is_string(compute_basis(q, ideal))
-        assert is_string_quadratic(ideal)
-        assert not is_gentle(compute_basis(q, ideal))
+        algebra = compute_basis(q, ideal)
+        assert is_string(algebra)
+        assert is_string_quadratic(algebra)
+        assert not is_gentle(algebra)
 
     def test_linear_quadratic_is_gentle(self):
         q, ideal = gen_linear(3, [(1, 2)])
@@ -274,11 +276,14 @@ class TestStringRelationWitness:
 
     # A relation that holds another generator: every split of a1*a2*a3 has
     # a head or a tail that a1*a2 or a2*a3 kills, so its witness is zero.
+    # The relation is redundant, so the algebra is the gentle one of a1*a2
+    # and a2*a3.
     def test_relation_holding_another_generator_has_a_zero_witness(self):
         q, ideal = gen_linear(4, [(1, 2), (2, 2), (1, 3)])
         algebra = compute_basis(q, ideal)
         witness = string_relation_witness(algebra, q.path(["a1", "a2", "a3"]))
         assert verify_coproduct(algebra, witness)[0] and not witness.values
+        assert is_string_quadratic(algebra) and is_gentle(algebra)
 
 
 class TestToupieClassify:

@@ -7,7 +7,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from frobq import frobenius
 from frobq.errors import InternalFaultError, SupportViolationError
-from frobq.families import gen_cycle, gen_linear, gen_random, gen_toupie
+from frobq.families import (
+    CanonicalSpec,
+    gen_canonical,
+    gen_cycle,
+    gen_linear,
+    gen_random,
+    gen_toupie,
+)
 from frobq.frobenius import (
     CoproductCandidate,
     TensorElement,
@@ -20,7 +27,7 @@ from frobq.frobenius import (
     verify_coproduct,
 )
 from frobq.ideal import IdealSpec, compute_basis
-from frobq.linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank
+from frobq.linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank, rref
 from frobq.quiver import Path, PathExpr, Quiver
 
 from algebra_ops import coefficient_vector, compose, coords_of, multiply
@@ -78,7 +85,6 @@ class TestConstraintSystem:
 
 class TestSolve:
     def test_canonical_algebra_vanishes(self):
-        from frobq.families import CanonicalSpec, gen_canonical
         q, ideal = gen_canonical(CanonicalSpec((2, 2, 2), (1,)))
         space = solve_frobenius_space(compute_basis(q, ideal))
         assert space == []
@@ -361,6 +367,68 @@ def test_union_find_kernel_is_kernel_basis(drawn):
     algebra = compute_basis(quiver, ideal, field)
     matrix, legend = build_constraint_system(algebra)
     assert frobenius._monomial_kernel(algebra) == (legend, kernel_basis(matrix))
+
+
+def product_table_constraint_system(algebra):
+    """The constraint system built from the verifier's int product table.
+
+    It reads a * u and v * a from algebra.product_table, whose ints over Q
+    are product_scale times the true coordinates, so its matrix is
+    product_scale times the true one.
+    """
+    products = algebra.product_table
+    legend, columns, _ = frobenius._columns(algebra)
+    rows = []
+    for arrow in algebra.quiver.arrows:
+        p, q = arrow.source, arrow.target
+        a = algebra.index[Path(p, q, (arrow.name,))]
+        pair_rows = {}
+        for col, u, v in columns[q]:
+            for w, c in products[a][u].items():
+                row = pair_rows.setdefault((w, v), {})
+                row[col] = row.get(col, 0) + c
+        for col, u, v in columns[p]:
+            for z, c in products[v][a].items():
+                row = pair_rows.setdefault((u, z), {})
+                row[col] = row.get(col, 0) - c
+        rows.extend(r for row in pair_rows.values()
+                    if (r := frobenius._reduced(row, algebra.field.reduce)))
+    return SparseMatrix(rows, len(legend), algebra.field), legend
+
+
+def assert_matches_product_table_build(algebra):
+    """build_constraint_system's matrix is the reference's divided by
+    product_scale, so the two have the same RREF and kernel basis."""
+    matrix, legend = build_constraint_system(algebra)
+    reference, reference_legend = product_table_constraint_system(algebra)
+    scale = algebra.product_scale
+    assert legend == reference_legend
+    assert reference.rows == [{j: scale * c for j, c in row.items()} for row in matrix.rows]
+    assert rref(matrix) == rref(reference)
+    assert kernel_basis(matrix) == kernel_basis(reference)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(drawn=st.one_of(random_algebras(), mixed_algebras().map(lambda drawn: drawn[:3])))
+def test_constraint_build_matches_product_table_build(drawn):
+    quiver, ideal, field = drawn
+    assume(not has_zero_generator(ideal, field))
+    assert_matches_product_table_build(compute_basis(quiver, ideal, field))
+
+
+def test_constraint_build_matches_scaled_product_table_build():
+    q, ideal = gen_canonical(CanonicalSpec((9, 10, 11, 12), (2, Fraction(1, 3))))
+    algebra = compute_basis(q, ideal)
+    assert algebra.product_scale == 5
+    assert_matches_product_table_build(algebra)
+
+
+@pytest.mark.parametrize("build", [gen_linear(6), gen_canonical(CanonicalSpec((2, 3, 4), (2,)))],
+                         ids=["monomial", "canonical"])
+def test_dimension_leaves_the_product_table_unbuilt(build):
+    algebra = algebra_of(build)
+    frobenius_dimension(algebra)
+    assert "_products" not in vars(algebra)
 
 
 def test_verifier_completeness_both_directions():
