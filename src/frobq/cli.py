@@ -228,7 +228,7 @@ def cmd_classify(args):
     string = closed_forms.is_string(algebra)
     if string:
         quadratic = closed_forms.is_string_quadratic(algebra)
-        gentle = closed_forms.is_gentle(algebra)
+        gentle = quadratic and closed_forms._gentle_pairs(algebra)
         kind = "gentle" if gentle else ("quadratic" if quadratic else "general")
         lines.append(f"string: yes ({kind})")
     else:

@@ -183,19 +183,15 @@ def is_string_quadratic(algebra: AlgebraBasis) -> bool:
 
 def is_gentle(algebra: AlgebraBasis) -> bool:
     """String with quadratic relations and at most one forbidden pair per side."""
-    if not is_string(algebra) or not is_string_quadratic(algebra):
-        return False
-    quiver = algebra.quiver
-    for a in quiver.arrows:
-        forbidden_after = [b for b in quiver.out_arrows[a.target]
-                           if _composition_vanishes(algebra, a, b)]
-        if len(forbidden_after) > 1:
-            return False
-        forbidden_before = [b for b in quiver.in_arrows[a.source]
-                            if _composition_vanishes(algebra, b, a)]
-        if len(forbidden_before) > 1:
-            return False
-    return True
+    return is_string(algebra) and is_string_quadratic(algebra) and _gentle_pairs(algebra)
+
+
+def _gentle_pairs(algebra: AlgebraBasis) -> bool:
+    """Each arrow has at most one vanishing composition on each side."""
+    out_arrows, in_arrows = algebra.quiver.out_arrows, algebra.quiver.in_arrows
+    return all(sum(_composition_vanishes(algebra, a, b) for b in out_arrows[a.target]) < 2
+               and sum(_composition_vanishes(algebra, b, a) for b in in_arrows[a.source]) < 2
+               for a in algebra.quiver.arrows)
 
 
 def string_relation_witness(algebra: AlgebraBasis, relation: Path) -> CoproductCandidate:

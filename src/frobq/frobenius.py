@@ -123,10 +123,11 @@ _EMPTY = {}
 
 def _columns(algebra: AlgebraBasis):
     """The legend, one column per (p, u, v) with source(u) = target(v) = p,
-    {p: [(column, index of u, index of v)]} and the basis paths' words.
+    {p: (first column, us, vs)} and the basis paths' words.
 
-    The columns run vertex by vertex, with u and then v in sort_key
-    order, so each vertex owns one contiguous range of columns.
+    The columns run vertex by vertex, with u in us and then v in vs, by
+    basis index in sort_key order: (p, us[i], vs[k]) is column first +
+    i * len(vs) + k.
     """
     basis = algebra.basis
     by_source = {}
@@ -137,12 +138,14 @@ def _columns(algebra: AlgebraBasis):
     legend = []
     columns = {}
     for p in algebra.quiver.vertices:
-        columns[p] = []
-        for u in by_source[p]:
-            for v in by_target[p]:
-                columns[p].append((len(legend), u, v))
-                legend.append((p, basis[u], basis[v]))
+        columns[p] = (len(legend), by_source[p], by_target[p])
+        legend.extend((p, basis[u], basis[v]) for u in by_source[p] for v in by_target[p])
     return legend, columns, [b.arrows for b in basis]
+
+
+def _integral(coords):
+    """The items of coords, each integral coordinate as an int."""
+    return [(k, c.numerator if c.denominator == 1 else c) for k, c in coords.items()]
 
 
 def build_constraint_system(algebra: AlgebraBasis):
@@ -155,31 +158,37 @@ def build_constraint_system(algebra: AlgebraBasis):
 
     An arrow a: p -> q gives one row per tensor pair of basis indices in
     (a (x) 1) D(e_q) - D(e_p) (1 (x) a).  The coordinates of a * u and
-    v * a are the reduction table's entry for their joined arrow word:
-    a is a basis path, since every generator term has length >= 2, and
-    a word with no entry is at or past the bound, so zero.  Neither the
-    RREF nor the kernel depends on the order of the rows, so the rows
-    stay in the order they are built.
+    v * a are the reduction table's entry for their joined arrow word,
+    looked up once per u and once per v, with integral coordinates as
+    ints: a is a basis path, since every generator term has length >= 2,
+    and a word with no entry is at or past the bound, so zero.  An entry
+    sums at most two coordinates, in [1, p) over F_p, so only an exact 0
+    is zero: a row of zeros is dropped here, a zero entry by SparseMatrix,
+    which reduces the rest.  Neither the RREF nor the kernel depends on
+    the order of the rows, so the rows stay in the order they are built.
     """
     table = algebra.table
     legend, columns, words = _columns(algebra)
     rows = []
     for arrow in algebra.quiver.arrows:
-        p, q = arrow.source, arrow.target
         a = (arrow.name,)
         pair_rows = {}
-        for col, u, v in columns[q]:
-            for w, c in table.get(a + words[u], _EMPTY).items():
-                row = pair_rows.setdefault((w, v), {})
-                row[col] = row.get(col, 0) + c
-        for col, u, v in columns[p]:
-            for z, c in table.get(words[v] + a, _EMPTY).items():
+        first, us, vs = columns[arrow.target]
+        for i, u in enumerate(us):
+            if coords := _integral(table.get(a + words[u], _EMPTY)):
+                for col, v in enumerate(vs, first + i * len(vs)):
+                    for w, c in coords:
+                        pair_rows.setdefault((w, v), {})[col] = c
+        first, us, vs = columns[arrow.source]
+        right = [(k, z, c) for k, v in enumerate(vs)
+                 for z, c in _integral(table.get(words[v] + a, _EMPTY))]
+        for i, u in enumerate(us):
+            for k, z, c in right:
                 row = pair_rows.setdefault((u, z), {})
+                col = first + i * len(vs) + k
                 row[col] = row.get(col, 0) - c
-        rows.extend(r for row in pair_rows.values() if (r := _reduced(row, algebra.field.reduce)))
-
-    matrix = SparseMatrix(rows, len(legend), algebra.field)
-    return matrix, legend
+        rows.extend(row for row in pair_rows.values() if any(row.values()))
+    return SparseMatrix(rows, len(legend), algebra.field), legend
 
 
 def _monomial_kernel(algebra: AlgebraBasis):
@@ -201,12 +210,15 @@ def _monomial_kernel(algebra: AlgebraBasis):
         return c
 
     for arrow in algebra.quiver.arrows:
-        p, q = arrow.source, arrow.target
         a = (arrow.name,)
-        left = {(w, v): col for col, u, v in columns[q] for w in table.get(a + words[u], ())}
-        for col, u, v in columns[p]:
-            for z in table.get(words[v] + a, ()):
-                parent[find(col)] = find(left.pop((u, z), ncols))
+        first, us, vs = columns[arrow.target]
+        left = {(w, v): col for i, u in enumerate(us) for w in table.get(a + words[u], ())
+                for col, v in enumerate(vs, first + i * len(vs))}
+        first, us, vs = columns[arrow.source]
+        right = [(k, z) for k, v in enumerate(vs) for z in table.get(words[v] + a, ())]
+        for i, u in enumerate(us):
+            for k, z in right:
+                parent[find(first + i * len(vs) + k)] = find(left.pop((u, z), ncols))
         for col in left.values():
             parent[find(col)] = find(ncols)
     components = {}

@@ -1,20 +1,21 @@
 """Exact scalar arithmetic and sparse exact linear algebra.
 
-Everything here is exact: rationals are arbitrary-precision fractions and
-F_p scalars are plain ints in [0, p).  Each field owns its normalisation:
-`reduce` brings a sum or product of its scalars back into canonical form
-(x % p over F_p, the identity over Q) and `inverse` gives 1 / x, so the
-elimination code is the same for every field.  `denominator` and
-`integer` give exact int representatives (each scalar times a common
-denominator, which is 1 over F_p) and `scalar(n, d)` maps one back.  No
-floating point is used anywhere in the package.
+Everything here is exact.  Over Q a scalar is an int or a Fraction, never
+a float: a matrix `entry` may stay an int, `coerce` and `inverse` give
+Fractions.  F_p scalars are ints in [0, p).  Each field owns its
+normalisation: `reduce` brings a sum or product of its scalars back into
+canonical form (x % p over F_p, the identity over Q) and `inverse` gives
+1 / x, so the elimination code is the same for every field.
+`denominator` and `integer` give exact int representatives (each scalar
+times a common denominator, which is 1 over F_p) and `scalar(n, d)` maps
+one back.  No floating point is used anywhere in the package.
 
 Over Q, `rref` runs that one elimination modulo the prime P = 2^61 - 1
 on ints, lifts the result back to fractions by rational reconstruction
 and proves it exact against the input; only when the proof fails (or P
 divides a denominator) does it eliminate over the fractions themselves.
 `rank`, `kernel_basis` and every other caller get the same exact RREF
-either way.
+either way, as Fractions.
 """
 
 import re
@@ -46,7 +47,7 @@ def _parse_scalar(field, kind, text):
 
 
 class RationalField:
-    """The field of rationals with exact Fraction arithmetic."""
+    """The rationals: a scalar is an int or a Fraction, never a float."""
 
     name = "Q"
     zero = Fraction(0)
@@ -62,11 +63,14 @@ class RationalField:
             return Fraction(x)
         raise ValidationError(f"not a rational scalar: {x!r}")
 
+    def entry(self, x):
+        return x if type(x) is int else self.coerce(x)
+
     def reduce(self, x):
         return x
 
     def inverse(self, x):
-        return 1 / x
+        return Fraction(x.denominator, x.numerator)
 
     def denominator(self, x):
         return x.denominator
@@ -156,6 +160,8 @@ class PrimeField:
             return self.scalar(x.numerator, x.denominator)
         raise ValidationError(f"not an F_{self.p} scalar: {x!r}")
 
+    entry = coerce
+
     def reduce(self, x):
         return x % self.p
 
@@ -194,7 +200,7 @@ class SparseMatrix:
     """An immutable sparse matrix over one fixed field.
 
     rows is a list of sparse {column: scalar} dictionaries holding only
-    nonzero entries.
+    nonzero entries, each given by field.entry.
     """
 
     def __init__(self, rows, ncols, field=QQ):
@@ -206,7 +212,7 @@ class SparseMatrix:
             for j, value in row.items():
                 if not 0 <= j < ncols:
                     raise ValidationError(f"entry index out of range: ({i}, {j})")
-                value = field.coerce(value)
+                value = field.entry(value)
                 if value:
                     kept[j] = value
             self.rows.append(kept)
@@ -245,17 +251,19 @@ def rref(matrix: SparseMatrix):
     combination of the lifted rows named by its pivot-column entries,
     which proves the lift is the RREF over Q (`_modular_rref` gives the
     argument).  When P divides a denominator, an entry does not lift or
-    the check fails, the same elimination runs over the `Fraction`s
-    themselves.  So every Q result has either passed the exact check or
-    come from the `Fraction` elimination.
+    the check fails, the same elimination runs over the entries as
+    `Fraction`s.  So every Q result has either passed the exact check
+    or come from the `Fraction` elimination, and its scalars are Fractions.
     """
-    field = matrix.field
-    result = _modular_rref(matrix) if isinstance(field, RationalField) else None
-    if result is None:
-        result = _eliminate([dict(row) for row in matrix.rows], matrix.ncols, field)
+    field, ncols = matrix.field, matrix.ncols
+    if isinstance(field, RationalField):
+        result = _modular_rref(matrix) or _eliminate(
+            [{j: Fraction(x) for j, x in row.items()} for row in matrix.rows], ncols, field)
+    else:
+        result = _eliminate([dict(row) for row in matrix.rows], ncols, field)
     rows, pivots = result
     rows.extend({} for _ in range(matrix.nrows - len(pivots)))
-    return SparseMatrix(rows, matrix.ncols, field), pivots
+    return SparseMatrix(rows, ncols, field), pivots
 
 
 def _eliminate(rows, ncols, field):
@@ -340,13 +348,11 @@ def _modular_rref(matrix: SparseMatrix):
     for row in matrix.rows:
         residue_row = {}
         for j, x in row.items():
-            num, den = x.numerator, x.denominator
-            if den == 1:
-                residue_row[j] = num % P
-            elif den % P == 0:
-                return None
-            else:
-                residue_row[j] = num * pow(den, -1, P) % P
+            if type(x) is not int:
+                if x.denominator % P == 0:
+                    return None
+                x = x.numerator * pow(x.denominator, -1, P)
+            residue_row[j] = x % P
         residues.append(residue_row)
     reduced, pivots = _eliminate(residues, matrix.ncols, _FP)
     tails = {}

@@ -410,6 +410,16 @@ class TestBadInput:
         assert code == 1 and out == "" and err.count("\n") == 1
         assert "Traceback" not in err and len(err.encode()) < 200
 
+    def test_verify_support_violation_on_the_right_leg_only(self, capsys, tmp_path):
+        doc = tmp_path / "a3.qv"
+        doc.write_text("vertex 1 2 3\narrow a1 : 1 -> 2\narrow a2 : 2 -> 3\n")
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([{"vertex": "1", "terms": [
+            {"left": {"e": "1"}, "right": ["a1"], "coeff": "1"}]}]))
+        assert run(capsys, "verify", str(doc), "--coproduct", str(cand)) == (
+            4, "SUPPORT VIOLATION: term e_1(x)a1 at vertex 1 breaks the support condition "
+               "source(left) = target(right) = 1\n", "")
+
     def test_long_name_in_support_violation_is_shortened(self, capsys, tmp_path):
         doc = tmp_path / "doc.qv"
         doc.write_text("vertex 1 2\narrow " + LONG + " : 1 -> 2\n")

@@ -219,6 +219,16 @@ class TestVerify:
         with pytest.raises(SupportViolationError):
             verify_coproduct(algebra, bad)
 
+    def test_support_violation_on_the_right_leg_only(self):
+        """e_1 (x) a1 at vertex 1 of A_3: the left leg starts at 1, but
+        the right leg ends at 2, not 1."""
+        q, ideal = gen_linear(3)
+        algebra = compute_basis(q, ideal)
+        tensor = TensorElement(QQ, {(q.trivial_path("1"), q.path(["a1"])): QQ.one})
+        bad = CoproductCandidate(algebra, {"1": tensor})
+        with pytest.raises(SupportViolationError, match=r"^term e_1\(x\)a1 at vertex 1 breaks"):
+            verify_coproduct(algebra, bad)
+
 
 SMALL_INSTANCES = [
     gen_linear(2),
@@ -377,7 +387,10 @@ def product_table_constraint_system(algebra):
     product_scale times the true one.
     """
     products = algebra.product_table
-    legend, columns, _ = frobenius._columns(algebra)
+    legend = frobenius._columns(algebra)[0]
+    columns = {p: [] for p in algebra.quiver.vertices}
+    for col, (p, u, v) in enumerate(legend):
+        columns[p].append((col, algebra.index[u], algebra.index[v]))
     rows = []
     for arrow in algebra.quiver.arrows:
         p, q = arrow.source, arrow.target
@@ -414,6 +427,17 @@ def test_constraint_build_matches_product_table_build(drawn):
     quiver, ideal, field = drawn
     assume(not has_zero_generator(ideal, field))
     assert_matches_product_table_build(compute_basis(quiver, ideal, field))
+
+
+def test_integral_coordinates_enter_the_q_rows_as_ints():
+    """Of canonical (9,10,11,12), lambda = (2, 1/3), only the entries
+    with a non-integral coordinate are Fractions; the rest are ints."""
+    q, ideal = gen_canonical(CanonicalSpec((9, 10, 11, 12), (2, Fraction(1, 3))))
+    matrix, _ = build_constraint_system(compute_basis(q, ideal))
+    entries = [c for row in matrix.rows for c in row.values()]
+    fractions = [c for c in entries if type(c) is not int]
+    assert all(type(c) is Fraction and c.denominator != 1 for c in fractions)
+    assert 0 < len(fractions) < len(entries)
 
 
 def test_constraint_build_matches_scaled_product_table_build():

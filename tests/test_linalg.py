@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frobq import linalg
 from frobq.errors import ValidationError
 from frobq.linalg import (
-    P, QQ, PrimeField, SparseMatrix, _eliminate, _modular_rref, kernel_basis, rank, rref,
+    _LIFT_BOUND, P, QQ, PrimeField, SparseMatrix, _eliminate, _lift, _modular_rref,
+    kernel_basis, rank, rref,
 )
 
 
@@ -293,6 +295,52 @@ def test_modular_route_lifts_fractions():
     assert pivots == expected_pivots
     assert rows == expected.rows[:len(pivots)]
     assert_exact(QQ, (v for row in rows for v in row.values()))
+
+
+def test_lift_refuses_a_fraction_beyond_the_bound():
+    """Within _LIFT_BOUND a residue has at most one lift.  1/d and -1/d
+    with d = _LIFT_BOUND + 1 lie just outside it, so _lift refuses them,
+    although Euclid reaches them, and the modular route falls back
+    without running its exact check."""
+    d = _LIFT_BOUND + 1
+    assert _lift(pow(d, -1, P)) is None
+    assert _lift(P - pow(d, -1, P)) is None
+    m = SparseMatrix([{0: d, 1: 1}], 2)
+    assert _modular_rref(m) is None
+    assert rref(m) == reference_rref(m)
+
+
+def test_rational_inverse_is_a_fraction():
+    assert type(QQ.inverse(3)) is Fraction and QQ.inverse(3) == Fraction(1, 3)
+    assert QQ.inverse(-4) == Fraction(-1, 4)
+    assert QQ.inverse(Fraction(-2, 3)) == Fraction(-3, 2)
+
+
+# Integer-valued, the third row three times the first: rank 3, and the
+# first column's pivot is 2, so the elimination over Q inverts an int.
+INTEGRAL = [{0: 2, 1: 4, 3: 1}, {0: 3, 2: 5}, {0: 6, 1: 12, 3: 3}, {1: -7, 2: 1, 3: 1}]
+
+
+@pytest.mark.parametrize("route", ["modular", "fraction"])
+def test_integer_valued_q_matrix_never_meets_a_float(monkeypatch, route):
+    """A Q matrix keeps integral entries as ints.  Through either route,
+    rref and kernel_basis give Fractions equal to reference_rref's, and
+    the reference, which eliminates over the ints themselves, gives ints
+    and Fractions only."""
+    if route == "fraction":
+        monkeypatch.setattr(linalg, "_modular_rref", lambda m: None)
+    m = SparseMatrix(INTEGRAL, 4)
+    assert all(type(v) is int for row in m.rows for v in row.values())
+    expected = reference_rref(m)
+    assert all(type(v) in (int, Fraction) for v in expected[0].entries.values())
+    reduced, pivots = rref(m)
+    assert (reduced, pivots) == expected and len(pivots) == 3
+    assert_exact(QQ, reduced.entries.values())
+    kb = kernel_basis(m)
+    assert len(kb) == 1
+    for vec in kb:
+        assert_exact(QQ, vec.values())
+        assert apply(m, vec) == {}
 
 
 def small_or_large_rational():
