@@ -32,7 +32,6 @@ from .frobenius import (
     build_constraint_system,
     candidate_from_json,
     candidate_to_json,
-    extend_coproduct,
     frobenius_dimension,
     solve_frobenius_space,
     verify_coproduct,

@@ -5,7 +5,9 @@
     arrow <id> : <vertex> -> <vertex>
     relation <term> { (+|-) <term> } ;     term := [<rational>] <arrow> { * <arrow> }
 
-`#` starts a comment.  Rationals are written `num` or `num/den`.  Every
+An identifier (a vertex or arrow name) is ASCII letters, digits, `_`
+and `.`.  `#` starts a comment anywhere on a line, even right after a
+token: `2#3` reads as `2`.  Rationals are written `num` or `num/den`.  Every
 error carries the line and column it happened at; one that no single
 token causes (a quiver that is not connected) points at 1:1.
 parse(format(doc)) reproduces the document exactly for documents in
@@ -16,11 +18,12 @@ import re
 import sys
 
 from .errors import ParseError, ValidationError, shorten
-from .ideal import IdealSpec, validate
+from .ideal import IdealSpec, check_term_length
 from .linalg import DECIMAL, QQ, PrimeField, RationalField
 from .quiver import PathExpr, Quiver
 
-_TOKEN = re.compile(r"->|[*+\-:;/]|[A-Za-z0-9_.]+|\S")
+_IDENTIFIER = re.compile(r"[A-Za-z0-9_.]+")
+_TOKEN = re.compile(r"->|[*+\-:;/]|" + _IDENTIFIER.pattern + r"|\S")
 
 
 class QuiverDocument:
@@ -33,13 +36,9 @@ class QuiverDocument:
 
 
 def _tokenize(line, lineno):
-    tokens = []
-    for match in _TOKEN.finditer(line):
-        text = match.group()
-        if text.startswith("#"):
-            break
-        tokens.append((text, lineno, match.start() + 1))
-    return tokens
+    # No token but a comment holds "#", so the comment is cut off first.
+    return [(m.group(), lineno, m.start() + 1)
+            for m in _TOKEN.finditer(line.partition("#")[0])]
 
 
 def parse_document(text, field_override=None) -> QuiverDocument:
@@ -62,7 +61,7 @@ def parse_document(text, field_override=None) -> QuiverDocument:
             if not rest:
                 raise ParseError("vertex line needs at least one identifier", lineno, col)
             for name, ln, c in rest:
-                if not _is_identifier(name):
+                if not _IDENTIFIER.fullmatch(name):
                     raise ParseError(f"bad vertex identifier {name!r}", ln, c)
             vertices.extend(rest)
         elif head == "arrow":
@@ -93,19 +92,8 @@ def parse_document(text, field_override=None) -> QuiverDocument:
             _, line, col = arrows[exc.at[1]][exc.at[2]]
         raise ParseError(str(exc), line, col) from None
 
-    generators = []
-    for tokens, lineno in relations:
-        g = _parse_relation(tokens, lineno, quiver, field)
-        try:
-            validate(quiver, IdealSpec([g]))
-        except ValidationError as exc:
-            raise ParseError(str(exc), lineno, 1) from None
-        generators.append(g)
+    generators = [_parse_relation(tokens, lineno, quiver, field) for tokens, lineno in relations]
     return QuiverDocument(quiver, IdealSpec(generators), field)
-
-
-def _is_identifier(text):
-    return re.fullmatch(r"[A-Za-z0-9_.]+", text) is not None
 
 
 def _parse_field(tokens, lineno):
@@ -134,7 +122,7 @@ def _parse_arrow(tokens, lineno):
                          lineno, tokens[0][2] if tokens else 1)
     parts = (tokens[0], tokens[2], tokens[4])
     for value, ln, col in parts:
-        if not _is_identifier(value):
+        if not _IDENTIFIER.fullmatch(value):
             raise ParseError(f"bad identifier {value!r}", ln, col)
     return parts
 
@@ -143,30 +131,21 @@ def _parse_relation(tokens, lineno, quiver, field):
     if not tokens:
         raise ParseError("empty relation", lineno, 1)
     terms = {}
-    position = 0
-
-    def peek():
-        return tokens[position][0] if position < len(tokens) else None
-
-    sign = field.one
-    if peek() == "-":
-        sign = -field.one
-        position += 1
+    negative = tokens[0][0] == "-"
+    position = int(negative)
     while True:
-        term, position = _parse_term(tokens, position, quiver, field, lineno)
-        coeff, path = term
+        (coeff, path), position = _parse_term(tokens, position, quiver, field, lineno)
+        if negative:
+            coeff = field.reduce(-coeff)
         # Repeated paths merge here, so that a sum that vanishes in the
         # field drops out of the relation.
-        terms[path] = field.reduce(terms.get(path, field.zero) + sign * coeff)
+        terms[path] = field.reduce(terms[path] + coeff) if path in terms else coeff
         if position >= len(tokens):
             break
         op, ln, col = tokens[position]
-        if op == "+":
-            sign = field.one
-        elif op == "-":
-            sign = -field.one
-        else:
+        if op not in ("+", "-"):
             raise ParseError(f"expected + or - between terms, got {shorten(op, repr)}", ln, col)
+        negative = op == "-"
         position += 1
         if position >= len(tokens):
             raise ParseError("relation ends with a dangling sign", ln, col)
@@ -174,6 +153,8 @@ def _parse_relation(tokens, lineno, quiver, field):
         expr = PathExpr(terms)
         if expr.is_zero:
             raise ValidationError("relation cancels to zero")
+        for path in expr.terms:
+            check_term_length(path)
     except ValidationError as exc:
         raise ParseError(str(exc), lineno, 1) from None
     return expr
@@ -223,9 +204,9 @@ def _parse_term(tokens, position, quiver, field, lineno):
             break
         if text == "*":
             raise ParseError("unexpected '*'", ln, col)
-        if not _is_identifier(text):
-            raise ParseError(f"expected an arrow name, got {text!r}", ln, col)
         if text not in quiver.arrow_by_name:
+            if not _IDENTIFIER.fullmatch(text):
+                raise ParseError(f"expected an arrow name, got {text!r}", ln, col)
             raise ParseError(f"unknown arrow {shorten(text, repr)}", ln, col)
         arrow_names.append(text)
         position += 1
@@ -249,7 +230,7 @@ def format_document(doc: QuiverDocument) -> str:
     """Normalized text form; parse(format(doc)) reproduces doc, whose names must be identifiers."""
     for kind, names in (("vertex", doc.quiver.vertices), ("arrow", doc.quiver.arrow_by_name)):
         for name in names:
-            if not _is_identifier(name):
+            if not _IDENTIFIER.fullmatch(name):
                 raise ValidationError(f"{kind} name {shorten(name, repr)} is not an identifier")
     lines = []
     if isinstance(doc.field, PrimeField):

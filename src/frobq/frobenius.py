@@ -304,24 +304,6 @@ def _delta(products, terms, reduce):
     return _reduced(out, reduce)
 
 
-def extend_coproduct(candidate: CoproductCandidate, w: Path) -> TensorElement:
-    """The induced value on a basis path: (w (x) 1) applied at its target.
-
-    Both legs of the value at target(w) must be basis paths (check_support
-    guarantees it); a leg that does not start at target(w) contributes
-    zero.  Computed on the int representatives verify_coproduct uses.
-    """
-    algebra = candidate.algebra
-    i = algebra.index.get(w)
-    if i is None:
-        raise ValidationError(f"foreign path: {w}")
-    tensor = candidate.value_at(w.target)
-    scale = _common_denominator(algebra.field, (tensor,))
-    terms = _delta(algebra.product_table[i], _integer_terms(algebra, tensor, scale, 0),
-                   algebra.field.reduce)
-    return _tensor_of_indices(algebra, terms, scale * algebra.product_scale, 0)
-
-
 class Counterexample:
     """A failing pair of basis paths, with both sides for error reporting."""
 

@@ -51,12 +51,15 @@ def validate(quiver: Quiver, ideal: IdealSpec, field=QQ) -> IdealSpec:
         for path in g.terms:
             if not quiver.has_path(path):
                 raise ValidationError(f"generator term is not a path of the quiver: {path}")
-            if len(path) < 2:
-                raise ValidationError(
-                    f"generator term {path} has length {len(path)}; "
-                    "admissible ideals sit inside the square of the arrow ideal"
-                )
+            check_term_length(path)
     return ideal
+
+
+def check_term_length(path):
+    """Refuse a generator term of length below 2."""
+    if len(path) < 2:
+        raise ValidationError(f"generator term {path} has length {len(path)}; "
+                              "admissible ideals sit inside the square of the arrow ideal")
 
 
 def longest_surviving_walk(quiver: Quiver, forbidden_words) -> int | None:

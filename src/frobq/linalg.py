@@ -263,7 +263,11 @@ def rref(matrix: SparseMatrix):
         result = _eliminate([dict(row) for row in matrix.rows], ncols, field)
     rows, pivots = result
     rows.extend({} for _ in range(matrix.nrows - len(pivots)))
-    return SparseMatrix(rows, ncols, field), pivots
+    # The elimination leaves only nonzero, in-range, normalised entries,
+    # so its rows go in without the constructor's pass over them.
+    reduced = SparseMatrix((), ncols, field)
+    reduced.rows = rows
+    return reduced, pivots
 
 
 def _eliminate(rows, ncols, field):

@@ -4,11 +4,13 @@ Coordinates are {basis Path: scalar} maps.  `multiply` composes paths
 with `compose` and rewrites each product with `AlgebraBasis.reduce_path`.
 It never reads `AlgebraBasis.product_table`, so the raw-definition
 oracle built on it stays independent of the table the verifier reads.
-`has_subword` tells whether an arrow word holds one of the given words,
-as a path that is zero modulo monomial generators does.
+`extend_coproduct` gives a candidate's induced value on a basis path the
+same way.  `has_subword` tells whether an arrow word holds one of the
+given words, as a path that is zero modulo monomial generators does.
 """
 
 from frobq.errors import SupportViolationError
+from frobq.frobenius import TensorElement
 from frobq.quiver import Path
 
 
@@ -75,6 +77,23 @@ def multiply(algebra, x, y):
                 else:
                     result[b] = new
     return result
+
+
+def extend_coproduct(candidate, w):
+    """The induced value on a basis path: (w (x) 1) applied at its target.
+
+    Each term u (x) v of the value at target(w) gives w * u (x) v, with
+    w * u rewritten by reduce_path; a leg u that does not start at
+    target(w) contributes zero.
+    """
+    algebra = candidate.algebra
+    value = TensorElement(algebra.field)
+    for (u, v), c in candidate.value_at(w.target).coefficients.items():
+        product = compose(w, u)
+        if product is not None:
+            for b, coeff in algebra.reduce_path(product).items():
+                value.add_term(b, v, c * coeff)
+    return value
 
 
 def coefficient_vector(candidate, legend_index):

@@ -15,6 +15,14 @@ document's field, with --field F5 and with --field F7, it runs in process:
   at the document's outside vertex, and of each of the first three
   candidates alone.
 
+Each document also gets MALFORMED (8) broken variants, drawn by a
+random.Random seeded with its file name.  A variant replaces one
+whitespace-separated word by an unknown arrow (zz), the first arrow's
+name (a term of length 1, or a duplicate arrow), "*", ";", an
+Arabic-Indic three or the first vertex's name (a duplicate vertex), or
+it duplicates or deletes one line.  Each variant runs dim over the
+document's own field, so a changed parse error shows too.
+
 Each output is one line of OUT.tsv: document, field, command, exit code,
 and the sha256 of stdout and of stderr.  Two checkouts give the same
 file exactly when their outputs are byte-identical, so compare the files
@@ -28,6 +36,8 @@ import hashlib
 import io
 import json
 import os
+import random
+import re
 import sys
 import tempfile
 import traceback
@@ -41,6 +51,7 @@ from frobq import cli  # noqa: E402
 
 FIELDS = (None, "F5", "F7")    # None: the document's own field
 CANDIDATES_ALONE = 3
+MALFORMED = 8
 
 
 def run(argv):
@@ -88,6 +99,31 @@ def sweep_document(name, inst, field):
         yield label, run(["verify", name, "--coproduct", "coproduct.json", *flag])
 
 
+def malformed(name, text):
+    """(label, text) of MALFORMED broken variants of the document."""
+    rng = random.Random(name)
+    lines = text.splitlines()
+    first = {words[0]: words[1] for line in reversed(lines) if (words := line.split())}
+    replacements = ("zz", first["arrow"], "*", ";", "\u0663", first["vertex"])
+    for _ in range(MALFORMED):
+        i = rng.randrange(len(lines))
+        edit = rng.choice(("replace", "duplicate", "delete"))
+        changed = lines[:]
+        if edit == "replace":
+            words = list(re.finditer(r"\S+", lines[i]))
+            k = rng.randrange(len(words))
+            new = rng.choice(replacements)
+            changed[i] = lines[i][:words[k].start()] + new + lines[i][words[k].end():]
+            label = f"line {i + 1} word {k + 1} replaced by {new!r}"
+        elif edit == "duplicate":
+            changed.insert(i, lines[i])
+            label = f"line {i + 1} duplicated"
+        else:
+            del changed[i]
+            label = f"line {i + 1} deleted"
+        yield label, "".join(line + "\n" for line in changed)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("output", help="file to write the output hashes to")
@@ -111,6 +147,13 @@ def main(argv=None):
                             lines.write(f"{name}\t{field or 'doc'}\t{label}\t{code}\t"
                                         f"{sha(out)}\t{sha(err)}\n")
                             count += 1
+                    for n, (label, text) in enumerate(malformed(name, inst.text)):
+                        with open("malformed.fq", "w", encoding="utf-8") as handle:
+                            handle.write(text)
+                        code, out, err = run(["dim", "malformed.fq"])
+                        lines.write(f"{name}\tdoc\tdim, variant {n}: {label}\t{code}\t"
+                                    f"{sha(out)}\t{sha(err)}\n")
+                        count += 1
         os.chdir(home)
     print(f"{count} outputs written to {output}")
 

@@ -46,6 +46,13 @@ def test_comments_and_blank_lines():
     assert doc.quiver.vertices == ("1", "2")
 
 
+def test_comment_right_after_a_token():
+    doc = parse_document("vertex 1 2#3\narrow a : 1 -> 2#x\narrow b : 2 -> 1\n"
+                         "relation a*b ;# c\n")
+    assert format_document(doc) == ("field Q\nvertex 1 2\narrow a : 1 -> 2\n"
+                                    "arrow b : 2 -> 1\nrelation a*b ;\n")
+
+
 def test_coefficient_forms():
     text = """vertex 1 2 3
 arrow a : 1 -> 2
@@ -207,6 +214,14 @@ LONG = "9" * 5000
     (H + "relation a* ;\n", "4:11: dangling '*'"),
     (H + "relation a*b + - a*b ;\n", "4:16: term has no arrows"),
     (H + "relation b*a ;\n", "4:12: arrows do not compose: b ends at 3, a starts at 1"),
+    # With more than one fault, the first met reading the relations in
+    # order, each one to its end, is reported; "#" ends a line anywhere.
+    (H + "relation a + a*zz ;\n", "4:16: unknown arrow 'zz'"),
+    (H + "relation a ;\nrelation a*b a*b ;\n", "4:1: generator term a has length 1; "
+                                               "admissible ideals sit inside the square of "
+                                               "the arrow ideal"),
+    (H + "relation a - b*a ;\n", "4:16: arrows do not compose: b ends at 3, a starts at 1"),
+    (H + "relation a*b#;\n", "4:12: relation must end with ';'"),
 ])
 def test_every_parse_error(document, error):
     with pytest.raises(ParseError) as excinfo:

@@ -21,7 +21,6 @@ from frobq.frobenius import (
     build_constraint_system,
     candidate_from_json,
     candidate_to_json,
-    extend_coproduct,
     frobenius_dimension,
     solve_frobenius_space,
     verify_coproduct,
@@ -30,7 +29,7 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank, rref
 from frobq.quiver import Path, PathExpr, Quiver
 
-from algebra_ops import coefficient_vector, compose, coords_of, multiply
+from algebra_ops import coefficient_vector, compose, coords_of, extend_coproduct, multiply
 from strategies import has_zero_generator, mixed_algebras, random_algebras
 
 

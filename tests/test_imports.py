@@ -22,7 +22,7 @@ EXPORTED = (
     "SupportViolationError", "TensorElement", "ToupieClassification",
     "UnsupportedIdealRegimeError", "ValidationError", "build_constraint_system",
     "candidate_from_json", "candidate_to_json", "compute_basis", "compute_bound",
-    "detect_local_patterns", "extend_coproduct", "format_document", "frobenius_dimension",
+    "detect_local_patterns", "format_document", "frobenius_dimension",
     "is_gentle", "is_radical_square_zero", "is_string", "is_string_quadratic",
     "kernel_basis", "parse_document", "radical_square_zero_dimension", "rank", "rref",
     "solve_frobenius_space", "string_relation_witness", "toupie_classify", "validate",
