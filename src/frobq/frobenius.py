@@ -12,7 +12,10 @@ on its own.  The solver's whole kernel basis is checked in one such
 walk.  The solver reads each product off the reduction table by arrow
 word; the verifier reads the algebra's int product table, over basis
 indices, and computes on exact int representatives: the product table
-and each candidate scaled by the lcm of their denominators.
+and each candidate scaled by the lcm of their denominators.  It groups
+each D(b) by left leg once, and D(x) by right leg once per row, so both
+forms of the bimodule condition multiply only where a product of basis
+paths is nonzero.
 
 Only a non-monomial ideal's system is built and row-reduced: over a
 monomial ideal each product of basis paths is one basis path or zero, so
@@ -93,19 +96,33 @@ class CoproductCandidate:
         return self.values.get(vertex, TensorElement(self.algebra.field))
 
     def check_support(self):
-        for vertex, tensor in self.values.items():
-            if vertex not in self.algebra.quiver.out_arrows:
-                raise SupportViolationError(f"unknown vertex {shorten(vertex)} in coproduct")
-            for (u, v) in tensor.coefficients:
-                if u not in self.algebra.index or v not in self.algebra.index:
-                    raise SupportViolationError(
-                        f"coproduct term {_term(u, v)} does not use basis paths"
-                    )
-                if u.source != vertex or v.target != vertex:
-                    raise SupportViolationError(
-                        f"term {_term(u, v)} at vertex {shorten(vertex)} breaks the support "
-                        f"condition source(left) = target(right) = {shorten(vertex)}"
-                    )
+        """Raise SupportViolationError unless every term u (x) v of the value
+        at each vertex p is a pair of basis paths with source(u) = target(v) = p."""
+        _indexed_terms(self)
+
+
+def _indexed_terms(candidate):
+    """{vertex: [(index of u, index of v, c)]} over the terms of the
+    candidate's values, checked as check_support says."""
+    index, vertices = candidate.algebra.index, candidate.algebra.quiver.out_arrows
+    indexed = {}
+    for vertex, tensor in candidate.values.items():
+        if vertex not in vertices:
+            raise SupportViolationError(f"unknown vertex {shorten(vertex)} in coproduct")
+        terms = indexed[vertex] = []
+        for (u, v), c in tensor.coefficients.items():
+            j, l = index.get(u), index.get(v)
+            if j is None or l is None:
+                raise SupportViolationError(
+                    f"coproduct term {_term(u, v)} does not use basis paths"
+                )
+            if u.source != vertex or v.target != vertex:
+                raise SupportViolationError(
+                    f"term {_term(u, v)} at vertex {shorten(vertex)} breaks the support "
+                    f"condition source(left) = target(right) = {shorten(vertex)}"
+                )
+            terms.append((j, l, c))
+    return indexed
 
 
 def _term(u, v):
@@ -271,25 +288,9 @@ def solve_frobenius_space(algebra: AlgebraBasis) -> list:
     return candidates
 
 
-def _common_denominator(field, tensors):
-    """The lcm of the coefficients' denominators (1 over F_p)."""
-    return lcm(*(field.denominator(c) for t in tensors for c in t.coefficients.values()))
-
-
-def _integer_terms(algebra, tensor, scale, n):
-    """{(index of u, index of v, n): scale * c as an int} for the terms of tensor."""
-    index, integer = algebra.index, algebra.field.integer
-    terms = {}
-    for (u, v), c in tensor.coefficients.items():
-        j, l = index.get(u), index.get(v)
-        if j is None or l is None:
-            raise SupportViolationError(f"coproduct term {_term(u, v)} does not use basis paths")
-        terms[(j, l, n)] = integer(c, scale)
-    return terms
-
-
 def _delta(products, terms, reduce):
-    """D(basis[i]) over basis indices, with its zero values dropped.
+    """D(basis[i]) over basis indices, {(u, v, n): c} with its zero values
+    dropped, and the same terms grouped by left leg, {u: [(v, n, c)]}.
 
     products is product_table[i] and terms the int terms, keyed (index,
     index, candidate), of the values at target(basis[i]); each
@@ -298,10 +299,21 @@ def _delta(products, terms, reduce):
     """
     out = {}
     for (j, l, n), c in terms.items():
-        for k, ck in products.get(j, _EMPTY).items():
+        for k, ck in products[j].items():
             key = (k, l, n)
             out[key] = out.get(key, 0) + c * ck
-    return _reduced(out, reduce)
+    flat = {}
+    groups = {}
+    for key, value in out.items():
+        if c := reduce(value):
+            flat[key] = c
+            k, l, n = key
+            group = groups.get(k)
+            if group is None:
+                groups[k] = [(l, n, c)]
+            else:
+                group.append((l, n, c))
+    return flat, groups
 
 
 class Counterexample:
@@ -386,6 +398,16 @@ def _first_failure(algebra: AlgebraBasis, candidates):
     find.  Products of basis paths come from algebra.product_table,
     built once per algebra.
 
+    Each D(b) is built once, as the map {(u, v, n): c} the sides are
+    compared with and grouped by left leg, {u: [(v, n, c)]}.  D(x) is
+    grouped by right leg, {v: [(u, n, c)]}, at the start of its row and
+    dropped at its end, so no more than one row's groups are held.  The
+    left form looks x * u up once per left leg u of D(y), the right form
+    v * y once per right leg v of D(x), and each multiplies only where
+    that product is nonzero.  When xy is one coordinate b whose int is 1,
+    the value on the product is D(b) itself, not a copy; the walk never
+    writes to it.
+
     The scalars are exact ints.  Every side is linear in the candidate
     and of degree 2 in the product table, whose ints are product_scale
     times its coordinates; with candidate n's coefficients scaled by the
@@ -404,18 +426,33 @@ def _first_failure(algebra: AlgebraBasis, candidates):
     reduce = algebra.field.reduce
     basis = algebra.basis
     products = algebra.product_table
+    denominator, integer = algebra.field.denominator, algebra.field.integer
     scales = []
     values = {}
     for n, candidate in enumerate(candidates):
-        candidate.check_support()
-        scales.append(_common_denominator(algebra.field, candidate.values.values()))
-        for vertex, tensor in candidate.values.items():
-            values.setdefault(vertex, {}).update(_integer_terms(algebra, tensor, scales[n], n))
-    delta = [_delta(products[i], terms, reduce) if (terms := values.get(b.target)) else _EMPTY
-             for i, b in enumerate(basis)]
+        indexed = _indexed_terms(candidate)
+        scale = lcm(*(denominator(c) for terms in indexed.values() for _, _, c in terms))
+        scales.append(scale)
+        for vertex, terms in indexed.items():
+            ints = values.setdefault(vertex, {})
+            for j, l, c in terms:
+                ints[(j, l, n)] = integer(c, scale)
+    delta, by_left = [], []
+    for i, b in enumerate(basis):
+        terms = values.get(b.target)
+        flat, groups = _delta(products[i], terms, reduce) if terms else (_EMPTY, _EMPTY)
+        delta.append(flat)
+        by_left.append(groups)
 
     for i, row in enumerate(products):
         delta_x = delta[i]
+        by_right = {}
+        for (u, v, n), c in delta_x.items():
+            group = by_right.get(v)
+            if group is None:
+                by_right[v] = [(u, n, c)]
+            else:
+                group.append((u, n, c))
         for j, coords in row.items():
             delta_y = delta[j]
             if not delta_x and not delta_y:
@@ -424,22 +461,27 @@ def _first_failure(algebra: AlgebraBasis, candidates):
                         break
                 else:
                     continue  # zero on all three sides, see above
-            expected = {}
-            for k, ck in coords.items():
-                for key, c in delta[k].items():
-                    expected[key] = expected.get(key, 0) + ck * c
+            if len(coords) == 1 and 1 in coords.values():
+                expected = delta[next(iter(coords))]  # D(b) itself: never written to
+            else:
+                expected = {}
+                for k, ck in coords.items():
+                    for key, c in delta[k].items():
+                        expected[key] = expected.get(key, 0) + ck * c
 
             left_side = {}
-            for (u, v, n), c in delta_y.items():
+            for u, group in by_left[j].items():
                 for z, cz in row[u].items():
-                    key = (z, v, n)
-                    left_side[key] = left_side.get(key, 0) + c * cz
+                    for v, n, c in group:
+                        key = (z, v, n)
+                        left_side[key] = left_side.get(key, 0) + c * cz
 
             right_side = {}
-            for (u, v, n), c in delta_x.items():
+            for v, group in by_right.items():
                 for z, cz in products[v][j].items():
-                    key = (u, z, n)
-                    right_side[key] = right_side.get(key, 0) + c * cz
+                    for u, n, c in group:
+                        key = (u, z, n)
+                        right_side[key] = right_side.get(key, 0) + c * cz
 
             if expected == left_side == right_side:
                 continue  # equal before reduction, so equal after it
@@ -498,11 +540,16 @@ def candidate_to_json(candidate: CoproductCandidate):
 
 
 def candidate_from_json(data, algebra: AlgebraBasis) -> CoproductCandidate:
+    """The candidate a frobq/1 coproduct file's data encodes.
+
+    Each distinct coeff text is parsed once per call.
+    """
     if isinstance(data, dict) and "coproduct" in data:
         data = data["coproduct"]
     if not isinstance(data, list):
         raise ValidationError("coproduct file must be a list of per-vertex objects")
     words = {p.arrows: p for p in algebra.basis if p.arrows}
+    scalars = {}
     values = {}
     for entry in data:
         if not isinstance(entry, dict):
@@ -515,13 +562,16 @@ def candidate_from_json(data, algebra: AlgebraBasis) -> CoproductCandidate:
         if not isinstance(terms, list):
             raise ValidationError(f"terms at vertex {shorten(vertex, repr)} must be a list")
         for term in terms:
-            if not isinstance(term, dict) or not {"left", "right", "coeff"} <= set(term):
+            if not isinstance(term, dict) or not {"left", "right", "coeff"} <= term.keys():
                 raise ValidationError(
                     f"term at vertex {shorten(vertex, repr)} must be an object with "
                     f"left, right and coeff: {shorten(term, repr)}"
                 )
             u = _path_from_json(term["left"], algebra.quiver, words)
             v = _path_from_json(term["right"], algebra.quiver, words)
-            coeff = algebra.field.parse(str(term["coeff"]))
+            text = str(term["coeff"])
+            coeff = scalars.get(text)
+            if coeff is None:
+                coeff = scalars[text] = algebra.field.parse(text)
             tensor.add_term(u, v, coeff)
     return CoproductCandidate(algebra, values)

@@ -4,8 +4,9 @@ Everything here is exact.  Over Q a scalar is an int or a Fraction, never
 a float: a matrix `entry` may stay an int, `coerce` and `inverse` give
 Fractions.  F_p scalars are ints in [0, p).  Each field owns its
 normalisation: `reduce` brings a sum or product of its scalars back into
-canonical form (x % p over F_p, the identity over Q) and `inverse` gives
-1 / x, so the elimination code is the same for every field.
+canonical form (x % p over F_p, the identity over Q), `inverse` gives
+1 / x and `pivot` chooses the pivot row, so the elimination code is the
+same for every field.
 `denominator` and `integer` give exact int representatives (each scalar
 times a common denominator, which is 1 over F_p) and `scalar(n, d)` maps
 one back.  No floating point is used anywhere in the package.
@@ -87,9 +88,11 @@ class RationalField:
             return str(x.numerator)
         return f"{x.numerator}/{x.denominator}"
 
-    def pivot_key(self, x):
-        # Smallest nonzero magnitude keeps intermediate numerators modest.
-        return abs(x)
+    def pivot(self, rows, candidates, col):
+        """The row of candidates to pivot on col: the smallest magnitude
+        there, ties to the lowest row id, keeps intermediate numerators
+        modest."""
+        return min(candidates, key=lambda i: (abs(rows[i][col]), i))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -180,8 +183,9 @@ class PrimeField:
     def format(self, x):
         return str(x)
 
-    def pivot_key(self, x):
-        return x
+    def pivot(self, rows, candidates, col):
+        """The lowest row id of candidates: coefficients cannot grow mod p."""
+        return min(candidates)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -278,13 +282,14 @@ def _eliminate(rows, ncols, field):
     Invariant: each column's entry lists exactly the rows that have a
     nonzero there; every fill-in adds a row to the index and every
     cancellation removes it.  A column's pivot is chosen only among the
-    non-pivot rows in its entry (smallest `field.pivot_key`, ties to the
-    lowest row id), and only the rows in its entry are eliminated.  So
-    the cost follows the fill-in of the elimination, not columns x rows.
+    non-pivot rows in its entry (by `field.pivot`), and only the rows in
+    its entry are eliminated.  So the cost follows the fill-in of the
+    elimination, not columns x rows.
 
     The RREF of a matrix is unique, so the pivot row choice cannot change
     the result: it only decides how large the rational coefficients grow
-    on the way, which the smallest-magnitude rule keeps modest.
+    on the way, which the smallest-magnitude rule keeps modest over Q;
+    over F_p nothing grows, and the lowest row id costs no key call.
     """
     reduce, one = field.reduce, field.one
     holders = {}
@@ -301,7 +306,7 @@ def _eliminate(rows, ncols, field):
         candidates = [i for i in holding if i not in is_pivot_row]
         if not candidates:
             continue
-        p = min(candidates, key=lambda i: (field.pivot_key(rows[i][col]), i))
+        p = field.pivot(rows, candidates, col)
         pivot_value = rows[p][col]
         if pivot_value != one:
             inverse = field.inverse(pivot_value)

@@ -1,0 +1,177 @@
+"""Mutation check: every listed mutant must make its test subset fail.
+
+Run from a checkout:
+
+    python tests/mutants.py
+
+Each mutant replaces one exact text, which must occur exactly once in
+its file, by a small wrong variant.  The script copies src/, tests/ and
+pyproject.toml into a temporary directory, first runs every test subset
+on the unmutated copy (all must pass), then applies each mutant in turn
+to the copy, runs its subset with ``pytest -x`` and restores the file.
+The checkout is never written to.  A mutant is killed when its subset
+fails; it survives when the subset passes.  The script prints one line
+per mutant with the time it took, and exits 1 when a mutant survives,
+when its anchor text does not occur exactly once, or when pytest ends in
+anything but pass or fail (a mutant that does not even import).
+
+pytest does not collect this file.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FROBENIUS = "src/frobq/frobenius.py"
+IDEAL = "src/frobq/ideal.py"
+LINALG = "src/frobq/linalg.py"
+VERIFIER_TESTS = ("tests/test_verifier_reference.py", "tests/test_frobenius.py")
+
+
+@dataclass(frozen=True)
+class Mutant:
+    file: str
+    anchor: str
+    replacement: str
+    tests: tuple
+    why: str
+
+
+MUTANTS = [
+    Mutant(FROBENIUS,
+           "            if expected == left_side == right_side:\n",
+           "            right_side = expected\n"
+           "            if expected == left_side == right_side:\n",
+           VERIFIER_TESTS,
+           "the verifier ignores the right form D(x) (1 (x) y)"),
+    Mutant(FROBENIUS,
+           "            if expected == left_side == right_side:\n",
+           "            left_side = expected\n"
+           "            if expected == left_side == right_side:\n",
+           VERIFIER_TESTS,
+           "the verifier ignores the left form (x (x) 1) D(y)"),
+    Mutant(FROBENIUS,
+           "            if not delta_x and not delta_y:\n",
+           "            if not delta_x and not delta_y:\n"
+           "                continue\n",
+           VERIFIER_TESTS,
+           "the verifier skips every pair with D(x) = D(y) = 0, though D(xy) may not vanish"),
+    Mutant(FROBENIUS,
+           "        new = self.field.reduce(value if old is None else old + value)\n",
+           "        new = value if old is None else old + value\n",
+           VERIFIER_TESTS,
+           "TensorElement.add_term keeps sums unreduced, so F_p values leave [0, p)"),
+    Mutant(FROBENIUS,
+           "            if len(coords) == 1 and 1 in coords.values():\n",
+           "            if len(coords) == 1:\n",
+           VERIFIER_TESTS,
+           "the value on a product of one coordinate is D(b) even when its int is not 1"),
+    Mutant(FROBENIUS,
+           "                for z, cz in row[u].items():\n",
+           "                for z, cz in list(row[u].items())[:1]:\n",
+           VERIFIER_TESTS,
+           "the left form uses only the first coordinate of x * u"),
+    Mutant(FROBENIUS,
+           "            if u.source != vertex or v.target != vertex:\n",
+           "            if u.source != vertex:\n",
+           ("tests/test_frobenius.py",),
+           "the support check ignores the right leg's target"),
+    Mutant(FROBENIUS,
+           "    return legend, [dict.fromkeys(cols, algebra.field.one) for cols in live]\n",
+           "    return legend, [dict.fromkeys(cols, algebra.field.one) for cols in live[:-1]]\n",
+           ("tests/test_frobenius.py",),
+           "the union-find kernel drops its last vector"),
+    Mutant(FROBENIUS,
+           "        right = [(k, z, c) for k, v in enumerate(vs)\n",
+           "        right = [(k, z, c) for k, v in enumerate(vs[:0])\n",
+           ("tests/test_hom_oracle.py",),
+           "the non-monomial constraint build drops the D(e_p) (1 (x) a) terms"),
+    Mutant(FROBENIUS,
+           "    return [(k, c.numerator if c.denominator == 1 else c) for k, c in coords.items()]\n",
+           "    return list(coords.items())\n",
+           ("tests/test_frobenius.py",),
+           "the constraint build keeps integral coordinates as Fractions"),
+    Mutant(IDEAL,
+           "    return longest + 1\n",
+           "    return longest\n",
+           ("tests/test_ideal.py",),
+           "the certified bound is one less"),
+    Mutant(IDEAL,
+           "        if w in words or w[:-1] in table or w[1:] in table:\n",
+           "        if w in words or w[:-1] in table:\n",
+           ("tests/test_basis_reference.py",),
+           "the zero-path recurrence forgets a word whose zero part is w[1:]"),
+    Mutant(LINALG,
+           "        return Fraction(x.denominator, x.numerator)\n",
+           "        return 1 / x\n",
+           ("tests/test_linalg.py",),
+           "RationalField.inverse gives a float for an int"),
+    Mutant(LINALG,
+           "    if abs(t1) > _LIFT_BOUND or gcd(r1, t1) != 1:\n        return None\n",
+           "",
+           ("tests/test_linalg.py",),
+           "rational reconstruction accepts a denominator beyond the bound"),
+    Mutant(LINALG,
+           "    for row in matrix.rows:\n        combination = {}\n",
+           "    for row in ():\n        combination = {}\n",
+           ("tests/test_linalg.py",),
+           "the modular route skips its exact check against the input"),
+]
+
+
+def _copy(destination):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, destination / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", destination / "pyproject.toml")
+
+
+def _pytest(copy, tests):
+    """pytest's exit code on tests in copy: 0 pass, 1 fail."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def main():
+    faults = 0
+    with tempfile.TemporaryDirectory(prefix="frobq-mutants-") as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        for tests in sorted({m.tests for m in MUTANTS}):
+            code = _pytest(copy, tests)
+            if code != 0:
+                print(f"unmutated copy fails {' '.join(tests)} (pytest exit {code})")
+                return 1
+        for mutant in MUTANTS:
+            path = copy / mutant.file
+            original = path.read_text(encoding="utf-8")
+            count = original.count(mutant.anchor)
+            if count != 1:
+                print(f"ANCHOR {count} times in {mutant.file}: {mutant.why}")
+                faults += 1
+                continue
+            path.write_text(original.replace(mutant.anchor, mutant.replacement),
+                            encoding="utf-8")
+            start = time.perf_counter()
+            try:
+                code = _pytest(copy, mutant.tests)
+            finally:
+                path.write_text(original, encoding="utf-8")
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            print(f"{verdict:8} {time.perf_counter() - start:6.1f} s  {mutant.why}")
+            faults += verdict != "killed"
+    print(f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed")
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

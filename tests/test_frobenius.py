@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from fractions import Fraction
@@ -490,6 +491,83 @@ def test_verifier_completeness_both_directions():
             assert not ok
             produced += 1
         assert produced == 10
+
+
+# cycle(3,3) is monomial, so every nonzero product is one basis path with
+# coordinate 1 and the walk takes D(b) itself as the value on it.  The
+# canonical table has product_scale 3 and products of several coordinates.
+WALK_INSTANCES = pytest.mark.parametrize(
+    "build", [gen_cycle(3, 3), gen_canonical(CanonicalSpec((2, 2, 2), (Fraction(1, 3),)))],
+    ids=["cycle(3,3)", "canonical (2,2,2), lambda 1/3"])
+
+
+def kernel_and_perturbed(algebra):
+    """The kernel basis, then its sum plus 1/2 e_v (x) e_v at the source v
+    of the first arrow, which makes it fail."""
+    kernel = solve_frobenius_space(algebra)
+    values = {}
+    for candidate in kernel:
+        for vertex, tensor in candidate.values.items():
+            total = values.setdefault(vertex, TensorElement(algebra.field))
+            for (u, v), c in tensor.coefficients.items():
+                total.add_term(u, v, c)
+    q = algebra.quiver
+    e = q.trivial_path(q.arrows[0].source)
+    values.setdefault(e.source, TensorElement(algebra.field)).add_term(e, e, Fraction(1, 2))
+    return kernel + [CoproductCandidate(algebra, values)]
+
+
+def walk_result(failure):
+    n, counterexample = failure
+    return (n, counterexample.x, counterexample.y, counterexample.expected,
+            counterexample.left_side, counterexample.right_side)
+
+
+@WALK_INSTANCES
+def test_failing_walk_writes_to_neither_products_nor_candidates(build):
+    algebra = algebra_of(build)
+    candidates = kernel_and_perturbed(algebra)
+    products = copy.deepcopy(algebra.product_table)
+    values = [copy.deepcopy(c.values) for c in candidates]
+    failure = frobenius._first_failure(algebra, candidates)
+    assert failure is not None and failure[0] == len(candidates) - 1
+    assert algebra.product_table == products
+    assert [c.values for c in candidates] == values
+
+
+@WALK_INSTANCES
+def test_consecutive_walks_agree(build):
+    algebra = algebra_of(build)
+    if build[1].is_monomial:
+        assert algebra.product_scale == 1
+    else:
+        assert algebra.product_scale > 1
+        assert any(len(coords) > 1 for row in algebra.product_table for coords in row.values())
+    candidates = kernel_and_perturbed(algebra)
+    first = walk_result(frobenius._first_failure(algebra, candidates))
+    assert walk_result(frobenius._first_failure(algebra, candidates)) == first
+
+
+@pytest.mark.parametrize("coeff", [1, Fraction(1, 3)])
+def test_coproduct_through_a_product_of_two_coordinates(coeff):
+    """a * b = a * c + coeff a * d, and g * b = g * c = g * d = 0.
+
+    The one coproduct has b (x) g in its value at m, so the left form
+    (a (x) 1) D(e_m) holds a * b (x) g, whose two coordinates must both be
+    multiplied for the solver's own verification to pass.  A left form
+    that multiplies only the first coordinate of x * u passes every
+    other test (see tests/mutants.py).
+    """
+    q = Quiver(["s", "m", "n", "t"], [("a", "s", "m"), ("g", "n", "m"),
+                                      ("b", "m", "t"), ("c", "m", "t"), ("d", "m", "t")])
+    ab, ac, ad = (q.path(["a", x]) for x in "bcd")
+    ideal = IdealSpec([PathExpr({ab: 1, ac: -1, ad: -coeff})]
+                      + [mono(q, ["g", x]) for x in "bcd"])
+    algebra = compute_basis(q, ideal)
+    assert len(algebra.reduce_path(ab)) == 2
+    [candidate] = solve_frobenius_space(algebra)
+    assert (q.path(["b"]), q.path(["g"])) in candidate.value_at("m").coefficients
+    assert verify_coproduct(algebra, candidate) == (True, None)
 
 
 def test_relabeling_invariance():

@@ -158,23 +158,21 @@ def test_prime_field_rejects_moduli_beyond_certified_range():
 
 
 def reference_rref(matrix):
-    """Dense-scan Gauss-Jordan: scans every row for every column."""
+    """Dense-scan Gauss-Jordan: scans every row for every column.
+
+    It pivots on the first nonzero entry at or below the current rank:
+    the RREF is unique, so any nonzero pivot gives the same result.
+    """
     field = matrix.field
     zero = field.zero
     rows = [dict(row) for row in matrix.rows]
     pivots = []
     rank = 0
     for col in range(matrix.ncols):
-        best = None
-        for i in range(rank, len(rows)):
-            value = rows[i].get(col)
-            if value is not None and value != zero:
-                key = field.pivot_key(value)
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
+        i = next((i for i in range(rank, len(rows))
+                  if rows[i].get(col, zero) != zero), None)
+        if i is None:
             continue
-        i = best[1]
         rows[rank], rows[i] = rows[i], rows[rank]
         pivot_value = rows[rank][col]
         if pivot_value != field.one:
