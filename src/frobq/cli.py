@@ -84,7 +84,8 @@ def _dumps(value, pad="\n"):
     containers are written here and strings by the C string encoder;
     pad is a line break and the indent of value's own line.  Any other
     leaf (None, a bool, a float) is written the same with or without
-    indent, so json.dumps writes it.
+    indent, so json.dumps writes it.  space's payload goes through
+    _space_dumps, which calls this once per distinct path.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -109,6 +110,42 @@ def _dumps(value, pad="\n"):
     # One f-string copies the joined items once; a chain of + copies them
     # once per +, and the large copies raise the process's peak memory.
     return f"{brackets[0]}{inner}{sep.join(items)}{pad}{brackets[1]}"
+
+
+def _space_dumps(candidates):
+    """_dumps of space's payload, plus a line break, for candidate_to_json's
+    lists of nonzero candidates, whose every entry has terms.
+
+    Every leg sits at the same depth, so each distinct path is written
+    once per call and its text reused; entries and terms follow fixed
+    templates, and the text is joined once from its pieces.
+    """
+    legs = {}
+
+    def leg(data):
+        key = tuple(data) if data.__class__ is list else data["e"]
+        text = legs.get(key)
+        if text is None:
+            text = legs[key] = _dumps(data, "\n" + 12 * " ")
+        return text
+
+    parts = ['{\n  "schema": ', encode_basestring_ascii(SCHEMA),
+             f',\n  "dimension": {len(candidates)},\n  "candidates": [']
+    for i, candidate in enumerate(candidates):
+        parts.append(",\n    [" if i else "\n    [")
+        for j, entry in enumerate(candidate):
+            parts += (",\n      {" if j else "\n      {", '\n        "vertex": ',
+                      encode_basestring_ascii(entry["vertex"]), ',\n        "terms": [')
+            for k, term in enumerate(entry["terms"]):
+                parts += (",\n          {" if k else "\n          {",
+                          '\n            "left": ', leg(term["left"]),
+                          ',\n            "right": ', leg(term["right"]),
+                          ',\n            "coeff": ', encode_basestring_ascii(term["coeff"]),
+                          "\n          }")
+            parts.append("\n        ]\n      }")
+        parts.append("\n    ]")
+    parts.append("\n  ]\n}\n" if candidates else "]\n}\n")
+    return "".join(parts)
 
 
 def _emit(text, out=None):
@@ -156,12 +193,7 @@ def cmd_space(args):
     algebra = _algebra(args)
     space = solve_frobenius_space(algebra)
     if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "dimension": len(space),
-            "candidates": [candidate_to_json(c) for c in space],
-        }
-        _emit(_dumps(payload) + "\n")
+        _emit(_space_dumps([candidate_to_json(c) for c in space]))
     else:
         lines = [f"dimension {len(space)}"]
         for i, candidate in enumerate(space):

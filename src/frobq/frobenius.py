@@ -511,14 +511,19 @@ def _path_from_json(data, quiver, words):
     """The path data encodes.  words maps arrow words to the basis paths
     they spell; any other word is built by quiver.path, which refuses an
     unknown arrow or arrows that do not compose."""
+    if data.__class__ is list:  # not a str: tuple("ab") would read as a word
+        try:
+            path = words.get(tuple(data))
+        except TypeError:  # an unhashable item, refused below
+            path = None
+        if path is not None:
+            return path
     if isinstance(data, dict):
         if set(data) != {"e"} or not isinstance(data["e"], str):
             raise ValidationError(f"bad path encoding: {shorten(data, repr)}")
         return quiver.trivial_path(data["e"])
     if isinstance(data, list) and all(isinstance(s, str) for s in data):
-        word = tuple(data)
-        path = words.get(word)
-        return quiver.path(word) if path is None else path
+        return quiver.path(tuple(data))
     raise ValidationError(f"bad path encoding: {shorten(data, repr)}")
 
 
@@ -537,6 +542,9 @@ def candidate_to_json(candidate: CoproductCandidate):
             })
         out.append({"vertex": vertex, "terms": terms})
     return out
+
+
+_TERM_KEYS = frozenset(("left", "right", "coeff"))
 
 
 def candidate_from_json(data, algebra: AlgebraBasis) -> CoproductCandidate:
@@ -562,7 +570,7 @@ def candidate_from_json(data, algebra: AlgebraBasis) -> CoproductCandidate:
         if not isinstance(terms, list):
             raise ValidationError(f"terms at vertex {shorten(vertex, repr)} must be a list")
         for term in terms:
-            if not isinstance(term, dict) or not {"left", "right", "coeff"} <= term.keys():
+            if not isinstance(term, dict) or not _TERM_KEYS <= term.keys():
                 raise ValidationError(
                     f"term at vertex {shorten(vertex, repr)} must be an object with "
                     f"left, right and coeff: {shorten(term, repr)}"

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLI = "src/frobq/cli.py"
 FROBENIUS = "src/frobq/frobenius.py"
 IDEAL = "src/frobq/ideal.py"
 LINALG = "src/frobq/linalg.py"
@@ -97,6 +98,16 @@ MUTANTS = [
            "    return list(coords.items())\n",
            ("tests/test_frobenius.py",),
            "the constraint build keeps integral coordinates as Fractions"),
+    Mutant(FROBENIUS,
+           "    if data.__class__ is list:  # not a str: tuple(\"ab\") would read as a word\n",
+           "    if not isinstance(data, dict):\n",
+           ("tests/test_cli.py::TestCommands::test_verify_refuses_a_string_for_a_word",),
+           "the reader's word lookup takes the JSON string \"ab\" for the word a*b"),
+    Mutant(CLI,
+           "        key = tuple(data) if data.__class__ is list else data[\"e\"]\n",
+           "        key = tuple(data) if data.__class__ is list else (data[\"e\"],)\n",
+           ("tests/test_cli.py::TestJsonWriter::test_space_payloads",),
+           "space --json's leg memo gives e_a and the one-arrow word a one key"),
     Mutant(IDEAL,
            "    return longest + 1\n",
            "    return longest\n",

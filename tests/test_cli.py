@@ -3,13 +3,22 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import frobq
 from frobq import cli
 from frobq.cli import main
+from frobq.dsl import QuiverDocument, format_document
+from frobq.families import CanonicalSpec, gen_canonical, gen_toupie
+from frobq.frobenius import candidate_to_json, solve_frobenius_space
+from frobq.ideal import IdealSpec, compute_basis
+from frobq.linalg import QQ
+from frobq.quiver import Quiver
+
+from strategies import has_zero_generator, mixed_algebras, random_algebras
 
 DIAMOND = """field Q
 vertex 0 x y w
@@ -184,6 +193,17 @@ class TestCommands:
         code, out, err = run(capsys, "verify", diamond_file, "--coproduct", str(cand))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    def test_verify_refuses_a_string_for_a_word(self, capsys, tmp_path):
+        # tuple("ab") spells the basis word a*b, but a JSON string is no path.
+        doc = tmp_path / "a3.qv"
+        doc.write_text("vertex 1 2 3\narrow a : 1 -> 2\narrow b : 2 -> 3\n")
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([
+            {"vertex": "1", "terms": [{"left": "ab", "right": {"e": "1"}, "coeff": "1"}]}
+        ]))
+        assert run(capsys, "verify", str(doc), "--coproduct", str(cand)) == \
+            (1, "", "error: bad path encoding: 'ab'\n")
 
     def test_classify(self, capsys, diamond_file):
         code, out, _ = run(capsys, "classify", diamond_file)
@@ -630,8 +650,20 @@ JSON_VALUES = st.recursive(
     max_leaves=24)
 
 
+TOUPIE = format_document(QuiverDocument(*gen_toupie((3, 3), [], [[2, -3]]), QQ))
+CANONICAL_THIRD = format_document(QuiverDocument(
+    *gen_canonical(CanonicalSpec((2, 2, 2), (Fraction(1, 3),))), QQ))
+
+
+def space_json(candidates):
+    """The bytes space --json must write for these candidates."""
+    payload = {"schema": "frobq/1", "dimension": len(candidates), "candidates": candidates}
+    return json.dumps(payload, indent=2) + "\n"
+
+
 class TestJsonWriter:
-    """cli._dumps writes the bytes of json.dumps(value, indent=2)."""
+    """cli._dumps, and cli._space_dumps for space's payload, write the bytes
+    of json.dumps(value, indent=2)."""
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(JSON_VALUES)
@@ -655,6 +687,37 @@ class TestJsonWriter:
             payload = json.loads(out)
             assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
             assert cli._dumps(payload) == out[:-1]
+
+    @pytest.mark.parametrize("document, flags, feature", [
+        (TOUPIE, ["--field", "F7"], '"coeff": "3"'),
+        (TOUPIE, [], '"coeff": "2/3"'),
+        # e_a and the arrow a are legs of one term: one memo key must not serve both.
+        ("vertex a b\narrow a : a -> b\n", [], '"right": {\n              "e": "a"'),
+        (CANONICAL_THIRD, [], '"candidates": []'),
+    ], ids=["F7-coefficient-3", "Q-coefficient-2/3", "trivial-legs", "zero-dimensional"])
+    def test_space_payloads(self, capsys, tmp_path, document, flags, feature):
+        path = tmp_path / "doc.qv"
+        path.write_text(document)
+        code, out, _ = run(capsys, "space", str(path), "--json", *flags)
+        assert code == 0 and feature in out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_space_writer_escapes_names(self):
+        # Names the document language refuses, so built through the library.
+        quiver = Quiver(['\u00e9"', "\\x"], [("\U0001f600", '\u00e9"', "\\x")])
+        candidates = [candidate_to_json(c)
+                      for c in solve_frobenius_space(compute_basis(quiver, IdealSpec([]), QQ))]
+        assert candidates
+        assert cli._space_dumps(candidates) == space_json(candidates)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(mixed_algebras().map(lambda drawn: drawn[:3]), random_algebras()))
+    def test_space_writer_matches_json_dumps(self, drawn):
+        quiver, ideal, field = drawn
+        assume(not has_zero_generator(ideal, field))
+        space = solve_frobenius_space(compute_basis(quiver, ideal, field))
+        candidates = [candidate_to_json(c) for c in space]
+        assert cli._space_dumps(candidates) == space_json(candidates)
 
 
 class TestRepeatedCalls:

@@ -136,6 +136,14 @@ class TestValueSemantics:
         fields[position] = ("b",) if isinstance(fields[position], tuple) else "9"
         assert cls(*fields) != original and not cls(*fields) == original
 
+    @pytest.mark.parametrize("word", [(), ("a",), ("a", "b")])
+    def test_equal_paths_built_apart_hash_equal(self, word):
+        quiver = Quiver(["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3")])
+        built = quiver.path(word) if word else quiver.trivial_path("1")
+        fresh = Path("1", built.target, tuple(list(word)))
+        assert built == fresh and hash(built) == hash(fresh)
+        assert {built: "x"}[fresh] == "x"
+
     def test_path_is_not_its_field_tuple(self):
         fields = self.FIELDS[Path]
         assert Path(*fields) != fields and fields != Path(*fields)
