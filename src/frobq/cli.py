@@ -5,7 +5,9 @@ Exit codes: 0 ok, 1 parse error or other bad input or usage, 2 unsupported
 ideal regime, 3 infinite dimensional certificate failure, 4 verification
 failure, 5 internal consistency fault.  Text mode prints bare values for
 scripting; --json emits versioned frobq/1 documents with scalars as exact
-strings.  main can be called repeatedly in one process: it builds its
+strings, written from the algebra's basis and candidates as the bytes of
+json.dumps(payload, indent=2) plus a line break, each basis path encoded
+once per call.  main can be called repeatedly in one process: it builds its
 parser once and looks up the cmd_<command> function on every call.
 """
 
@@ -28,9 +30,7 @@ from .errors import (
 )
 from .frobenius import (
     candidate_from_json,
-    candidate_to_json,
     frobenius_dimension,
-    path_to_json,
     solve_frobenius_space,
     verify_coproduct,
 )
@@ -76,75 +76,64 @@ def _algebra(args):
     return compute_basis(doc.quiver, doc.ideal, doc.field)
 
 
-def _dumps(value, pad="\n"):
-    """The text json.dumps writes for value with an indent of 2, for str
-    dict keys.
-
-    An indent makes json fall back to its pure-Python encoder, so the two
-    containers are written here and strings by the C string encoder;
-    pad is a line break and the indent of value's own line.  Any other
-    leaf (None, a bool, a float) is written the same with or without
-    indent, so json.dumps writes it.  space's payload goes through
-    _space_dumps, which calls this once per distinct path.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
+def _leg_writer(depth):
+    """A function giving a path's frobq/1 JSON text on a line indented by
+    depth spaces, as json.dumps(..., indent=2) writes it there; each
+    distinct path is written once per writer and its text reused."""
+    pad = "\n" + depth * " "
     inner = pad + "  "
     sep = "," + inner
-    if isinstance(value, dict):
-        brackets = "{}"
-        items = [f"{encode_basestring_ascii(key)}: {_dumps(item, inner)}"
-                 for key, item in value.items()]
-    elif isinstance(value, (list, tuple)):
-        brackets = "[]"
-        if all(isinstance(item, str) for item in value):  # an arrow word
-            items = map(encode_basestring_ascii, value)
-        else:
-            items = [_dumps(item, inner) for item in value]
-    else:
-        return json.dumps(value)
-    if not value:
-        return brackets
-    # One f-string copies the joined items once; a chain of + copies them
-    # once per +, and the large copies raise the process's peak memory.
-    return f"{brackets[0]}{inner}{sep.join(items)}{pad}{brackets[1]}"
+    texts = {}
 
-
-def _space_dumps(candidates):
-    """_dumps of space's payload, plus a line break, for candidate_to_json's
-    lists of nonzero candidates, whose every entry has terms.
-
-    Every leg sits at the same depth, so each distinct path is written
-    once per call and its text reused; entries and terms follow fixed
-    templates, and the text is joined once from its pieces.
-    """
-    legs = {}
-
-    def leg(data):
-        key = tuple(data) if data.__class__ is list else data["e"]
-        text = legs.get(key)
+    def leg(path):
+        text = texts.get(path)
         if text is None:
-            text = legs[key] = _dumps(data, "\n" + 12 * " ")
+            text = texts[path] = (
+                f"[{inner}{sep.join(map(encode_basestring_ascii, path.arrows))}{pad}]"
+                if path.arrows else
+                f'{{{inner}"e": {encode_basestring_ascii(path.source)}{pad}}}')
         return text
 
-    parts = ['{\n  "schema": ', encode_basestring_ascii(SCHEMA),
-             f',\n  "dimension": {len(candidates)},\n  "candidates": [']
-    for i, candidate in enumerate(candidates):
+    return leg
+
+
+def _space_json(algebra, space):
+    """space --json's text, plus a line break, for the nonzero candidates
+    of space, written in candidate_to_json's layout from fixed templates
+    and joined once from its pieces."""
+    leg = _leg_writer(12)
+    format_scalar = algebra.field.format
+    parts = [f'{{\n  "schema": "{SCHEMA}",\n  "dimension": {len(space)},\n  "candidates": [']
+    for i, candidate in enumerate(space):
         parts.append(",\n    [" if i else "\n    [")
-        for j, entry in enumerate(candidate):
+        for j, (vertex, tensor) in enumerate(candidate.nonzero_values()):
             parts += (",\n      {" if j else "\n      {", '\n        "vertex": ',
-                      encode_basestring_ascii(entry["vertex"]), ',\n        "terms": [')
-            for k, term in enumerate(entry["terms"]):
+                      encode_basestring_ascii(vertex), ',\n        "terms": [')
+            for k, ((u, v), c) in enumerate(tensor.sorted_items()):
+                # A formatted scalar is ASCII digits, "-" and "/": nothing to escape.
                 parts += (",\n          {" if k else "\n          {",
-                          '\n            "left": ', leg(term["left"]),
-                          ',\n            "right": ', leg(term["right"]),
-                          ',\n            "coeff": ', encode_basestring_ascii(term["coeff"]),
-                          "\n          }")
+                          '\n            "left": ', leg(u),
+                          ',\n            "right": ', leg(v),
+                          ',\n            "coeff": "', format_scalar(c), '"\n          }')
             parts.append("\n        ]\n      }")
         parts.append("\n    ]")
-    parts.append("\n  ]\n}\n" if candidates else "]\n}\n")
+    parts.append("\n  ]\n}\n" if space else "]\n}\n")
+    return "".join(parts)
+
+
+def _basis_json(algebra, blocks):
+    """basis --json's text, plus a line break, for the nonempty blocks;
+    every quiver has a vertex, so there is at least one."""
+    leg = _leg_writer(8)
+    parts = [f'{{\n  "schema": "{SCHEMA}",\n  "dimension": {algebra.dimension},'
+             f'\n  "bound": {algebra.bound},\n  "blocks": [']
+    for i, ((source, target), paths) in enumerate(blocks):
+        parts += (",\n    {" if i else "\n    {",
+                  '\n      "source": ', encode_basestring_ascii(source),
+                  ',\n      "target": ', encode_basestring_ascii(target),
+                  ',\n      "paths": [\n        ', ",\n        ".join(map(leg, paths)),
+                  "\n      ]\n    }")
+    parts.append("\n  ]\n}\n")
     return "".join(parts)
 
 
@@ -161,15 +150,7 @@ def cmd_basis(args):
     algebra = _algebra(args)
     blocks = [(key, paths) for key, paths in sorted(algebra.blocks.items()) if paths]
     if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "dimension": algebra.dimension,
-            "bound": algebra.bound,
-            "blocks": [{"source": source, "target": target,
-                        "paths": [path_to_json(p) for p in paths]}
-                       for (source, target), paths in blocks],
-        }
-        _emit(_dumps(payload) + "\n")
+        _emit(_basis_json(algebra, blocks))
     else:
         lines = [f"dimension {algebra.dimension}", f"bound {algebra.bound}"]
         for (source, target), paths in blocks:
@@ -182,8 +163,7 @@ def cmd_dim(args):
     algebra = _algebra(args)
     dimension = frobenius_dimension(algebra)
     if args.json:
-        payload = {"schema": SCHEMA, "frobenius_dimension": dimension}
-        _emit(_dumps(payload) + "\n")
+        _emit(f'{{\n  "schema": "{SCHEMA}",\n  "frobenius_dimension": {dimension}\n}}\n')
     else:
         _emit(f"{dimension}\n")
     return EXIT_OK
@@ -193,15 +173,12 @@ def cmd_space(args):
     algebra = _algebra(args)
     space = solve_frobenius_space(algebra)
     if args.json:
-        _emit(_space_dumps([candidate_to_json(c) for c in space]))
+        _emit(_space_json(algebra, space))
     else:
         lines = [f"dimension {len(space)}"]
         for i, candidate in enumerate(space):
             lines.append(f"candidate {i}:")
-            for vertex in algebra.quiver.vertices:
-                tensor = candidate.values.get(vertex)
-                if tensor is None or tensor.is_zero:
-                    continue
+            for vertex, tensor in candidate.nonzero_values():
                 lines.append(f"  D(e_{vertex}) = {tensor}")
         _emit("\n".join(lines) + "\n")
     return EXIT_OK

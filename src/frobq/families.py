@@ -158,6 +158,9 @@ def gen_radical_square_zero(quiver: Quiver):
 
 
 REGIMES = ("acyclic-monomial", "rsz", "string-quadratic")
+# The rsz regime kills every length-2 path, so its output grows with the
+# square of the arrow count: bounds above this are refused before any draw.
+MAX_RANDOM_BOUND = 1000
 
 
 def gen_random(seed, vertex_bound, arrow_bound, regime):
@@ -172,6 +175,8 @@ def gen_random(seed, vertex_bound, arrow_bound, regime):
         raise ValidationError(f"unknown regime {regime!r}; choose from {REGIMES}")
     if vertex_bound < 2 or arrow_bound < 1:
         raise ValidationError("vertex bound must be >= 2 and arrow bound >= 1")
+    if max(vertex_bound, arrow_bound) > MAX_RANDOM_BOUND:
+        raise ValidationError(f"vertex and arrow bounds must be <= {MAX_RANDOM_BOUND}")
     rng = random.Random(f"{regime}/{vertex_bound}/{arrow_bound}/{seed}")
     for _ in range(200):
         built = _try_random(rng, vertex_bound, arrow_bound, regime)

@@ -95,6 +95,14 @@ class CoproductCandidate:
     def value_at(self, vertex):
         return self.values.get(vertex, TensorElement(self.algebra.field))
 
+    def nonzero_values(self):
+        """(vertex, value) for each vertex whose value is nonzero, in the
+        quiver's vertex order."""
+        for vertex in self.algebra.quiver.vertices:
+            tensor = self.values.get(vertex)
+            if tensor is not None and not tensor.is_zero:
+                yield vertex, tensor
+
     def check_support(self):
         """Raise SupportViolationError unless every term u (x) v of the value
         at each vertex p is a pair of basis paths with source(u) = target(v) = p."""
@@ -529,10 +537,7 @@ def _path_from_json(data, quiver, words):
 
 def candidate_to_json(candidate: CoproductCandidate):
     out = []
-    for vertex in candidate.algebra.quiver.vertices:
-        tensor = candidate.values.get(vertex)
-        if tensor is None or tensor.is_zero:
-            continue
+    for vertex, tensor in candidate.nonzero_values():
         terms = []
         for (u, v), c in tensor.sorted_items():
             terms.append({

@@ -12,8 +12,10 @@ to the copy, runs its subset with ``pytest -x`` and restores the file.
 The checkout is never written to.  A mutant is killed when its subset
 fails; it survives when the subset passes.  The script prints one line
 per mutant with the time it took, and exits 1 when a mutant survives,
-when its anchor text does not occur exactly once, or when pytest ends in
-anything but pass or fail (a mutant that does not even import).
+when its anchor text does not occur exactly once, when pytest ends in
+anything but pass or fail (a mutant that does not even import), or when
+a subset runs longer than SUBSET_TIMEOUT seconds (a mutant that makes a
+test loop forever), which it reports as TIMEOUT.
 
 pytest does not collect this file.
 """
@@ -33,6 +35,8 @@ FROBENIUS = "src/frobq/frobenius.py"
 IDEAL = "src/frobq/ideal.py"
 LINALG = "src/frobq/linalg.py"
 VERIFIER_TESTS = ("tests/test_verifier_reference.py", "tests/test_frobenius.py")
+# The longest subset, the unmutated VERIFIER_TESTS, takes about 5 s on 2 cores.
+SUBSET_TIMEOUT = 60
 
 
 @dataclass(frozen=True)
@@ -104,10 +108,17 @@ MUTANTS = [
            ("tests/test_cli.py::TestCommands::test_verify_refuses_a_string_for_a_word",),
            "the reader's word lookup takes the JSON string \"ab\" for the word a*b"),
     Mutant(CLI,
-           "        key = tuple(data) if data.__class__ is list else data[\"e\"]\n",
-           "        key = tuple(data) if data.__class__ is list else (data[\"e\"],)\n",
+           "        text = texts.get(path)\n        if text is None:\n"
+           "            text = texts[path] = (\n",
+           "        text = texts.get(path.arrows)\n        if text is None:\n"
+           "            text = texts[path.arrows] = (\n",
            ("tests/test_cli.py::TestJsonWriter::test_space_payloads",),
-           "space --json's leg memo gives e_a and the one-arrow word a one key"),
+           "the leg memo keys a path by its arrows, so e_a and e_b share one text"),
+    Mutant(CLI,
+           "    leg = _leg_writer(8)\n",
+           "    leg = _leg_writer(6)\n",
+           ("tests/test_cli.py::TestJsonWriter::test_cli_payloads",),
+           "basis --json writes its paths one level too shallow"),
     Mutant(IDEAL,
            "    return longest + 1\n",
            "    return longest\n",
@@ -144,12 +155,17 @@ def _copy(destination):
 
 
 def _pytest(copy, tests):
-    """pytest's exit code on tests in copy: 0 pass, 1 fail."""
+    """pytest's exit code on tests in copy: 0 pass, 1 fail; None when the
+    run takes longer than SUBSET_TIMEOUT seconds and is killed."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
-        cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    ).returncode
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            timeout=SUBSET_TIMEOUT,
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main():
@@ -160,7 +176,8 @@ def main():
         for tests in sorted({m.tests for m in MUTANTS}):
             code = _pytest(copy, tests)
             if code != 0:
-                print(f"unmutated copy fails {' '.join(tests)} (pytest exit {code})")
+                reason = "TIMEOUT" if code is None else f"pytest exit {code}"
+                print(f"unmutated copy fails {' '.join(tests)} ({reason})")
                 return 1
         for mutant in MUTANTS:
             path = copy / mutant.file
@@ -177,7 +194,8 @@ def main():
                 code = _pytest(copy, mutant.tests)
             finally:
                 path.write_text(original, encoding="utf-8")
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR (pytest exit {code})")
+            verdict = {0: "SURVIVED", 1: "killed", None: "TIMEOUT"}.get(
+                code, f"ERROR (pytest exit {code})")
             print(f"{verdict:8} {time.perf_counter() - start:6.1f} s  {mutant.why}")
             faults += verdict != "killed"
     print(f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed")

@@ -1,9 +1,12 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,9 +14,10 @@ from hypothesis import assume, given, settings, strategies as st
 import frobq
 from frobq import cli
 from frobq.cli import main
-from frobq.dsl import QuiverDocument, format_document
+from frobq.dsl import QuiverDocument, format_document, parse_document
 from frobq.families import CanonicalSpec, gen_canonical, gen_toupie
-from frobq.frobenius import candidate_to_json, solve_frobenius_space
+from frobq.frobenius import (candidate_from_json, candidate_to_json, frobenius_dimension,
+                             path_to_json, solve_frobenius_space)
 from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ
 from frobq.quiver import Quiver
@@ -330,6 +334,18 @@ class TestBadInput:
         self.assert_one_line_error(code, out, err)
         assert err == "error: vertex bound must be >= 2 and arrow bound >= 1\n"
 
+    # A bound of 100,000 in the rsz regime ran past a minute before the
+    # limit; at the limit every regime is drawn in well under a second.
+    @pytest.mark.parametrize("bounds", [("1001", "10"), ("10", "1001"), ("10", "100000")])
+    def test_random_bound_above_the_limit(self, capsys, bounds):
+        code, out, err = run(capsys, "gen", "random", "3", *bounds, "rsz")
+        self.assert_one_line_error(code, out, err)
+        assert err == "error: vertex and arrow bounds must be <= 1000\n"
+
+    def test_random_bound_at_the_limit(self, capsys):
+        code, out, err = run(capsys, "gen", "random", "3", "1000", "1000", "rsz")
+        assert code == 0 and err == "" and out.startswith("field Q\n")
+
     @pytest.mark.parametrize("field_line, flags", [
         ("field F 5", []),
         ("field Q", ["--field", "F5"]),
@@ -637,61 +653,68 @@ def test_cli_output_golden(capsys, tmp_path, document, command, expected_code, d
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# JSON text with the characters json escapes: quotes, backslashes, control
-# characters, non-ASCII and astral characters, and a lone surrogate.
-JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800'
-                                              "\U0001f600"),
-                              st.characters()), max_size=8)
-JSON_VALUES = st.recursive(
-    st.one_of(JSON_TEXT, st.integers(), st.integers(min_value=2 ** 64),
-              st.integers(max_value=-2 ** 64), st.booleans(), st.none()),
-    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(JSON_TEXT, max_size=4),
-                            st.dictionaries(JSON_TEXT, inner, max_size=4)),
-    max_leaves=24)
-
-
 TOUPIE = format_document(QuiverDocument(*gen_toupie((3, 3), [], [[2, -3]]), QQ))
 CANONICAL_THIRD = format_document(QuiverDocument(
     *gen_canonical(CanonicalSpec((2, 2, 2), (Fraction(1, 3),))), QQ))
 
 
-def space_json(candidates):
-    """The bytes space --json must write for these candidates."""
-    payload = {"schema": "frobq/1", "dimension": len(candidates), "candidates": candidates}
-    return json.dumps(payload, indent=2) + "\n"
+def json_text(algebra, command):
+    """What `frobq <command> --json` prints for algebra, which is built
+    through the library, so its names may be ones the document language
+    refuses."""
+    out = io.StringIO()
+    with mock.patch.object(cli, "_algebra", lambda args: algebra), redirect_stdout(out):
+        assert main([command, "unread.qv", "--json"]) == 0
+    return out.getvalue()
+
+
+def dict_payload(algebra, command):
+    """The payload of `frobq <command> --json`, built from the library's
+    dict forms path_to_json and candidate_to_json."""
+    if command == "basis":
+        return {"schema": "frobq/1", "dimension": algebra.dimension, "bound": algebra.bound,
+                "blocks": [{"source": source, "target": target,
+                            "paths": [path_to_json(p) for p in paths]}
+                           for (source, target), paths in sorted(algebra.blocks.items())
+                           if paths]}
+    if command == "dim":
+        return {"schema": "frobq/1", "frobenius_dimension": frobenius_dimension(algebra)}
+    space = solve_frobenius_space(algebra)
+    return {"schema": "frobq/1", "dimension": len(space),
+            "candidates": [candidate_to_json(c) for c in space]}
+
+
+def document_algebra(document, flags):
+    """The algebra `frobq <command> FILE *flags` reads from document."""
+    doc = parse_document(document, field_override=cli._field_from_flag(
+        flags[1] if flags else None))
+    return compute_basis(doc.quiver, doc.ideal, doc.field)
+
+
+ALGEBRAS = st.one_of(mixed_algebras().map(lambda drawn: drawn[:3]), random_algebras())
 
 
 class TestJsonWriter:
-    """cli._dumps, and cli._space_dumps for space's payload, write the bytes
-    of json.dumps(value, indent=2)."""
+    """basis, dim and space --json write the bytes of
+    json.dumps(payload, indent=2) plus a line break, for the payload the
+    library's dict forms give."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(JSON_VALUES)
-    def test_matches_json_dumps(self, value):
-        assert cli._dumps(value) == json.dumps(value, indent=2)
-
-    @pytest.mark.parametrize("value", [[], {}, [[]], {"a": {}}, ["a", 1, ["b"]], 2 ** 70,
-                                       -5, True, None, [False, "x"], 1.5])
-    def test_edge_values(self, value):
-        assert cli._dumps(value) == json.dumps(value, indent=2)
-
+    @pytest.mark.parametrize("command", ["basis", "dim", "space"])
     @pytest.mark.parametrize("gen, flags",
                              [*GOLDEN_DOCUMENTS.values(), (["cycle", "12", "9"], [])],
                              ids=[*GOLDEN_DOCUMENTS, "cycle-12-9"])
-    def test_cli_payloads(self, capsys, tmp_path, gen, flags):
+    def test_cli_payloads(self, capsys, tmp_path, gen, flags, command):
         code, doc, _ = run(capsys, "gen", *gen)
         path = tmp_path / "doc.qv"
         path.write_text(doc)
-        for command in ("basis", "dim", "space"):
-            code, out, _ = run(capsys, command, str(path), "--json", *flags)
-            payload = json.loads(out)
-            assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
-            assert cli._dumps(payload) == out[:-1]
+        code, out, _ = run(capsys, command, str(path), "--json", *flags)
+        payload = dict_payload(document_algebra(doc, flags), command)
+        assert code == 0 and out == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("document, flags, feature", [
         (TOUPIE, ["--field", "F7"], '"coeff": "3"'),
         (TOUPIE, [], '"coeff": "2/3"'),
-        # e_a and the arrow a are legs of one term: one memo key must not serve both.
+        # e_a, e_b and the arrow a are legs: one memo key must not serve two of them.
         ("vertex a b\narrow a : a -> b\n", [], '"right": {\n              "e": "a"'),
         (CANONICAL_THIRD, [], '"candidates": []'),
     ], ids=["F7-coefficient-3", "Q-coefficient-2/3", "trivial-legs", "zero-dimensional"])
@@ -700,24 +723,39 @@ class TestJsonWriter:
         path.write_text(document)
         code, out, _ = run(capsys, "space", str(path), "--json", *flags)
         assert code == 0 and feature in out
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        payload = dict_payload(document_algebra(document, flags), "space")
+        assert out == json.dumps(payload, indent=2) + "\n"
 
-    def test_space_writer_escapes_names(self):
+    @pytest.mark.parametrize("command", ["basis", "space"])
+    def test_writers_escape_names(self, command):
         # Names the document language refuses, so built through the library.
         quiver = Quiver(['\u00e9"', "\\x"], [("\U0001f600", '\u00e9"', "\\x")])
-        candidates = [candidate_to_json(c)
-                      for c in solve_frobenius_space(compute_basis(quiver, IdealSpec([]), QQ))]
-        assert candidates
-        assert cli._space_dumps(candidates) == space_json(candidates)
+        algebra = compute_basis(quiver, IdealSpec([]), QQ)
+        out = json_text(algebra, command)
+        assert out == json.dumps(dict_payload(algebra, command), indent=2) + "\n"
+        assert "\\u00e9\\\"" in out and "\\ud83d\\ude00" in out and '"\\\\x"' in out
 
+    @pytest.mark.parametrize("command", ["basis", "dim", "space"])
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(st.one_of(mixed_algebras().map(lambda drawn: drawn[:3]), random_algebras()))
-    def test_space_writer_matches_json_dumps(self, drawn):
+    @given(ALGEBRAS)
+    def test_json_outputs_match_the_dict_forms(self, command, drawn):
         quiver, ideal, field = drawn
         assume(not has_zero_generator(ideal, field))
-        space = solve_frobenius_space(compute_basis(quiver, ideal, field))
-        candidates = [candidate_to_json(c) for c in space]
-        assert cli._space_dumps(candidates) == space_json(candidates)
+        algebra = compute_basis(quiver, ideal, field)
+        out = json_text(algebra, command)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert out == json.dumps(dict_payload(algebra, command), indent=2) + "\n"
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(ALGEBRAS)
+    def test_space_json_reads_back(self, drawn):
+        quiver, ideal, field = drawn
+        assume(not has_zero_generator(ideal, field))
+        algebra = compute_basis(quiver, ideal, field)
+        space = solve_frobenius_space(algebra)
+        read = [candidate_from_json(data, algebra)
+                for data in json.loads(json_text(algebra, "space"))["candidates"]]
+        assert [c.values for c in read] == [c.values for c in space]
 
 
 class TestRepeatedCalls:
