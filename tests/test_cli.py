@@ -209,6 +209,44 @@ class TestCommands:
         assert run(capsys, "verify", str(doc), "--coproduct", str(cand)) == \
             (1, "", "error: bad path encoding: 'ab'\n")
 
+    # On gen cycle 3 2 the word a1*a2 is zero, so no basis path, and a2 and
+    # e_2 start at 2: each breaks the support at vertex 1.  The whole file
+    # is read before support is checked, terms that sum to zero drop out,
+    # and the bad terms are reported in the order of their vertex's first
+    # entry, then of their last addition.
+    @pytest.mark.parametrize("entries, expected", [
+        ([{"vertex": "1", "terms": [(["a1", "a2"], {"e": "1"}, "1"),
+                                    (5, {"e": "1"}, "1")]}],
+         (1, "", "error: bad path encoding: 5\n")),
+        ([{"vertex": "1", "terms": [(["a1", "a2"], {"e": "1"}, "0")]}],
+         (0, "VERIFIED\n", "")),
+        ([{"vertex": "1", "terms": [(["a2"], {"e": "1"}, "1"), (["a2"], {"e": "1"}, "-1")]}],
+         (0, "VERIFIED\n", "")),
+        ([{"vertex": "1", "terms": [(["a1", "a2"], {"e": "1"}, "1"),
+                                    (["a1", "a2"], {"e": "1"}, "-1"),
+                                    (["a2"], {"e": "1"}, "1"),
+                                    (["a1", "a2"], {"e": "1"}, "1")]}],
+         (4, "SUPPORT VIOLATION: term a2(x)e_1 at vertex 1 breaks the support condition "
+             "source(left) = target(right) = 1\n", "")),
+        ([{"vertex": "1", "terms": []},
+          {"vertex": "2", "terms": [({"e": "1"}, {"e": "2"}, "1")]},
+          {"vertex": "1", "terms": [(["a1"], ["a3"], "1"), ({"e": "2"}, {"e": "1"}, "1")]}],
+         (4, "SUPPORT VIOLATION: term e_2(x)e_1 at vertex 1 breaks the support condition "
+             "source(left) = target(right) = 1\n", "")),
+    ], ids=["bad-encoding-after-non-basis", "non-basis-with-coeff-0", "cancelled-support-break",
+            "cancelled-then-readded", "vertex-listed-twice"])
+    def test_verify_error_precedence(self, capsys, tmp_path, entries, expected):
+        code, doc, _ = run(capsys, "gen", "cycle", "3", "2")
+        path = tmp_path / "cycle.qv"
+        path.write_text(doc)
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([
+            {"vertex": entry["vertex"],
+             "terms": [{"left": left, "right": right, "coeff": coeff}
+                       for left, right, coeff in entry["terms"]]}
+            for entry in entries]))
+        assert run(capsys, "verify", str(path), "--coproduct", str(cand)) == expected
+
     def test_classify(self, capsys, diamond_file):
         code, out, _ = run(capsys, "classify", diamond_file)
         assert code == 0
