@@ -76,45 +76,39 @@ def _algebra(args):
     return compute_basis(doc.quiver, doc.ideal, doc.field)
 
 
-def _leg_writer(depth):
-    """A function giving a path's frobq/1 JSON text on a line indented by
-    depth spaces, as json.dumps(..., indent=2) writes it there; each
-    distinct path is written once per writer and its text reused."""
+def _leg(path, depth):
+    """path's frobq/1 JSON text on a line indented by depth spaces, as
+    json.dumps(..., indent=2) writes it there."""
     pad = "\n" + depth * " "
     inner = pad + "  "
-    sep = "," + inner
-    texts = {}
-
-    def leg(path):
-        text = texts.get(path)
-        if text is None:
-            text = texts[path] = (
-                f"[{inner}{sep.join(map(encode_basestring_ascii, path.arrows))}{pad}]"
-                if path.arrows else
-                f'{{{inner}"e": {encode_basestring_ascii(path.source)}{pad}}}')
-        return text
-
-    return leg
+    if path.arrows:
+        return f"[{inner}{(',' + inner).join(map(encode_basestring_ascii, path.arrows))}{pad}]"
+    return f'{{{inner}"e": {encode_basestring_ascii(path.source)}{pad}}}'
 
 
 def _space_json(algebra, space):
     """space --json's text, plus a line break, for the nonzero candidates
-    of space, written in candidate_to_json's layout from fixed templates
-    and joined once from its pieces."""
-    leg = _leg_writer(12)
+    of space, written in candidate_to_json's layout from fixed templates,
+    one leg text per basis path, and joined once from its pieces."""
+    legs = [_leg(path, 12) for path in algebra.basis]
+    rank = algebra.sort_rank
     format_scalar = algebra.field.format
     parts = [f'{{\n  "schema": "{SCHEMA}",\n  "dimension": {len(space)},\n  "candidates": [']
     for i, candidate in enumerate(space):
         parts.append(",\n    [" if i else "\n    [")
-        for j, (vertex, tensor) in enumerate(candidate.nonzero_values()):
+        values = candidate.values
+        for j, vertex in enumerate(v for v in algebra.quiver.vertices if v in values):
             parts += (",\n      {" if j else "\n      {", '\n        "vertex": ',
                       encode_basestring_ascii(vertex), ',\n        "terms": [')
-            for k, ((u, v), c) in enumerate(tensor.sorted_items()):
+            terms = values[vertex]
+            ordered = terms if len(terms) == 1 else sorted(
+                terms, key=lambda pair: (rank[pair[0]], rank[pair[1]]))
+            for k, (u, v) in enumerate(ordered):
                 # A formatted scalar is ASCII digits, "-" and "/": nothing to escape.
                 parts += (",\n          {" if k else "\n          {",
-                          '\n            "left": ', leg(u),
-                          ',\n            "right": ', leg(v),
-                          ',\n            "coeff": "', format_scalar(c), '"\n          }')
+                          '\n            "left": ', legs[u],
+                          ',\n            "right": ', legs[v],
+                          ',\n            "coeff": "', format_scalar(terms[u, v]), '"\n          }')
             parts.append("\n        ]\n      }")
         parts.append("\n    ]")
     parts.append("\n  ]\n}\n" if space else "]\n}\n")
@@ -124,14 +118,13 @@ def _space_json(algebra, space):
 def _basis_json(algebra, blocks):
     """basis --json's text, plus a line break, for the nonempty blocks;
     every quiver has a vertex, so there is at least one."""
-    leg = _leg_writer(8)
     parts = [f'{{\n  "schema": "{SCHEMA}",\n  "dimension": {algebra.dimension},'
              f'\n  "bound": {algebra.bound},\n  "blocks": [']
     for i, ((source, target), paths) in enumerate(blocks):
         parts += (",\n    {" if i else "\n    {",
                   '\n      "source": ', encode_basestring_ascii(source),
                   ',\n      "target": ', encode_basestring_ascii(target),
-                  ',\n      "paths": [\n        ', ",\n        ".join(map(leg, paths)),
+                  ',\n      "paths": [\n        ', ",\n        ".join(_leg(p, 8) for p in paths),
                   "\n      ]\n    }")
     parts.append("\n  ]\n}\n")
     return "".join(parts)

@@ -34,6 +34,8 @@ from .ideal import AlgebraBasis
 from .linalg import SparseMatrix, kernel_basis
 from .quiver import Path
 
+_EMPTY = {}
+
 
 class TensorElement:
     """An element of A (x) A in the induced basis of path pairs."""
@@ -48,13 +50,7 @@ class TensorElement:
                     self.coefficients[pair] = value
 
     def add_term(self, u, v, value):
-        key = (u, v)
-        old = self.coefficients.get(key)
-        new = self.field.reduce(value if old is None else old + value)
-        if not new:
-            self.coefficients.pop(key, None)
-        else:
-            self.coefficients[key] = new
+        _add(self.coefficients, (u, v), value, self.field.reduce)
 
     @property
     def is_zero(self):
@@ -81,61 +77,76 @@ class TensorElement:
         return " + ".join(parts)
 
 
+def _add(terms, key, value, reduce):
+    """Add value to terms[key], reduced; a key whose sum is zero is dropped,
+    so one added again later moves to the end."""
+    old = terms.get(key)
+    new = reduce(value if old is None else old + value)
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
 class CoproductCandidate:
-    """A candidate coproduct, given by its value on every idempotent."""
+    """A candidate coproduct, given by its value on every idempotent.
+
+    values maps each vertex whose value is nonzero to its coordinates
+    {(i, j): c != 0} over the pairs basis[i] (x) basis[j], the one form the
+    solver, the verifier walk and the JSON writer and reader share.  The
+    constructor converts {vertex: TensorElement} to it once; a leg that is
+    no basis path stays its Path, which check_support refuses.
+    """
 
     def __init__(self, algebra: AlgebraBasis, values=None):
         self.algebra = algebra
-        self.values = {}
-        if values:
-            for vertex, tensor in values.items():
-                if not tensor.is_zero:
-                    self.values[vertex] = tensor
+        index = algebra.index
+        self.values = {vertex: {(index.get(u, u), index.get(v, v)): c
+                                for (u, v), c in tensor.coefficients.items()}
+                       for vertex, tensor in (values or _EMPTY).items() if not tensor.is_zero}
 
     def value_at(self, vertex):
-        return self.values.get(vertex, TensorElement(self.algebra.field))
+        return _tensor(self.algebra, self.values.get(vertex, _EMPTY))
 
     def nonzero_values(self):
-        """(vertex, value) for each vertex whose value is nonzero, in the
-        quiver's vertex order."""
+        """(vertex, value_at(vertex)) for each vertex whose value is
+        nonzero, in the quiver's vertex order."""
         for vertex in self.algebra.quiver.vertices:
-            tensor = self.values.get(vertex)
-            if tensor is not None and not tensor.is_zero:
-                yield vertex, tensor
+            if vertex in self.values:
+                yield vertex, self.value_at(vertex)
 
     def check_support(self):
-        """Raise SupportViolationError unless every term u (x) v of the value
-        at each vertex p is a pair of basis paths with source(u) = target(v) = p."""
-        _indexed_terms(self)
+        """Raise SupportViolationError unless every term of the value at each
+        vertex p is basis[i] (x) basis[j] with basis[i].source == p == basis[j].target."""
+        basis, vertices = self.algebra.basis, self.algebra.quiver.out_arrows
+        for vertex, terms in self.values.items():
+            if vertex not in vertices:
+                raise SupportViolationError(f"unknown vertex {shorten(vertex)} in coproduct")
+            for i, j in terms:
+                if i.__class__ is not int or j.__class__ is not int:
+                    raise SupportViolationError(
+                        f"coproduct term {_term(basis, i, j)} does not use basis paths")
+                if not basis[i].source == vertex == basis[j].target:
+                    raise SupportViolationError(
+                        f"term {_term(basis, i, j)} at vertex {shorten(vertex)} breaks the support "
+                        f"condition source(left) = target(right) = {shorten(vertex)}")
 
 
-def _indexed_terms(candidate):
-    """{vertex: [(index of u, index of v, c)]} over the terms of the
-    candidate's values, checked as check_support says."""
-    index, vertices = candidate.algebra.index, candidate.algebra.quiver.out_arrows
-    indexed = {}
-    for vertex, tensor in candidate.values.items():
-        if vertex not in vertices:
-            raise SupportViolationError(f"unknown vertex {shorten(vertex)} in coproduct")
-        terms = indexed[vertex] = []
-        for (u, v), c in tensor.coefficients.items():
-            j, l = index.get(u), index.get(v)
-            if j is None or l is None:
-                raise SupportViolationError(
-                    f"coproduct term {_term(u, v)} does not use basis paths"
-                )
-            if u.source != vertex or v.target != vertex:
-                raise SupportViolationError(
-                    f"term {_term(u, v)} at vertex {shorten(vertex)} breaks the support "
-                    f"condition source(left) = target(right) = {shorten(vertex)}"
-                )
-            terms.append((j, l, c))
-    return indexed
+def _path(basis, leg):
+    """The path a leg of a candidate's values stands for."""
+    return basis[leg] if leg.__class__ is int else leg
 
 
-def _term(u, v):
-    """u (x) v as an error message echoes it, each path cut by shorten."""
-    return f"{shorten(str(u))}(x){shorten(str(v))}"
+def _tensor(algebra, terms):
+    """{(i, j): c} over basis pairs as a TensorElement over paths."""
+    basis = algebra.basis
+    return TensorElement(algebra.field, {(_path(basis, i), _path(basis, j)): c
+                                         for (i, j), c in terms.items()})
+
+
+def _term(basis, i, j):
+    """A term's legs as an error message echoes them, each path cut by shorten."""
+    return f"{shorten(str(_path(basis, i)))}(x){shorten(str(_path(basis, j)))}"
 
 
 def _reduced(terms, reduce):
@@ -143,12 +154,10 @@ def _reduced(terms, reduce):
     return {key: r for key, value in terms.items() if (r := reduce(value))}
 
 
-_EMPTY = {}
-
-
 def _columns(algebra: AlgebraBasis):
-    """The legend, one column per (p, u, v) with source(u) = target(v) = p,
-    {p: (first column, us, vs)} and the basis paths' words.
+    """The legend, one column (p, u, v) per pair of basis indices with
+    basis[u].source == p == basis[v].target, {p: (first column, us, vs)}
+    and the basis paths' words.
 
     The columns run vertex by vertex, with u in us and then v in vs, by
     basis index in sort_key order: (p, us[i], vs[k]) is column first +
@@ -157,14 +166,14 @@ def _columns(algebra: AlgebraBasis):
     basis = algebra.basis
     by_source = {}
     by_target = {}
-    for i in sorted(range(len(basis)), key=lambda i: basis[i].sort_key()):
+    for i in sorted(range(len(basis)), key=algebra.sort_rank.__getitem__):
         by_source.setdefault(basis[i].source, []).append(i)
         by_target.setdefault(basis[i].target, []).append(i)
     legend = []
     columns = {}
     for p in algebra.quiver.vertices:
         columns[p] = (len(legend), by_source[p], by_target[p])
-        legend.extend((p, basis[u], basis[v]) for u in by_source[p] for v in by_target[p])
+        legend.extend((p, u, v) for u in by_source[p] for v in by_target[p])
     return legend, columns, [b.arrows for b in basis]
 
 
@@ -177,9 +186,10 @@ def build_constraint_system(algebra: AlgebraBasis):
     """The linear system whose kernel is the Frobenius space.
 
     Unknowns are the coefficients of each candidate value at each vertex,
-    one column per (p, u, v) with source(u) = target(v) = p, laid out by
-    _columns: the support condition is imposed structurally, so only
-    arrow constraints remain.
+    one column, the legend's (p, u, v), per pair of basis indices with
+    basis[u].source == p == basis[v].target, laid out by _columns: the
+    support condition is imposed structurally, so only arrow constraints
+    remain.
 
     An arrow a: p -> q gives one row per tensor pair of basis indices in
     (a (x) 1) D(e_q) - D(e_p) (1 (x) a).  The coordinates of a * u and
@@ -280,14 +290,11 @@ def solve_frobenius_space(algebra: AlgebraBasis) -> list:
     are verified together, in one walk over the product table.
     """
     legend, vectors = _kernel(algebra)
-    candidates = []
-    for vec in vectors:
-        values = {}
+    candidates = [CoproductCandidate(algebra) for _ in vectors]
+    for candidate, vec in zip(candidates, vectors):
         for col, value in vec.items():
             p, u, v = legend[col]
-            tensor = values.setdefault(p, TensorElement(algebra.field))
-            tensor.add_term(u, v, value)
-        candidates.append(CoproductCandidate(algebra, values))
+            candidate.values.setdefault(p, {})[u, v] = value
     if failure := _first_failure(algebra, candidates):
         raise InternalFaultError(
             "kernel vector failed independent verification at pair "
@@ -347,14 +354,6 @@ def _short(path):
     if path.is_trivial:
         return f"e_{shorten(path.source)}"
     return "*".join(map(shorten, path.arrows))
-
-
-def _tensor_of_indices(algebra, terms, scale, n):
-    """The TensorElement of candidate n whose coefficients times scale are
-    the int terms keyed (index, index, n)."""
-    basis, scalar = algebra.basis, algebra.field.scalar
-    return TensorElement(algebra.field, {(basis[a], basis[b]): scalar(c, scale)
-                                         for (a, b, m), c in terms.items() if m == n})
 
 
 def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
@@ -438,12 +437,13 @@ def _first_failure(algebra: AlgebraBasis, candidates):
     scales = []
     values = {}
     for n, candidate in enumerate(candidates):
-        indexed = _indexed_terms(candidate)
-        scale = lcm(*(denominator(c) for terms in indexed.values() for _, _, c in terms))
+        candidate.check_support()
+        scale = lcm(*(denominator(c) for terms in candidate.values.values()
+                      for c in terms.values()))
         scales.append(scale)
-        for vertex, terms in indexed.items():
+        for vertex, terms in candidate.values.items():
             ints = values.setdefault(vertex, {})
-            for j, l, c in terms:
+            for (j, l), c in terms.items():
                 ints[(j, l, n)] = integer(c, scale)
     delta, by_left = [], []
     for i, b in enumerate(basis):
@@ -498,10 +498,13 @@ def _first_failure(algebra: AlgebraBasis, candidates):
                        if not sides[0].get(key) == sides[1].get(key) == sides[2].get(key)]
             if failing:
                 n = min(failing)
-                scale = algebra.product_scale ** 2 * scales[n]
-                return _first_failure(algebra, candidates[:n]) or (n, Counterexample(
-                    basis[i], basis[j], *(_tensor_of_indices(algebra, side, scale, n)
-                                          for side in sides)))
+                if earlier := _first_failure(algebra, candidates[:n]):
+                    return earlier
+                scale, scalar = algebra.product_scale ** 2 * scales[n], algebra.field.scalar
+                return n, Counterexample(basis[i], basis[j], *(
+                    _tensor(algebra, {(a, b): scalar(c, scale)
+                                      for (a, b, m), c in side.items() if m == n})
+                    for side in sides))
     return None
 
 
@@ -510,43 +513,36 @@ def _first_failure(algebra: AlgebraBasis, candidates):
 # trivial paths as {"e": vertex}, scalars as "num/den" strings.
 
 def path_to_json(path: Path):
-    if path.is_trivial:
-        return {"e": path.source}
-    return list(path.arrows)
+    return list(path.arrows) if path.arrows else {"e": path.source}
 
 
-def _path_from_json(data, quiver, words):
-    """The path data encodes.  words maps arrow words to the basis paths
-    they spell; any other word is built by quiver.path, which refuses an
-    unknown arrow or arrows that do not compose."""
+def _leg_from_json(data, quiver, legs):
+    """The basis index of the path data encodes, keyed in legs by its word or,
+    for e_v, by v; any other path is built by quiver.trivial_path or
+    quiver.path, which refuse an unknown vertex or arrow or arrows that do
+    not compose."""
     if data.__class__ is list:  # not a str: tuple("ab") would read as a word
         try:
-            path = words.get(tuple(data))
+            leg = legs.get(tuple(data))
         except TypeError:  # an unhashable item, refused below
-            path = None
-        if path is not None:
-            return path
+            leg = None
+        if leg is not None:
+            return leg
     if isinstance(data, dict):
         if set(data) != {"e"} or not isinstance(data["e"], str):
             raise ValidationError(f"bad path encoding: {shorten(data, repr)}")
-        return quiver.trivial_path(data["e"])
+        return legs[data["e"]] if data["e"] in legs else quiver.trivial_path(data["e"])
     if isinstance(data, list) and all(isinstance(s, str) for s in data):
         return quiver.path(tuple(data))
     raise ValidationError(f"bad path encoding: {shorten(data, repr)}")
 
 
 def candidate_to_json(candidate: CoproductCandidate):
-    out = []
-    for vertex, tensor in candidate.nonzero_values():
-        terms = []
-        for (u, v), c in tensor.sorted_items():
-            terms.append({
-                "left": path_to_json(u),
-                "right": path_to_json(v),
-                "coeff": candidate.algebra.field.format(c),
-            })
-        out.append({"vertex": vertex, "terms": terms})
-    return out
+    format_scalar = candidate.algebra.field.format
+    return [{"vertex": vertex,
+             "terms": [{"left": path_to_json(u), "right": path_to_json(v),
+                        "coeff": format_scalar(c)} for (u, v), c in tensor.sorted_items()]}
+            for vertex, tensor in candidate.nonzero_values()]
 
 
 _TERM_KEYS = frozenset(("left", "right", "coeff"))
@@ -555,22 +551,25 @@ _TERM_KEYS = frozenset(("left", "right", "coeff"))
 def candidate_from_json(data, algebra: AlgebraBasis) -> CoproductCandidate:
     """The candidate a frobq/1 coproduct file's data encodes.
 
-    Each distinct coeff text is parsed once per call.
+    Each distinct coeff text is parsed once per call.  Terms with the same
+    legs are summed, and a vertex keeps the place of its first entry.
     """
     if isinstance(data, dict) and "coproduct" in data:
         data = data["coproduct"]
     if not isinstance(data, list):
         raise ValidationError("coproduct file must be a list of per-vertex objects")
-    words = {p.arrows: p for p in algebra.basis if p.arrows}
+    legs = {p.arrows or p.source: i for i, p in enumerate(algebra.basis)}
+    quiver, reduce = algebra.quiver, algebra.field.reduce
     scalars = {}
-    values = {}
+    candidate = CoproductCandidate(algebra)
+    values = candidate.values
     for entry in data:
         if not isinstance(entry, dict):
             raise ValidationError(f"coproduct entry is not an object: {shorten(entry, repr)}")
         vertex = entry.get("vertex")
-        if not isinstance(vertex, str) or vertex not in algebra.quiver.out_arrows:
+        if not isinstance(vertex, str) or vertex not in quiver.out_arrows:
             raise ValidationError(f"unknown vertex in coproduct: {shorten(vertex, repr)}")
-        tensor = values.setdefault(vertex, TensorElement(algebra.field))
+        value = values.setdefault(vertex, {})
         terms = entry.get("terms", [])
         if not isinstance(terms, list):
             raise ValidationError(f"terms at vertex {shorten(vertex, repr)} must be a list")
@@ -580,11 +579,12 @@ def candidate_from_json(data, algebra: AlgebraBasis) -> CoproductCandidate:
                     f"term at vertex {shorten(vertex, repr)} must be an object with "
                     f"left, right and coeff: {shorten(term, repr)}"
                 )
-            u = _path_from_json(term["left"], algebra.quiver, words)
-            v = _path_from_json(term["right"], algebra.quiver, words)
+            key = (_leg_from_json(term["left"], quiver, legs),
+                   _leg_from_json(term["right"], quiver, legs))
             text = str(term["coeff"])
             coeff = scalars.get(text)
             if coeff is None:
                 coeff = scalars[text] = algebra.field.parse(text)
-            tensor.add_term(u, v, coeff)
-    return CoproductCandidate(algebra, values)
+            _add(value, key, coeff, reduce)
+    candidate.values = {v: value for v, value in values.items() if value}
+    return candidate

@@ -182,20 +182,27 @@ class AlgebraBasis:
     def _products(self):
         """(product_table, product_scale).  The product of composable basis
         paths is the path of their joined word, e_v when both are trivial,
-        so each entry is one table lookup, or zero at or past the bound."""
+        so each entry is one table lookup, or zero, keyed (), at or past the
+        bound.  Each table entry in use is turned into ints once, and every
+        pair with that product shares the map."""
         field, table, bound = self.field, self.table, self.bound
         starting_at = {}
         for j, b in enumerate(self.basis):
             starting_at.setdefault(b.source, []).append((j, b.arrows))
-        rows = [{j: table[word or a.source] if len(word := a.arrows + w) < bound else {}
+        rows = [{j: word or a.source if len(word := a.arrows + w) < bound else ()
                  for j, w in starting_at.get(a.target, ())}
                 for a in self.basis]
-        scale = lcm(*(field.denominator(c) for row in rows
-                      for coords in row.values() for c in coords.values()))
-        for row in rows:
-            for j, coords in row.items():
-                row[j] = {k: field.integer(c, scale) for k, c in coords.items()}
-        return rows, scale
+        used = set().union(*(row.values() for row in rows))
+        scale = lcm(*(field.denominator(c) for key in used for c in table.get(key, {}).values()))
+        ints = {key: {k: field.integer(c, scale) for k, c in table.get(key, {}).items()}
+                for key in used}
+        return [{j: ints[key] for j, key in row.items()} for row in rows], scale
+
+    @cached_property
+    def sort_rank(self):
+        """sort_rank[i] is the place of basis[i] in sort_key order, ties in basis order."""
+        order = sorted(range(len(self.basis)), key=lambda i: self.basis[i].sort_key())
+        return sorted(range(len(order)), key=order.__getitem__)
 
     def reduce_path(self, path: Path):
         """Coordinates {basis Path: scalar} of a single path; zero map when

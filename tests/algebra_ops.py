@@ -99,8 +99,8 @@ def extend_coproduct(candidate, w):
 def coefficient_vector(candidate, legend_index):
     """The candidate as a {column: scalar} vector over a constraint legend."""
     vec = {}
-    for vertex, tensor in candidate.values.items():
-        for (u, v), value in tensor.coefficients.items():
+    for vertex, terms in candidate.values.items():
+        for (u, v), value in terms.items():
             col = legend_index.get((vertex, u, v))
             if col is None:
                 raise SupportViolationError(

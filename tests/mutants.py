@@ -68,10 +68,10 @@ MUTANTS = [
            VERIFIER_TESTS,
            "the verifier skips every pair with D(x) = D(y) = 0, though D(xy) may not vanish"),
     Mutant(FROBENIUS,
-           "        new = self.field.reduce(value if old is None else old + value)\n",
-           "        new = value if old is None else old + value\n",
+           "    new = reduce(value if old is None else old + value)\n",
+           "    new = value if old is None else old + value\n",
            VERIFIER_TESTS,
-           "TensorElement.add_term keeps sums unreduced, so F_p values leave [0, p)"),
+           "_add keeps sums unreduced, so F_p values the reader sums leave [0, p)"),
     Mutant(FROBENIUS,
            "            if len(coords) == 1 and 1 in coords.values():\n",
            "            if len(coords) == 1:\n",
@@ -83,8 +83,8 @@ MUTANTS = [
            VERIFIER_TESTS,
            "the left form uses only the first coordinate of x * u"),
     Mutant(FROBENIUS,
-           "            if u.source != vertex or v.target != vertex:\n",
-           "            if u.source != vertex:\n",
+           "                if not basis[i].source == vertex == basis[j].target:\n",
+           "                if not basis[i].source == vertex:\n",
            ("tests/test_frobenius.py",),
            "the support check ignores the right leg's target"),
     Mutant(FROBENIUS,
@@ -108,17 +108,26 @@ MUTANTS = [
            ("tests/test_cli.py::TestCommands::test_verify_refuses_a_string_for_a_word",),
            "the reader's word lookup takes the JSON string \"ab\" for the word a*b"),
     Mutant(CLI,
-           "        text = texts.get(path)\n        if text is None:\n"
-           "            text = texts[path] = (\n",
-           "        text = texts.get(path.arrows)\n        if text is None:\n"
-           "            text = texts[path.arrows] = (\n",
+           "    legs = [_leg(path, 12) for path in algebra.basis]\n",
+           "    texts = {path.arrows: _leg(path, 12) for path in algebra.basis}\n"
+           "    legs = [texts[path.arrows] for path in algebra.basis]\n",
            ("tests/test_cli.py::TestJsonWriter::test_space_payloads",),
-           "the leg memo keys a path by its arrows, so e_a and e_b share one text"),
+           "the leg texts are keyed by arrows, so e_a and e_b share one text"),
     Mutant(CLI,
-           "    leg = _leg_writer(8)\n",
-           "    leg = _leg_writer(6)\n",
+           "                terms, key=lambda pair: (rank[pair[0]], rank[pair[1]]))\n",
+           "                terms)\n",
+           ("tests/test_cli.py::TestJsonWriter::test_space_writer_orders_terms_by_sort_key",),
+           "space --json orders a value's terms by basis index, not by sort_key rank"),
+    Mutant(CLI,
+           "_leg(p, 8) for p in paths",
+           "_leg(p, 6) for p in paths",
            ("tests/test_cli.py::TestJsonWriter::test_cli_payloads",),
            "basis --json writes its paths one level too shallow"),
+    Mutant(IDEAL,
+           "        rows = [{j: word or a.source if len(word := a.arrows + w) < bound else ()\n",
+           "        rows = [{j: word[-2:] or a.source if len(word := a.arrows + w) < bound else ()\n",
+           ("tests/test_cli.py::TestJsonWriter::test_space_json_reads_back",),
+           "the product table memo keys a product by its last two arrows only"),
     Mutant(IDEAL,
            "    return longest + 1\n",
            "    return longest\n",

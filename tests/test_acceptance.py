@@ -162,10 +162,10 @@ def linear_structure_candidate(q, algebra, lengths):
 
 
 def proportional(c1, c2):
-    flat1 = {(v, pair): coeff for v, t in c1.values.items()
-             for pair, coeff in t.coefficients.items()}
-    flat2 = {(v, pair): coeff for v, t in c2.values.items()
-             for pair, coeff in t.coefficients.items()}
+    flat1 = {(v, pair): coeff for v, terms in c1.values.items()
+             for pair, coeff in terms.items()}
+    flat2 = {(v, pair): coeff for v, terms in c2.values.items()
+             for pair, coeff in terms.items()}
     if set(flat1) != set(flat2) or not flat1:
         return not flat1 and not flat2
     key = next(iter(flat1))
@@ -319,7 +319,7 @@ def test_criterion_09_verifier_completeness():
             for col, value in vec.items():
                 p, u, v = legend[col]
                 tensor = values.setdefault(p, TensorElement(QQ))
-                tensor.add_term(u, v, value)
+                tensor.add_term(algebra.basis[u], algebra.basis[v], value)
             ok, _ = verify_coproduct(algebra, CoproductCandidate(algebra, values))
             assert not ok, f"{label}: non-kernel candidate passed the verifier"
             produced += 1

@@ -6,20 +6,22 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import frobq
 from frobq import cli
 from frobq.cli import main
 from frobq.dsl import QuiverDocument, format_document, parse_document
-from frobq.families import CanonicalSpec, gen_canonical, gen_toupie
-from frobq.frobenius import (candidate_from_json, candidate_to_json, frobenius_dimension,
-                             path_to_json, solve_frobenius_space)
+from frobq.families import CanonicalSpec, gen_canonical, gen_cycle, gen_toupie
+from frobq.frobenius import (CoproductCandidate, TensorElement, candidate_from_json,
+                             candidate_to_json, frobenius_dimension, path_to_json,
+                             solve_frobenius_space)
 from frobq.ideal import IdealSpec, compute_basis
-from frobq.linalg import QQ
+from frobq.linalg import QQ, PrimeField
 from frobq.quiver import Quiver
 
 from strategies import has_zero_generator, mixed_algebras, random_algebras
@@ -47,6 +49,7 @@ relation x*x ;
 """
 
 LONG = "v" * 5000
+F7 = PrimeField(7)
 
 
 @pytest.fixture
@@ -764,6 +767,27 @@ class TestJsonWriter:
         payload = dict_payload(document_algebra(document, flags), "space")
         assert out == json.dumps(payload, indent=2) + "\n"
 
+    @pytest.mark.parametrize("build, field", [(gen_cycle(12, 9), QQ), (gen_cycle(5, 4), F7)],
+                             ids=["cycle-12-9-Q", "cycle-5-4-F7"])
+    def test_space_writer_orders_terms_by_sort_key(self, build, field):
+        """Each kernel vector's value at a vertex lies in one block of
+        (target(left), source(right)), where basis order is sort_key order.
+        The sum of the space spans blocks, so the writer must order its
+        terms by the sort_key rank of their legs, as candidate_to_json does."""
+        algebra = compute_basis(*build, field)
+        values = {}
+        for candidate in solve_frobenius_space(algebra):
+            for vertex, tensor in candidate.nonzero_values():
+                total = values.setdefault(vertex, TensorElement(field))
+                for (u, v), c in tensor.coefficients.items():
+                    total.add_term(u, v, c)
+        total = CoproductCandidate(algebra, values)
+        rank = algebra.sort_rank
+        assert any(sorted(terms) != sorted(terms, key=lambda pair: (rank[pair[0]], rank[pair[1]]))
+                   for terms in total.values.values())
+        payload = {"schema": "frobq/1", "dimension": 1, "candidates": [candidate_to_json(total)]}
+        assert cli._space_json(algebra, [total]) == json.dumps(payload, indent=2) + "\n"
+
     @pytest.mark.parametrize("command", ["basis", "space"])
     def test_writers_escape_names(self, command):
         # Names the document language refuses, so built through the library.
@@ -786,7 +810,13 @@ class TestJsonWriter:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(ALGEBRAS)
+    @example((*gen_canonical(CanonicalSpec((2, 2, 2), (Fraction(1, 3),))), QQ))
+    @example((*gen_canonical(CanonicalSpec((9, 10, 11, 12), (2, Fraction(1, 3)))), QQ))
     def test_space_json_reads_back(self, drawn):
+        """candidate_from_json reads space --json back to the solver's
+        values over basis indices, and the product table the solver
+        verifies with is the one a rebuild pair by pair gives.  The two
+        canonical examples have product_scale 3 and 5."""
         quiver, ideal, field = drawn
         assume(not has_zero_generator(ideal, field))
         algebra = compute_basis(quiver, ideal, field)
@@ -794,6 +824,28 @@ class TestJsonWriter:
         read = [candidate_from_json(data, algebra)
                 for data in json.loads(json_text(algebra, "space"))["candidates"]]
         assert [c.values for c in read] == [c.values for c in space]
+        rows, scale = product_table_by_pairs(algebra)
+        assert algebra.product_scale == scale
+        assert algebra.product_table == rows
+        assert [list(row) for row in algebra.product_table] == [list(row) for row in rows]
+
+
+def product_table_by_pairs(algebra):
+    """(product_table, product_scale) rebuilt one composable pair at a time
+    from algebra.table, each entry converted to ints on its own."""
+    basis, table, field = algebra.basis, algebra.table, algebra.field
+    products = {}
+    for i, x in enumerate(basis):
+        for j, y in enumerate(basis):
+            if x.target == y.source:
+                word = x.arrows + y.arrows
+                products[i, j] = table[word or x.source] if len(word) < algebra.bound else {}
+    scale = lcm(*(field.denominator(c) for coords in products.values()
+                  for c in coords.values()))
+    rows = [{} for _ in basis]
+    for (i, j), coords in products.items():
+        rows[i][j] = {k: field.integer(c, scale) for k, c in coords.items()}
+    return rows, scale
 
 
 class TestRepeatedCalls:

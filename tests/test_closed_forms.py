@@ -441,10 +441,10 @@ def expected_linear_structure(q, algebra, n, m):
 
 
 def proportional(c1, c2):
-    flat1 = {(v, pair): coeff for v, t in c1.values.items()
-             for pair, coeff in t.coefficients.items()}
-    flat2 = {(v, pair): coeff for v, t in c2.values.items()
-             for pair, coeff in t.coefficients.items()}
+    flat1 = {(v, pair): coeff for v, terms in c1.values.items()
+             for pair, coeff in terms.items()}
+    flat2 = {(v, pair): coeff for v, terms in c2.values.items()
+             for pair, coeff in terms.items()}
     if set(flat1) != set(flat2) or not flat1:
         return not flat1 and not flat2
     key = next(iter(flat1))

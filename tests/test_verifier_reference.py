@@ -151,7 +151,7 @@ def add_support_terms(values, algebra, legend, rng, count):
     for _ in range(count):
         p, u, v = rng.choice(legend)
         tensor = values.setdefault(p, TensorElement(algebra.field))
-        tensor.add_term(u, v, random_scalar(algebra.field, rng))
+        tensor.add_term(algebra.basis[u], algebra.basis[v], random_scalar(algebra.field, rng))
 
 
 def draw_candidate(instance, field_name, kind, rng):
@@ -160,7 +160,7 @@ def draw_candidate(instance, field_name, kind, rng):
     if kind in ("kernel", "perturbed"):
         for generator in kernel:
             factor = random_scalar(algebra.field, rng)
-            for vertex, tensor in generator.values.items():
+            for vertex, tensor in generator.nonzero_values():
                 total = values.setdefault(vertex, TensorElement(algebra.field))
                 for (u, v), c in tensor.coefficients.items():
                     total.add_term(u, v, factor * c)
@@ -284,16 +284,17 @@ def test_cancelling_candidates_both_fail(field_name):
     def combination(*terms):
         values = {}
         for sign, candidate in terms:
-            for vertex, tensor in candidate.values.items():
+            for vertex, tensor in candidate.nonzero_values():
                 total = values.setdefault(vertex, TensorElement(algebra.field))
                 for (u, v), c in tensor.coefficients.items():
                     total.add_term(u, v, sign * c)
         return CoproductCandidate(algebra, values)
 
     p, u, v = legend[0]
-    error = CoproductCandidate(algebra, {p: TensorElement(algebra.field, {(u, v): 1})})
+    pair = (algebra.basis[u], algebra.basis[v])
+    error = CoproductCandidate(algebra, {p: TensorElement(algebra.field, {pair: 1})})
     k1, k2 = kernel[:2]
-    assert {c for k in (k1, k2) for t in k.values.values() for c in t.coefficients.values()} \
+    assert {c for k in (k1, k2) for terms in k.values.values() for c in terms.values()} \
         <= {1, algebra.field.reduce(-1)}
     candidates = [combination((1, k1), (1, error)), combination((1, k2), (-1, error))]
     assert verify_coproduct(algebra, combination((1, k1), (1, k2)))[0]
