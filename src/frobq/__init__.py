@@ -28,7 +28,6 @@ from .ideal import (
 )
 from .frobenius import (
     CoproductCandidate,
-    TensorElement,
     build_constraint_system,
     candidate_from_json,
     candidate_to_json,

@@ -29,6 +29,7 @@ from .errors import (
     shorten,
 )
 from .frobenius import (
+    _text,
     candidate_from_json,
     frobenius_dimension,
     solve_frobenius_space,
@@ -171,8 +172,8 @@ def cmd_space(args):
         lines = [f"dimension {len(space)}"]
         for i, candidate in enumerate(space):
             lines.append(f"candidate {i}:")
-            for vertex, tensor in candidate.nonzero_values():
-                lines.append(f"  D(e_{vertex}) = {tensor}")
+            lines.extend(f"  D(e_{vertex}) = {_text(algebra, candidate.values[vertex], str)}"
+                         for vertex in algebra.quiver.vertices if vertex in candidate.values)
         _emit("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -230,7 +231,7 @@ def cmd_classify(args):
     string = closed_forms.is_string(algebra)
     if string:
         quadratic = closed_forms.is_string_quadratic(algebra)
-        gentle = quadratic and closed_forms._gentle_pairs(algebra)
+        gentle = quadratic and closed_forms.is_gentle(algebra)
         kind = "gentle" if gentle else ("quadratic" if quadratic else "general")
         lines.append(f"string: yes ({kind})")
     else:
@@ -260,9 +261,8 @@ def cmd_patterns(args):
         lines.append(f"pattern {m.pattern} at vertex {m.vertex}: "
                      f"in {list(m.in_arrows)}, out {list(m.out_arrows)}, "
                      f"vanishing {[str(p) for p in m.vanishing]}")
-        witness = closed_forms.witness_coproduct(m, algebra)
-        tensor = witness.value_at(m.vertex)
-        lines.append(f"  witness D(e_{m.vertex}) = {tensor} (verified)")
+        witness = closed_forms.witness_coproduct(m, algebra).values[m.vertex]
+        lines.append(f"  witness D(e_{m.vertex}) = {_text(algebra, witness, str)} (verified)")
     _emit("\n".join(lines) + "\n")
     return EXIT_OK
 

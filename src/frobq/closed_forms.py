@@ -8,7 +8,7 @@ the dimension statement that the solver then has to reproduce.
 """
 
 from .errors import ValidationError
-from .frobenius import CoproductCandidate, TensorElement, verify_coproduct
+from .frobenius import CoproductCandidate, _add, verify_coproduct
 from .ideal import AlgebraBasis, IdealSpec, validate
 from .linalg import QQ, SparseMatrix, rref
 from .quiver import Path, Quiver
@@ -126,11 +126,10 @@ def witness_coproduct(match: LocalPatternMatch, algebra: AlgebraBasis) -> Coprod
     else:
         in_name = match.in_arrows[0]
         out_name = match.out_arrows[0]
-    left = quiver.path([out_name])
-    right = quiver.path([in_name])
-    tensor = TensorElement(algebra.field)
-    tensor.add_term(left, right, algebra.field.one)
-    candidate = CoproductCandidate(algebra, {v: tensor})
+    # Every arrow is a basis path: no generator term has length 1.
+    index = algebra.index
+    pair = (index[quiver.path([out_name])], index[quiver.path([in_name])])
+    candidate = CoproductCandidate(algebra, {v: {pair: algebra.field.one}})
     ok, counterexample = verify_coproduct(algebra, candidate)
     if not ok:
         raise ValidationError(
@@ -182,16 +181,13 @@ def is_string_quadratic(algebra: AlgebraBasis) -> bool:
 
 
 def is_gentle(algebra: AlgebraBasis) -> bool:
-    """String with quadratic relations and at most one forbidden pair per side."""
-    return is_string(algebra) and is_string_quadratic(algebra) and _gentle_pairs(algebra)
-
-
-def _gentle_pairs(algebra: AlgebraBasis) -> bool:
-    """Each arrow has at most one vanishing composition on each side."""
+    """String with quadratic relations, and each arrow has at most one
+    vanishing composition on each side."""
     out_arrows, in_arrows = algebra.quiver.out_arrows, algebra.quiver.in_arrows
-    return all(sum(_composition_vanishes(algebra, a, b) for b in out_arrows[a.target]) < 2
-               and sum(_composition_vanishes(algebra, b, a) for b in in_arrows[a.source]) < 2
-               for a in algebra.quiver.arrows)
+    return is_string(algebra) and is_string_quadratic(algebra) and all(
+        sum(_composition_vanishes(algebra, a, b) for b in out_arrows[a.target]) < 2
+        and sum(_composition_vanishes(algebra, b, a) for b in in_arrows[a.source]) < 2
+        for a in algebra.quiver.arrows)
 
 
 def string_relation_witness(algebra: AlgebraBasis, relation: Path) -> CoproductCandidate:
@@ -214,14 +210,15 @@ def string_relation_witness(algebra: AlgebraBasis, relation: Path) -> CoproductC
     if s < 3:
         raise ValidationError("relation must have length >= 3; shorter relations "
                               "are covered by the local pattern witnesses")
+    table, reduce = algebra.table, algebra.field.reduce
     values = {}
     for i in range(1, s):
-        head = quiver.path(relation.arrows[:i])
-        tail = quiver.path(relation.arrows[i:])
-        tensor = values.setdefault(head.target, TensorElement(algebra.field))
-        for left, cl in algebra.reduce_path(tail).items():
-            for right, cr in algebra.reduce_path(head).items():
-                tensor.add_term(left, right, cl * cr)
+        head, tail = relation.arrows[:i], relation.arrows[i:]
+        # A word with no table entry is at or past the bound, so zero.
+        value = values.setdefault(quiver.arrow_by_name[tail[0]].source, {})
+        for left, cl in table.get(tail, {}).items():
+            for right, cr in table.get(head, {}).items():
+                _add(value, (left, right), cl * cr, reduce)
     candidate = CoproductCandidate(algebra, values)
     ok, counterexample = verify_coproduct(algebra, candidate)
     if not ok:

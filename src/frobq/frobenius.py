@@ -37,46 +37,6 @@ from .quiver import Path
 _EMPTY = {}
 
 
-class TensorElement:
-    """An element of A (x) A in the induced basis of path pairs."""
-
-    def __init__(self, field, coefficients=None):
-        self.field = field
-        self.coefficients = {}
-        if coefficients:
-            for pair, value in coefficients.items():
-                value = field.coerce(value)
-                if value:
-                    self.coefficients[pair] = value
-
-    def add_term(self, u, v, value):
-        _add(self.coefficients, (u, v), value, self.field.reduce)
-
-    @property
-    def is_zero(self):
-        return not self.coefficients
-
-    def sorted_items(self):
-        return sorted(self.coefficients.items(),
-                      key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.coefficients == other.coefficients
-
-    def __str__(self):
-        return self._text(str)
-
-    def _text(self, show):
-        """The terms joined by " + ", each path written by show."""
-        if self.is_zero:
-            return "0"
-        parts = []
-        for (u, v), c in self.sorted_items():
-            prefix = "" if c == self.field.one else f"{self.field.format(c)}*"
-            parts.append(f"{prefix}{show(u)}(x){show(v)}")
-        return " + ".join(parts)
-
-
 def _add(terms, key, value, reduce):
     """Add value to terms[key], reduced; a key whose sum is zero is dropped,
     so one added again later moves to the end."""
@@ -93,27 +53,18 @@ class CoproductCandidate:
 
     values maps each vertex whose value is nonzero to its coordinates
     {(i, j): c != 0} over the pairs basis[i] (x) basis[j], the one form the
-    solver, the verifier walk and the JSON writer and reader share.  The
-    constructor converts {vertex: TensorElement} to it once; a leg that is
-    no basis path stays its Path, which check_support refuses.
+    solver, the verifier walk and the JSON writer and reader share; the
+    index of a basis path is algebra.index[path].  The constructor takes
+    that form, passes each c through field.coerce and drops the zero ones
+    and the empty values; a leg that is no basis path stays its Path,
+    which check_support refuses.
     """
 
     def __init__(self, algebra: AlgebraBasis, values=None):
         self.algebra = algebra
-        index = algebra.index
-        self.values = {vertex: {(index.get(u, u), index.get(v, v)): c
-                                for (u, v), c in tensor.coefficients.items()}
-                       for vertex, tensor in (values or _EMPTY).items() if not tensor.is_zero}
-
-    def value_at(self, vertex):
-        return _tensor(self.algebra, self.values.get(vertex, _EMPTY))
-
-    def nonzero_values(self):
-        """(vertex, value_at(vertex)) for each vertex whose value is
-        nonzero, in the quiver's vertex order."""
-        for vertex in self.algebra.quiver.vertices:
-            if vertex in self.values:
-                yield vertex, self.value_at(vertex)
+        coerce = algebra.field.coerce
+        self.values = {vertex: value for vertex, terms in (values or _EMPTY).items()
+                       if (value := _reduced(terms, coerce))}
 
     def check_support(self):
         """Raise SupportViolationError unless every term of the value at each
@@ -132,21 +83,27 @@ class CoproductCandidate:
                         f"condition source(left) = target(right) = {shorten(vertex)}")
 
 
-def _path(basis, leg):
-    """The path a leg of a candidate's values stands for."""
-    return basis[leg] if leg.__class__ is int else leg
-
-
-def _tensor(algebra, terms):
-    """{(i, j): c} over basis pairs as a TensorElement over paths."""
-    basis = algebra.basis
-    return TensorElement(algebra.field, {(_path(basis, i), _path(basis, j)): c
-                                         for (i, j), c in terms.items()})
-
-
 def _term(basis, i, j):
-    """A term's legs as an error message echoes them, each path cut by shorten."""
-    return f"{shorten(str(_path(basis, i)))}(x){shorten(str(_path(basis, j)))}"
+    """A term's legs as an error message echoes them, each path (basis[leg]
+    for an index) cut by shorten."""
+    return "(x)".join(shorten(str(basis[leg] if leg.__class__ is int else leg)) for leg in (i, j))
+
+
+def _text(algebra, terms, show):
+    """A value's terms {(i, j): c} joined by " + " in sort_key order of their
+    legs, each basis path written by show; "0" when there are none.
+
+    sort_key ties only trivial paths.  Every left leg of a value at p, or of
+    a Counterexample side at (x, y), starts at p, or at source(x), and
+    every right leg ends at p, or at target(y), so no two terms hold
+    different trivial legs on one side, and sort_rank orders them as
+    sort_key does."""
+    if not terms:
+        return "0"
+    basis, rank, field = algebra.basis, algebra.sort_rank, algebra.field
+    return " + ".join(
+        f"{'' if c == field.one else field.format(c) + '*'}{show(basis[i])}(x){show(basis[j])}"
+        for (i, j), c in sorted(terms.items(), key=lambda t: (rank[t[0][0]], rank[t[0][1]])))
 
 
 def _reduced(terms, reduce):
@@ -332,9 +289,11 @@ def _delta(products, terms, reduce):
 
 
 class Counterexample:
-    """A failing pair of basis paths, with both sides for error reporting."""
+    """A failing pair of basis paths x, y, with the three sides at it for
+    error reporting, each {(i, j): c != 0} over basis indices."""
 
-    def __init__(self, x, y, expected, left_side, right_side):
+    def __init__(self, algebra, x, y, expected, left_side, right_side):
+        self.algebra = algebra
         self.x = x
         self.y = y
         self.expected = expected
@@ -343,10 +302,10 @@ class Counterexample:
 
     def describe(self):
         """One line with every arrow and vertex name cut by shorten."""
-        return (f"pair ({_short(self.x)}, {_short(self.y)}): "
-                f"value on product = {self.expected._text(_short)}, "
-                f"(left (x) 1) form = {self.left_side._text(_short)}, "
-                f"(1 (x) right) form = {self.right_side._text(_short)}")
+        expected, left, right = (_text(self.algebra, side, _short)
+                                 for side in (self.expected, self.left_side, self.right_side))
+        return (f"pair ({_short(self.x)}, {_short(self.y)}): value on product = {expected}, "
+                f"(left (x) 1) form = {left}, (1 (x) right) form = {right}")
 
 
 def _short(path):
@@ -501,9 +460,8 @@ def _first_failure(algebra: AlgebraBasis, candidates):
                 if earlier := _first_failure(algebra, candidates[:n]):
                     return earlier
                 scale, scalar = algebra.product_scale ** 2 * scales[n], algebra.field.scalar
-                return n, Counterexample(basis[i], basis[j], *(
-                    _tensor(algebra, {(a, b): scalar(c, scale)
-                                      for (a, b, m), c in side.items() if m == n})
+                return n, Counterexample(algebra, basis[i], basis[j], *(
+                    {(a, b): scalar(c, scale) for (a, b, m), c in side.items() if m == n}
                     for side in sides))
     return None
 
@@ -538,11 +496,14 @@ def _leg_from_json(data, quiver, legs):
 
 
 def candidate_to_json(candidate: CoproductCandidate):
-    format_scalar = candidate.algebra.field.format
+    algebra = candidate.algebra
+    basis, format_scalar = algebra.basis, algebra.field.format
     return [{"vertex": vertex,
-             "terms": [{"left": path_to_json(u), "right": path_to_json(v),
-                        "coeff": format_scalar(c)} for (u, v), c in tensor.sorted_items()]}
-            for vertex, tensor in candidate.nonzero_values()]
+             "terms": [{"left": path_to_json(basis[i]), "right": path_to_json(basis[j]),
+                        "coeff": format_scalar(c)}
+                       for (i, j), c in sorted(candidate.values[vertex].items(), key=lambda t: (
+                           basis[t[0][0]].sort_key(), basis[t[0][1]].sort_key()))]}
+            for vertex in algebra.quiver.vertices if vertex in candidate.values]
 
 
 _TERM_KEYS = frozenset(("left", "right", "coeff"))

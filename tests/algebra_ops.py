@@ -1,17 +1,66 @@
 """Quotient algebra arithmetic on coordinate vectors, used only by tests.
 
-Coordinates are {basis Path: scalar} maps.  `multiply` composes paths
-with `compose` and rewrites each product with `AlgebraBasis.reduce_path`.
-It never reads `AlgebraBasis.product_table`, so the raw-definition
-oracle built on it stays independent of the table the verifier reads.
-`extend_coproduct` gives a candidate's induced value on a basis path the
-same way.  `has_subword` tells whether an arrow word holds one of the
-given words, as a path that is zero modulo monomial generators does.
+Coordinates are {basis Path: scalar} maps, and an element of A (x) A is
+a {(Path, Path): scalar} map; `add` sums into either.  `multiply` composes
+paths with `compose` and rewrites each product with
+`AlgebraBasis.reduce_path`.  It never reads `AlgebraBasis.product_table`,
+so the raw-definition oracle built on it stays independent of the table
+the verifier reads.  `extend_coproduct` gives a candidate's induced value
+on a basis path the same way.  `path_terms` and `index_terms` turn a
+candidate's {(i, j): c} over basis indices into paths and back,
+`terms_text` writes a value over paths as the CLI does, and `combine`
+sums candidates.  `has_subword` tells whether an arrow word
+holds one of the given words, as a path that is zero modulo monomial
+generators does.
 """
 
 from frobq.errors import SupportViolationError
-from frobq.frobenius import TensorElement
 from frobq.quiver import Path
+
+
+def add(terms, key, value, field):
+    """Add value to terms[key] in field; a key whose sum is zero is dropped."""
+    new = field.reduce(terms.get(key, field.zero) + value)
+    if new == field.zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = new
+
+
+def path_terms(algebra, terms):
+    """{(i, j): c} over basis indices as {(basis[i], basis[j]): c}."""
+    basis = algebra.basis
+    return {(basis[i], basis[j]): c for (i, j), c in terms.items()}
+
+
+def index_terms(algebra, terms):
+    """{(u, v): c} over paths as {(i, j): c} over basis indices, the form
+    CoproductCandidate takes; a leg that is no basis path stays its Path."""
+    index = algebra.index
+    return {(index.get(u, u), index.get(v, v)): c for (u, v), c in terms.items()}
+
+
+def terms_text(field, terms, show=str):
+    """{(Path, Path): c} as the CLI writes a value: the terms in
+    Path.sort_key order of their legs, joined by " + ", each leg written
+    by show and each c other than 1 as a prefix "c*"; "0" when empty."""
+    if not terms:
+        return "0"
+    ordered = sorted(terms.items(), key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key()))
+    return " + ".join(("" if c == field.one else f"{field.format(c)}*") + f"{show(u)}(x){show(v)}"
+                      for (u, v), c in ordered)
+
+
+def combine(algebra, weighted):
+    """The values {vertex: {(i, j): c}} of the sum of factor * candidate over
+    the (factor, candidate) pairs of weighted."""
+    values = {}
+    for factor, candidate in weighted:
+        for vertex, terms in candidate.values.items():
+            total = values.setdefault(vertex, {})
+            for key, c in terms.items():
+                add(total, key, factor * c, algebra.field)
+    return values
 
 
 def compose(p, q):
@@ -51,18 +100,12 @@ def reduce(algebra, expr):
     result = {}
     for path, coeff in expr.terms.items():
         for b, value in algebra.reduce_path(path).items():
-            new = field.reduce(result.get(b, field.zero) + field.coerce(coeff) * value)
-            if new == field.zero:
-                result.pop(b, None)
-            else:
-                result[b] = new
+            add(result, b, field.coerce(coeff) * value, field)
     return result
 
 
 def multiply(algebra, x, y):
     """Product of two coordinate vectors over the basis."""
-    field = algebra.field
-    zero = field.zero
     result = {}
     for u, cu in x.items():
         for v, cv in y.items():
@@ -71,28 +114,25 @@ def multiply(algebra, x, y):
                 continue
             coeff = cu * cv
             for b, value in algebra.reduce_path(w).items():
-                new = field.reduce(result.get(b, zero) + coeff * value)
-                if new == zero:
-                    result.pop(b, None)
-                else:
-                    result[b] = new
+                add(result, b, coeff * value, algebra.field)
     return result
 
 
 def extend_coproduct(candidate, w):
-    """The induced value on a basis path: (w (x) 1) applied at its target.
+    """The induced value on a basis path, {(Path, Path): c}: (w (x) 1)
+    applied at its target.
 
     Each term u (x) v of the value at target(w) gives w * u (x) v, with
     w * u rewritten by reduce_path; a leg u that does not start at
     target(w) contributes zero.
     """
     algebra = candidate.algebra
-    value = TensorElement(algebra.field)
-    for (u, v), c in candidate.value_at(w.target).coefficients.items():
+    value = {}
+    for (u, v), c in path_terms(algebra, candidate.values.get(w.target, {})).items():
         product = compose(w, u)
         if product is not None:
             for b, coeff in algebra.reduce_path(product).items():
-                value.add_term(b, v, c * coeff)
+                add(value, (b, v), c * coeff, algebra.field)
     return value
 
 

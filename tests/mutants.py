@@ -107,6 +107,12 @@ MUTANTS = [
            "    if not isinstance(data, dict):\n",
            ("tests/test_cli.py::TestCommands::test_verify_refuses_a_string_for_a_word",),
            "the reader's word lookup takes the JSON string \"ab\" for the word a*b"),
+    Mutant(FROBENIUS,
+           "        for (i, j), c in sorted(terms.items(), "
+           "key=lambda t: (rank[t[0][0]], rank[t[0][1]])))\n",
+           "        for (i, j), c in sorted(terms.items()))\n",
+           ("tests/test_cli.py::test_space_text_orders_terms_by_sort_key",),
+           "text space, patterns and FAILED lines order a value's terms by basis index"),
     Mutant(CLI,
            "    legs = [_leg(path, 12) for path in algebra.basis]\n",
            "    texts = {path.arrows: _leg(path, 12) for path in algebra.basis}\n"

@@ -30,7 +30,6 @@ from frobq.families import (
 )
 from frobq.frobenius import (
     CoproductCandidate,
-    TensorElement,
     build_constraint_system,
     frobenius_dimension,
     solve_frobenius_space,
@@ -40,7 +39,7 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, SparseMatrix, rank
 from frobq.quiver import PathExpr, Quiver
 
-from algebra_ops import coefficient_vector
+from algebra_ops import add, coefficient_vector, index_terms
 
 
 def mono(q, names):
@@ -142,11 +141,11 @@ def linear_structure_candidate(q, algebra, lengths):
     values = {}
 
     def tensor_from(vertex, left_coords, right_coords):
-        tensor = TensorElement(QQ)
+        terms = {}
         for bl, cl in left_coords.items():
             for br, cr in right_coords.items():
-                tensor.add_term(bl, br, cl * cr)
-        values[vertex] = tensor
+                add(terms, (bl, br), cl * cr, QQ)
+        values[vertex] = index_terms(algebra, terms)
 
     full = algebra.reduce_path(q.path([f"a1_{j}" for j in range(1, lengths[0] + 1)]))
     tensor_from("0", full, {q.trivial_path("0"): QQ.one})
@@ -318,8 +317,7 @@ def test_criterion_09_verifier_completeness():
             values = {}
             for col, value in vec.items():
                 p, u, v = legend[col]
-                tensor = values.setdefault(p, TensorElement(QQ))
-                tensor.add_term(algebra.basis[u], algebra.basis[v], value)
+                add(values.setdefault(p, {}), (u, v), value, QQ)
             ok, _ = verify_coproduct(algebra, CoproductCandidate(algebra, values))
             assert not ok, f"{label}: non-kernel candidate passed the verifier"
             produced += 1

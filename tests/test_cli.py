@@ -17,13 +17,14 @@ from frobq import cli
 from frobq.cli import main
 from frobq.dsl import QuiverDocument, format_document, parse_document
 from frobq.families import CanonicalSpec, gen_canonical, gen_cycle, gen_toupie
-from frobq.frobenius import (CoproductCandidate, TensorElement, candidate_from_json,
+from frobq.frobenius import (CoproductCandidate, candidate_from_json,
                              candidate_to_json, frobenius_dimension, path_to_json,
                              solve_frobenius_space)
 from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import Quiver
 
+from algebra_ops import combine, path_terms, terms_text
 from strategies import has_zero_generator, mixed_algebras, random_algebras
 
 DIAMOND = """field Q
@@ -775,13 +776,8 @@ class TestJsonWriter:
         The sum of the space spans blocks, so the writer must order its
         terms by the sort_key rank of their legs, as candidate_to_json does."""
         algebra = compute_basis(*build, field)
-        values = {}
-        for candidate in solve_frobenius_space(algebra):
-            for vertex, tensor in candidate.nonzero_values():
-                total = values.setdefault(vertex, TensorElement(field))
-                for (u, v), c in tensor.coefficients.items():
-                    total.add_term(u, v, c)
-        total = CoproductCandidate(algebra, values)
+        total = CoproductCandidate(algebra, combine(
+            algebra, [(1, candidate) for candidate in solve_frobenius_space(algebra)]))
         rank = algebra.sort_rank
         assert any(sorted(terms) != sorted(terms, key=lambda pair: (rank[pair[0]], rank[pair[1]]))
                    for terms in total.values.values())
@@ -828,6 +824,37 @@ class TestJsonWriter:
         assert algebra.product_scale == scale
         assert algebra.product_table == rows
         assert [list(row) for row in algebra.product_table] == [list(row) for row in rows]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(ALGEBRAS.map(lambda drawn: (drawn, False)))
+@example(((*gen_cycle(12, 9), QQ), True))
+@example(((*gen_cycle(5, 4), F7), True))
+def test_space_text_orders_terms_by_sort_key(case):
+    """Text space lists each value's terms in Path.sort_key order of their
+    legs.  The solver's own candidates cannot tell that order from basis
+    order (see test_space_writer_orders_terms_by_sort_key), so space is
+    replaced by the sum of its candidates, whose values span blocks; in
+    the two cycle examples the orders differ there."""
+    (quiver, ideal, field), orders_differ = case
+    assume(not has_zero_generator(ideal, field))
+    algebra = compute_basis(quiver, ideal, field)
+    total = CoproductCandidate(algebra, combine(
+        algebra, [(1, candidate) for candidate in solve_frobenius_space(algebra)]))
+    if orders_differ:
+        basis = algebra.basis
+        assert any(sorted(terms) != sorted(terms, key=lambda pair: (
+            basis[pair[0]].sort_key(), basis[pair[1]].sort_key()))
+            for terms in total.values.values())
+    out = io.StringIO()
+    with mock.patch.object(cli, "_algebra", lambda args: algebra), \
+            mock.patch.object(cli, "solve_frobenius_space", lambda algebra: [total]), \
+            redirect_stdout(out):
+        assert main(["space", "unread.qv"]) == 0
+    lines = ["dimension 1", "candidate 0:"]
+    lines += [f"  D(e_{vertex}) = {terms_text(field, path_terms(algebra, total.values[vertex]))}"
+              for vertex in quiver.vertices if vertex in total.values]
+    assert out.getvalue() == "\n".join(lines) + "\n"
 
 
 def product_table_by_pairs(algebra):

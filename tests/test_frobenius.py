@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from frobq import frobenius
-from frobq.errors import InternalFaultError, SupportViolationError
+from frobq.errors import InternalFaultError, SupportViolationError, ValidationError
 from frobq.families import (
     CanonicalSpec,
     gen_canonical,
@@ -18,7 +18,6 @@ from frobq.families import (
 )
 from frobq.frobenius import (
     CoproductCandidate,
-    TensorElement,
     build_constraint_system,
     candidate_from_json,
     candidate_to_json,
@@ -30,7 +29,8 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank, rref
 from frobq.quiver import Path, PathExpr, Quiver
 
-from algebra_ops import coefficient_vector, compose, coords_of, extend_coproduct, multiply
+from algebra_ops import (add, coefficient_vector, combine, compose, coords_of, extend_coproduct,
+                         index_terms, multiply, path_terms)
 from strategies import has_zero_generator, mixed_algebras, random_algebras
 
 
@@ -102,7 +102,7 @@ class TestSolve:
             "v1_1": {(q.path(["a1_2"]), q.path(["a1_1"]))},
             "v2_1": {(q.path(["a2_2"]), q.path(["a2_1"]))},
         }
-        got = {v: set(t.coefficients) for v, t in generator.nonzero_values()}
+        got = {v: set(path_terms(algebra, t)) for v, t in generator.values.items()}
         assert got == expected
         coefficients = [c for terms in generator.values.values() for c in terms.values()]
         assert len(set(coefficients)) == 1
@@ -123,16 +123,29 @@ class TestSolve:
             assert frobenius_dimension(algebra) == len(solve_frobenius_space(algebra))
 
 
-class TestTensorElement:
+class TestCandidateValues:
     def test_values_are_normalised_in_the_field(self):
-        q, _ = gen_cycle(1, 2)
-        pair = (q.trivial_path("1"), q.path(["a1"]))
-        f5 = PrimeField(5)
-        assert TensorElement(f5, {pair: 6}) == TensorElement(f5, {pair: 1})
-        vanishing = TensorElement(f5, {pair: 5})
-        assert vanishing.is_zero and str(vanishing) == "0"
-        value = TensorElement(QQ, {pair: 2}).coefficients[pair]
+        q, ideal = gen_cycle(1, 2)
+        f5 = compute_basis(q, ideal, PrimeField(5))
+        pair = (f5.index[q.trivial_path("1")], f5.index[q.path(["a1"])])
+        assert CoproductCandidate(f5, {"1": {pair: 6}}).values == {"1": {pair: 1}}
+        assert CoproductCandidate(f5, {"1": {pair: 5}}).values == {}
+        value = CoproductCandidate(compute_basis(q, ideal), {"1": {pair: 2}}).values["1"][pair]
         assert type(value) is Fraction and value == 2
+        with pytest.raises(ValidationError, match="not an F_5 scalar"):
+            CoproductCandidate(f5, {"1": {pair: 0.5}})
+
+    def test_empty_value_is_written_as_zero(self):
+        """A side that vanishes reads 0 in describe: on the loop x with
+        x * x = 0, D(e) = e (x) x gives D(e) (1 (x) x) = e (x) x * x = 0."""
+        q, ideal = gen_cycle(1, 2)
+        algebra = compute_basis(q, ideal)
+        pair = (algebra.index[q.trivial_path("1")], algebra.index[q.path(["a1"])])
+        candidate = CoproductCandidate(algebra, {"1": {pair: 1}})
+        ok, counterexample = verify_coproduct(algebra, candidate)
+        assert not ok and counterexample.right_side == {}
+        assert counterexample.describe() == ("pair (e_1, a1): value on product = a1(x)a1, "
+                                             "(left (x) 1) form = a1(x)a1, (1 (x) right) form = 0")
 
 
 class TestExtend:
@@ -140,32 +153,31 @@ class TestExtend:
         q, ideal = gen_toupie((2, 2), (), [(1, -1)])
         algebra = compute_basis(q, ideal)
         generator = solve_frobenius_space(algebra)[0]
-        scale = next(iter(generator.value_at("v1_1").coefficients.values()))
+        scale = next(iter(generator.values["v1_1"].values()))
         value = extend_coproduct(generator, q.path(["a1_1"]))
         bottom = q.path(["a2_1", "a2_2"])
-        assert value.coefficients == {(bottom, q.path(["a1_1"])): scale}
+        assert value == {(bottom, q.path(["a1_1"])): scale}
 
     def test_zero_candidate(self):
         algebra = algebra_of(gen_linear(3, [(1, 2)]))
         zero = CoproductCandidate(algebra, {})
         for b in algebra.basis:
-            assert extend_coproduct(zero, b).is_zero
+            assert extend_coproduct(zero, b) == {}
 
     def test_loop_symmetric_part(self):
         q, ideal = gen_cycle(1, 2)
         algebra = compute_basis(q, ideal)
         e = q.trivial_path("1")
         x = q.path(["a1"])
-        tensor = TensorElement(QQ, {(e, x): QQ.one, (x, e): QQ.one})
-        candidate = CoproductCandidate(algebra, {"1": tensor})
-        value = extend_coproduct(candidate, x)
-        assert value.coefficients == {(x, x): QQ.one}
+        value = index_terms(algebra, {(e, x): QQ.one, (x, e): QQ.one})
+        candidate = CoproductCandidate(algebra, {"1": value})
+        assert extend_coproduct(candidate, x) == {(x, x): QQ.one}
 
     def test_trivial_path_returns_vertex_value(self):
         algebra = algebra_of(gen_cycle(1, 2))
         candidate = solve_frobenius_space(algebra)[0]
         e = algebra.quiver.trivial_path("1")
-        assert extend_coproduct(candidate, e) == candidate.value_at("1")
+        assert extend_coproduct(candidate, e) == path_terms(algebra, candidate.values["1"])
 
 
 class TestVerify:
@@ -177,8 +189,8 @@ class TestVerify:
     def test_pattern_five_witness(self):
         q, ideal = gen_linear(3, [(1, 2)])
         algebra = compute_basis(q, ideal)
-        tensor = TensorElement(QQ, {(q.path(["a2"]), q.path(["a1"])): QQ.one})
-        candidate = CoproductCandidate(algebra, {"2": tensor})
+        value = index_terms(algebra, {(q.path(["a2"]), q.path(["a1"])): QQ.one})
+        candidate = CoproductCandidate(algebra, {"2": value})
         ok, _ = verify_coproduct(algebra, candidate)
         assert ok
 
@@ -186,9 +198,8 @@ class TestVerify:
         q, ideal = gen_toupie((2, 2), (), [(1, -1)])
         algebra = compute_basis(q, ideal)
         generator = solve_frobenius_space(algebra)[0]
-        values = dict(generator.nonzero_values())
-        values["w"] = TensorElement(QQ, {pair: 2 * c for pair, c in
-                                         values["w"].coefficients.items()})
+        values = dict(generator.values)
+        values["w"] = {pair: 2 * c for pair, c in values["w"].items()}
         bad = CoproductCandidate(algebra, values)
         ok, ce = verify_coproduct(algebra, bad)
         assert not ok
@@ -196,25 +207,25 @@ class TestVerify:
         # by the factor 2, detected at a pair along the branch
         a1, a2 = q.path(["a1_1"]), q.path(["a1_2"])
         delta_a1 = extend_coproduct(bad, a1)
-        lhs = TensorElement(QQ)
-        for (u, v), c in extend_coproduct(bad, a2).coefficients.items():
+        lhs = {}
+        for (u, v), c in extend_coproduct(bad, a2).items():
             glued = compose(a1, u)
             if glued is not None:
                 for z, value in algebra.reduce_path(glued).items():
-                    lhs.add_term(z, v, c * value)
-        rhs = TensorElement(QQ)
-        for (u, v), c in delta_a1.coefficients.items():
+                    add(lhs, (z, v), c * value, QQ)
+        rhs = {}
+        for (u, v), c in delta_a1.items():
             glued = compose(v, a2)
             if glued is not None:
                 for z, value in algebra.reduce_path(glued).items():
-                    rhs.add_term(u, z, c * value)
+                    add(rhs, (u, z), c * value, QQ)
         assert lhs != rhs
 
     def test_support_violation_is_distinct(self):
         q, ideal = gen_linear(3, [(1, 2)])
         algebra = compute_basis(q, ideal)
-        tensor = TensorElement(QQ, {(q.path(["a1"]), q.path(["a1"])): QQ.one})
-        bad = CoproductCandidate(algebra, {"2": tensor})
+        value = index_terms(algebra, {(q.path(["a1"]), q.path(["a1"])): QQ.one})
+        bad = CoproductCandidate(algebra, {"2": value})
         with pytest.raises(SupportViolationError):
             verify_coproduct(algebra, bad)
 
@@ -223,8 +234,8 @@ class TestVerify:
         the right leg ends at 2, not 1."""
         q, ideal = gen_linear(3)
         algebra = compute_basis(q, ideal)
-        tensor = TensorElement(QQ, {(q.trivial_path("1"), q.path(["a1"])): QQ.one})
-        bad = CoproductCandidate(algebra, {"1": tensor})
+        value = index_terms(algebra, {(q.trivial_path("1"), q.path(["a1"])): QQ.one})
+        bad = CoproductCandidate(algebra, {"1": value})
         with pytest.raises(SupportViolationError, match=r"^term e_1\(x\)a1 at vertex 1 breaks"):
             verify_coproduct(algebra, bad)
 
@@ -484,8 +495,7 @@ def test_verifier_completeness_both_directions():
             values = {}
             for col, value in vec.items():
                 p, u, v = legend[col]
-                tensor = values.setdefault(p, TensorElement(QQ))
-                tensor.add_term(algebra.basis[u], algebra.basis[v], value)
+                add(values.setdefault(p, {}), (u, v), value, QQ)
             ok, _ = verify_coproduct(algebra, CoproductCandidate(algebra, values))
             assert not ok
             produced += 1
@@ -504,15 +514,11 @@ def kernel_and_perturbed(algebra):
     """The kernel basis, then its sum plus 1/2 e_v (x) e_v at the source v
     of the first arrow, which makes it fail."""
     kernel = solve_frobenius_space(algebra)
-    values = {}
-    for candidate in kernel:
-        for vertex, tensor in candidate.nonzero_values():
-            total = values.setdefault(vertex, TensorElement(algebra.field))
-            for (u, v), c in tensor.coefficients.items():
-                total.add_term(u, v, c)
+    values = combine(algebra, [(1, candidate) for candidate in kernel])
     q = algebra.quiver
     e = q.trivial_path(q.arrows[0].source)
-    values.setdefault(e.source, TensorElement(algebra.field)).add_term(e, e, Fraction(1, 2))
+    i = algebra.index[e]
+    add(values.setdefault(e.source, {}), (i, i), Fraction(1, 2), algebra.field)
     return kernel + [CoproductCandidate(algebra, values)]
 
 
@@ -565,7 +571,7 @@ def test_coproduct_through_a_product_of_two_coordinates(coeff):
     algebra = compute_basis(q, ideal)
     assert len(algebra.reduce_path(ab)) == 2
     [candidate] = solve_frobenius_space(algebra)
-    assert (q.path(["b"]), q.path(["g"])) in candidate.value_at("m").coefficients
+    assert (q.path(["b"]), q.path(["g"])) in path_terms(algebra, candidate.values["m"])
     assert verify_coproduct(algebra, candidate) == (True, None)
 
 

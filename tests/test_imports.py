@@ -19,7 +19,7 @@ EXPORTED = (
     "AlgebraBasis", "Arrow", "CoproductCandidate", "FrobqError", "IdealSpec",
     "InfiniteDimensionalError", "InternalFaultError", "LocalPatternMatch", "ParseError",
     "Path", "PathExpr", "PrimeField", "QQ", "Quiver", "QuiverDocument", "SparseMatrix",
-    "SupportViolationError", "TensorElement", "ToupieClassification",
+    "SupportViolationError", "ToupieClassification",
     "UnsupportedIdealRegimeError", "ValidationError", "build_constraint_system",
     "candidate_from_json", "candidate_to_json", "compute_basis", "compute_bound",
     "detect_local_patterns", "format_document", "frobenius_dimension",

@@ -38,9 +38,8 @@ from frobq.families import (
 )
 from frobq.frobenius import (
     CoproductCandidate,
-    Counterexample,
-    TensorElement,
     _first_failure,
+    _short,
     build_constraint_system,
     solve_frobenius_space,
     verify_coproduct,
@@ -49,36 +48,27 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import PathExpr, Quiver
 
-from algebra_ops import compose, multiply, reduce
+from algebra_ops import (add, combine, compose, extend_coproduct, multiply, path_terms, reduce,
+                        terms_text)
 from strategies import has_zero_generator, mixed_algebras
 
 
-def reference_extend(candidate, w):
-    """The induced value on a basis path: (w (x) 1) applied at its target."""
-    algebra = candidate.algebra
-    result = TensorElement(algebra.field)
-    base = candidate.value_at(w.target)
-    for (u, v), c in base.coefficients.items():
-        left = compose(w, u)
-        if left is None:
-            continue
-        for z, value in algebra.reduce_path(left).items():
-            result.add_term(z, v, c * value)
-    return result
-
-
 def reference_verify(algebra, candidate):
-    """Check the bimodule condition on all ordered pairs of basis paths."""
+    """Check the bimodule condition on all ordered pairs of basis paths.
+
+    Returns (True, None) or (False, (x, y, expected, left side, right
+    side)) at the first failing pair, each side {(Path, Path): c}.
+    """
     candidate.check_support()
     field = algebra.field
 
-    delta = {b: reference_extend(candidate, b) for b in algebra.basis}
+    delta = {b: extend_coproduct(candidate, b) for b in algebra.basis}
 
     def delta_of_coords(coords):
-        out = TensorElement(field)
+        out = {}
         for b, c in coords.items():
-            for pair, value in delta[b].coefficients.items():
-                out.add_term(pair[0], pair[1], c * value)
+            for pair, value in delta[b].items():
+                add(out, pair, c * value, field)
         return out
 
     for x in algebra.basis:
@@ -87,25 +77,32 @@ def reference_verify(algebra, candidate):
             coords = algebra.reduce_path(product) if product is not None else {}
             expected = delta_of_coords(coords)
 
-            left_side = TensorElement(field)
-            for (u, v), c in delta[y].coefficients.items():
+            left_side = {}
+            for (u, v), c in delta[y].items():
                 glued = compose(x, u)
                 if glued is None:
                     continue
                 for z, value in algebra.reduce_path(glued).items():
-                    left_side.add_term(z, v, c * value)
+                    add(left_side, (z, v), c * value, field)
 
-            right_side = TensorElement(field)
-            for (u, v), c in delta[x].coefficients.items():
+            right_side = {}
+            for (u, v), c in delta[x].items():
                 glued = compose(v, y)
                 if glued is None:
                     continue
                 for z, value in algebra.reduce_path(glued).items():
-                    right_side.add_term(u, z, c * value)
+                    add(right_side, (u, z), c * value, field)
 
             if expected != left_side or expected != right_side:
-                return False, Counterexample(x, y, expected, left_side, right_side)
+                return False, (x, y, expected, left_side, right_side)
     return True, None
+
+
+def reference_describe(algebra, x, y, *sides):
+    """Counterexample.describe's line for reference_verify's failure."""
+    expected, left, right = (terms_text(algebra.field, side, _short) for side in sides)
+    return (f"pair ({_short(x)}, {_short(y)}): value on product = {expected}, "
+            f"(left (x) 1) form = {left}, (1 (x) right) form = {right}")
 
 
 def loop_and_triangle():
@@ -150,20 +147,15 @@ def random_scalar(field, rng):
 def add_support_terms(values, algebra, legend, rng, count):
     for _ in range(count):
         p, u, v = rng.choice(legend)
-        tensor = values.setdefault(p, TensorElement(algebra.field))
-        tensor.add_term(algebra.basis[u], algebra.basis[v], random_scalar(algebra.field, rng))
+        add(values.setdefault(p, {}), (u, v), random_scalar(algebra.field, rng), algebra.field)
 
 
 def draw_candidate(instance, field_name, kind, rng):
     algebra, legend, kernel = solved(instance, field_name)
     values = {}
     if kind in ("kernel", "perturbed"):
-        for generator in kernel:
-            factor = random_scalar(algebra.field, rng)
-            for vertex, tensor in generator.nonzero_values():
-                total = values.setdefault(vertex, TensorElement(algebra.field))
-                for (u, v), c in tensor.coefficients.items():
-                    total.add_term(u, v, factor * c)
+        values = combine(algebra, [(random_scalar(algebra.field, rng), generator)
+                                   for generator in kernel])
     if kind == "support":
         add_support_terms(values, algebra, legend, rng, rng.randint(1, 8))
     if kind == "perturbed":
@@ -176,12 +168,12 @@ def assert_same_verdict(algebra, candidate):
     ref_ok, ref_counterexample = reference_verify(algebra, candidate)
     assert ok == ref_ok
     if not ok:
-        assert (counterexample.x, counterexample.y) == \
-            (ref_counterexample.x, ref_counterexample.y)
-        assert counterexample.expected == ref_counterexample.expected
-        assert counterexample.left_side == ref_counterexample.left_side
-        assert counterexample.right_side == ref_counterexample.right_side
-        assert counterexample.describe() == ref_counterexample.describe()
+        x, y, expected, left_side, right_side = ref_counterexample
+        assert (counterexample.x, counterexample.y) == (x, y)
+        assert path_terms(algebra, counterexample.expected) == expected
+        assert path_terms(algebra, counterexample.left_side) == left_side
+        assert path_terms(algebra, counterexample.right_side) == right_side
+        assert counterexample.describe() == reference_describe(algebra, *ref_counterexample)
     return ok
 
 
@@ -222,7 +214,7 @@ def test_counterexample_sides_hold_field_scalars(instance, field_name):
     else:
         pytest.fail(f"{instance} over {field_name}: no perturbation failed")
     for side in (counterexample.expected, counterexample.left_side, counterexample.right_side):
-        for value in side.coefficients.values():
+        for value in side.values():
             if field == QQ:
                 assert type(value) is Fraction
             else:
@@ -282,17 +274,10 @@ def test_cancelling_candidates_both_fail(field_name):
     algebra, legend, kernel = solved("cycle(3,3)", field_name)
 
     def combination(*terms):
-        values = {}
-        for sign, candidate in terms:
-            for vertex, tensor in candidate.nonzero_values():
-                total = values.setdefault(vertex, TensorElement(algebra.field))
-                for (u, v), c in tensor.coefficients.items():
-                    total.add_term(u, v, sign * c)
-        return CoproductCandidate(algebra, values)
+        return CoproductCandidate(algebra, combine(algebra, terms))
 
     p, u, v = legend[0]
-    pair = (algebra.basis[u], algebra.basis[v])
-    error = CoproductCandidate(algebra, {p: TensorElement(algebra.field, {pair: 1})})
+    error = CoproductCandidate(algebra, {p: {(u, v): 1}})
     k1, k2 = kernel[:2]
     assert {c for k in (k1, k2) for terms in k.values.values() for c in terms.values()} \
         <= {1, algebra.field.reduce(-1)}
