@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
 from .dsl import QuiverDocument, format_document, parse_document
@@ -142,7 +143,9 @@ def _emit(text, out=None):
 
 def cmd_basis(args):
     algebra = _algebra(args)
-    blocks = [(key, paths) for key, paths in sorted(algebra.blocks.items()) if paths]
+    # The basis is in (source, target, sort_key) order: each nonempty block is a run.
+    blocks = [(key, list(paths))
+              for key, paths in groupby(algebra.basis, lambda p: (p.source, p.target))]
     if args.json:
         _emit(_basis_json(algebra, blocks))
     else:
@@ -218,7 +221,7 @@ def cmd_classify(args):
         lines.append(f"  quotient formula dimension: {formula} ({agree})")
 
     try:
-        info = closed_forms.toupie_classify(algebra.quiver, algebra.ideal, algebra.field)
+        info = closed_forms.toupie_classify(algebra)
     except ValidationError:
         lines.append("toupie: no")
     else:

@@ -9,8 +9,8 @@ the dimension statement that the solver then has to reproduce.
 
 from .errors import ValidationError
 from .frobenius import CoproductCandidate, _add, verify_coproduct
-from .ideal import AlgebraBasis, IdealSpec, validate
-from .linalg import QQ, SparseMatrix, rref
+from .ideal import AlgebraBasis
+from .linalg import SparseMatrix, rref
 from .quiver import Path, Quiver
 
 
@@ -68,12 +68,17 @@ def _composition_vanishes(algebra, incoming, outgoing):
     return not algebra.table.get((incoming.name, outgoing.name))
 
 
+# (in-degree, out-degree, vanishing compositions) at a vertex -> pattern.  A
+# vertex whose four compositions all vanish is pattern 4, not its two
+# pattern-3 weakenings.
+_PATTERNS = {(2, 1, 2): 1, (1, 2, 2): 2, (2, 2, 3): 3, (2, 2, 4): 4, (1, 1, 1): 5}
+
+
 def detect_local_patterns(algebra: AlgebraBasis):
     """Scan every vertex for the five coproduct-forcing configurations.
 
     Vanishing is judged after full reduction, not just against the listed
-    generators.  A vertex whose four compositions all vanish reports the
-    most specific pattern (4), not its two pattern-3 weakenings.
+    generators.
     """
     quiver = algebra.quiver
     matches = []
@@ -85,18 +90,7 @@ def detect_local_patterns(algebra: AlgebraBasis):
             for b in outs:
                 pair = Path(a.source, b.target, (a.name, b.name))
                 (dead if _composition_vanishes(algebra, a, b) else alive).append(pair)
-        shape = (len(ins), len(outs))
-        pattern = None
-        if shape == (2, 1) and len(dead) == 2:
-            pattern = 1
-        elif shape == (1, 2) and len(dead) == 2:
-            pattern = 2
-        elif shape == (2, 2) and len(dead) == 4:
-            pattern = 4
-        elif shape == (2, 2) and len(dead) == 3:
-            pattern = 3
-        elif shape == (1, 1) and len(dead) == 1:
-            pattern = 5
+        pattern = _PATTERNS.get((len(ins), len(outs), len(dead)))
         if pattern is not None:
             matches.append(LocalPatternMatch(
                 pattern, v,
@@ -108,17 +102,39 @@ def detect_local_patterns(algebra: AlgebraBasis):
     return matches
 
 
+def _tail_head_witness(algebra, word, message):
+    """The verified candidate of a zero arrow word a_1 ... a_s.
+
+    Its value at a vertex is the sum of (tail after cut i) (x) (head up to
+    cut i) over the cuts 0 < i < s that pass it, which on a cycle (x*x*x on
+    a loop, say) is more than one cut.  Raises ValidationError(message and
+    the counterexample) when the candidate fails verification.
+    """
+    quiver, table, reduce = algebra.quiver, algebra.table, algebra.field.reduce
+    values = {}
+    for i in range(1, len(word)):
+        head, tail = word[:i], word[i:]
+        # A word with no table entry is at or past the bound, so zero.
+        value = values.setdefault(quiver.arrow_by_name[tail[0]].source, {})
+        for left, cl in table.get(tail, {}).items():
+            for right, cr in table.get(head, {}).items():
+                _add(value, (left, right), cl * cr, reduce)
+    candidate = CoproductCandidate(algebra, values)
+    ok, counterexample = verify_coproduct(algebra, candidate)
+    if not ok:
+        raise ValidationError(message + counterexample.describe())
+    return candidate
+
+
 def witness_coproduct(match: LocalPatternMatch, algebra: AlgebraBasis) -> CoproductCandidate:
     """One explicit nonzero coproduct for a pattern match.
 
-    The value at the matched vertex is (out-arrow) (x) (in-arrow); for
-    pattern 3 the legs are the out-arrow annihilated by both in-arrows
-    and the in-arrow annihilated by both out-arrows, for the other
-    patterns the first arrows in name order.  The candidate is verified
-    before it is returned.
+    The value at the matched vertex is (out-arrow) (x) (in-arrow), the
+    witness of the zero word in-arrow * out-arrow; for pattern 3 the legs
+    are the out-arrow annihilated by both in-arrows and the in-arrow
+    annihilated by both out-arrows, for the other patterns the first
+    arrows in name order.  The candidate is verified before it is returned.
     """
-    quiver = algebra.quiver
-    v = match.vertex
     if match.pattern == 3:
         surviving = match.surviving[0]
         in_name = next(n for n in match.in_arrows if n != surviving.arrows[0])
@@ -126,17 +142,8 @@ def witness_coproduct(match: LocalPatternMatch, algebra: AlgebraBasis) -> Coprod
     else:
         in_name = match.in_arrows[0]
         out_name = match.out_arrows[0]
-    # Every arrow is a basis path: no generator term has length 1.
-    index = algebra.index
-    pair = (index[quiver.path([out_name])], index[quiver.path([in_name])])
-    candidate = CoproductCandidate(algebra, {v: {pair: algebra.field.one}})
-    ok, counterexample = verify_coproduct(algebra, candidate)
-    if not ok:
-        raise ValidationError(
-            "pattern preconditions not satisfied by ideal; "
-            + counterexample.describe()
-        )
-    return candidate
+    return _tail_head_witness(algebra, (in_name, out_name),
+                              "pattern preconditions not satisfied by ideal; ")
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +201,9 @@ def string_relation_witness(algebra: AlgebraBasis, relation: Path) -> CoproductC
     """Witness coproduct carried by one long monomial relation.
 
     For a relation a_1 ... a_s of length s >= 3 on a string bound quiver,
-    the candidate's value at a vertex is the sum of (tail after position i)
-    (x) (head up to i) over the 0 < i < s where the relation passes it,
-    which on a cycle (x*x*x on a loop, say) is more than one i.
+    this is the tail (x) head sum over the cuts of its word.
     """
-    quiver, ideal = algebra.quiver, algebra.ideal
+    ideal = algebra.ideal
     if not ideal.is_monomial:
         raise ValidationError("string relation witness needs a monomial ideal")
     violation = special_biserial_violation(algebra)
@@ -206,27 +211,11 @@ def string_relation_witness(algebra: AlgebraBasis, relation: Path) -> CoproductC
         raise ValidationError(f"not a string bound quiver: {violation}")
     if relation.arrows not in {p.arrows for p in ideal.monomial_paths()}:
         raise ValidationError(f"{relation} is not a generator of the ideal")
-    s = len(relation)
-    if s < 3:
+    if len(relation) < 3:
         raise ValidationError("relation must have length >= 3; shorter relations "
                               "are covered by the local pattern witnesses")
-    table, reduce = algebra.table, algebra.field.reduce
-    values = {}
-    for i in range(1, s):
-        head, tail = relation.arrows[:i], relation.arrows[i:]
-        # A word with no table entry is at or past the bound, so zero.
-        value = values.setdefault(quiver.arrow_by_name[tail[0]].source, {})
-        for left, cl in table.get(tail, {}).items():
-            for right, cr in table.get(head, {}).items():
-                _add(value, (left, right), cl * cr, reduce)
-    candidate = CoproductCandidate(algebra, values)
-    ok, counterexample = verify_coproduct(algebra, candidate)
-    if not ok:
-        raise ValidationError(
-            "string relation witness failed verification; "
-            + counterexample.describe()
-        )
-    return candidate
+    return _tail_head_witness(algebra, relation.arrows,
+                              "string relation witness failed verification; ")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +288,7 @@ def _toupie_branches(quiver: Quiver):
     return source, sink, branches
 
 
-def toupie_classify(quiver: Quiver, ideal: IdealSpec, field=QQ) -> ToupieClassification:
+def toupie_classify(algebra: AlgebraBasis) -> ToupieClassification:
     """Classify a toupie algebra and predict its coproduct space dimension.
 
     Relations are branch-supported: a single path, which always lies
@@ -308,11 +297,11 @@ def toupie_classify(quiver: Quiver, ideal: IdealSpec, field=QQ) -> ToupieClassif
     touching a single branch kills that branch path outright and therefore
     counts as a monomial relation on it.
     """
-    validate(quiver, ideal, field)
+    quiver, ideal = algebra.quiver, algebra.ideal
     source, sink, branches = _toupie_branches(quiver)
     t = len(branches)
 
-    # validate made every relation term a path.  A path that enters a
+    # compute_basis checked every relation term is a path.  A path that enters a
     # branch stays inside it: the vertices inside a branch have one arrow in
     # and one out, and the sink has none out.  So its first arrow names its
     # branch and fixes the rest of its walk, and the distinct parallel terms
@@ -328,7 +317,7 @@ def toupie_classify(quiver: Quiver, ideal: IdealSpec, field=QQ) -> ToupieClassif
             linear_rows.append({branch_of[path.arrows[0]]: coeff
                                 for path, coeff in g.terms.items()})
 
-    reduced, pivots = rref(SparseMatrix(linear_rows, t, field))
+    reduced, pivots = rref(SparseMatrix(linear_rows, t, algebra.field))
     for row in reduced.rows:
         if len(row) == 1:
             monomial_branches.add(next(iter(row)))

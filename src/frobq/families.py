@@ -13,6 +13,15 @@ from .ideal import IdealSpec
 from .linalg import QQ
 from .quiver import PathExpr, Quiver
 
+# Every family size above this is refused before anything is built: an rsz
+# instance grows with the square of its arrow count, a cycle with n * d.
+MAX_SIZE = 1000
+
+
+def _check_size(what, *sizes):
+    if max(sizes) > MAX_SIZE:
+        raise ValidationError(f"{what} must be <= {MAX_SIZE}")
+
 
 class CanonicalSpec:
     """Weights n_1..n_t (t >= 2) and pairwise distinct nonzero lambdas."""
@@ -42,6 +51,7 @@ def gen_linear(n, relations=()):
     """
     if n < 1:
         raise ValidationError("need at least one vertex")
+    _check_size("vertex count", n)
     vertices = [str(i) for i in range(1, n + 1)]
     arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
     quiver = Quiver(vertices, arrows)
@@ -61,6 +71,7 @@ def gen_cycle(n, d):
         raise ValidationError("need at least one vertex")
     if d < 2:
         raise ValidationError("generator length must be >= 2")
+    _check_size("vertex count and generator length", n, d)
     vertices = [str(i) for i in range(1, n + 1)]
     arrows = [(f"a{i}", str(i), str(i % n + 1)) for i in range(1, n + 1)]
     quiver = Quiver(vertices, arrows)
@@ -76,6 +87,7 @@ def _branch_quiver(lengths):
     """Toupie quiver with the given branch lengths; returns branch arrow names."""
     if not lengths or any(n < 1 for n in lengths):
         raise ValidationError("branch lengths must all be >= 1")
+    _check_size("branch lengths and the branch count", len(lengths), *lengths)
     vertices = ["0"]
     arrows = []
     branches = []
@@ -158,9 +170,6 @@ def gen_radical_square_zero(quiver: Quiver):
 
 
 REGIMES = ("acyclic-monomial", "rsz", "string-quadratic")
-# The rsz regime kills every length-2 path, so its output grows with the
-# square of the arrow count: bounds above this are refused before any draw.
-MAX_RANDOM_BOUND = 1000
 
 
 def gen_random(seed, vertex_bound, arrow_bound, regime):
@@ -175,17 +184,19 @@ def gen_random(seed, vertex_bound, arrow_bound, regime):
         raise ValidationError(f"unknown regime {regime!r}; choose from {REGIMES}")
     if vertex_bound < 2 or arrow_bound < 1:
         raise ValidationError("vertex bound must be >= 2 and arrow bound >= 1")
-    if max(vertex_bound, arrow_bound) > MAX_RANDOM_BOUND:
-        raise ValidationError(f"vertex and arrow bounds must be <= {MAX_RANDOM_BOUND}")
+    _check_size("vertex and arrow bounds", vertex_bound, arrow_bound)
     rng = random.Random(f"{regime}/{vertex_bound}/{arrow_bound}/{seed}")
     for _ in range(200):
         built = _try_random(rng, vertex_bound, arrow_bound, regime)
         if built is not None:
             return built
-    raise ValidationError("random generation failed to produce a valid instance")
+    # A draw fails only when a spanning-tree anchor has no room left, which
+    # a large vertex count makes likely.  This last draw picks each anchor
+    # among the vertices with room, so it cannot fail.
+    return _try_random(rng, vertex_bound, arrow_bound, regime, anchor_with_room=True)
 
 
-def _try_random(rng, vertex_bound, arrow_bound, regime):
+def _try_random(rng, vertex_bound, arrow_bound, regime, anchor_with_room=False):
     # the spanning tree alone uses n - 1 arrows, so n respects both bounds
     n = rng.randint(2, min(vertex_bound, arrow_bound + 1))
     vertices = [str(i) for i in range(1, n + 1)]
@@ -209,7 +220,10 @@ def _try_random(rng, vertex_bound, arrow_bound, regime):
     # Spanning-tree attachment keeps the quiver connected.
     for i in range(1, n):
         new = vertices[i]
-        anchor = vertices[rng.randrange(i)]
+        if anchor_with_room:
+            anchor = rng.choice([u for u in vertices[:i] if room(u, new)])
+        else:
+            anchor = vertices[rng.randrange(i)]
         if acyclic:
             source, target = anchor, new
         else:

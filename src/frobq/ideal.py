@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import QQ, SparseMatrix, rref
-from .quiver import Path, Quiver
+from .quiver import Quiver
 
 
 class IdealSpec:
@@ -137,26 +137,30 @@ def compute_bound(quiver: Quiver, ideal: IdealSpec) -> int:
 class AlgebraBasis:
     """Normal-form basis of the quotient of a path algebra.
 
-    basis paths are grouped by (source, target) block and the reduction
-    table rewrites every path of length < bound into coordinates over the
-    basis indices.  A path is keyed by its arrow word, which fixes it
-    since arrow names are unique, and the trivial path e_v by the vertex
-    name v.  Paths of length >= bound are zero in the quotient.
+    The basis is in (source, target, sort_key) order, so each (source,
+    target) block is a run of it.  The reduction table rewrites every path
+    of length < bound into coordinates over the basis indices.  A path is
+    keyed by its arrow word, which fixes it since arrow names are unique,
+    and the trivial path e_v by the vertex name v.  Paths of length >=
+    bound are zero in the quotient.
     """
 
-    def __init__(self, quiver, ideal, field, bound, basis, blocks, table):
+    def __init__(self, quiver, ideal, field, bound, basis, table):
         self.quiver = quiver
         self.ideal = ideal
         self.field = field
         self.bound = bound
         self.basis = basis          # tuple of Paths, canonical order
-        self.blocks = blocks        # {(source, target): tuple of Paths}
         self.table = table          # {arrow word or vertex: {basis index: scalar}}
-        self.index = {p: i for i, p in enumerate(basis)}
 
     @property
     def dimension(self):
         return len(self.basis)
+
+    @cached_property
+    def index(self):
+        """index[path] is the place of a basis path in basis; built on first read."""
+        return {p: i for i, p in enumerate(self.basis)}
 
     @property
     def product_table(self):
@@ -204,15 +208,6 @@ class AlgebraBasis:
         order = sorted(range(len(self.basis)), key=lambda i: self.basis[i].sort_key())
         return sorted(range(len(order)), key=order.__getitem__)
 
-    def reduce_path(self, path: Path):
-        """Coordinates {basis Path: scalar} of a single path; zero map when
-        the path vanishes.  The map is built afresh on every call."""
-        if not self.quiver.has_path(path):
-            raise ValidationError(f"foreign path: {path}")
-        if len(path) >= self.bound:
-            return {}
-        return {self.basis[k]: c for k, c in self.table[path.arrows or path.source].items()}
-
 
 def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     """The normal-form basis of kQ/I over field, as an AlgebraBasis.
@@ -238,12 +233,10 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     # so each block keeps the canonical order.  A nontrivial word fixes its
     # path; the ideal's rows hold no trivial one.
     paths.sort(key=lambda p: (p.source, p.target))
-    blocks = {}
     live = []
     by_target = {}
     by_source = {}
     for p in paths:
-        blocks.setdefault((p.source, p.target), [])
         if p.arrows not in table:
             live.append(p)
             by_target.setdefault(p.target, []).append(p)
@@ -281,10 +274,8 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
         if j not in pivot_set:
             index_of[j] = len(basis)
             table[p.arrows or p.source] = {len(basis): field.one}
-            blocks[p.source, p.target].append(p)
             basis.append(p)
     for i, col in enumerate(pivots):
         table[live[col].arrows] = {index_of[j]: field.reduce(-value)
                                    for j, value in reduced.rows[i].items() if j != col}
-    blocks = {key: tuple(block) for key, block in blocks.items()}
-    return AlgebraBasis(quiver, ideal, field, bound, tuple(basis), blocks, table)
+    return AlgebraBasis(quiver, ideal, field, bound, tuple(basis), table)

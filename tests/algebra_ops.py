@@ -1,20 +1,21 @@
 """Quotient algebra arithmetic on coordinate vectors, used only by tests.
 
 Coordinates are {basis Path: scalar} maps, and an element of A (x) A is
-a {(Path, Path): scalar} map; `add` sums into either.  `multiply` composes
-paths with `compose` and rewrites each product with
-`AlgebraBasis.reduce_path`.  It never reads `AlgebraBasis.product_table`,
+a {(Path, Path): scalar} map; `add` sums into either.  `reduce_path`
+gives the coordinates of one path from the reduction table, and
+`multiply` composes paths with `compose` and rewrites each product with
+`reduce_path`.  It never reads `AlgebraBasis.product_table`,
 so the raw-definition oracle built on it stays independent of the table
 the verifier reads.  `extend_coproduct` gives a candidate's induced value
 on a basis path the same way.  `path_terms` and `index_terms` turn a
 candidate's {(i, j): c} over basis indices into paths and back,
-`terms_text` writes a value over paths as the CLI does, and `combine`
-sums candidates.  `has_subword` tells whether an arrow word
-holds one of the given words, as a path that is zero modulo monomial
-generators does.
+`terms_text` writes a value over paths as the CLI does, `combine`
+sums candidates, and `blocks` groups the basis by (source, target).
+`has_subword` tells whether an arrow word holds one of the given words,
+as a path that is zero modulo monomial generators does.
 """
 
-from frobq.errors import SupportViolationError
+from frobq.errors import SupportViolationError, ValidationError
 from frobq.quiver import Path
 
 
@@ -63,6 +64,15 @@ def combine(algebra, weighted):
     return values
 
 
+def blocks(algebra):
+    """{(source, target): tuple of basis paths} over the nonempty blocks,
+    each block's paths in basis order."""
+    grouped = {}
+    for p in algebra.basis:
+        grouped.setdefault((p.source, p.target), []).append(p)
+    return {key: tuple(paths) for key, paths in grouped.items()}
+
+
 def compose(p, q):
     """Concatenate two paths, or return None when endpoints mismatch.
 
@@ -84,6 +94,16 @@ def has_subword(word, subwords):
     return False
 
 
+def reduce_path(algebra, path):
+    """Coordinates {basis Path: scalar} of a single path; zero map when
+    the path vanishes.  The map is built afresh on every call."""
+    if not algebra.quiver.has_path(path):
+        raise ValidationError(f"foreign path: {path}")
+    if len(path) >= algebra.bound:
+        return {}
+    return {algebra.basis[k]: c for k, c in algebra.table[path.arrows or path.source].items()}
+
+
 def coords_of(algebra, path):
     return {path: algebra.field.one}
 
@@ -99,7 +119,7 @@ def reduce(algebra, expr):
     field = algebra.field
     result = {}
     for path, coeff in expr.terms.items():
-        for b, value in algebra.reduce_path(path).items():
+        for b, value in reduce_path(algebra, path).items():
             add(result, b, field.coerce(coeff) * value, field)
     return result
 
@@ -113,7 +133,7 @@ def multiply(algebra, x, y):
             if w is None:
                 continue
             coeff = cu * cv
-            for b, value in algebra.reduce_path(w).items():
+            for b, value in reduce_path(algebra, w).items():
                 add(result, b, coeff * value, algebra.field)
     return result
 
@@ -131,7 +151,7 @@ def extend_coproduct(candidate, w):
     for (u, v), c in path_terms(algebra, candidate.values.get(w.target, {})).items():
         product = compose(w, u)
         if product is not None:
-            for b, coeff in algebra.reduce_path(product).items():
+            for b, coeff in reduce_path(algebra, product).items():
                 add(value, (b, v), c * coeff, algebra.field)
     return value
 

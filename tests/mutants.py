@@ -31,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = "src/frobq/cli.py"
+CLOSED_FORMS = "src/frobq/closed_forms.py"
 FROBENIUS = "src/frobq/frobenius.py"
 IDEAL = "src/frobq/ideal.py"
 LINALG = "src/frobq/linalg.py"
@@ -129,6 +130,27 @@ MUTANTS = [
            "_leg(p, 6) for p in paths",
            ("tests/test_cli.py::TestJsonWriter::test_cli_payloads",),
            "basis --json writes its paths one level too shallow"),
+    Mutant(CLOSED_FORMS,
+           "    for i in range(1, len(word)):\n",
+           "    for i in range(1, len(word) - 1):\n",
+           ("tests/test_closed_forms.py",),
+           "the tail (x) head witness drops its last cut"),
+    Mutant(CLOSED_FORMS,
+           "                _add(value, (left, right), cl * cr, reduce)\n",
+           "                _add(value, (right, left), cl * cr, reduce)\n",
+           ("tests/test_closed_forms.py",),
+           "the tail (x) head witness swaps its legs"),
+    Mutant(CLOSED_FORMS,
+           "(2, 2, 3): 3, (2, 2, 4): 4,",
+           "(2, 2, 3): 4, (2, 2, 4): 3,",
+           ("tests/test_closed_forms.py",),
+           "the pattern table swaps patterns 3 and 4"),
+    Mutant(CLOSED_FORMS,
+           "    for row in reduced.rows:\n        if len(row) == 1:\n"
+           "            monomial_branches.add(next(iter(row)))\n",
+           "",
+           ("tests/test_closed_forms.py",),
+           "toupie_classify misses a branch that a reduced linear row kills outright"),
     Mutant(IDEAL,
            "        rows = [{j: word or a.source if len(word := a.arrows + w) < bound else ()\n",
            "        rows = [{j: word[-2:] or a.source if len(word := a.arrows + w) < bound else ()\n",

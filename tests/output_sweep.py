@@ -23,6 +23,11 @@ Arabic-Indic three or the first vertex's name (a duplicate vertex), or
 it duplicates or deletes one line.  Each variant runs dim over the
 document's own field, so a changed parse error shows too.
 
+It also runs gen (document "gen", field "doc"): each family at the
+parameters of GEN_PARAMS, which README and tests/test_cli.py use, and
+gen random at seeds 0-39 in each regime for every vertex bound 6-8 and
+arrow bound 9-14, the corpus bounds.
+
 Each output is one line of OUT.tsv: document, field, command, exit code,
 and the sha256 of stdout and of stderr.  Two checkouts give the same
 file exactly when their outputs are byte-identical, so compare the files
@@ -52,6 +57,24 @@ from frobq import cli  # noqa: E402
 FIELDS = (None, "F5", "F7")    # None: the document's own field
 CANDIDATES_ALONE = 3
 MALFORMED = 8
+ONES = ",".join(["1"] * 1000)
+GEN_PARAMS = [
+    "linear 3", "linear 4", "linear 12", "linear 5 --relation 2,2",
+    "linear 4 --relation 1,3", "linear 6 --relation 2,2",
+    "cycle 3 2", "cycle 5 4", "cycle 12 9",
+    "canonical 2,3,5 --lambdas 1", "canonical 2,2,2 --lambdas 1",
+    "toupie 3,2 --monomial 1,1,2 --linear 1,-1", "toupie 2,2 --linear 1,-1",
+    "toupie 3,3 --linear 2,-3",
+    "random 42 5 7 rsz", "random 42 5 7 string-quadratic", "random 42 5 7 acyclic-monomial",
+    "random 3 1000 1000 rsz", "random 3 1000 1000 string-quadratic",
+    "random 3 1000 1000 acyclic-monomial",
+    # At and just above families.MAX_SIZE.
+    "linear 1000", "linear 1001", "cycle 1000 2", "cycle 1001 2", "cycle 3 1000",
+    "cycle 3 1001", "toupie 2,1000", "toupie 2,1001", f"toupie {ONES}", f"toupie {ONES},1",
+    "canonical 1000,1", "canonical 2,2,1001 --lambdas 1",
+    f"canonical {ONES} --lambdas {','.join(map(str, range(1, 999)))}",
+    f"canonical {ONES},1 --lambdas {','.join(map(str, range(1, 1000)))}",
+]
 
 
 def run(argv):
@@ -97,6 +120,26 @@ def sweep_document(name, inst, field):
         with open("coproduct.json", "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
         yield label, run(["verify", name, "--coproduct", "coproduct.json", *flag])
+
+
+def sweep_gen():
+    """(command, (exit code, stdout, stderr)) of every gen call; gen rsz
+    reads the document that gen linear 4 writes."""
+    for params in GEN_PARAMS:
+        yield "gen " + gen_label(params), run(["gen", *params.split()])
+    run(["gen", "linear", "4", "-o", "linear-4.fq"])
+    yield "gen rsz <gen linear 4>", run(["gen", "rsz", "linear-4.fq"])
+    for regime in ("acyclic-monomial", "rsz", "string-quadratic"):
+        for vertices in range(6, 9):
+            for arrows in range(9, 15):
+                for seed in range(40):
+                    params = ["random", str(seed), str(vertices), str(arrows), regime]
+                    yield "gen " + " ".join(params), run(["gen", *params])
+
+
+def gen_label(params):
+    """params with each list of more than 20 characters cut to its length."""
+    return " ".join(w if len(w) <= 20 else f"<{len(w)} characters>" for w in params.split())
 
 
 def malformed(name, text):
@@ -154,6 +197,9 @@ def main(argv=None):
                         lines.write(f"{name}\tdoc\tdim, variant {n}: {label}\t{code}\t"
                                     f"{sha(out)}\t{sha(err)}\n")
                         count += 1
+        for label, (code, out, err) in sweep_gen():
+            lines.write(f"gen\tdoc\t{label}\t{code}\t{sha(out)}\t{sha(err)}\n")
+            count += 1
         os.chdir(home)
     print(f"{count} outputs written to {output}")
 

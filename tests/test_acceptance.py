@@ -39,7 +39,7 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, SparseMatrix, rank
 from frobq.quiver import PathExpr, Quiver
 
-from algebra_ops import add, coefficient_vector, index_terms
+from algebra_ops import add, coefficient_vector, index_terms, reduce_path
 
 
 def mono(q, names):
@@ -147,15 +147,15 @@ def linear_structure_candidate(q, algebra, lengths):
                 add(terms, (bl, br), cl * cr, QQ)
         values[vertex] = index_terms(algebra, terms)
 
-    full = algebra.reduce_path(q.path([f"a1_{j}" for j in range(1, lengths[0] + 1)]))
+    full = reduce_path(algebra, q.path([f"a1_{j}" for j in range(1, lengths[0] + 1)]))
     tensor_from("0", full, {q.trivial_path("0"): QQ.one})
     tensor_from("w", {q.trivial_path("w"): QQ.one}, full)
     for branch, length in enumerate(lengths, start=1):
         for j in range(1, length):
-            head = algebra.reduce_path(
-                q.path([f"a{branch}_{k}" for k in range(1, j + 1)]))
-            tail = algebra.reduce_path(
-                q.path([f"a{branch}_{k}" for k in range(j + 1, length + 1)]))
+            head = reduce_path(
+                algebra, q.path([f"a{branch}_{k}" for k in range(1, j + 1)]))
+            tail = reduce_path(
+                algebra, q.path([f"a{branch}_{k}" for k in range(j + 1, length + 1)]))
             tensor_from(f"v{branch}_{j}", tail, head)
     return CoproductCandidate(algebra, values)
 
@@ -274,9 +274,10 @@ def test_criterion_08_toupie_classification():
     kinds = set()
     assert len(TOUPIE_CORPUS) == 20
     for label, (q, ideal) in TOUPIE_CORPUS:
-        info = toupie_classify(q, ideal)
+        algebra = compute_basis(q, ideal)
+        info = toupie_classify(algebra)
         kinds.add(info.kind)
-        dim = frobenius_dimension(compute_basis(q, ideal))
+        dim = frobenius_dimension(algebra)
         assert info.prediction_holds(dim), \
             f"{label}: kind {info.kind} predicted {info.prediction}, solver {dim}"
     assert kinds == {"LINEAR_An", "GENERALIZED_DIAMOND", "M_ZERO_OTHER", "M_POSITIVE"}

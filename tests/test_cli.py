@@ -24,7 +24,7 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import Quiver
 
-from algebra_ops import combine, path_terms, terms_text
+from algebra_ops import blocks, combine, path_terms, terms_text
 from strategies import has_zero_generator, mixed_algebras, random_algebras
 
 DIAMOND = """field Q
@@ -384,8 +384,45 @@ class TestBadInput:
         self.assert_one_line_error(code, out, err)
         assert err == "error: vertex and arrow bounds must be <= 1000\n"
 
-    def test_random_bound_at_the_limit(self, capsys):
-        code, out, err = run(capsys, "gen", "random", "3", "1000", "1000", "rsz")
+    # Seed 3 at bounds 1000 once failed in the string-quadratic regime.
+    @pytest.mark.parametrize("regime", ["rsz", "acyclic-monomial", "string-quadratic"])
+    def test_random_bound_at_the_limit(self, capsys, regime):
+        code, out, err = run(capsys, "gen", "random", "3", "1000", "1000", regime)
+        assert code == 0 and err == "" and out.startswith("field Q\n")
+
+    # `gen linear 100000000000000000000` once ran until it was killed: every
+    # family now refuses a size above families.MAX_SIZE before building.
+    @pytest.mark.parametrize("family, params, message", [
+        ("linear", ["1001"], "vertex count"),
+        ("linear", ["100000000000000000000"], "vertex count"),
+        ("cycle", ["1001", "2"], "vertex count and generator length"),
+        ("cycle", ["3", "1001"], "vertex count and generator length"),
+        ("toupie", ["2,1001"], "branch lengths and the branch count"),
+        ("toupie", [",".join(["1"] * 1001)], "branch lengths and the branch count"),
+        ("canonical", ["2,2,1001", "--lambdas", "1"], "branch lengths and the branch count"),
+        ("canonical", [",".join(["1"] * 1001),
+                       "--lambdas", ",".join(map(str, range(1, 1000)))],
+         "branch lengths and the branch count"),
+    ], ids=["linear-n", "linear-huge", "cycle-n", "cycle-d", "toupie-length",
+            "toupie-count", "canonical-weight", "canonical-count"])
+    def test_family_size_above_the_limit(self, capsys, family, params, message):
+        code, out, err = run(capsys, "gen", family, *params)
+        self.assert_one_line_error(code, out, err)
+        assert err == f"error: {message} must be <= 1000\n"
+
+    @pytest.mark.parametrize("family, params", [
+        ("linear", ["1000"]),
+        ("cycle", ["1000", "2"]),
+        ("cycle", ["3", "1000"]),
+        ("toupie", ["2,1000"]),
+        ("toupie", [",".join(["1"] * 1000)]),
+        ("canonical", ["1000,1"]),
+        ("canonical", [",".join(["1"] * 1000),
+                       "--lambdas", ",".join(map(str, range(1, 999)))]),
+    ], ids=["linear-n", "cycle-n", "cycle-d", "toupie-length", "toupie-count",
+            "canonical-weight", "canonical-count"])
+    def test_family_size_at_the_limit(self, capsys, family, params):
+        code, out, err = run(capsys, "gen", family, *params)
         assert code == 0 and err == "" and out.startswith("field Q\n")
 
     @pytest.mark.parametrize("field_line, flags", [
@@ -717,8 +754,7 @@ def dict_payload(algebra, command):
         return {"schema": "frobq/1", "dimension": algebra.dimension, "bound": algebra.bound,
                 "blocks": [{"source": source, "target": target,
                             "paths": [path_to_json(p) for p in paths]}
-                           for (source, target), paths in sorted(algebra.blocks.items())
-                           if paths]}
+                           for (source, target), paths in sorted(blocks(algebra).items())]}
     if command == "dim":
         return {"schema": "frobq/1", "frobenius_dimension": frobenius_dimension(algebra)}
     space = solve_frobenius_space(algebra)

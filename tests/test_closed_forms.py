@@ -9,6 +9,7 @@ from frobq.closed_forms import (
     M_POSITIVE,
     M_ZERO_OTHER,
     LocalPatternMatch,
+    _toupie_branches,
     detect_local_patterns,
     is_gentle,
     is_radical_square_zero,
@@ -19,7 +20,11 @@ from frobq.closed_forms import (
     toupie_classify,
     witness_coproduct,
 )
-from frobq.errors import ValidationError
+from frobq.errors import (
+    InfiniteDimensionalError,
+    UnsupportedIdealRegimeError,
+    ValidationError,
+)
 from frobq.families import (
     CanonicalSpec,
     gen_canonical,
@@ -34,7 +39,7 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ
 from frobq.quiver import PathExpr, Quiver
 
-from algebra_ops import add, index_terms, path_terms
+from algebra_ops import add, index_terms, path_terms, reduce_path
 
 
 def mono(q, names):
@@ -290,56 +295,54 @@ class TestStringRelationWitness:
 
 class TestToupieClassify:
     def test_linear_quiver(self):
-        q, ideal = gen_linear(5)
-        info = toupie_classify(q, ideal)
+        info = toupie_classify(compute_basis(*gen_linear(5)))
         assert info.kind == LINEAR_AN and info.prediction == "=1"
 
     def test_one_point_quiver(self):
         q = Quiver(["p"], [])
-        info = toupie_classify(q, IdealSpec([]))
+        info = toupie_classify(compute_basis(q, IdealSpec([])))
         assert info.kind == LINEAR_AN
 
     def test_canonical_two_three_five(self):
-        q, ideal = gen_canonical(CanonicalSpec((2, 3, 5), (1,)))
-        info = toupie_classify(q, ideal)
+        info = toupie_classify(compute_basis(*gen_canonical(CanonicalSpec((2, 3, 5), (1,)))))
         assert info.kind == M_ZERO_OTHER and info.prediction == "=0"
         assert info.independent_rank == 2
 
     def test_diamond(self):
-        q, ideal = gen_toupie((3, 2), (), [(1, -1)])
-        info = toupie_classify(q, ideal)
+        info = toupie_classify(compute_basis(*gen_toupie((3, 2), (), [(1, -1)])))
         assert info.kind == GENERALIZED_DIAMOND and info.prediction == "=1"
         assert info.branch_lengths == (3, 2)
 
     def test_monomial_branch(self):
-        q, ideal = gen_toupie((3, 2), [(1, 1, 2)], ())
-        info = toupie_classify(q, ideal)
+        algebra = compute_basis(*gen_toupie((3, 2), [(1, 1, 2)], ()))
+        info = toupie_classify(algebra)
         assert info.kind == M_POSITIVE and info.prediction == ">=1"
         assert info.monomial_relation_branch_count == 1
-        assert frobenius_dimension(compute_basis(q, ideal)) >= 1
+        assert frobenius_dimension(algebra) >= 1
 
     def test_linear_relation_killing_one_branch_counts_as_monomial(self):
         # a*b - a*b row-reduces to a single branch only with two relations
-        q, ideal = gen_toupie((2, 2), (), [(1, -1), (1, 1)])
-        info = toupie_classify(q, ideal)
+        algebra = compute_basis(*gen_toupie((2, 2), (), [(1, -1), (1, 1)]))
+        info = toupie_classify(algebra)
         assert info.kind == M_POSITIVE
-        dim = frobenius_dimension(compute_basis(q, ideal))
+        dim = frobenius_dimension(algebra)
         assert info.prediction_holds(dim)
 
     def test_not_toupie_rejected(self):
         q = Quiver(["1", "2", "3"],
                    [("a", "1", "2"), ("b", "2", "3"), ("c", "2", "3")])
         with pytest.raises(ValidationError, match="not a toupie"):
-            toupie_classify(q, IdealSpec([]))
+            toupie_classify(compute_basis(q, IdealSpec([])))
 
     def test_full_branch_monomial_relation(self):
         # unequal branch lengths, the long branch killed outright
         mixed = Quiver(["0", "m", "w"],
                        [("a", "0", "m"), ("b", "m", "w"), ("c", "0", "w")])
         ideal = IdealSpec([PathExpr({mixed.path(["a", "b"]): QQ.one})])
-        info = toupie_classify(mixed, ideal)
+        algebra = compute_basis(mixed, ideal)
+        info = toupie_classify(algebra)
         assert info.kind == M_POSITIVE
-        dim = frobenius_dimension(compute_basis(mixed, ideal))
+        dim = frobenius_dimension(algebra)
         assert info.prediction_holds(dim)
 
 
@@ -388,9 +391,18 @@ def test_toupie_branches_partition_the_arrows(drawn):
     # the sink, for an arrow outside every branch or for a linear relation
     # term that is not a full branch path: _toupie_branches and
     # toupie_classify argue that none can happen, and this holds them to it.
+    # A cyclic draw that compute_basis refuses has no algebra to classify;
+    # its quiver must still fail the toupie shape.
     quiver, ideal = drawn
     try:
-        info = toupie_classify(quiver, ideal)
+        algebra = compute_basis(quiver, ideal)
+    except (InfiniteDimensionalError, UnsupportedIdealRegimeError):
+        with pytest.raises(ValidationError) as refused:
+            _toupie_branches(quiver)
+        assert REFUSALS.fullmatch(str(refused.value))
+        return
+    try:
+        info = toupie_classify(algebra)
     except ValidationError as exc:
         assert REFUSALS.fullmatch(str(exc))
         return
@@ -429,15 +441,15 @@ def expected_linear_structure(q, algebra, n, m):
                 add(terms, (bl, br), cl * cr, QQ)
         values[vertex] = index_terms(algebra, terms)
 
-    full = algebra.reduce_path(q.path([f"a1_{j}" for j in range(1, n + 1)]))
+    full = reduce_path(algebra, q.path([f"a1_{j}" for j in range(1, n + 1)]))
     e0 = {q.trivial_path("0"): QQ.one}
     ew = {q.trivial_path("w"): QQ.one}
     tensor_for("0", full, e0)
     tensor_for("w", ew, full)
     for branch, length in ((1, n), (2, m)):
         for j in range(1, length):
-            head = algebra.reduce_path(q.path([f"a{branch}_{k}" for k in range(1, j + 1)]))
-            tail = algebra.reduce_path(q.path([f"a{branch}_{k}" for k in range(j + 1, length + 1)]))
+            head = reduce_path(algebra, q.path([f"a{branch}_{k}" for k in range(1, j + 1)]))
+            tail = reduce_path(algebra, q.path([f"a{branch}_{k}" for k in range(j + 1, length + 1)]))
             tensor_for(f"v{branch}_{j}", tail, head)
     return CoproductCandidate(algebra, values)
 

@@ -1,6 +1,6 @@
 import pytest
 
-from frobq.closed_forms import is_string, special_biserial_violation
+from frobq.closed_forms import is_string, is_string_quadratic, special_biserial_violation
 from frobq.errors import ValidationError
 from frobq.families import (
     REGIMES,
@@ -157,6 +157,16 @@ class TestRandom:
         algebra = compute_basis(q, ideal)
         assert special_biserial_violation(algebra) is None
         assert is_string(algebra)
+        assert all(len(p) == 2 for p in ideal.monomial_paths())
+
+    # At bounds 1000 each of this seed's first 200 draws meets a
+    # spanning-tree anchor with no room left, so the instance comes from
+    # the last draw, which picks anchors with room.
+    def test_string_quadratic_regime_at_large_bounds(self):
+        q, ideal = gen_random(3, 1000, 1000, "string-quadratic")
+        assert 2 <= len(q.vertices) <= 1000 and 1 <= len(q.arrows) <= 1000
+        algebra = compute_basis(q, ideal)
+        assert is_string(algebra) and is_string_quadratic(algebra)
         assert all(len(p) == 2 for p in ideal.monomial_paths())
 
     @pytest.mark.parametrize("seed", range(10))

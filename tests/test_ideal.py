@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from frobq.closed_forms import toupie_classify
 from frobq.errors import (
     InfiniteDimensionalError,
     UnsupportedIdealRegimeError,
@@ -30,7 +29,7 @@ from frobq.ideal import (
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import Path, PathExpr, Quiver
 
-from algebra_ops import coords_of, has_subword, multiply, reduce, unit
+from algebra_ops import blocks, coords_of, has_subword, multiply, reduce, reduce_path, unit
 from strategies import has_zero_generator, mixed_algebras, small_quivers
 
 
@@ -87,7 +86,7 @@ class TestValidate:
         q, ideal = gen_toupie((2, 2), (), [(7, 0)])
         assert validate(q, ideal, PrimeField(5)) is ideal
         with pytest.raises(ValidationError, match="zero generator"):
-            toupie_classify(q, ideal, PrimeField(7))
+            compute_basis(q, ideal, PrimeField(7))
 
 
 def monomial_finiteness_check(quiver, monomial_gens):
@@ -291,7 +290,7 @@ class TestComputeBasis:
         assert algebra.dimension == 9
         top = q.path(["a1_1", "a1_2"])
         bottom = q.path(["a2_1", "a2_2"])
-        assert algebra.reduce_path(top) == {bottom: QQ.one}
+        assert reduce_path(algebra, top) == {bottom: QQ.one}
 
     def test_canonical_222_dimension(self):
         q, ideal = gen_canonical(CanonicalSpec((2, 2, 2), (1,)))
@@ -321,14 +320,17 @@ class TestComputeBasis:
     def test_block_dimensions_add_up(self):
         q, ideal = diamond()
         algebra = compute_basis(q, ideal)
-        assert sum(len(b) for b in algebra.blocks.values()) == algebra.dimension
+        grouped = blocks(algebra)
+        assert sum(len(b) for b in grouped.values()) == algebra.dimension
+        # The two branch paths are one class, so the block 0 -> w has one path.
+        assert grouped["0", "w"] == (q.path(["a2_1", "a2_2"]),)
 
     def test_prime_field_coordinates_are_residues(self):
         q, ideal = gen_toupie((2, 3), [], [(2, -3)])
         algebra = compute_basis(q, ideal, PrimeField(5))
         top = q.path(["a1_1", "a1_2"])
         # 2 top - 3 bottom = 0, so top = 3/2 bottom = 4 bottom over F_5.
-        assert algebra.reduce_path(top) == {q.path(["a2_1", "a2_2", "a2_3"]): 4}
+        assert reduce_path(algebra, top) == {q.path(["a2_1", "a2_2", "a2_3"]): 4}
         for coords in algebra.table.values():
             assert all(type(c) is int and 0 <= c < 5 for c in coords.values())
 
@@ -337,13 +339,13 @@ class TestReduce:
     def test_killed_path(self):
         q, ideal = gen_linear(3, [(1, 2)])
         algebra = compute_basis(q, ideal)
-        assert algebra.reduce_path(q.path(["a1", "a2"])) == {}
+        assert reduce_path(algebra, q.path(["a1", "a2"])) == {}
 
     def test_idempotent_unit_coordinate(self):
         q, ideal = gen_linear(3, [(1, 2)])
         algebra = compute_basis(q, ideal)
         e = q.trivial_path("1")
-        assert algebra.reduce_path(e) == {e: QQ.one}
+        assert reduce_path(algebra, e) == {e: QQ.one}
 
     def test_pivot_falls_on_lexicographically_earlier_path(self):
         q, ideal = diamond()
@@ -356,22 +358,22 @@ class TestReduce:
         algebra = compute_basis(q, ideal)
         other, _ = gen_linear(5)
         with pytest.raises(ValidationError, match="foreign"):
-            algebra.reduce_path(other.path(["a3"]))
+            reduce_path(algebra, other.path(["a3"]))
         # The table keys a path by its word and e_v by v, so neither key
         # alone may let a path that is not in the quiver through.
         with pytest.raises(ValidationError, match="foreign"):
-            algebra.reduce_path(Path("2", "1", ("a1",)))
+            reduce_path(algebra, Path("2", "1", ("a1",)))
         with pytest.raises(ValidationError, match="foreign"):
-            algebra.reduce_path(Path("9", "9", ()))
+            reduce_path(algebra, Path("9", "9", ()))
 
     def test_reduce_is_idempotent_and_block_preserving(self):
         q, ideal = diamond()
         algebra = compute_basis(q, ideal)
         for p in q.enumerate_paths(algebra.bound - 1):
-            coords = algebra.reduce_path(p)
+            coords = reduce_path(algebra, p)
             again = {}
             for b, c in coords.items():
-                for b2, c2 in algebra.reduce_path(b).items():
+                for b2, c2 in reduce_path(algebra, b).items():
                     again[b2] = again.get(b2, QQ.zero) + c * c2
             again = {b: c for b, c in again.items() if c != QQ.zero}
             assert again == coords

@@ -38,6 +38,7 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import Path, PathExpr, Quiver
 
+from algebra_ops import blocks
 from strategies import has_zero_generator, mixed_algebras, small_quivers
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -76,7 +77,7 @@ def assert_canonical_order(algebra):
     """The basis is in (source, target, sort_key) order and every block in sort_key order."""
     assert list(algebra.basis) == sorted(
         algebra.basis, key=lambda p: (p.source, p.target, p.sort_key()))
-    for block in algebra.blocks.values():
+    for block in blocks(algebra).values():
         assert list(block) == sorted(block, key=Path.sort_key)
 
 

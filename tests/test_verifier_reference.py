@@ -49,7 +49,7 @@ from frobq.linalg import QQ, PrimeField
 from frobq.quiver import PathExpr, Quiver
 
 from algebra_ops import (add, combine, compose, extend_coproduct, multiply, path_terms, reduce,
-                        terms_text)
+                        reduce_path, terms_text)
 from strategies import has_zero_generator, mixed_algebras
 
 
@@ -74,7 +74,7 @@ def reference_verify(algebra, candidate):
     for x in algebra.basis:
         for y in algebra.basis:
             product = compose(x, y)
-            coords = algebra.reduce_path(product) if product is not None else {}
+            coords = reduce_path(algebra, product) if product is not None else {}
             expected = delta_of_coords(coords)
 
             left_side = {}
@@ -82,7 +82,7 @@ def reference_verify(algebra, candidate):
                 glued = compose(x, u)
                 if glued is None:
                     continue
-                for z, value in algebra.reduce_path(glued).items():
+                for z, value in reduce_path(algebra, glued).items():
                     add(left_side, (z, v), c * value, field)
 
             right_side = {}
@@ -90,7 +90,7 @@ def reference_verify(algebra, candidate):
                 glued = compose(v, y)
                 if glued is None:
                     continue
-                for z, value in algebra.reduce_path(glued).items():
+                for z, value in reduce_path(algebra, glued).items():
                     add(right_side, (u, z), c * value, field)
 
             if expected != left_side or expected != right_side:
@@ -313,7 +313,7 @@ def test_skip_rule_does_not_rest_on_associativity():
     algebra.table[("a1",)] = {}
     # The mutation must reach every reader of the table, or the test is vacuous.
     a1, index = q.path(["a1"]), algebra.index
-    assert algebra.reduce_path(a1) == {}
+    assert reduce_path(algebra, a1) == {}
     assert algebra.product_table[index[q.trivial_path("1")]][index[a1]] == {}
     assert algebra.product_table[index[a1]][index[q.trivial_path("2")]] == {}
     legend = build_constraint_system(algebra)[1]
