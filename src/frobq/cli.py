@@ -94,7 +94,6 @@ def _space_json(algebra, space):
     one leg text per basis path, and joined once from its pieces."""
     legs = [_leg(path, 12) for path in algebra.basis]
     rank = algebra.sort_rank
-    format_scalar = algebra.field.format
     parts = [f'{{\n  "schema": "{SCHEMA}",\n  "dimension": {len(space)},\n  "candidates": [']
     for i, candidate in enumerate(space):
         parts.append(",\n    [" if i else "\n    [")
@@ -106,11 +105,11 @@ def _space_json(algebra, space):
             ordered = terms if len(terms) == 1 else sorted(
                 terms, key=lambda pair: (rank[pair[0]], rank[pair[1]]))
             for k, (u, v) in enumerate(ordered):
-                # A formatted scalar is ASCII digits, "-" and "/": nothing to escape.
+                # A scalar's str is ASCII digits, "-" and "/": nothing to escape.
                 parts += (",\n          {" if k else "\n          {",
                           '\n            "left": ', legs[u],
                           ',\n            "right": ', legs[v],
-                          ',\n            "coeff": "', format_scalar(terms[u, v]), '"\n          }')
+                          ',\n            "coeff": "', str(terms[u, v]), '"\n          }')
             parts.append("\n        ]\n      }")
         parts.append("\n    ]")
     parts.append("\n  ]\n}\n" if space else "]\n}\n")
@@ -305,7 +304,8 @@ def cmd_gen(args):
         quiver, ideal = families.gen_cycle(n, d)
     elif family == "canonical":
         weights = tuple(_ints(_gen_params(args, 1, "<n1,n2,...>")[0]))
-        lambdas = tuple(_ints(args.lambdas)) if args.lambdas else ()
+        # Empty items are dropped, as _ints drops them.
+        lambdas = tuple(QQ.parse(part) for part in (args.lambdas or "").split(",") if part)
         quiver, ideal = families.gen_canonical(
             families.CanonicalSpec(weights, lambdas))
     elif family == "toupie":
@@ -392,7 +392,7 @@ def build_parser():
     p.add_argument("params", nargs="*", help="family parameters")
     p.add_argument("--relation", action="append", default=[],
                    help="linear family: start,length")
-    p.add_argument("--lambdas", help="canonical family: comma separated scalars")
+    p.add_argument("--lambdas", help="canonical family: comma separated rationals")
     p.add_argument("--monomial", action="append", default=[],
                    help="toupie family: branch,start,length")
     p.add_argument("--linear", action="append", default=[],

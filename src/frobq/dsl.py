@@ -19,7 +19,7 @@ import sys
 
 from .errors import ParseError, ValidationError, shorten
 from .ideal import IdealSpec, check_term_length
-from .linalg import DECIMAL, QQ, PrimeField, RationalField
+from .linalg import DECIMAL, QQ, PrimeField
 from .quiver import PathExpr, Quiver
 
 _IDENTIFIER = re.compile(r"[A-Za-z0-9_.]+")
@@ -252,10 +252,11 @@ def _format_expr(expr, field):
         coeff = field.coerce(coeff)
         if not coeff:
             continue
-        negative = _is_negative(coeff, field)
+        # An F_p residue is never negative, so it prints as a nonnegative integer.
+        negative = coeff < 0
         magnitude = -coeff if negative else coeff
         word = "*".join(path.arrows)
-        body = word if magnitude == field.one else f"{field.format(magnitude)} {word}"
+        body = word if magnitude == 1 else f"{magnitude} {word}"
         if not parts:
             parts.append(("-" if negative else "") + body)
         else:
@@ -264,7 +265,3 @@ def _format_expr(expr, field):
         raise ValidationError(f"relation {expr} cancels to zero in {field.name}")
     return " ".join(parts)
 
-
-def _is_negative(coeff, field):
-    # prime field residues print as nonnegative integers
-    return isinstance(field, RationalField) and coeff < 0

@@ -13,14 +13,24 @@ from .ideal import IdealSpec
 from .linalg import QQ
 from .quiver import PathExpr, Quiver
 
-# Every family size above this is refused before anything is built: an rsz
-# instance grows with the square of its arrow count, a cycle with n * d.
+# Every family size above this is refused before anything is built.
 MAX_SIZE = 1000
+# Sizes multiply, so every family also refuses, before it builds the
+# generators, a document with more arrow names than this: each arrow once
+# and each arrow of every generator term.  A cycle has n + n * d names, an
+# rsz document its arrows plus 2 * sum over v of in(v) * out(v).
+MAX_NAMES = 100_000
 
 
 def _check_size(what, *sizes):
     if max(sizes) > MAX_SIZE:
         raise ValidationError(f"{what} must be <= {MAX_SIZE}")
+
+
+def _check_names(count):
+    if count > MAX_NAMES:
+        raise ValidationError(
+            f"the document would hold {count} arrow names, more than {MAX_NAMES}")
 
 
 class CanonicalSpec:
@@ -52,14 +62,17 @@ def gen_linear(n, relations=()):
     if n < 1:
         raise ValidationError("need at least one vertex")
     _check_size("vertex count", n)
+    relations = sorted(relations)
+    for start, length in relations:
+        if length < 2 or start < 1 or start + length - 1 > n - 1:
+            raise ValidationError(f"relation ({start}, {length}) does not fit in "
+                                  f"the {n - 1} arrows of the linear quiver")
+    _check_names(n - 1 + sum(length for _, length in relations))
     vertices = [str(i) for i in range(1, n + 1)]
     arrows = [(f"a{i}", str(i), str(i + 1)) for i in range(1, n)]
     quiver = Quiver(vertices, arrows)
     generators = []
-    for start, length in sorted(relations):
-        if length < 2 or start < 1 or start + length - 1 > n - 1:
-            raise ValidationError(f"relation ({start}, {length}) does not fit in "
-                                  f"the {n - 1} arrows of the linear quiver")
+    for start, length in relations:
         path = quiver.path([f"a{i}" for i in range(start, start + length)])
         generators.append(PathExpr.from_path(path, QQ.one))
     return quiver, IdealSpec(generators)
@@ -72,6 +85,7 @@ def gen_cycle(n, d):
     if d < 2:
         raise ValidationError("generator length must be >= 2")
     _check_size("vertex count and generator length", n, d)
+    _check_names(n + n * d)
     vertices = [str(i) for i in range(1, n + 1)]
     arrows = [(f"a{i}", str(i), str(i % n + 1)) for i in range(1, n + 1)]
     quiver = Quiver(vertices, arrows)
@@ -83,11 +97,14 @@ def gen_cycle(n, d):
     return quiver, IdealSpec(generators)
 
 
-def _branch_quiver(lengths):
-    """Toupie quiver with the given branch lengths; returns branch arrow names."""
+def _check_branches(lengths):
     if not lengths or any(n < 1 for n in lengths):
         raise ValidationError("branch lengths must all be >= 1")
     _check_size("branch lengths and the branch count", len(lengths), *lengths)
+
+
+def _branch_quiver(lengths):
+    """Toupie quiver with the given, checked branch lengths; returns branch arrow names."""
     vertices = ["0"]
     arrows = []
     branches = []
@@ -109,7 +126,10 @@ def _branch_quiver(lengths):
 
 def gen_canonical(spec: CanonicalSpec):
     """Canonical algebra: branch i minus lambda_i branch 2 minus branch 1 shape."""
-    quiver, branches = _branch_quiver(spec.weights)
+    weights = spec.weights
+    _check_branches(weights)
+    _check_names(sum(weights) + sum(weights[0] + weights[1] + n for n in weights[2:]))
+    quiver, branches = _branch_quiver(weights)
     generators = []
     one = QQ.one
     for i, lam in enumerate(spec.lambdas, start=3):
@@ -129,38 +149,44 @@ def gen_toupie(lengths, monomial_relations=(), linear_relations=()):
     linear_relations: coefficient sequences over the branches; the
     commutative diamond is two branches with the single relation (1, -1).
     """
-    quiver, branches = _branch_quiver(lengths)
-    generators = []
-    for branch, start, length in sorted(monomial_relations):
-        if not 1 <= branch <= len(branches):
+    _check_branches(lengths)
+    monomial_relations = sorted(monomial_relations)
+    for branch, start, length in monomial_relations:
+        if not 1 <= branch <= len(lengths):
             raise ValidationError(f"no branch {branch}")
-        names = branches[branch - 1]
-        if length < 2 or start < 1 or start + length - 1 > len(names):
+        if length < 2 or start < 1 or start + length - 1 > lengths[branch - 1]:
             raise ValidationError(
                 f"monomial relation ({branch}, {start}, {length}) does not fit"
             )
-        path = quiver.path(list(names[start - 1:start + length - 1]))
-        generators.append(PathExpr.from_path(path, QQ.one))
+    linear = []
     for coefficients in linear_relations:
         coefficients = list(coefficients)
-        if len(coefficients) != len(branches):
+        if len(coefficients) != len(lengths):
             raise ValidationError(
-                f"linear relation needs {len(branches)} coefficients, "
+                f"linear relation needs {len(lengths)} coefficients, "
                 f"got {len(coefficients)}"
             )
-        terms = {}
-        for branch_names, coeff in zip(branches, coefficients):
-            value = QQ.coerce(Fraction(coeff))
-            if value != QQ.zero:
-                terms[quiver.path(branch_names)] = value
-        if not terms:
+        values = [QQ.coerce(Fraction(coeff)) for coeff in coefficients]
+        if not any(values):
             raise ValidationError("linear relation with all zero coefficients")
-        generators.append(PathExpr(terms))
+        linear.append(values)
+    _check_names(sum(lengths) + sum(length for _, _, length in monomial_relations)
+                 + sum(n for values in linear for n, value in zip(lengths, values) if value))
+    quiver, branches = _branch_quiver(lengths)
+    generators = []
+    for branch, start, length in monomial_relations:
+        path = quiver.path(list(branches[branch - 1][start - 1:start + length - 1]))
+        generators.append(PathExpr.from_path(path, QQ.one))
+    for values in linear:
+        generators.append(PathExpr({quiver.path(names): value
+                                    for names, value in zip(branches, values) if value}))
     return quiver, IdealSpec(generators)
 
 
 def gen_radical_square_zero(quiver: Quiver):
     """The same quiver with every composable length-2 path as a generator."""
+    _check_names(len(quiver.arrows) + 2 * sum(
+        len(quiver.in_arrows[v]) * len(quiver.out_arrows[v]) for v in quiver.vertices))
     generators = []
     for a in quiver.arrows:
         for b in quiver.out_arrows[a.target]:

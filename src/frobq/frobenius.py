@@ -100,9 +100,9 @@ def _text(algebra, terms, show):
     sort_key does."""
     if not terms:
         return "0"
-    basis, rank, field = algebra.basis, algebra.sort_rank, algebra.field
+    basis, rank = algebra.basis, algebra.sort_rank
     return " + ".join(
-        f"{'' if c == field.one else field.format(c) + '*'}{show(basis[i])}(x){show(basis[j])}"
+        f"{'' if c == 1 else f'{c}*'}{show(basis[i])}(x){show(basis[j])}"
         for (i, j), c in sorted(terms.items(), key=lambda t: (rank[t[0][0]], rank[t[0][1]])))
 
 
@@ -134,11 +134,6 @@ def _columns(algebra: AlgebraBasis):
     return legend, columns, [b.arrows for b in basis]
 
 
-def _integral(coords):
-    """The items of coords, each integral coordinate as an int."""
-    return [(k, c.numerator if c.denominator == 1 else c) for k, c in coords.items()]
-
-
 def build_constraint_system(algebra: AlgebraBasis):
     """The linear system whose kernel is the Frobenius space.
 
@@ -151,13 +146,14 @@ def build_constraint_system(algebra: AlgebraBasis):
     An arrow a: p -> q gives one row per tensor pair of basis indices in
     (a (x) 1) D(e_q) - D(e_p) (1 (x) a).  The coordinates of a * u and
     v * a are the reduction table's entry for their joined arrow word,
-    looked up once per u and once per v, with integral coordinates as
-    ints: a is a basis path, since every generator term has length >= 2,
-    and a word with no entry is at or past the bound, so zero.  An entry
-    sums at most two coordinates, in [1, p) over F_p, so only an exact 0
-    is zero: a row of zeros is dropped here, a zero entry by SparseMatrix,
-    which reduces the rest.  Neither the RREF nor the kernel depends on
-    the order of the rows, so the rows stay in the order they are built.
+    looked up once per u and once per v, and stay the canonical scalars
+    the table holds: a is a basis path, since every generator term has
+    length >= 2, and a word with no entry is at or past the bound, so
+    zero.  An entry sums at most two coordinates, in [1, p) over F_p, so
+    only an exact 0 is zero: a row of zeros is dropped here, a zero entry
+    by SparseMatrix, which reduces the rest.  Neither the RREF nor the
+    kernel depends on the order of the rows, so the rows stay in the
+    order they are built.
     """
     table = algebra.table
     legend, columns, words = _columns(algebra)
@@ -167,13 +163,13 @@ def build_constraint_system(algebra: AlgebraBasis):
         pair_rows = {}
         first, us, vs = columns[arrow.target]
         for i, u in enumerate(us):
-            if coords := _integral(table.get(a + words[u], _EMPTY)):
+            if coords := table.get(a + words[u], _EMPTY):
                 for col, v in enumerate(vs, first + i * len(vs)):
-                    for w, c in coords:
+                    for w, c in coords.items():
                         pair_rows.setdefault((w, v), {})[col] = c
         first, us, vs = columns[arrow.source]
         right = [(k, z, c) for k, v in enumerate(vs)
-                 for z, c in _integral(table.get(words[v] + a, _EMPTY))]
+                 for z, c in table.get(words[v] + a, _EMPTY).items()]
         for i, u in enumerate(us):
             for k, z, c in right:
                 row = pair_rows.setdefault((u, z), {})
@@ -392,18 +388,17 @@ def _first_failure(algebra: AlgebraBasis, candidates):
     reduce = algebra.field.reduce
     basis = algebra.basis
     products = algebra.product_table
-    denominator, integer = algebra.field.denominator, algebra.field.integer
     scales = []
     values = {}
     for n, candidate in enumerate(candidates):
         candidate.check_support()
-        scale = lcm(*(denominator(c) for terms in candidate.values.values()
+        scale = lcm(*(c.denominator for terms in candidate.values.values()
                       for c in terms.values()))
         scales.append(scale)
         for vertex, terms in candidate.values.items():
             ints = values.setdefault(vertex, {})
             for (j, l), c in terms.items():
-                ints[(j, l, n)] = integer(c, scale)
+                ints[(j, l, n)] = c.numerator * (scale // c.denominator)
     delta, by_left = [], []
     for i, b in enumerate(basis):
         terms = values.get(b.target)
@@ -497,10 +492,10 @@ def _leg_from_json(data, quiver, legs):
 
 def candidate_to_json(candidate: CoproductCandidate):
     algebra = candidate.algebra
-    basis, format_scalar = algebra.basis, algebra.field.format
+    basis = algebra.basis
     return [{"vertex": vertex,
              "terms": [{"left": path_to_json(basis[i]), "right": path_to_json(basis[j]),
-                        "coeff": format_scalar(c)}
+                        "coeff": str(c)}
                        for (i, j), c in sorted(candidate.values[vertex].items(), key=lambda t: (
                            basis[t[0][0]].sort_key(), basis[t[0][1]].sort_key()))]}
             for vertex in algebra.quiver.vertices if vertex in candidate.values]

@@ -189,7 +189,7 @@ class AlgebraBasis:
         so each entry is one table lookup, or zero, keyed (), at or past the
         bound.  Each table entry in use is turned into ints once, and every
         pair with that product shares the map."""
-        field, table, bound = self.field, self.table, self.bound
+        table, bound = self.table, self.bound
         starting_at = {}
         for j, b in enumerate(self.basis):
             starting_at.setdefault(b.source, []).append((j, b.arrows))
@@ -197,8 +197,9 @@ class AlgebraBasis:
                  for j, w in starting_at.get(a.target, ())}
                 for a in self.basis]
         used = set().union(*(row.values() for row in rows))
-        scale = lcm(*(field.denominator(c) for key in used for c in table.get(key, {}).values()))
-        ints = {key: {k: field.integer(c, scale) for k, c in table.get(key, {}).items()}
+        scale = lcm(*(c.denominator for key in used for c in table.get(key, {}).values()))
+        ints = {key: {k: c.numerator * (scale // c.denominator)
+                      for k, c in table.get(key, {}).items()}
                 for key in used}
         return [{j: ints[key] for j, key in row.items()} for row in rows], scale
 

@@ -1,22 +1,22 @@
 """Exact scalar arithmetic and sparse exact linear algebra.
 
-Everything here is exact.  Over Q a scalar is an int or a Fraction, never
-a float: a matrix `entry` may stay an int, `coerce` and `inverse` give
-Fractions.  F_p scalars are ints in [0, p).  Each field owns its
-normalisation: `reduce` brings a sum or product of its scalars back into
-canonical form (x % p over F_p, the identity over Q), `inverse` gives
+Everything here is exact and nothing is floating point.  Each field has
+one canonical form for its scalars, which every method here returns.
+Over Q a scalar is an int when it is integral and otherwise a Fraction
+with denominator > 1.  Over F_p a scalar is an int in [0, p).  So every
+scalar has .numerator and .denominator (1 over F_p), and str writes it
+as n or n/d.  Each field owns the arithmetic that differs: `reduce`
+brings a sum or product of its scalars back into canonical form (x % p
+over F_p, an integral Fraction to its int over Q), `inverse` gives
 1 / x and `pivot` chooses the pivot row, so the elimination code is the
 same for every field.
-`denominator` and `integer` give exact int representatives (each scalar
-times a common denominator, which is 1 over F_p) and `scalar(n, d)` maps
-one back.  No floating point is used anywhere in the package.
 
 Over Q, `rref` runs that one elimination modulo the prime P = 2^61 - 1
-on ints, lifts the result back to fractions by rational reconstruction
-and proves it exact against the input; only when the proof fails (or P
-divides a denominator) does it eliminate over the fractions themselves.
-`rank`, `kernel_basis` and every other caller get the same exact RREF
-either way, as Fractions.
+on ints, lifts the result back to canonical scalars by rational
+reconstruction and proves it exact against the input; only when the
+proof fails (or P divides a denominator) does it eliminate over the
+canonical scalars themselves.  `rank`, `kernel_basis` and every other
+caller get the same exact RREF either way.
 """
 
 import re
@@ -48,45 +48,31 @@ def _parse_scalar(field, kind, text):
 
 
 class RationalField:
-    """The rationals: a scalar is an int or a Fraction, never a float."""
+    """The rationals: an int when integral, otherwise a Fraction with
+    denominator > 1; never a float or a bool."""
 
     name = "Q"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def scalar(self, num, den=1):
-        return Fraction(num, den)
+        return self.reduce(Fraction(num, den))
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction)):
+            return self.reduce(x)
         raise ValidationError(f"not a rational scalar: {x!r}")
 
-    def entry(self, x):
-        return x if type(x) is int else self.coerce(x)
-
     def reduce(self, x):
-        return x
+        """x in canonical form: an int stays (a bool becomes its int), and a
+        Fraction becomes its numerator when its denominator is 1."""
+        return x if x.__class__ is int else x.numerator if x.denominator == 1 else x
 
     def inverse(self, x):
-        return Fraction(x.denominator, x.numerator)
-
-    def denominator(self, x):
-        return x.denominator
-
-    def integer(self, x, scale):
-        """x * scale as an int, for a scale that denominator(x) divides."""
-        return x.numerator * (scale // x.denominator)
+        return self.reduce(Fraction(x.denominator, x.numerator))
 
     def parse(self, text):
         return _parse_scalar(self, "rational", text)
-
-    def format(self, x):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
 
     def pivot(self, rows, candidates, col):
         """The row of candidates to pivot on col: the smallest magnitude
@@ -163,25 +149,14 @@ class PrimeField:
             return self.scalar(x.numerator, x.denominator)
         raise ValidationError(f"not an F_{self.p} scalar: {x!r}")
 
-    entry = coerce
-
     def reduce(self, x):
         return x % self.p
 
     def inverse(self, x):
         return pow(x, -1, self.p)
 
-    def denominator(self, x):
-        return 1
-
-    def integer(self, x, scale):
-        return x * scale
-
     def parse(self, text):
         return _parse_scalar(self, "scalar", text)
-
-    def format(self, x):
-        return str(x)
 
     def pivot(self, rows, candidates, col):
         """The lowest row id of candidates: coefficients cannot grow mod p."""
@@ -204,7 +179,7 @@ class SparseMatrix:
     """An immutable sparse matrix over one fixed field.
 
     rows is a list of sparse {column: scalar} dictionaries holding only
-    nonzero entries, each given by field.entry.
+    nonzero entries, each given by field.coerce.
     """
 
     def __init__(self, rows, ncols, field=QQ):
@@ -216,7 +191,7 @@ class SparseMatrix:
             for j, value in row.items():
                 if not 0 <= j < ncols:
                     raise ValidationError(f"entry index out of range: ({i}, {j})")
-                value = field.entry(value)
+                value = field.coerce(value)
                 if value:
                     kept[j] = value
             self.rows.append(kept)
@@ -250,22 +225,18 @@ def rref(matrix: SparseMatrix):
     the zero rows.
 
     Over Q the elimination first runs modulo the prime P on plain ints.
-    Its RREF is lifted to fractions by rational reconstruction and
-    checked exactly against the input: each input row must be the
+    Its RREF is lifted to canonical scalars by rational reconstruction
+    and checked exactly against the input: each input row must be the
     combination of the lifted rows named by its pivot-column entries,
     which proves the lift is the RREF over Q (`_modular_rref` gives the
     argument).  When P divides a denominator, an entry does not lift or
-    the check fails, the same elimination runs over the entries as
-    `Fraction`s.  So every Q result has either passed the exact check
-    or come from the `Fraction` elimination, and its scalars are Fractions.
+    the check fails, the same elimination runs over the entries
+    themselves.  So every Q result has either passed the exact check or
+    come from the exact elimination, and its scalars are canonical.
     """
     field, ncols = matrix.field, matrix.ncols
-    if isinstance(field, RationalField):
-        result = _modular_rref(matrix) or _eliminate(
-            [{j: Fraction(x) for j, x in row.items()} for row in matrix.rows], ncols, field)
-    else:
-        result = _eliminate([dict(row) for row in matrix.rows], ncols, field)
-    rows, pivots = result
+    rows, pivots = isinstance(field, RationalField) and _modular_rref(matrix) or _eliminate(
+        [dict(row) for row in matrix.rows], ncols, field)
     rows.extend({} for _ in range(matrix.nrows - len(pivots)))
     # The elimination leaves only nonzero, in-range, normalised entries,
     # so its rows go in without the constructor's pass over them.
@@ -339,7 +310,7 @@ def _modular_rref(matrix: SparseMatrix):
     """The RREF of a Q matrix M through F_P, or None when it is not proved.
 
     M is mapped to F_P and row-reduced there.  Each off-pivot entry r of
-    that RREF is lifted to the fraction n/d with |n|, d <= _LIFT_BOUND
+    that RREF is lifted to the rational n/d with |n|, d <= _LIFT_BOUND
     and n = d * r mod P, if there is one (`_lift`); pivots lift to 1.
     The lifted R is then checked exactly against M: every row m of M must
     equal the sum of m[p] * R_p over the pivot columns p.  On a pivot
@@ -379,30 +350,23 @@ def _modular_rref(matrix: SparseMatrix):
         for p, x in row.items():
             tail = tails.get(p)
             if tail:
-                # An integral multiplier as an int keeps most products int * int.
-                m = x.numerator if x.denominator == 1 else x
                 for j, v in tail:
-                    combination[j] = combination.get(j, 0) + m * v
+                    combination[j] = combination.get(j, 0) + x * v
         for j, x in row.items():
             if j not in tails and combination.pop(j, 0) != x:
                 return None
         if any(combination.values()):
             return None
-    rows = []
-    for pivot in pivots:
-        row = {pivot: QQ.one}
-        for j, v in tails[pivot]:
-            row[j] = Fraction(v)
-        rows.append(row)
-    return rows, pivots
+    return [{pivot: 1, **dict(tails[pivot])} for pivot in pivots], pivots
 
 
 def _lift(r):
-    """The fraction with numerator and denominator within _LIFT_BOUND whose
-    image in F_P is the nonzero residue r, or None.
+    """The canonical Q scalar with numerator and denominator within
+    _LIFT_BOUND whose image in F_P is the nonzero residue r, or None.
 
-    Small residues and their negatives are integers and lift directly (as
-    ints); any other residue goes through Wang's half-extended Euclid.
+    Small residues and their negatives are integers and lift directly to
+    ints; any other residue goes through Wang's half-extended Euclid,
+    which ends with |t1| >= 2, so its Fraction is not integral.
     """
     if r <= _LIFT_BOUND:
         return r

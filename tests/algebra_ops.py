@@ -13,10 +13,26 @@ candidate's {(i, j): c} over basis indices into paths and back,
 sums candidates, and `blocks` groups the basis by (source, target).
 `has_subword` tells whether an arrow word holds one of the given words,
 as a path that is zero modulo monomial generators does.
+`assert_canonical` checks that scalars are in their field's one form.
 """
 
+from fractions import Fraction
+
 from frobq.errors import SupportViolationError, ValidationError
+from frobq.linalg import QQ
 from frobq.quiver import Path
+
+
+def assert_canonical(field, scalars):
+    """Every scalar is in field's canonical form: over Q an int when it is
+    integral, otherwise a Fraction with denominator > 1, never a float or a
+    bool; over F_p an int in [0, p)."""
+    for value in scalars:
+        if field == QQ:
+            assert type(value) is int or (
+                type(value) is Fraction and value.denominator > 1), repr(value)
+        else:
+            assert type(value) is int and 0 <= value < field.p, repr(value)
 
 
 def add(terms, key, value, field):
@@ -48,7 +64,7 @@ def terms_text(field, terms, show=str):
     if not terms:
         return "0"
     ordered = sorted(terms.items(), key=lambda t: (t[0][0].sort_key(), t[0][1].sort_key()))
-    return " + ".join(("" if c == field.one else f"{field.format(c)}*") + f"{show(u)}(x){show(v)}"
+    return " + ".join(("" if c == field.one else f"{c}*") + f"{show(u)}(x){show(v)}"
                       for (u, v), c in ordered)
 
 

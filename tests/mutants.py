@@ -33,6 +33,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI = "src/frobq/cli.py"
 CLOSED_FORMS = "src/frobq/closed_forms.py"
 FROBENIUS = "src/frobq/frobenius.py"
+FAMILIES = "src/frobq/families.py"
 IDEAL = "src/frobq/ideal.py"
 LINALG = "src/frobq/linalg.py"
 VERIFIER_TESTS = ("tests/test_verifier_reference.py", "tests/test_frobenius.py")
@@ -99,11 +100,6 @@ MUTANTS = [
            ("tests/test_hom_oracle.py",),
            "the non-monomial constraint build drops the D(e_p) (1 (x) a) terms"),
     Mutant(FROBENIUS,
-           "    return [(k, c.numerator if c.denominator == 1 else c) for k, c in coords.items()]\n",
-           "    return list(coords.items())\n",
-           ("tests/test_frobenius.py",),
-           "the constraint build keeps integral coordinates as Fractions"),
-    Mutant(FROBENIUS,
            "    if data.__class__ is list:  # not a str: tuple(\"ab\") would read as a word\n",
            "    if not isinstance(data, dict):\n",
            ("tests/test_cli.py::TestCommands::test_verify_refuses_a_string_for_a_word",),
@@ -166,11 +162,31 @@ MUTANTS = [
            "        if w in words or w[:-1] in table:\n",
            ("tests/test_basis_reference.py",),
            "the zero-path recurrence forgets a word whose zero part is w[1:]"),
+    Mutant(FAMILIES,
+           "        len(quiver.in_arrows[v]) * len(quiver.out_arrows[v]) for v in quiver.vertices))\n",
+           "        len(quiver.in_arrows[v]) + len(quiver.out_arrows[v]) for v in quiver.vertices))\n",
+           ("tests/test_families.py",),
+           "the rsz name count adds in(v) and out(v) instead of multiplying them"),
+    Mutant(FAMILIES,
+           "for n, value in zip(lengths, values) if value))\n",
+           "for n, value in zip(lengths, values)))\n",
+           ("tests/test_families.py",),
+           "the toupie name count counts a branch whose linear coefficient is zero"),
     Mutant(LINALG,
-           "        return Fraction(x.denominator, x.numerator)\n",
+           "        return self.reduce(Fraction(x.denominator, x.numerator))\n",
            "        return 1 / x\n",
            ("tests/test_linalg.py",),
            "RationalField.inverse gives a float for an int"),
+    Mutant(LINALG,
+           "        return x if x.__class__ is int else x.numerator if x.denominator == 1 else x\n",
+           "        return x\n",
+           ("tests/test_linalg.py",),
+           "RationalField.reduce leaves an integral Fraction, Fraction(n, 1), unnormalised"),
+    Mutant(LINALG,
+           "    if r <= _LIFT_BOUND:\n        return r\n",
+           "    if r <= _LIFT_BOUND:\n        return Fraction(r)\n",
+           ("tests/test_linalg.py",),
+           "the modular route lifts a small residue to a Fraction, not an int"),
     Mutant(LINALG,
            "    if abs(t1) > _LIFT_BOUND or gcd(r1, t1) != 1:\n        return None\n",
            "",

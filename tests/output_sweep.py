@@ -24,9 +24,10 @@ it duplicates or deletes one line.  Each variant runs dim over the
 document's own field, so a changed parse error shows too.
 
 It also runs gen (document "gen", field "doc"): each family at the
-parameters of GEN_PARAMS, which README and tests/test_cli.py use, and
-gen random at seeds 0-39 in each regime for every vertex bound 6-8 and
-arrow bound 9-14, the corpus bounds.
+parameters of GEN_PARAMS, which README and tests/test_cli.py use, gen rsz
+on one vertex with LOOPS loops, and gen random at seeds 0-39 in each
+regime for every vertex bound 6-8 and arrow bound 9-14, the corpus
+bounds.
 
 Each output is one line of OUT.tsv: document, field, command, exit code,
 and the sha256 of stdout and of stderr.  Two checkouts give the same
@@ -57,7 +58,14 @@ from frobq import cli  # noqa: E402
 FIELDS = (None, "F5", "F7")    # None: the document's own field
 CANDIDATES_ALONE = 3
 MALFORMED = 8
-ONES = ",".join(["1"] * 1000)
+
+
+def repeated(item, count):
+    """count copies of item, comma separated."""
+    return ",".join([item] * count)
+
+
+ONES = repeated("1", 1000)
 GEN_PARAMS = [
     "linear 3", "linear 4", "linear 12", "linear 5 --relation 2,2",
     "linear 4 --relation 1,3", "linear 6 --relation 2,2",
@@ -74,7 +82,17 @@ GEN_PARAMS = [
     "canonical 1000,1", "canonical 2,2,1001 --lambdas 1",
     f"canonical {ONES} --lambdas {','.join(map(str, range(1, 999)))}",
     f"canonical {ONES},1 --lambdas {','.join(map(str, range(1, 1000)))}",
+    # At or just below families.MAX_NAMES arrow names, and just above it.
+    "cycle 1000 99", "cycle 1000 100",
+    "linear 1000" + " --relation 1,999" * 99, "linear 1000" + " --relation 1,999" * 100,
+    f"toupie {repeated('1000', 100)}", f"toupie {repeated('1000', 100)},1",
+    f"canonical {repeated('1000', 26)} --lambdas {','.join(map(str, range(1, 25)))}",
+    f"canonical {repeated('1000', 27)} --lambdas {','.join(map(str, range(1, 26)))}",
+    # The benchmark's elim instance, with a rational lambda.
+    "canonical 9,10,11,12 --lambdas 2,1/3",
 ]
+# One vertex with k loops gives k + 2 * k^2 arrow names: 99,681 and 100,576.
+LOOPS = (223, 224)
 
 
 def run(argv):
@@ -129,6 +147,11 @@ def sweep_gen():
         yield "gen " + gen_label(params), run(["gen", *params.split()])
     run(["gen", "linear", "4", "-o", "linear-4.fq"])
     yield "gen rsz <gen linear 4>", run(["gen", "rsz", "linear-4.fq"])
+    for loops in LOOPS:
+        with open("loops.fq", "w", encoding="utf-8") as handle:
+            handle.write("field Q\nvertex 1\n"
+                         + "".join(f"arrow l{i} : 1 -> 1\n" for i in range(loops)))
+        yield f"gen rsz <{loops} loops>", run(["gen", "rsz", "loops.fq"])
     for regime in ("acyclic-monomial", "rsz", "string-quadratic"):
         for vertices in range(6, 9):
             for arrows in range(9, 15):

@@ -66,6 +66,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def loops_document(tmp_path, loops):
+    """The path of a document with one vertex and the given number of loops."""
+    doc = tmp_path / "loops.qv"
+    doc.write_text("field Q\nvertex 1\n" + "".join(f"arrow l{i} : 1 -> 1\n" for i in range(loops)))
+    return str(doc)
+
+
 class TestExitCodes:
     def test_ok(self, capsys, diamond_file):
         code, out, _ = run(capsys, "dim", diamond_file)
@@ -425,6 +432,41 @@ class TestBadInput:
         code, out, err = run(capsys, "gen", family, *params)
         assert code == 0 and err == "" and out.startswith("field Q\n")
 
+    # `gen cycle 1000 1000` once wrote 4.9 MB, and `gen rsz` on one vertex
+    # with 1,500 loops ran 28 s: each family now counts the arrow names it
+    # would write, each arrow once and each arrow of every generator term,
+    # and refuses more than families.MAX_NAMES before building.  An rsz
+    # case names its loop count, and one vertex with k loops has k + 2 k^2.
+    @pytest.mark.parametrize("family, params, count", [
+        ("linear", ["1000", *["--relation", "1,999"] * 100], 100_899),
+        ("cycle", ["1000", "100"], 101_000),
+        ("canonical", [",".join(["1000"] * 27), "--lambdas", ",".join(map(str, range(1, 26)))],
+         102_000),
+        ("toupie", [",".join(["1000"] * 100) + ",1"], 100_001),
+        ("rsz", 224, 100_576),
+        ("rsz", 1500, 4_501_500),
+        ("random", ["3", "2", "1000", "rsz"], 477_252),
+    ], ids=["linear", "cycle", "canonical", "toupie", "rsz", "rsz-1500", "random"])
+    def test_family_names_above_the_limit(self, capsys, tmp_path, family, params, count):
+        if family == "rsz":
+            params = [loops_document(tmp_path, params)]
+        code, out, err = run(capsys, "gen", family, *params)
+        self.assert_one_line_error(code, out, err)
+        assert err == f"error: the document would hold {count} arrow names, more than 100000\n"
+
+    @pytest.mark.parametrize("family, params", [
+        ("linear", ["1000", *["--relation", "1,999"] * 99]),
+        ("cycle", ["1000", "99"]),
+        ("canonical", [",".join(["1000"] * 26), "--lambdas", ",".join(map(str, range(1, 25)))]),
+        ("toupie", [",".join(["1000"] * 100)]),
+        ("rsz", 223),
+    ], ids=["linear", "cycle", "canonical", "toupie", "rsz"])
+    def test_family_names_at_the_limit(self, capsys, tmp_path, family, params):
+        if family == "rsz":
+            params = [loops_document(tmp_path, params)]
+        code, out, err = run(capsys, "gen", family, *params)
+        assert code == 0 and err == "" and out.startswith("field Q\n")
+
     @pytest.mark.parametrize("field_line, flags", [
         ("field F 5", []),
         ("field Q", ["--field", "F5"]),
@@ -617,6 +659,15 @@ class TestGen:
         doc.write_text(out)
         code, out2, _ = run(capsys, "basis", str(doc))
         assert code == 0
+
+    def test_canonical_takes_rational_lambdas(self, capsys, tmp_path):
+        """The benchmark's elim instance: lambdas 2 and 1/3, space dimension 0."""
+        code, out, err = run(capsys, "gen", "canonical", "9,10,11,12", "--lambdas", "2,1/3")
+        assert code == 0 and err == ""
+        assert "relation a1_1*" in out and " - 1/3 a2_1*" in out
+        doc = tmp_path / "canonical.qv"
+        doc.write_text(out)
+        assert run(capsys, "dim", str(doc)) == (0, "0\n", "")
 
     def test_gen_rsz_from_file(self, capsys, tmp_path):
         base = tmp_path / "base.qv"
@@ -896,18 +947,17 @@ def test_space_text_orders_terms_by_sort_key(case):
 def product_table_by_pairs(algebra):
     """(product_table, product_scale) rebuilt one composable pair at a time
     from algebra.table, each entry converted to ints on its own."""
-    basis, table, field = algebra.basis, algebra.table, algebra.field
+    basis, table = algebra.basis, algebra.table
     products = {}
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
             if x.target == y.source:
                 word = x.arrows + y.arrows
                 products[i, j] = table[word or x.source] if len(word) < algebra.bound else {}
-    scale = lcm(*(field.denominator(c) for coords in products.values()
-                  for c in coords.values()))
+    scale = lcm(*(c.denominator for coords in products.values() for c in coords.values()))
     rows = [{} for _ in basis]
     for (i, j), coords in products.items():
-        rows[i][j] = {k: field.integer(c, scale) for k, c in coords.items()}
+        rows[i][j] = {k: c.numerator * (scale // c.denominator) for k, c in coords.items()}
     return rows, scale
 
 

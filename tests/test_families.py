@@ -1,5 +1,6 @@
 import pytest
 
+from frobq import families
 from frobq.closed_forms import is_string, is_string_quadratic, special_biserial_violation
 from frobq.errors import ValidationError
 from frobq.families import (
@@ -195,3 +196,25 @@ class TestRandom:
 def test_equal_branch_diamond_has_dimension_one():
     q, ideal = gen_toupie((3, 3), (), [(1, -1)])
     assert frobenius_dimension(compute_basis(q, ideal)) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_linear(5, [(2, 3), (1, 2)]),
+    lambda: gen_cycle(4, 3),
+    lambda: gen_canonical(CanonicalSpec((2, 3, 4, 1), (2, 3))),
+    lambda: gen_toupie((3, 3, 2), [(1, 1, 2)], [(1, 0, 2), (0, 1, 0)]),
+    lambda: gen_radical_square_zero(
+        Quiver(["p", "q"], [("x", "p", "p"), ("a", "p", "q"), ("b", "q", "p")])),
+], ids=["linear", "cycle", "canonical", "toupie", "rsz"])
+def test_name_count_is_the_written_names(monkeypatch, build):
+    """Each family's count, taken before it builds, is the arrows plus the
+    arrows of every generator term it builds: the count passes a limit
+    equal to it and is refused by one less.  A zero linear coefficient
+    writes no term, so it adds nothing."""
+    quiver, ideal = build()
+    count = len(quiver.arrows) + sum(len(p) for g in ideal.generators for p in g.terms)
+    monkeypatch.setattr(families, "MAX_NAMES", count)
+    build()
+    monkeypatch.setattr(families, "MAX_NAMES", count - 1)
+    with pytest.raises(ValidationError, match=f"would hold {count} arrow names, more than "):
+        build()

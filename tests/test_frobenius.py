@@ -29,8 +29,8 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank, rref
 from frobq.quiver import Path, PathExpr, Quiver
 
-from algebra_ops import (add, coefficient_vector, combine, compose, coords_of, extend_coproduct,
-                         index_terms, multiply, path_terms, reduce_path)
+from algebra_ops import (add, assert_canonical, coefficient_vector, combine, compose, coords_of,
+                         extend_coproduct, index_terms, multiply, path_terms, reduce_path)
 from strategies import has_zero_generator, mixed_algebras, random_algebras
 
 
@@ -130,8 +130,12 @@ class TestCandidateValues:
         pair = (f5.index[q.trivial_path("1")], f5.index[q.path(["a1"])])
         assert CoproductCandidate(f5, {"1": {pair: 6}}).values == {"1": {pair: 1}}
         assert CoproductCandidate(f5, {"1": {pair: 5}}).values == {}
-        value = CoproductCandidate(compute_basis(q, ideal), {"1": {pair: 2}}).values["1"][pair]
-        assert type(value) is Fraction and value == 2
+        rationals = compute_basis(q, ideal)
+        for given, expected in ((2, 2), (Fraction(4, 2), 2), (True, 1),
+                                (Fraction(2, 3), Fraction(2, 3))):
+            value = CoproductCandidate(rationals, {"1": {pair: given}}).values["1"][pair]
+            assert value == expected
+            assert_canonical(QQ, [value])
         with pytest.raises(ValidationError, match="not an F_5 scalar"):
             CoproductCandidate(f5, {"1": {pair: 0.5}})
 
@@ -443,11 +447,27 @@ def test_integral_coordinates_enter_the_q_rows_as_ints():
     """Of canonical (9,10,11,12), lambda = (2, 1/3), only the entries
     with a non-integral coordinate are Fractions; the rest are ints."""
     q, ideal = gen_canonical(CanonicalSpec((9, 10, 11, 12), (2, Fraction(1, 3))))
-    matrix, _ = build_constraint_system(compute_basis(q, ideal))
+    algebra = compute_basis(q, ideal)
+    assert_canonical(QQ, (c for coords in algebra.table.values() for c in coords.values()))
+    matrix, _ = build_constraint_system(algebra)
     entries = [c for row in matrix.rows for c in row.values()]
-    fractions = [c for c in entries if type(c) is not int]
-    assert all(type(c) is Fraction and c.denominator != 1 for c in fractions)
-    assert 0 < len(fractions) < len(entries)
+    assert_canonical(QQ, entries)
+    assert 0 < sum(type(c) is Fraction for c in entries) < len(entries)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(drawn=st.one_of(random_algebras(), mixed_algebras().map(lambda drawn: drawn[:3])))
+def test_scalars_stay_canonical_from_table_to_candidates(drawn):
+    """The reduction table, the kernel vectors of either route and the
+    candidates' values hold canonical scalars of the algebra's field."""
+    quiver, ideal, field = drawn
+    assume(not has_zero_generator(ideal, field))
+    algebra = compute_basis(quiver, ideal, field)
+    assert_canonical(field, (c for coords in algebra.table.values() for c in coords.values()))
+    _, vectors = frobenius._kernel(algebra)
+    assert_canonical(field, (c for vector in vectors for c in vector.values()))
+    for candidate in solve_frobenius_space(algebra):
+        assert_canonical(field, (c for terms in candidate.values.values() for c in terms.values()))
 
 
 def test_constraint_build_matches_scaled_product_table_build():

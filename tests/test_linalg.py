@@ -11,6 +11,8 @@ from frobq.linalg import (
     kernel_basis, rank, rref,
 )
 
+from algebra_ops import assert_canonical
+
 
 def dense(rows, field=QQ):
     sparse = [{j: field.scalar(value) for j, value in enumerate(row) if value} for row in rows]
@@ -26,15 +28,6 @@ def apply(matrix, vector):
             if j in vector:
                 result[i] = field.reduce(result.get(i, field.zero) + value * vector[j])
     return {i: v for i, v in result.items() if v != field.zero}
-
-
-def assert_exact(field, scalars):
-    """Every scalar is a Fraction over Q and an int in [0, p) over F_p."""
-    for value in scalars:
-        if field is QQ:
-            assert type(value) is Fraction
-        else:
-            assert type(value) is int and 0 <= value < field.p
 
 
 class TestRref:
@@ -107,9 +100,9 @@ def test_rank_nullity_and_annihilation(field):
         m = random_matrix(rng, field)
         kb = kernel_basis(m)
         assert rank(m) + len(kb) == m.ncols
-        assert_exact(field, rref(m)[0].entries.values())
+        assert_canonical(field, rref(m)[0].entries.values())
         for vec in kb:
-            assert_exact(field, vec.values())
+            assert_canonical(field, vec.values())
             assert apply(m, vec) == {}
 
 
@@ -254,9 +247,9 @@ def test_rref_matches_reference(field, make):
         reduced, pivots = rref(m)
         expected, expected_pivots = reference_rref(m)
         assert reduced == expected and pivots == expected_pivots
-        assert_exact(field, reduced.entries.values())
+        assert_canonical(field, reduced.entries.values())
         for vec in kernel_basis(m):
-            assert_exact(field, vec.values())
+            assert_canonical(field, vec.values())
 
 
 # Q matrices the modular route must decline: P divides a denominator, or
@@ -281,7 +274,7 @@ def test_modular_route_declines_and_fraction_elimination_answers(rows):
     assert _modular_rref(m) is None
     reduced, pivots = rref(m)
     assert (reduced, pivots) == reference_rref(m)
-    assert_exact(QQ, reduced.entries.values())
+    assert_canonical(QQ, reduced.entries.values())
 
 
 def test_modular_route_lifts_fractions():
@@ -292,7 +285,7 @@ def test_modular_route_lifts_fractions():
     expected, expected_pivots = reference_rref(m)
     assert pivots == expected_pivots
     assert rows == expected.rows[:len(pivots)]
-    assert_exact(QQ, (v for row in rows for v in row.values()))
+    assert_canonical(QQ, (v for row in rows for v in row.values()))
 
 
 def test_lift_refuses_a_fraction_beyond_the_bound():
@@ -308,10 +301,27 @@ def test_lift_refuses_a_fraction_beyond_the_bound():
     assert rref(m) == reference_rref(m)
 
 
-def test_rational_inverse_is_a_fraction():
+def test_rational_inverse_is_canonical():
     assert type(QQ.inverse(3)) is Fraction and QQ.inverse(3) == Fraction(1, 3)
     assert QQ.inverse(-4) == Fraction(-1, 4)
     assert QQ.inverse(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert type(QQ.inverse(Fraction(-1, 3))) is int and QQ.inverse(Fraction(-1, 3)) == -3
+    assert type(QQ.inverse(1)) is int and QQ.inverse(1) == 1
+
+
+@pytest.mark.parametrize("value, expected", [
+    (Fraction(6, 3), 2), (Fraction(-1, 1), -1), (Fraction(0), 0), (True, 1), (7, 7),
+    (Fraction(2, 4), Fraction(1, 2)),
+])
+def test_rational_scalars_have_one_form(value, expected):
+    """coerce and reduce give an int for every integral value, a bool
+    included, and keep a Fraction only when its denominator is above 1;
+    scalar and parse do the same, and zero and one are ints."""
+    n, d = value.numerator, value.denominator
+    for result in (QQ.coerce(value), QQ.reduce(value), QQ.scalar(n, d), QQ.parse(f"{n}/{d}")):
+        assert result == expected
+        assert_canonical(QQ, [result])
+    assert_canonical(QQ, [QQ.zero, QQ.one])
 
 
 # Integer-valued, the third row three times the first: rank 3, and the
@@ -322,9 +332,9 @@ INTEGRAL = [{0: 2, 1: 4, 3: 1}, {0: 3, 2: 5}, {0: 6, 1: 12, 3: 3}, {1: -7, 2: 1,
 @pytest.mark.parametrize("route", ["modular", "fraction"])
 def test_integer_valued_q_matrix_never_meets_a_float(monkeypatch, route):
     """A Q matrix keeps integral entries as ints.  Through either route,
-    rref and kernel_basis give Fractions equal to reference_rref's, and
-    the reference, which eliminates over the ints themselves, gives ints
-    and Fractions only."""
+    rref and kernel_basis give canonical scalars equal to reference_rref's,
+    and the reference, which eliminates over the ints themselves, gives
+    ints and Fractions only."""
     if route == "fraction":
         monkeypatch.setattr(linalg, "_modular_rref", lambda m: None)
     m = SparseMatrix(INTEGRAL, 4)
@@ -333,11 +343,11 @@ def test_integer_valued_q_matrix_never_meets_a_float(monkeypatch, route):
     assert all(type(v) in (int, Fraction) for v in expected[0].entries.values())
     reduced, pivots = rref(m)
     assert (reduced, pivots) == expected and len(pivots) == 3
-    assert_exact(QQ, reduced.entries.values())
+    assert_canonical(QQ, reduced.entries.values())
     kb = kernel_basis(m)
     assert len(kb) == 1
     for vec in kb:
-        assert_exact(QQ, vec.values())
+        assert_canonical(QQ, vec.values())
         assert apply(m, vec) == {}
 
 
@@ -381,13 +391,17 @@ def test_both_routes_match_reference(m, order):
     if modular is not None:
         rows, pivots = modular
         assert pivots == expected_pivots and rows == expected.rows[:len(pivots)]
+        assert_canonical(QQ, (v for row in rows for v in row.values()))
+    rows, pivots = _eliminate([dict(row) for row in m.rows], m.ncols, QQ)
+    assert pivots == expected_pivots and rows == expected.rows[:len(pivots)]
+    assert_canonical(QQ, (v for row in rows for v in row.values()))
     reduced, pivots = rref(m)
     assert reduced == expected and pivots == expected_pivots
     kb = kernel_basis(m)
     assert rank(m) + len(kb) == m.ncols
-    assert_exact(QQ, reduced.entries.values())
+    assert_canonical(QQ, reduced.entries.values())
     for vec in kb:
-        assert_exact(QQ, vec.values())
+        assert_canonical(QQ, vec.values())
         assert apply(m, vec) == {}
     assert_row_order_ignored(m, order)
     residues = [{j: v.numerator for j, v in row.items()} for row in m.rows]

@@ -48,8 +48,8 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
 from frobq.quiver import PathExpr, Quiver
 
-from algebra_ops import (add, combine, compose, extend_coproduct, multiply, path_terms, reduce,
-                        reduce_path, terms_text)
+from algebra_ops import (add, assert_canonical, combine, compose, extend_coproduct, multiply,
+                        path_terms, reduce, reduce_path, terms_text)
 from strategies import has_zero_generator, mixed_algebras
 
 
@@ -204,7 +204,8 @@ def test_failing_perturbations_match_reference(instance, field_name):
 @pytest.mark.parametrize("field_name", FIELDS)
 @pytest.mark.parametrize("instance", INSTANCES)
 def test_counterexample_sides_hold_field_scalars(instance, field_name):
-    """The sides map back from ints to Fractions over Q and residues over F_5."""
+    """The sides map back from ints to canonical scalars: over Q an int
+    when integral, otherwise a Fraction, and residues over F_5."""
     field = FIELDS[field_name]
     for seed in range(20):
         algebra, candidate = draw_candidate(instance, field_name, "perturbed", random.Random(seed))
@@ -214,11 +215,7 @@ def test_counterexample_sides_hold_field_scalars(instance, field_name):
     else:
         pytest.fail(f"{instance} over {field_name}: no perturbation failed")
     for side in (counterexample.expected, counterexample.left_side, counterexample.right_side):
-        for value in side.values():
-            if field == QQ:
-                assert type(value) is Fraction
-            else:
-                assert type(value) is int and 0 <= value < 5
+        assert_canonical(field, side.values())
 
 
 def first_single_failure(algebra, candidates):
