@@ -163,8 +163,8 @@ MUTANTS = [
            ("tests/test_basis_reference.py",),
            "the zero-path recurrence forgets a word whose zero part is w[1:]"),
     Mutant(FAMILIES,
-           "        len(quiver.in_arrows[v]) * len(quiver.out_arrows[v]) for v in quiver.vertices))\n",
-           "        len(quiver.in_arrows[v]) + len(quiver.out_arrows[v]) for v in quiver.vertices))\n",
+           "len(quiver.in_arrows[v]) * len(quiver.out_arrows[v])",
+           "len(quiver.in_arrows[v]) + len(quiver.out_arrows[v])",
            ("tests/test_families.py",),
            "the rsz name count adds in(v) and out(v) instead of multiplying them"),
     Mutant(FAMILIES,
