@@ -61,9 +61,9 @@ def _field_from_flag(text):
 
 
 def _read(path):
-    """The text of a file, which must be UTF-8."""
+    """The text of a file, which must be UTF-8; a leading byte order mark is dropped."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None

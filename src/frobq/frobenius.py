@@ -24,7 +24,11 @@ indicator vectors of the components of the graph joining the columns of
 each two-entry row that hold no one-entry row.  These are exactly
 kernel_basis's vectors, because the RREF is unique and a component's one
 column relation has all coefficients equal, so the elimination leaves its
-largest column free and makes every other one a pivot.
+largest column free and makes every other one a pivot.  The union-find
+computes both columns of each such row from the column layout, by the
+places of a * u and v * a among the legs of one vertex, so dim on a
+monomial ideal builds neither the rows nor the legend of (p, u, v)
+triples; space writes the legend to read the vectors as coproducts.
 """
 
 from math import lcm
@@ -112,9 +116,9 @@ def _reduced(terms, reduce):
 
 
 def _columns(algebra: AlgebraBasis):
-    """The legend, one column (p, u, v) per pair of basis indices with
-    basis[u].source == p == basis[v].target, {p: (first column, us, vs)}
-    and the basis paths' words.
+    """The column layout {p: (first column, us, vs)} and the number of
+    columns, one column (p, u, v) per pair of basis indices with
+    basis[u].source == p == basis[v].target.
 
     The columns run vertex by vertex, with u in us and then v in vs, by
     basis index in sort_key order: (p, us[i], vs[k]) is column first +
@@ -126,12 +130,17 @@ def _columns(algebra: AlgebraBasis):
     for i in sorted(range(len(basis)), key=algebra.sort_rank.__getitem__):
         by_source.setdefault(basis[i].source, []).append(i)
         by_target.setdefault(basis[i].target, []).append(i)
-    legend = []
     columns = {}
+    ncols = 0
     for p in algebra.quiver.vertices:
-        columns[p] = (len(legend), by_source[p], by_target[p])
-        legend.extend((p, u, v) for u in by_source[p] for v in by_target[p])
-    return legend, columns, [b.arrows for b in basis]
+        columns[p] = (ncols, by_source[p], by_target[p])
+        ncols += len(by_source[p]) * len(by_target[p])
+    return columns, ncols
+
+
+def _legend(columns):
+    """The legend of a column layout: the (p, u, v) of each column, in order."""
+    return [(p, u, v) for p, (_, us, vs) in columns.items() for u in us for v in vs]
 
 
 def build_constraint_system(algebra: AlgebraBasis):
@@ -156,7 +165,8 @@ def build_constraint_system(algebra: AlgebraBasis):
     order they are built.
     """
     table = algebra.table
-    legend, columns, words = _columns(algebra)
+    columns, ncols = _columns(algebra)
+    words = [b.arrows for b in algebra.basis]
     rows = []
     for arrow in algebra.quiver.arrows:
         a = (arrow.name,)
@@ -176,20 +186,43 @@ def build_constraint_system(algebra: AlgebraBasis):
                 col = first + i * len(vs) + k
                 row[col] = row.get(col, 0) - c
         rows.extend(row for row in pair_rows.values() if any(row.values()))
-    return SparseMatrix(rows, len(legend), algebra.field), legend
+    return SparseMatrix(rows, ncols, algebra.field), _legend(columns)
 
 
-def _monomial_kernel(algebra: AlgebraBasis):
-    """(legend, kernel_basis) of a monomial ideal's constraint system, by
-    union-find over the columns (the module docstring says why).
+def _monomial_kernel(algebra: AlgebraBasis, columns, ncols):
+    """kernel_basis of a monomial ideal's constraint system, whose columns
+    _columns lays out, by union-find over the column numbers (the module
+    docstring says why).
 
-    Each row (w, v) of an arrow a: p -> q holds at most the column
-    (q, u, v) with a * u = w and the column (p, w, v') with v' * a = v.
-    It joins the two, or the one it holds to the node ncols, for zero.
+    Over a monomial ideal a * u and v' * a are each one basis path or
+    zero, and a * u = a * u' only when u = u'.  So the row (w, v) of an
+    arrow a: p -> q holds at most the column (q, u, v) with a * u = w and
+    the column (p, w, v') with v' * a = v.  Each product is looked up once
+    per u among q's left legs and once per v' among p's right legs, and
+    turned into its place among p's left legs or q's right legs; both
+    columns of a row are then numbers computed from the layout.  A row
+    holding both joins them.  A row holding one sends it to zero, the
+    node ncols; that is one of two rules:
+
+    - (q, u, v) with a * u != 0 goes to zero when v is no v' * a, that
+      is, when v does not end in a;
+    - (p, w, v') with v' * a != 0 goes to zero when w is no a * u.
+
+    Every other column lies in no row of a.  Joining the same pairs in
+    another order, or by another key, gives the same components, and a
+    component is live exactly when none of its columns is sent to zero.
+    So the partition of the columns, and with it each kernel vector and
+    their order, depends on the rows alone.
     """
     table = algebra.table
-    legend, columns, words = _columns(algebra)
-    ncols = len(legend)
+    words = [b.arrows for b in algebra.basis]
+    left, right = [0] * len(words), [0] * len(words)
+    for _, us, vs in columns.values():
+        for i, u in enumerate(us):
+            left[u] = i
+        for k, v in enumerate(vs):
+            right[v] = k
+    zero = ncols
     parent = list(range(ncols + 1))
 
     def find(c):
@@ -199,31 +232,49 @@ def _monomial_kernel(algebra: AlgebraBasis):
 
     for arrow in algebra.quiver.arrows:
         a = (arrow.name,)
-        first, us, vs = columns[arrow.target]
-        left = {(w, v): col for i, u in enumerate(us) for w in table.get(a + words[u], ())
-                for col, v in enumerate(vs, first + i * len(vs))}
-        first, us, vs = columns[arrow.source]
-        right = [(k, z) for k, v in enumerate(vs) for z in table.get(words[v] + a, ())]
-        for i, u in enumerate(us):
-            for k, z in right:
-                parent[find(first + i * len(vs) + k)] = find(left.pop((u, z), ncols))
-        for col in left.values():
-            parent[find(col)] = find(ncols)
+        first_q, us_q, vs_q = columns[arrow.target]
+        first_p, us_p, vs_p = columns[arrow.source]
+        partner = [None] * len(vs_q)  # for q's right leg v' * a: the place of v'
+        ends_in_a = []
+        for k, v in enumerate(vs_p):
+            for z in table.get(words[v] + a, ()):
+                partner[right[z]] = k
+                ends_in_a.append(k)
+        hit = [False] * len(us_p)  # for p's left leg w: whether w is some a * u
+        for i, u in enumerate(us_q):
+            for w in table.get(a + words[u], ()):
+                ii = left[w]
+                hit[ii] = True
+                row_p = first_p + ii * len(vs_p)
+                for col, k in enumerate(partner, first_q + i * len(vs_q)):
+                    parent[find(col)] = find(zero if k is None else row_p + k)
+        for ii, is_product in enumerate(hit):
+            if not is_product:
+                row_p = first_p + ii * len(vs_p)
+                for k in ends_in_a:
+                    parent[find(row_p + k)] = find(zero)
+    root_of_zero = find(zero)
     components = {}
-    for c in range(ncols + 1):
-        components.setdefault(find(c), []).append(c)
-    del components[find(ncols)]
+    for c in range(ncols):
+        if (root := find(c)) != root_of_zero:
+            components.setdefault(root, []).append(c)
     live = sorted(components.values(), key=lambda cols: cols[-1])
-    return legend, [dict.fromkeys(cols, algebra.field.one) for cols in live]
+    return [dict.fromkeys(cols, algebra.field.one) for cols in live]
 
 
 def _kernel(algebra: AlgebraBasis):
-    """(legend, kernel_basis of the constraint system); only a non-monomial
-    ideal builds the rows and row-reduces them."""
+    """kernel_basis of the constraint system, and a function that gives the
+    legend of its columns, for space to read the vectors by.
+
+    Only a non-monomial ideal builds the rows, and with them the legend,
+    and row-reduces them; a monomial ideal's route builds no legend, so
+    dim on it builds none.
+    """
     if algebra.ideal.is_monomial:
-        return _monomial_kernel(algebra)
+        columns, ncols = _columns(algebra)
+        return _monomial_kernel(algebra, columns, ncols), lambda: _legend(columns)
     matrix, legend = build_constraint_system(algebra)
-    return legend, kernel_basis(matrix)
+    return kernel_basis(matrix), lambda: legend
 
 
 def frobenius_dimension(algebra: AlgebraBasis) -> int:
@@ -232,7 +283,7 @@ def frobenius_dimension(algebra: AlgebraBasis) -> int:
     The number of kernel vectors solve_frobenius_space would turn into
     candidates; none of them is verified here.
     """
-    return len(_kernel(algebra)[1])
+    return len(_kernel(algebra)[0])
 
 
 def solve_frobenius_space(algebra: AlgebraBasis) -> list:
@@ -242,7 +293,8 @@ def solve_frobenius_space(algebra: AlgebraBasis) -> list:
     the length of the list is the dimension of the space.  All of them
     are verified together, in one walk over the product table.
     """
-    legend, vectors = _kernel(algebra)
+    vectors, legend_of = _kernel(algebra)
+    legend = legend_of()
     candidates = [CoproductCandidate(algebra) for _ in vectors]
     for candidate, vec in zip(candidates, vectors):
         for col, value in vec.items():

@@ -90,10 +90,21 @@ MUTANTS = [
            ("tests/test_frobenius.py",),
            "the support check ignores the right leg's target"),
     Mutant(FROBENIUS,
-           "    return legend, [dict.fromkeys(cols, algebra.field.one) for cols in live]\n",
-           "    return legend, [dict.fromkeys(cols, algebra.field.one) for cols in live[:-1]]\n",
+           "    return [dict.fromkeys(cols, algebra.field.one) for cols in live]\n",
+           "    return [dict.fromkeys(cols, algebra.field.one) for cols in live[:-1]]\n",
            ("tests/test_frobenius.py",),
            "the union-find kernel drops its last vector"),
+    Mutant(FROBENIUS,
+           "                    parent[find(col)] = find(zero if k is None else row_p + k)\n",
+           "                    if k is not None:\n"
+           "                        parent[find(col)] = find(row_p + k)\n",
+           ("tests/test_frobenius.py",),
+           "the union-find keeps (q, u, v) when v does not end in the arrow"),
+    Mutant(FROBENIUS,
+           "                    parent[find(row_p + k)] = find(zero)\n",
+           "                    find(row_p + k)\n",
+           ("tests/test_frobenius.py",),
+           "the union-find keeps (p, w, v') when w is no product of the arrow"),
     Mutant(FROBENIUS,
            "        right = [(k, z, c) for k, v in enumerate(vs)\n",
            "        right = [(k, z, c) for k, v in enumerate(vs[:0])\n",

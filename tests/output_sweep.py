@@ -29,6 +29,10 @@ on one vertex with LOOPS loops, and gen random at seeds 0-39 in each
 regime for every vertex bound 6-8 and arrow bound 9-14, the corpus
 bounds.
 
+Last come the LOOP_DOCUMENTS, which hold loops, as no benchmark
+document does: each runs every command a benchmark document runs, its
+MALFORMED variants included, with e_1 (x) e_1 as the added term.
+
 Each output is one line of OUT.tsv: document, field, command, exit code,
 and the sha256 of stdout and of stderr.  Two checkouts give the same
 file exactly when their outputs are byte-identical, so compare the files
@@ -93,6 +97,14 @@ GEN_PARAMS = [
 ]
 # One vertex with k loops gives k + 2 * k^2 arrow names: 99,681 and 100,576.
 LOOPS = (223, 224)
+# k[x]/(x^3); two loops with every length-2 word zero; a 2-cycle with a loop.
+LOOP_DOCUMENTS = {
+    "loop-x3": "field Q\nvertex 1\narrow x : 1 -> 1\nrelation x*x*x ;\n",
+    "loop-two-rsz": ("field Q\nvertex 1\narrow x : 1 -> 1\narrow y : 1 -> 1\n"
+                     "relation x*x ;\nrelation x*y ;\nrelation y*x ;\nrelation y*y ;\n"),
+    "loop-2-cycle": ("field Q\nvertex 1 2\narrow a : 1 -> 2\narrow b : 2 -> 1\n"
+                     "arrow l : 1 -> 1\nrelation l*l ;\nrelation a*b ;\nrelation b*l*a ;\n"),
+}
 
 
 def run(argv):
@@ -190,6 +202,20 @@ def malformed(name, text):
         yield label, "".join(line + "\n" for line in changed)
 
 
+def sweep_file(name, inst):
+    """(field, label, (exit code, stdout, stderr)) of every command on one
+    document: each field's commands, then dim of each broken variant."""
+    with open(name, "w", encoding="utf-8") as handle:
+        handle.write(inst.text)
+    for field in FIELDS:
+        for label, result in sweep_document(name, inst, field):
+            yield field or "doc", label, result
+    for n, (label, text) in enumerate(malformed(name, inst.text)):
+        with open("malformed.fq", "w", encoding="utf-8") as handle:
+            handle.write(text)
+        yield "doc", f"dim, variant {n}: {label}", run(["dim", "malformed.fq"])
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("output", help="file to write the output hashes to")
@@ -206,23 +232,19 @@ def main(argv=None):
                 instances, warm = workloads.build(workload, seed)
                 for inst in instances + [warm]:
                     name = f"{workload}-{seed}-{inst.id}.fq"
-                    with open(name, "w", encoding="utf-8") as handle:
-                        handle.write(inst.text)
-                    for field in FIELDS:
-                        for label, (code, out, err) in sweep_document(name, inst, field):
-                            lines.write(f"{name}\t{field or 'doc'}\t{label}\t{code}\t"
-                                        f"{sha(out)}\t{sha(err)}\n")
-                            count += 1
-                    for n, (label, text) in enumerate(malformed(name, inst.text)):
-                        with open("malformed.fq", "w", encoding="utf-8") as handle:
-                            handle.write(text)
-                        code, out, err = run(["dim", "malformed.fq"])
-                        lines.write(f"{name}\tdoc\tdim, variant {n}: {label}\t{code}\t"
+                    for field, label, (code, out, err) in sweep_file(name, inst):
+                        lines.write(f"{name}\t{field}\t{label}\t{code}\t"
                                     f"{sha(out)}\t{sha(err)}\n")
                         count += 1
         for label, (code, out, err) in sweep_gen():
             lines.write(f"gen\tdoc\t{label}\t{code}\t{sha(out)}\t{sha(err)}\n")
             count += 1
+        for doc_id, text in LOOP_DOCUMENTS.items():
+            inst = workloads.Instance(doc_id, text, None, None, "1")
+            for field, label, (code, out, err) in sweep_file(f"{doc_id}.fq", inst):
+                lines.write(f"{doc_id}.fq\t{field}\t{label}\t{code}\t"
+                            f"{sha(out)}\t{sha(err)}\n")
+                count += 1
         os.chdir(home)
     print(f"{count} outputs written to {output}")
 

@@ -318,6 +318,26 @@ class TestBadInput:
         self.assert_one_line_error(
             *run(capsys, "verify", diamond_file, "--coproduct", str(cand)))
 
+    def test_dim_reads_past_a_byte_order_mark(self, capsys, tmp_path):
+        doc = tmp_path / "bom.qv"
+        doc.write_bytes(b"\xef\xbb\xbf" + DIAMOND.encode())
+        assert run(capsys, "dim", str(doc)) == (0, "1\n", "")
+
+    def test_verify_reads_past_a_byte_order_mark(self, capsys, tmp_path):
+        """A BOM before a document and a coproduct file changes no output
+        byte, on a candidate that passes and on one that fails."""
+        e, x = {"e": "p"}, ["x"]
+        for legs, code in ((((e, x), (x, e)), 0), (((e, e),), 4)):
+            terms = [{"left": left, "right": right, "coeff": "1"} for left, right in legs]
+            outputs = []
+            for bom in (b"", b"\xef\xbb\xbf"):
+                doc, cand = tmp_path / "doc.qv", tmp_path / "cand.json"
+                doc.write_bytes(bom + b"vertex p\narrow x : p -> p\nrelation x*x ;\n")
+                cand.write_bytes(bom + json.dumps([{"vertex": "p", "terms": terms}]).encode())
+                outputs.append(run(capsys, "verify", str(doc), "--coproduct", str(cand)))
+            assert outputs[0] == outputs[1]
+            assert outputs[0][0] == code
+
     def test_deeply_nested_coproduct(self, capsys, tmp_path, diamond_file):
         cand = tmp_path / "cand.json"
         cand.write_text("[" * 100000)

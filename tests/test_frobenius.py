@@ -31,7 +31,8 @@ from frobq.quiver import Path, PathExpr, Quiver
 
 from algebra_ops import (add, assert_canonical, coefficient_vector, combine, compose, coords_of,
                          extend_coproduct, index_terms, multiply, path_terms, reduce_path)
-from strategies import has_zero_generator, mixed_algebras, random_algebras
+from strategies import (MONOMIAL_FIELDS, has_zero_generator, mixed_algebras, random_algebras,
+                        small_quivers)
 
 
 def mono(q, names):
@@ -359,14 +360,15 @@ def test_failing_monomial_kernel_vector_is_a_solver_bug(monkeypatch):
     algebra = algebra_of(gen_cycle(3, 3))
     monomial_kernel = frobenius._monomial_kernel
 
-    def corrupted(algebra):
-        legend, vectors = monomial_kernel(algebra)
+    def corrupted(algebra, columns, ncols):
+        vectors = monomial_kernel(algebra, columns, ncols)
         vectors[2][0] = vectors[2].get(0, 0) + 1
-        return legend, vectors
+        return vectors
 
-    legend, vectors = corrupted(algebra)
+    columns, ncols = frobenius._columns(algebra)
     assert_solver_bug_at_first_failing_pair(monkeypatch, algebra, "_monomial_kernel", corrupted,
-                                            legend, vectors[2])
+                                            frobenius._legend(columns),
+                                            corrupted(algebra, columns, ncols)[2])
 
 
 def in_span(vectors, candidate_vec, ncols):
@@ -381,16 +383,33 @@ monomial_mixed_algebras = mixed_algebras().filter(
     lambda drawn: drawn[1].is_monomial).map(lambda drawn: drawn[:3])
 
 
+@st.composite
+def finite_monomial_quivers(draw):
+    """A small_quivers draw, loops and parallel arrows allowed, with every
+    path of a drawn length L >= 2 and a few drawn length-2 words as
+    monomial generators, so the quotient is finite whatever the cycles."""
+    quiver = draw(small_quivers())
+    length = draw(st.integers(2, 3))
+    words = {p.arrows for p in quiver.enumerate_paths(length) if len(p) == length}
+    twos = [p.arrows for p in quiver.enumerate_paths(2) if len(p) == 2]
+    if twos:
+        words.update(draw(st.lists(st.sampled_from(twos), max_size=3)))
+    generators = [mono(quiver, list(word)) for word in sorted(words)]
+    return quiver, IdealSpec(generators), draw(st.sampled_from(MONOMIAL_FIELDS))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(drawn=st.one_of(random_algebras(), monomial_mixed_algebras))
+@given(drawn=st.one_of(random_algebras(), monomial_mixed_algebras, finite_monomial_quivers()))
 def test_union_find_kernel_is_kernel_basis(drawn):
-    """The monomial route gives the legend and kernel vectors, in order,
-    that the constraint matrix and kernel_basis give."""
+    """The monomial route gives the kernel vectors, in order, that the
+    constraint matrix and kernel_basis give, and its layout the legend."""
     quiver, ideal, field = drawn
     assume(not has_zero_generator(ideal, field))
     algebra = compute_basis(quiver, ideal, field)
     matrix, legend = build_constraint_system(algebra)
-    assert frobenius._monomial_kernel(algebra) == (legend, kernel_basis(matrix))
+    columns, ncols = frobenius._columns(algebra)
+    assert frobenius._legend(columns) == legend
+    assert frobenius._monomial_kernel(algebra, columns, ncols) == kernel_basis(matrix)
 
 
 def product_table_constraint_system(algebra):
@@ -401,7 +420,7 @@ def product_table_constraint_system(algebra):
     product_scale times the true one.
     """
     products = algebra.product_table
-    legend = frobenius._columns(algebra)[0]
+    legend = frobenius._legend(frobenius._columns(algebra)[0])
     columns = {p: [] for p in algebra.quiver.vertices}
     for col, (p, u, v) in enumerate(legend):
         columns[p].append((col, u, v))
@@ -464,7 +483,7 @@ def test_scalars_stay_canonical_from_table_to_candidates(drawn):
     assume(not has_zero_generator(ideal, field))
     algebra = compute_basis(quiver, ideal, field)
     assert_canonical(field, (c for coords in algebra.table.values() for c in coords.values()))
-    _, vectors = frobenius._kernel(algebra)
+    vectors, _ = frobenius._kernel(algebra)
     assert_canonical(field, (c for vector in vectors for c in vector.values()))
     for candidate in solve_frobenius_space(algebra):
         assert_canonical(field, (c for terms in candidate.values.values() for c in terms.values()))
