@@ -11,12 +11,21 @@ over F_p, an integral Fraction to its int over Q), `inverse` gives
 1 / x and `pivot` chooses the pivot row, so the elimination code is the
 same for every field.
 
-Over Q, `rref` runs that one elimination modulo the prime P = 2^61 - 1
-on ints, lifts the result back to canonical scalars by rational
-reconstruction and proves it exact against the input; only when the
-proof fails (or P divides a denominator) does it eliminate over the
-canonical scalars themselves.  `rank`, `kernel_basis` and every other
-caller get the same exact RREF either way.
+`rref` takes the first of three routes that applies:
+
+1. When every row holds at most two entries, a union-find over the
+   columns (`_pair_rref`): such a matrix is a direct sum of connected
+   components, each of rank k or k - 1 on its k columns, whose RREF can
+   be written down.  The non-monomial constraint systems of toupie and
+   canonical algebras have this shape.
+2. Over Q, the elimination run modulo the prime P = 2^61 - 1 on ints,
+   lifted back to canonical scalars by rational reconstruction and
+   proved exact against the input (`_modular_rref`).
+3. The elimination over the canonical scalars themselves (`_eliminate`),
+   over F_p, and over Q when the proof fails or P divides a denominator.
+
+The RREF of a matrix is unique, so `rank`, `kernel_basis` and every
+other caller get the same exact RREF whichever route gives it.
 """
 
 import re
@@ -222,27 +231,144 @@ def rref(matrix: SparseMatrix):
     """Reduced row echelon form and its pivot columns.
 
     The rows come back with the pivot rows first, in pivot order, then
-    the zero rows.
+    the zero rows.  Three routes give it, the first that applies:
 
-    Over Q the elimination first runs modulo the prime P on plain ints.
-    Its RREF is lifted to canonical scalars by rational reconstruction
-    and checked exactly against the input: each input row must be the
-    combination of the lifted rows named by its pivot-column entries,
-    which proves the lift is the RREF over Q (`_modular_rref` gives the
-    argument).  When P divides a denominator, an entry does not lift or
-    the check fails, the same elimination runs over the entries
-    themselves.  So every Q result has either passed the exact check or
-    come from the exact elimination, and its scalars are canonical.
+    1. When no row holds more than two entries, `_pair_rref` writes the
+       RREF of each connected component of the columns down by
+       union-find, with exact field arithmetic and no elimination.
+    2. Over Q the elimination runs modulo the prime P on plain ints.  Its
+       RREF is lifted to canonical scalars by rational reconstruction and
+       checked exactly against the input: each input row must be the
+       combination of the lifted rows named by its pivot-column entries,
+       which proves the lift is the RREF over Q (`_modular_rref` gives
+       the argument).
+    3. Over F_p, and over Q when P divides a denominator, an entry does
+       not lift or the check fails, the same elimination runs over the
+       entries themselves.
+
+    So every result is exact, either by construction or by the check,
+    and its scalars are canonical.
     """
     field, ncols = matrix.field, matrix.ncols
-    rows, pivots = isinstance(field, RationalField) and _modular_rref(matrix) or _eliminate(
-        [dict(row) for row in matrix.rows], ncols, field)
+    rows, pivots = (_pair_rref(matrix)
+                    or isinstance(field, RationalField) and _modular_rref(matrix)
+                    or _eliminate([dict(row) for row in matrix.rows], ncols, field))
     rows.extend({} for _ in range(matrix.nrows - len(pivots)))
-    # The elimination leaves only nonzero, in-range, normalised entries,
-    # so its rows go in without the constructor's pass over them.
+    # Every route leaves only nonzero, in-range, normalised entries, so
+    # its rows go in without the constructor's pass over them.
     reduced = SparseMatrix((), ncols, field)
     reduced.rows = rows
     return reduced, pivots
+
+
+def _pair_rref(matrix: SparseMatrix):
+    """The RREF of a matrix whose rows hold at most two entries each, as
+    (pivot rows, pivot columns), or None when a row holds more.
+
+    A two-entry row a * x_i + b * x_j = 0 joins columns i and j, and a
+    one-entry row sends its column to the zero node ncols; the
+    constructor has already dropped zero entries.  Each join says
+    x_i = -(b / a) * x_j with a nonzero ratio, so in any kernel vector a
+    component is either zero in every column or nonzero in every column.
+
+    - A component joined to the zero node is zero in every kernel vector,
+      so each of its columns c is a pivot and its RREF row is e_c.
+    - In every other component, x_l = 1 on its largest column l fixes one
+      solution x of the joins along a spanning tree (`_ratios`).  If some
+      row disagrees with x (a cycle whose ratios do not multiply to 1, or
+      parallel rows with different ratios), only zero solves the
+      component, and it is treated as above.  Otherwise the component's
+      kernel is spanned by x, which has full support, so any k - 1 of its
+      k columns are independent: the RREF pivots every column but l, and
+      column c's row is e_c - x_c * e_l, which annihilates x.
+
+    The matrix is the direct sum of its components, so its RREF is the
+    union of theirs, in pivot order.  The work follows the rows: only
+    columns some row holds are visited, a column in no row is free, and
+    a matrix with no rows answers at once.  Field arithmetic is spent
+    only on components that no one-entry row reaches, and it is exact on
+    canonical scalars, so the result needs no check.
+    """
+    rows = matrix.rows
+    if not rows:
+        return [], []
+    field = matrix.field
+    one, reduce = field.one, field.reduce
+    zero = matrix.ncols
+    parent = list(range(zero + 1))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    pairs = []
+    for row in rows:
+        if len(row) == 2:
+            i, j = row
+            parent[find(i)] = find(j)
+            pairs.append(row)
+        elif len(row) == 1:
+            (i,) = row
+            # find(zero), not zero: a join may have hung the zero node
+            # under another root, and parent[root] = zero would close a loop.
+            parent[find(i)] = find(zero)
+        elif row:
+            return None
+    dead = find(zero)
+    pivots = []
+    live = {}
+    for c in {c for row in rows for c in row}:
+        root = find(c)
+        if root == dead:
+            pivots.append(c)
+        else:
+            live.setdefault(root, []).append(c)
+    tails = {}
+    if live:
+        joins = {}
+        for row in pairs:
+            joins.setdefault(find(next(iter(row))), []).append(row)
+        for root, cols in live.items():
+            free = max(cols)
+            x = _ratios(joins[root], free, field)
+            if x is None:
+                pivots.extend(cols)
+                continue
+            for c in cols:
+                if c != free:
+                    pivots.append(c)
+                    tails[c] = {c: one, free: reduce(-x[c])}
+    pivots.sort()
+    return [tails.get(c) or {c: one} for c in pivots], pivots
+
+
+def _ratios(rows, free, field):
+    """The solution x with x[free] = 1 of one connected component's
+    two-entry rows, or None when only zero solves them.
+
+    x is fixed along a spanning tree from free, then every row is checked
+    against it.
+    """
+    reduce, inverse = field.reduce, field.inverse
+    adjacent = {}
+    for row in rows:
+        (i, a), (j, b) = row.items()
+        adjacent.setdefault(i, []).append((j, a, b))
+        adjacent.setdefault(j, []).append((i, b, a))
+    x = {free: field.one}
+    todo = [free]
+    while todo:
+        i = todo.pop()
+        for j, a, b in adjacent[i]:
+            if j not in x:
+                x[j] = reduce(-a * x[i] * inverse(b))
+                todo.append(j)
+    for row in rows:
+        (i, a), (j, b) = row.items()
+        if reduce(a * x[i] + b * x[j]):
+            return None
+    return x
 
 
 def _eliminate(rows, ncols, field):

@@ -13,13 +13,15 @@ candidate's {(i, j): c} over basis indices into paths and back,
 sums candidates, and `blocks` groups the basis by (source, target).
 `has_subword` tells whether an arrow word holds one of the given words,
 as a path that is zero modulo monomial generators does.
-`assert_canonical` checks that scalars are in their field's one form.
+`assert_canonical` checks that scalars are in their field's one form,
+and `reference_rref` is a dense-scan Gauss-Jordan that every route of
+`rref` is checked against.
 """
 
 from fractions import Fraction
 
 from frobq.errors import SupportViolationError, ValidationError
-from frobq.linalg import QQ
+from frobq.linalg import QQ, SparseMatrix
 from frobq.quiver import Path
 
 
@@ -33,6 +35,46 @@ def assert_canonical(field, scalars):
                 type(value) is Fraction and value.denominator > 1), repr(value)
         else:
             assert type(value) is int and 0 <= value < field.p, repr(value)
+
+
+def reference_rref(matrix):
+    """Dense-scan Gauss-Jordan: scans every row for every column.
+
+    It pivots on the first nonzero entry at or below the current rank:
+    the RREF is unique, so any nonzero pivot gives the same result.
+    """
+    field = matrix.field
+    zero = field.zero
+    rows = [dict(row) for row in matrix.rows]
+    pivots = []
+    rank = 0
+    for col in range(matrix.ncols):
+        i = next((i for i in range(rank, len(rows))
+                  if rows[i].get(col, zero) != zero), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot_value = rows[rank][col]
+        if pivot_value != field.one:
+            inverse = field.inverse(pivot_value)
+            rows[rank] = {j: field.reduce(v * inverse) for j, v in rows[rank].items()}
+        pivot_row = rows[rank]
+        for k in range(len(rows)):
+            if k == rank:
+                continue
+            factor = rows[k].get(col)
+            if factor is None or factor == zero:
+                continue
+            row = rows[k]
+            for j, v in pivot_row.items():
+                new = field.reduce(row.get(j, zero) - factor * v)
+                if new == zero:
+                    row.pop(j, None)
+                else:
+                    row[j] = new
+        pivots.append(col)
+        rank += 1
+    return SparseMatrix(rows, matrix.ncols, field), pivots
 
 
 def add(terms, key, value, field):

@@ -204,6 +204,21 @@ MUTANTS = [
            ("tests/test_linalg.py",),
            "rational reconstruction accepts a denominator beyond the bound"),
     Mutant(LINALG,
+           "        if reduce(a * x[i] + b * x[j]):\n            return None\n",
+           "",
+           ("tests/test_linalg.py",),
+           "the union-find RREF keeps a component live when a row disagrees with its ratios"),
+    Mutant(LINALG,
+           "            parent[find(i)] = find(zero)\n",
+           "            find(i)\n",
+           ("tests/test_linalg.py",),
+           "the union-find RREF does not send a one-entry row's column to zero"),
+    Mutant(LINALG,
+           "            free = max(cols)\n",
+           "            free = min(cols)\n",
+           ("tests/test_linalg.py",),
+           "the union-find RREF leaves a live component's smallest column free"),
+    Mutant(LINALG,
            "    for row in matrix.rows:\n        combination = {}\n",
            "    for row in ():\n        combination = {}\n",
            ("tests/test_linalg.py",),

@@ -30,8 +30,13 @@ regime for every vertex bound 6-8 and arrow bound 9-14, the corpus
 bounds.
 
 Last come the LOOP_DOCUMENTS, which hold loops, as no benchmark
-document does: each runs every command a benchmark document runs, its
-MALFORMED variants included, with e_1 (x) e_1 as the added term.
+document does, and the RREF_DOCUMENTS, which pin two cases of rref: a
+2 x 2 grid whose square says h0*v1 = 2 v0*h1, so its constraint system
+has a live union-find component with ratios other than 1, and a*x - a*y
+on parallel arrows x and y, whose system holds a row of three entries
+and so is eliminated.  Each runs every command a
+benchmark document runs, its MALFORMED variants included, with
+e_1 (x) e_1 as the added term.
 
 Each output is one line of OUT.tsv: document, field, command, exit code,
 and the sha256 of stdout and of stderr.  Two checkouts give the same
@@ -104,6 +109,12 @@ LOOP_DOCUMENTS = {
                      "relation x*x ;\nrelation x*y ;\nrelation y*x ;\nrelation y*y ;\n"),
     "loop-2-cycle": ("field Q\nvertex 1 2\narrow a : 1 -> 2\narrow b : 2 -> 1\n"
                      "arrow l : 1 -> 1\nrelation l*l ;\nrelation a*b ;\nrelation b*l*a ;\n"),
+}
+RREF_DOCUMENTS = {
+    "grid-2x2-ratio-2": ("field Q\nvertex 1 2 3 4\narrow h0 : 1 -> 2\narrow h1 : 3 -> 4\n"
+                         "arrow v0 : 1 -> 3\narrow v1 : 2 -> 4\nrelation h0*v1 - 2 v0*h1 ;\n"),
+    "parallel-ax-ay": ("field Q\nvertex 1 2 3\narrow a : 1 -> 2\narrow x : 2 -> 3\n"
+                       "arrow y : 2 -> 3\nrelation a*x - a*y ;\n"),
 }
 
 
@@ -239,7 +250,7 @@ def main(argv=None):
         for label, (code, out, err) in sweep_gen():
             lines.write(f"gen\tdoc\t{label}\t{code}\t{sha(out)}\t{sha(err)}\n")
             count += 1
-        for doc_id, text in LOOP_DOCUMENTS.items():
+        for doc_id, text in {**LOOP_DOCUMENTS, **RREF_DOCUMENTS}.items():
             inst = workloads.Instance(doc_id, text, None, None, "1")
             for field, label, (code, out, err) in sweep_file(f"{doc_id}.fq", inst):
                 lines.write(f"{doc_id}.fq\t{field}\t{label}\t{code}\t"

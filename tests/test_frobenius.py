@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from frobq import frobenius
+from frobq import frobenius, linalg
 from frobq.errors import InternalFaultError, SupportViolationError, ValidationError
 from frobq.families import (
     CanonicalSpec,
@@ -30,7 +30,8 @@ from frobq.linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank, rref
 from frobq.quiver import Path, PathExpr, Quiver
 
 from algebra_ops import (add, assert_canonical, coefficient_vector, combine, compose, coords_of,
-                         extend_coproduct, index_terms, multiply, path_terms, reduce_path)
+                         extend_coproduct, index_terms, multiply, path_terms, reduce_path,
+                         reference_rref)
 from strategies import (MONOMIAL_FIELDS, has_zero_generator, mixed_algebras, random_algebras,
                         small_quivers)
 
@@ -664,6 +665,21 @@ def test_inhomogeneous_generator_algebra():
     assert multiply(algebra, x, y) == {long: QQ.one}
     space = solve_frobenius_space(algebra)
     assert len(space) == frobenius_dimension(algebra)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_a_row_of_three_entries_is_eliminated(field):
+    """With x and y parallel, a*x - a*y puts three entries in one row of
+    the constraint system, so rref declines the union-find route and
+    eliminates; the dimension is that of reference_rref's kernel."""
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("x", "2", "3"), ("y", "2", "3")])
+    ideal = IdealSpec([PathExpr({q.path(["a", "x"]): 1, q.path(["a", "y"]): -1})])
+    algebra = compute_basis(q, ideal, field)
+    matrix, _ = build_constraint_system(algebra)
+    assert max(map(len, matrix.rows)) == 3
+    assert linalg._pair_rref(matrix) is None
+    _, pivots = reference_rref(matrix)
+    assert frobenius_dimension(algebra) == matrix.ncols - len(pivots)
 
 
 def test_prime_field_dimensions_match_rationals():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,10 @@ from frobq import linalg
 from frobq.errors import ValidationError
 from frobq.linalg import (
     _LIFT_BOUND, P, QQ, PrimeField, SparseMatrix, _eliminate, _lift, _modular_rref,
-    kernel_basis, rank, rref,
+    _pair_rref, kernel_basis, rank, rref,
 )
 
-from algebra_ops import assert_canonical
+from algebra_ops import assert_canonical, reference_rref
 
 
 def dense(rows, field=QQ):
@@ -150,46 +151,6 @@ def test_prime_field_rejects_moduli_beyond_certified_range():
         PrimeField(psi12)
 
 
-def reference_rref(matrix):
-    """Dense-scan Gauss-Jordan: scans every row for every column.
-
-    It pivots on the first nonzero entry at or below the current rank:
-    the RREF is unique, so any nonzero pivot gives the same result.
-    """
-    field = matrix.field
-    zero = field.zero
-    rows = [dict(row) for row in matrix.rows]
-    pivots = []
-    rank = 0
-    for col in range(matrix.ncols):
-        i = next((i for i in range(rank, len(rows))
-                  if rows[i].get(col, zero) != zero), None)
-        if i is None:
-            continue
-        rows[rank], rows[i] = rows[i], rows[rank]
-        pivot_value = rows[rank][col]
-        if pivot_value != field.one:
-            inverse = field.inverse(pivot_value)
-            rows[rank] = {j: field.reduce(v * inverse) for j, v in rows[rank].items()}
-        pivot_row = rows[rank]
-        for k in range(len(rows)):
-            if k == rank:
-                continue
-            factor = rows[k].get(col)
-            if factor is None or factor == zero:
-                continue
-            row = rows[k]
-            for j, v in pivot_row.items():
-                new = field.reduce(row.get(j, zero) - factor * v)
-                if new == zero:
-                    row.pop(j, None)
-                else:
-                    row[j] = new
-        pivots.append(col)
-        rank += 1
-    return SparseMatrix(rows, matrix.ncols, field), pivots
-
-
 def random_sparse_rows(rng, field, nrows, ncols, per_row):
     rows = []
     for _ in range(nrows):
@@ -268,6 +229,14 @@ DECLINED = [
 ]
 
 
+def assert_eliminate_matches_reference(m):
+    """_eliminate over m's own scalars gives reference_rref's pivot rows and pivots."""
+    expected, expected_pivots = reference_rref(m)
+    rows, pivots = _eliminate([dict(row) for row in m.rows], m.ncols, m.field)
+    assert pivots == expected_pivots and rows == expected.rows[:len(pivots)]
+    assert_canonical(m.field, (v for row in rows for v in row.values()))
+
+
 @pytest.mark.parametrize("rows", DECLINED)
 def test_modular_route_declines_and_fraction_elimination_answers(rows):
     m = SparseMatrix(rows, 1 + max(j for row in rows for j in row))
@@ -275,6 +244,9 @@ def test_modular_route_declines_and_fraction_elimination_answers(rows):
     reduced, pivots = rref(m)
     assert (reduced, pivots) == reference_rref(m)
     assert_canonical(QQ, reduced.entries.values())
+    # No row holds three entries, so rref took _pair_rref: run the
+    # fallback elimination on its own.
+    assert_eliminate_matches_reference(m)
 
 
 def test_modular_route_lifts_fractions():
@@ -299,6 +271,7 @@ def test_lift_refuses_a_fraction_beyond_the_bound():
     m = SparseMatrix([{0: d, 1: 1}], 2)
     assert _modular_rref(m) is None
     assert rref(m) == reference_rref(m)
+    assert_eliminate_matches_reference(m)
 
 
 def test_rational_inverse_is_canonical():
@@ -406,3 +379,141 @@ def test_both_routes_match_reference(m, order):
     assert_row_order_ignored(m, order)
     residues = [{j: v.numerator for j, v in row.items()} for row in m.rows]
     assert_row_order_ignored(SparseMatrix(residues, m.ncols, PrimeField(5)), order)
+
+
+# Nonzero over Q; 2, 3, 5 and their multiples vanish over F_2, F_3 or F_5.
+PAIR_ENTRIES = st.sampled_from((1, -1, 2, -2, 3, -3, 4, 5, -6, 10, 15))
+PAIR_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(5))
+
+
+@st.composite
+def pair_matrices(draw):
+    """A matrix over Q, F_2, F_3 or F_5 whose rows hold at most two entries.
+
+    It is drawn in pieces on columns 0 .. ncols - 1, so some columns may
+    lie in no row, and with no piece it has no rows:
+
+    - a cycle on three or more columns, whose closing row agrees with the
+      ratios along it or is one off in its last entry;
+    - two parallel rows, the second a multiple of the first or one off
+      in its last entry;
+    - a lone two-entry row, or a one-entry row.
+
+    An entry may vanish mod p, which leaves a row one entry or none.
+    """
+    field = draw(st.sampled_from(PAIR_FIELDS))
+    one, reduce = field.one, field.reduce
+    ncols = draw(st.integers(3, 9))
+
+    def entry():
+        return field.coerce(draw(PAIR_ENTRIES))
+
+    def columns(k):
+        return draw(st.lists(st.integers(0, ncols - 1), min_size=k, max_size=k, unique=True))
+
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("cycle", "parallel", "pair", "one")))
+        if kind == "cycle":
+            cols = columns(draw(st.integers(3, ncols)))
+            x = one
+            for i, j in zip(cols, cols[1:]):
+                a, b = entry(), entry()
+                rows.append({i: a, j: b})
+                if not (a and b):
+                    break
+                x = reduce(-a * x * field.inverse(b))
+            else:
+                a = entry()
+                agrees = draw(st.booleans())
+                rows.append({cols[-1]: a, cols[0]: reduce(-a * x + (0 if agrees else one))})
+        elif kind == "parallel":
+            (i, j), (a, b), c = columns(2), (entry(), entry()), entry()
+            agrees = draw(st.booleans())
+            rows += [{i: a, j: b}, {i: reduce(c * a), j: reduce(c * b + (0 if agrees else one))}]
+        elif kind == "pair":
+            i, j = columns(2)
+            rows.append({i: entry(), j: entry()})
+        else:
+            rows.append({columns(1)[0]: entry()})
+    return SparseMatrix(draw(st.permutations(rows)), ncols, field)
+
+
+def assert_pair_route_matches_reference(m):
+    """_pair_rref answers m with reference_rref's pivot rows and pivots, in
+    canonical scalars, and kernel_basis gives the vectors, in the same key
+    order, that it gives when _eliminate computes the RREF."""
+    answer = _pair_rref(m)
+    assert answer is not None
+    rows, pivots = answer
+    expected, expected_pivots = reference_rref(m)
+    assert pivots == expected_pivots and rows == expected.rows[:len(pivots)]
+    assert_canonical(m.field, (v for row in rows for v in row.values()))
+    assert rref(m) == (expected, expected_pivots)
+    vectors = kernel_basis(m)
+    with mock.patch.object(linalg, "_pair_rref", lambda matrix: None), \
+            mock.patch.object(linalg, "_modular_rref", lambda matrix: None):
+        eliminated = kernel_basis(m)
+    assert [list(v.items()) for v in vectors] == [list(v.items()) for v in eliminated]
+    for vec in vectors:
+        assert_canonical(m.field, vec.values())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(m=pair_matrices())
+def test_pair_route_matches_reference(m):
+    assert_pair_route_matches_reference(m)
+
+
+# (rows, ncols, field, pivots): each case of _pair_rref's argument.
+PAIR_CASES = [
+    # No rows, and only an empty row: every column free.
+    ([], 3, QQ, []),
+    ([{}], 3, QQ, []),
+    # A path 0 - 1 - 2 with ratios 2 and -1/3; column 3 is in no row.
+    ([{0: 2, 1: 1}, {1: 3, 2: 1}], 4, QQ, [0, 1]),
+    # The cycle 0 - 1 - 2 agrees: x = (3, -1, 1) solves all three rows.
+    ([{0: 1, 1: 3}, {1: 1, 2: 1}, {0: 1, 2: -3}], 3, QQ, [0, 1]),
+    # The same cycle one off in its closing row: only zero solves it.
+    ([{0: 1, 1: 3}, {1: 1, 2: 1}, {0: 1, 2: -2}], 3, QQ, [0, 1, 2]),
+    # Parallel rows, a multiple of each other, then with different ratios.
+    ([{0: 2, 1: 4}, {0: -1, 1: -2}], 2, QQ, [0]),
+    ([{0: 2, 1: 4}, {0: -1, 1: -3}], 2, QQ, [0, 1]),
+    # A one-entry row kills the path it lies on, and only that path.
+    ([{1: 5}, {0: 1, 1: 1}, {1: 1, 2: 1}, {3: 1, 4: 2}], 5, QQ, [0, 1, 2, 3]),
+    # The join hangs the zero node under column 1's root, and then a
+    # one-entry row sends column 1 to zero again.
+    ([{0: 1}, {0: 1, 1: 1}, {1: 2}, {2: 1, 3: 1}, {3: 1}], 4, QQ, [0, 1, 2, 3]),
+    # Over F_5 the first row keeps only its entry in column 4.  The cycle
+    # 1 - 2 - 3 asks x_1 + x_3 = 5 x_1 = 0, which holds mod 5 only.
+    ([{0: 5, 4: 1}, {1: 2, 2: 1}, {2: 2, 3: 1}, {1: 1, 3: 1}], 5, PrimeField(5), [1, 2, 4]),
+    ([{0: 5, 4: 1}, {1: 2, 2: 1}, {2: 2, 3: 1}, {1: 1, 3: 1}], 5, QQ, [0, 1, 2, 3]),
+    # Over F_2 and F_3 every entry of the second row vanishes.
+    ([{0: 1, 1: 1}, {0: 6, 1: 6}], 2, PrimeField(2), [0]),
+    ([{0: 1, 1: 2}, {0: 3, 1: -3}], 2, PrimeField(3), [0]),
+]
+
+
+@pytest.mark.parametrize("rows, ncols, field, pivots", PAIR_CASES)
+def test_pair_route_cases(rows, ncols, field, pivots):
+    m = SparseMatrix(rows, ncols, field)
+    assert_pair_route_matches_reference(m)
+    assert _pair_rref(m)[1] == pivots
+
+
+def test_pair_route_leaves_a_live_component_its_largest_column_free():
+    """On the path 2 - 0 - 1, x_2 = 1 gives x = (-1/2, 3/2, 1), so the
+    pivot rows are e_c - x_c * e_2 and x is the one kernel vector."""
+    m = SparseMatrix([{2: 1, 0: 2}, {0: 3, 1: 1}], 3)
+    assert _pair_rref(m) == ([{0: 1, 2: Fraction(1, 2)}, {1: 1, 2: Fraction(-3, 2)}], [0, 1])
+    assert kernel_basis(m) == [{2: 1, 0: Fraction(-1, 2), 1: Fraction(3, 2)}]
+
+
+@pytest.mark.parametrize("rows", [
+    [{0: 1, 1: 1, 2: 1}],
+    [{0: 1, 1: 1}, {0: 1, 1: 2, 2: 3, 3: 4}],
+])
+def test_pair_route_declines_a_row_of_three_entries(rows):
+    m = SparseMatrix(rows, 4)
+    assert _pair_rref(m) is None
+    assert rref(m) == reference_rref(m)
