@@ -12,10 +12,12 @@ on its own.  The solver's whole kernel basis is checked in one such
 walk.  The solver reads each product off the reduction table by arrow
 word; the verifier reads the algebra's int product table, over basis
 indices, and computes on exact int representatives: the product table
-and each candidate scaled by the lcm of their denominators.  It groups
-each D(b) by left leg once, and D(x) by right leg once per row, so both
-forms of the bimodule condition multiply only where a product of basis
-paths is nonzero.
+and each candidate scaled by the lcm of their denominators.  It holds
+each D(b) twice, nested by left leg and by right leg, as maps from a leg
+to a group of terms, and moves whole groups: where a product's int is 1
+a side takes the group itself, shared and never written to, rather than
+a copy.  So on a monomial table a pair costs one step per leg group, and
+its sides compare by identity group for group.
 
 Only a non-monomial ideal's system is built and row-reduced: over a
 monomial ideal each product of basis paths is one basis path or zero, so
@@ -308,32 +310,90 @@ def solve_frobenius_space(algebra: AlgebraBasis) -> list:
     return candidates
 
 
-def _delta(products, terms, reduce):
-    """D(basis[i]) over basis indices, {(u, v, n): c} with its zero values
-    dropped, and the same terms grouped by left leg, {u: [(v, n, c)]}.
+def _take(side, owned, key, group, c, reduce):
+    """Add c * group at side[key] by the take-or-copy rule, keeping the
+    side canonical.
 
-    products is product_table[i] and terms the int terms, keyed (index,
-    index, candidate), of the values at target(basis[i]); each
-    candidate's part of the result is scaled by the product of the
+    A group is a map {(leg, candidate): c}, reduced and with no zero
+    values, that a D(b) or a side may share with others, so no side
+    writes to a group it does not own; owned holds the keys of the groups
+    the side owns.  When c == 1 and key is new, the group itself goes in
+    at key, shared.  Otherwise a reduced scaled copy that the side owns
+    goes in, and a move to a key whose group is shared copies that group
+    first.  A value that sums to zero is dropped, and a group left empty
+    with its key.  So two sides hold the same terms exactly when they
+    compare equal, and a shared group equals itself by identity, without
+    a look at its terms.
+    """
+    held = side.get(key)
+    if held is None:
+        if c == 1:
+            side[key] = group  # shared: never written to
+            return
+        held = {}
+        for leg, value in group.items():
+            if r := reduce(c * value):
+                held[leg] = r
+        if held:
+            side[key] = held
+            owned.add(key)
+        return
+    if key not in owned:
+        side[key] = held = held.copy()
+        owned.add(key)
+    for leg, value in group.items():
+        if r := reduce(held.get(leg, 0) + c * value):
+            held[leg] = r
+        else:
+            held.pop(leg, None)
+    if not held:
+        del side[key]
+        owned.discard(key)
+
+
+def _combined(coords, nested, reduce):
+    """The sum of ck * D(k) over the coordinates {k: ck}, nested as nested[k]
+    is (by left leg or by right leg), built by _take."""
+    side, owned = {}, set()
+    for k, ck in coords.items():
+        for key, group in nested[k].items():
+            _take(side, owned, key, group, ck, reduce)
+    return side
+
+
+def _delta(products, groups, reduce):
+    """D(basis[i]) over basis indices, twice: by left leg, {u: {(v, n): c}},
+    and by right leg, {v: {(u, n): c}}, with no zero values.
+
+    products is product_table[i] and groups the int values at
+    target(basis[i]), D(e_t) by left leg.  Group j moves to the left leg
+    k of each coordinate of basis[i] * basis[j], scaled by its int, by
+    _take's rule, so where that int is 1 the group of D(e_t) is shared.
+    The right-leg form is regrouped term by term and owns all its groups.
+    Each candidate's part of the result is scaled by the product of the
     table's scale and its own.
     """
-    out = {}
-    for (j, l, n), c in terms.items():
+    left, owned = {}, set()
+    for j, group in groups.items():
         for k, ck in products[j].items():
-            key = (k, l, n)
-            out[key] = out.get(key, 0) + c * ck
-    flat = {}
-    groups = {}
-    for key, value in out.items():
-        if c := reduce(value):
-            flat[key] = c
-            k, l, n = key
-            group = groups.get(k)
-            if group is None:
-                groups[k] = [(l, n, c)]
+            _take(left, owned, k, group, ck, reduce)
+    right = {}
+    for u, group in left.items():
+        for (v, n), c in group.items():
+            held = right.get(v)
+            if held is None:
+                right[v] = {(u, n): c}
             else:
-                group.append((l, n, c))
-    return flat, groups
+                held[u, n] = c
+    return left, right
+
+
+def _flat(side, right=False):
+    """A side nested by left leg, or by right leg when right, as the flat
+    map {(u, v, n): c} that a term-by-term comparison reads."""
+    if right:
+        return {(u, v, n): c for v, group in side.items() for (u, n), c in group.items()}
+    return {(u, v, n): c for u, group in side.items() for (v, n), c in group.items()}
 
 
 class Counterexample:
@@ -379,10 +439,10 @@ def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
 def _first_failure(algebra: AlgebraBasis, candidates):
     """(n, Counterexample) for the first of the candidates that fails, or None.
 
-    All candidates are checked in one walk.  Every int term is keyed
-    (basis index, basis index, candidate index n), so candidates never
-    mix: each side below is linear in the candidate, and its terms keyed
-    n are candidate n's side alone.
+    All candidates are checked in one walk.  Every int term is keyed by
+    two basis indices, its legs, and the index n of its candidate, so
+    candidates never mix: each side below is linear in the candidate, and
+    its terms keyed n are candidate n's side alone.
 
     For basis paths x, y the three sides are the value on the product,
     D(xy) = sum of c_b D(b) over the coordinates of xy, the left form
@@ -412,15 +472,31 @@ def _first_failure(algebra: AlgebraBasis, candidates):
     find.  Products of basis paths come from algebra.product_table,
     built once per algebra.
 
-    Each D(b) is built once, as the map {(u, v, n): c} the sides are
-    compared with and grouped by left leg, {u: [(v, n, c)]}.  D(x) is
-    grouped by right leg, {v: [(u, n, c)]}, at the start of its row and
-    dropped at its end, so no more than one row's groups are held.  The
-    left form looks x * u up once per left leg u of D(y), the right form
-    v * y once per right leg v of D(x), and each multiplies only where
-    that product is nonzero.  When xy is one coordinate b whose int is 1,
-    the value on the product is D(b) itself, not a copy; the walk never
-    writes to it.
+    Every side is nested by leg, a map from a leg to a group of terms
+    {(other leg, n): c}.  The groups of D(e_t) by left leg are built once
+    per walk from the candidates' ints, and each D(b) once, by _delta,
+    nested both ways.  The left form moves the group of D(y) at each left
+    leg u to each coordinate of x * u, the right form the group of D(x)
+    at each right leg v to each coordinate of v * y, and the value on the
+    product the groups of D(b), by left leg and by right leg, over the
+    coordinates b of xy; each multiplies only where a product is
+    nonzero.  Every move follows _take's rule: one whose int is 1, to a
+    leg not yet held, shares the group instead of copying it, and no
+    side writes to a group it shares.  So the walk never writes to the
+    candidates, the product table, a D(b) or another side.  When xy is
+    one coordinate b whose int is 1, the value on the product is D(b)
+    itself.
+
+    A pair passes at once when the value on the product, nested by left
+    leg, equals the left form, and nested by right leg equals the right
+    form.  That is C-level dict equality, and it finds a shared group
+    equal to itself by identity, so on a monomial table, where every move
+    shares, a pair costs one step per leg group, not one per term.  Equal
+    nested maps hold equal terms.  Otherwise the sides are flattened to
+    {(u, v, n): c}, reduced and compared term by term, which decides the
+    pair alone.  A candidate's values are canonical scalars, so the
+    groups of D(e_t) are reduced with no zero values, and _take keeps
+    every side so; this happens only where some candidate fails.
 
     The scalars are exact ints.  Every side is linear in the candidate
     and of degree 2 in the product table, whose ints are product_scale
@@ -448,58 +524,53 @@ def _first_failure(algebra: AlgebraBasis, candidates):
                       for c in terms.values()))
         scales.append(scale)
         for vertex, terms in candidate.values.items():
-            ints = values.setdefault(vertex, {})
+            groups = values.setdefault(vertex, {})
             for (j, l), c in terms.items():
-                ints[(j, l, n)] = c.numerator * (scale // c.denominator)
-    delta, by_left = [], []
+                groups.setdefault(j, {})[l, n] = c.numerator * (scale // c.denominator)
+    by_left, by_right = [], []
     for i, b in enumerate(basis):
-        terms = values.get(b.target)
-        flat, groups = _delta(products[i], terms, reduce) if terms else (_EMPTY, _EMPTY)
-        delta.append(flat)
-        by_left.append(groups)
+        groups = values.get(b.target)
+        left, right = _delta(products[i], groups, reduce) if groups else (_EMPTY, _EMPTY)
+        by_left.append(left)
+        by_right.append(right)
 
+    owned = set()  # the keys of the groups a side owns, emptied after each side
     for i, row in enumerate(products):
-        delta_x = delta[i]
-        by_right = {}
-        for (u, v, n), c in delta_x.items():
-            group = by_right.get(v)
-            if group is None:
-                by_right[v] = [(u, n, c)]
-            else:
-                group.append((u, n, c))
+        left_x, right_x = by_left[i], by_right[i]
         for j, coords in row.items():
-            delta_y = delta[j]
-            if not delta_x and not delta_y:
+            left_y = by_left[j]
+            if not left_x and not left_y:
                 for k in coords:
-                    if delta[k]:
+                    if by_left[k]:
                         break
                 else:
                     continue  # zero on all three sides, see above
             if len(coords) == 1 and 1 in coords.values():
-                expected = delta[next(iter(coords))]  # D(b) itself: never written to
+                k = next(iter(coords))
+                exp_l, exp_r = by_left[k], by_right[k]  # D(b) itself: never written to
             else:
-                expected = {}
-                for k, ck in coords.items():
-                    for key, c in delta[k].items():
-                        expected[key] = expected.get(key, 0) + ck * c
-
+                exp_l, exp_r = _combined(coords, by_left, reduce), _combined(coords, by_right, reduce)
             left_side = {}
-            for u, group in by_left[j].items():
+            for u, group in left_y.items():
                 for z, cz in row[u].items():
-                    for v, n, c in group:
-                        key = (z, v, n)
-                        left_side[key] = left_side.get(key, 0) + c * cz
-
+                    if cz == 1 and z not in left_side:
+                        left_side[z] = group  # shared
+                    else:
+                        _take(left_side, owned, z, group, cz, reduce)
+            owned.clear()
             right_side = {}
-            for v, group in by_right.items():
+            for v, group in right_x.items():
                 for z, cz in products[v][j].items():
-                    for u, n, c in group:
-                        key = (u, z, n)
-                        right_side[key] = right_side.get(key, 0) + c * cz
+                    if cz == 1 and z not in right_side:
+                        right_side[z] = group  # shared
+                    else:
+                        _take(right_side, owned, z, group, cz, reduce)
+            owned.clear()
 
-            if expected == left_side == right_side:
-                continue  # equal before reduction, so equal after it
-            sides = [_reduced(side, reduce) for side in (expected, left_side, right_side)]
+            if exp_l == left_side and exp_r == right_side:
+                continue  # equal as nested maps, so equal term by term
+            sides = [_reduced(side, reduce) for side in (
+                _flat(exp_l), _flat(left_side), _flat(right_side, right=True))]
             failing = [key[2] for key in sides[0].keys() | sides[1].keys() | sides[2].keys()
                        if not sides[0].get(key) == sides[1].get(key) == sides[2].get(key)]
             if failing:

@@ -50,7 +50,7 @@ def _parse_scalar(field, kind, text):
         num, _, den = text.partition("/")
         try:
             return field.scalar(int(num), int(den or 1))
-        except (ValueError, ZeroDivisionError, ValidationError) as exc:
+        except (ValueError, ValidationError) as exc:
             reason = f": {exc}"
     shown = shorten(text, repr)
     raise ValidationError(f"bad {kind} literal {shown}{reason if shown == repr(text) else ''}")
@@ -65,6 +65,8 @@ class RationalField:
     one = 1
 
     def scalar(self, num, den=1):
+        if not den:
+            raise ValidationError("zero denominator")
         return self.reduce(Fraction(num, den))
 
     def coerce(self, x):

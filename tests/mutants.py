@@ -52,20 +52,30 @@ class Mutant:
 
 MUTANTS = [
     Mutant(FROBENIUS,
-           "            if expected == left_side == right_side:\n",
-           "            right_side = expected\n"
-           "            if expected == left_side == right_side:\n",
+           "            if exp_l == left_side and exp_r == right_side:\n",
+           "            right_side = exp_r\n"
+           "            if exp_l == left_side and exp_r == right_side:\n",
            VERIFIER_TESTS,
            "the verifier ignores the right form D(x) (1 (x) y)"),
     Mutant(FROBENIUS,
-           "            if expected == left_side == right_side:\n",
-           "            left_side = expected\n"
-           "            if expected == left_side == right_side:\n",
+           "            if exp_l == left_side and exp_r == right_side:\n",
+           "            left_side = exp_l\n"
+           "            if exp_l == left_side and exp_r == right_side:\n",
            VERIFIER_TESTS,
            "the verifier ignores the left form (x (x) 1) D(y)"),
     Mutant(FROBENIUS,
-           "            if not delta_x and not delta_y:\n",
-           "            if not delta_x and not delta_y:\n"
+           "        if c == 1:\n",
+           "        if c:\n",
+           VERIFIER_TESTS,
+           "a group is shared though its product's int is not 1"),
+    Mutant(FROBENIUS,
+           "        side[key] = held = held.copy()\n",
+           "        side[key] = held\n",
+           VERIFIER_TESTS,
+           "a merge writes into a group taken by reference (no copy)"),
+    Mutant(FROBENIUS,
+           "            if not left_x and not left_y:\n",
+           "            if not left_x and not left_y:\n"
            "                continue\n",
            VERIFIER_TESTS,
            "the verifier skips every pair with D(x) = D(y) = 0, though D(xy) may not vanish"),

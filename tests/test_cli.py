@@ -390,6 +390,23 @@ class TestBadInput:
         assert run(capsys, "verify", diamond_file, "--coproduct", str(cand), *flags) == \
             (1, "", f"error: bad {kind} literal {coeff!r}\n")
 
+    @pytest.mark.parametrize("field, reason", [
+        (None, "rational literal '1/0': zero denominator"),
+        ("F7", "scalar literal '1/0': denominator 0 is zero in F_7")])
+    def test_coproduct_zero_denominator(self, capsys, tmp_path, diamond_file, field, reason):
+        cand = tmp_path / "cand.json"
+        cand.write_text(json.dumps([{"vertex": "0", "terms": [
+            {"left": {"e": "0"}, "right": {"e": "0"}, "coeff": "1/0"}]}]))
+        flags = ["--field", field] if field else []
+        code, out, err = run(capsys, "verify", diamond_file, "--coproduct", str(cand), *flags)
+        self.assert_one_line_error(code, out, err)
+        assert err == f"error: bad {reason}\n"
+
+    def test_canonical_zero_denominator(self, capsys):
+        code, out, err = run(capsys, "gen", "canonical", "2,2,2", "--lambdas", "1/0")
+        self.assert_one_line_error(code, out, err)
+        assert err == "error: bad rational literal '1/0': zero denominator\n"
+
     @pytest.mark.parametrize("coeff", ["-3/4", "-3", "12/8"])
     def test_coproduct_signed_numerator_is_read(self, capsys, tmp_path, diamond_file, coeff):
         cand = tmp_path / "cand.json"

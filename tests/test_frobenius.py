@@ -593,6 +593,37 @@ def test_consecutive_walks_agree(build):
     assert walk_result(frobenius._first_failure(algebra, candidates)) == first
 
 
+GROUPS = st.lists(st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                                  st.integers(-4, 4).filter(bool), min_size=1, max_size=3),
+                  min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(groups=GROUPS, p=st.sampled_from([None, 5]), data=st.data())
+def test_take_sums_moves_and_writes_to_no_group(groups, p, data):
+    """Moves by _take's take-or-copy rule: the sum of c * group at each key,
+    reduced, without zero values or empty groups, and not one of the
+    groups it was given written to, though the side may hold them.  A
+    group may move to several keys, and several groups to one key, as in
+    the walk."""
+    field = QQ if p is None else PrimeField(p)
+    groups = [{leg: field.reduce(c) for leg, c in group.items() if field.reduce(c)}
+              for group in groups]
+    assume(all(groups))
+    moves = data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, len(groups) - 1),
+                                         st.sampled_from([1, 1, 2, -1, 4])), max_size=6))
+    before = copy.deepcopy(groups)
+    side, owned = {}, set()
+    for key, g, c in moves:
+        frobenius._take(side, owned, key, groups[g], c, field.reduce)
+    total = {}
+    for key, g, c in moves:
+        for leg, value in groups[g].items():
+            add(total.setdefault(key, {}), leg, field.reduce(c * value), field)
+    assert side == {key: terms for key, terms in total.items() if terms}
+    assert groups == before
+
+
 @pytest.mark.parametrize("coeff", [1, Fraction(1, 3)])
 def test_coproduct_through_a_product_of_two_coordinates(coeff):
     """a * b = a * c + coeff a * d, and g * b = g * c = g * d = 0.

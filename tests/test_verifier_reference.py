@@ -20,6 +20,7 @@ The product table itself, which the verifier and the constraint build
 both read, is checked entry by entry against ``multiply``.
 """
 
+import copy
 import functools
 import random
 from fractions import Fraction
@@ -105,6 +106,13 @@ def reference_describe(algebra, x, y, *sides):
             f"(left (x) 1) form = {left}, (1 (x) right) form = {right}")
 
 
+def parallel_arrows():
+    """a*x - a*y on parallel arrows x and y: a * x = a * y, so the left
+    form (a (x) 1) D(e_2) moves two left legs to one."""
+    q = Quiver(["1", "2", "3"], [("a", "1", "2"), ("x", "2", "3"), ("y", "2", "3")])
+    return q, IdealSpec([PathExpr({q.path(["a", "x"]): 1, q.path(["a", "y"]): -1})])
+
+
 def loop_and_triangle():
     q = Quiver(["p", "q", "r"],
                [("x", "p", "p"), ("b", "p", "q"), ("c", "q", "r"), ("d", "r", "p")])
@@ -122,6 +130,7 @@ INSTANCES = {
     "toupie (2,3,2), mixed relations": gen_toupie((2, 3, 2), [(2, 1, 2)], [(1, -1, 0)]),
     # Over Q its product table has the entries 1/3 and -1/3.
     "canonical (2,2,2), lambda 1/3": gen_canonical(CanonicalSpec((2, 2, 2), (Fraction(1, 3),))),
+    "parallel a*x - a*y": parallel_arrows(),
     "rsz loop and triangle": loop_and_triangle(),
     "random rsz": gen_random(5, 4, 5, "rsz"),
 }
@@ -289,6 +298,40 @@ def test_cancelling_candidates_both_fail(field_name):
 
 def test_empty_batch_reports_no_failure():
     assert _first_failure(solved("cycle(3,3)", "Q")[0], []) is None
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("instance", ["parallel a*x - a*y", "canonical (2,2,2), lambda 1/3"])
+def test_walk_merges_into_copies_only(instance, field_name, kind):
+    """The take-or-copy rule where moves meet at one leg or carry an int
+    other than 1.
+
+    On a*x - a*y two left legs move to one, each with int 1, so the
+    second move merges into a group the side took by reference.  The
+    canonical table has product_scale 3 over Q, and products of several
+    coordinates, so its groups are scaled copies and its values on a
+    product are merged.  Each walk must match the reference, and must
+    write to neither the candidate nor the product table, so a second
+    walk reports the same.
+    """
+    algebra = solved(instance, field_name)[0]
+    products = algebra.product_table
+    if instance.startswith("parallel"):
+        assert any(row[u] and row[u] == row[v] for row in products for u in row for v in row
+                   if u != v)
+    else:
+        assert any(len(coords) > 1 for row in products for coords in row.values())
+        assert algebra.product_scale == (3 if field_name == "Q" else 1)
+    before = copy.deepcopy(products)
+    for seed in range(8):
+        candidate = draw_candidate(instance, field_name, kind, random.Random(seed))[1]
+        values = copy.deepcopy(candidate.values)
+        assert_same_verdict(algebra, candidate)
+        assert first_batch_failure(algebra, [candidate]) == \
+            first_batch_failure(algebra, [candidate])
+        assert candidate.values == values
+    assert algebra.product_table == before
 
 
 def test_product_tables_with_denominators():
