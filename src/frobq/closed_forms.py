@@ -317,6 +317,7 @@ def toupie_classify(algebra: AlgebraBasis) -> ToupieClassification:
             linear_rows.append({branch_of[path.arrows[0]]: coeff
                                 for path, coeff in g.terms.items()})
 
+    # The document's raw coefficients: the constructor coerces them and drops zeros.
     reduced, pivots = rref(SparseMatrix(linear_rows, t, algebra.field))
     for row in reduced.rows:
         if len(row) == 1:

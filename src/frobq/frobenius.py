@@ -157,16 +157,25 @@ def build_constraint_system(algebra: AlgebraBasis):
     An arrow a: p -> q gives one row per tensor pair of basis indices in
     (a (x) 1) D(e_q) - D(e_p) (1 (x) a).  The coordinates of a * u and
     v * a are the reduction table's entry for their joined arrow word,
-    looked up once per u and once per v, and stay the canonical scalars
-    the table holds: a is a basis path, since every generator term has
-    length >= 2, and a word with no entry is at or past the bound, so
-    zero.  An entry sums at most two coordinates, in [1, p) over F_p, so
-    only an exact 0 is zero: a row of zeros is dropped here, a zero entry
-    by SparseMatrix, which reduces the rest.  Neither the RREF nor the
-    kernel depends on the order of the rows, so the rows stay in the
-    order they are built.
+    looked up once per u and once per v: a is a basis path, since every
+    generator term has length >= 2, and a word with no entry is at or
+    past the bound, so zero.  The table holds nonzero canonical scalars;
+    a right-hand -c is not in [0, p) over F_p, so it is reduced, once per
+    (v, z).
+
+    No entry is a sum.  Column (q, u, v) enters row (w, v) for each
+    coordinate w of a * u, and column (p, u, v) enters row (u, z) for each
+    coordinate z of v * a, so a left and a right term share a cell only
+    when a is a loop and u is a coordinate of a * u.  Every coordinate of
+    a * u is a basis path longer than u: a * u is zero, a basis path, or
+    a pivot of compute_basis's RREF, whose row rewrites it over later
+    columns of its block only, and a block's columns run shorter first.
+    So every entry is one nonzero canonical scalar, no row is empty, and
+    SparseMatrix adopts the rows with no second pass; tests/ check the
+    length property.  Neither the RREF nor the kernel depends on the
+    order of the rows, so the rows stay in the order they are built.
     """
-    table = algebra.table
+    table, reduce = algebra.table, algebra.field.reduce
     columns, ncols = _columns(algebra)
     words = [b.arrows for b in algebra.basis]
     rows = []
@@ -180,15 +189,13 @@ def build_constraint_system(algebra: AlgebraBasis):
                     for w, c in coords.items():
                         pair_rows.setdefault((w, v), {})[col] = c
         first, us, vs = columns[arrow.source]
-        right = [(k, z, c) for k, v in enumerate(vs)
+        right = [(k, z, reduce(-c)) for k, v in enumerate(vs)
                  for z, c in table.get(words[v] + a, _EMPTY).items()]
         for i, u in enumerate(us):
             for k, z, c in right:
-                row = pair_rows.setdefault((u, z), {})
-                col = first + i * len(vs) + k
-                row[col] = row.get(col, 0) - c
-        rows.extend(row for row in pair_rows.values() if any(row.values()))
-    return SparseMatrix(rows, ncols, algebra.field), _legend(columns)
+                pair_rows.setdefault((u, z), {})[first + i * len(vs) + k] = c
+        rows.extend(pair_rows.values())
+    return SparseMatrix._adopt(rows, ncols, algebra.field), _legend(columns)
 
 
 def _monomial_kernel(algebra: AlgebraBasis, columns, ncols):

@@ -249,7 +249,8 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     # not a column: it is zero, or of length >= bound and so zero by the
     # certified bound.  The terms of g have distinct words, so those of
     # u * g * v do too, and all run from source(u) to target(v): no row
-    # crosses a block.
+    # crosses a block.  Each coefficient is coerced and nonzero, so the
+    # matrix adopts the rows as they are.
     rows = []
     for g in ideal.generators:
         if g.is_monomial:
@@ -267,7 +268,7 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     # same RREF plus those rows.  The free columns, in order, are the basis
     # in (source, target, sort_key) order; each pivot row rewrites its path
     # over them.
-    reduced, pivots = rref(SparseMatrix(rows, len(live), field))
+    reduced, pivots = rref(SparseMatrix._adopt(rows, len(live), field))
     pivot_set = set(pivots)
     basis = []
     index_of = {}               # column -> basis index

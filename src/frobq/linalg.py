@@ -190,7 +190,11 @@ class SparseMatrix:
     """An immutable sparse matrix over one fixed field.
 
     rows is a list of sparse {column: scalar} dictionaries holding only
-    nonzero entries, each given by field.coerce.
+    nonzero canonical scalars at columns in [0, ncols).  There are two
+    ways in: the constructor copies any rows, passing each entry through
+    field.coerce, refusing an out-of-range column and dropping a zero;
+    _adopt takes rows that already hold that form as they are, with no
+    copy and no check, for code that builds them so.
     """
 
     def __init__(self, rows, ncols, field=QQ):
@@ -206,6 +210,15 @@ class SparseMatrix:
                 if value:
                     kept[j] = value
             self.rows.append(kept)
+
+    @classmethod
+    def _adopt(cls, rows, ncols, field):
+        """The matrix whose rows are rows itself, which the caller
+        guarantees hold only nonzero canonical scalars of field at columns
+        in [0, ncols)."""
+        matrix = cls.__new__(cls)
+        matrix.ncols, matrix.field, matrix.rows = ncols, field, rows
+        return matrix
 
     @property
     def nrows(self):
@@ -256,11 +269,8 @@ def rref(matrix: SparseMatrix):
                     or isinstance(field, RationalField) and _modular_rref(matrix)
                     or _eliminate([dict(row) for row in matrix.rows], ncols, field))
     rows.extend({} for _ in range(matrix.nrows - len(pivots)))
-    # Every route leaves only nonzero, in-range, normalised entries, so
-    # its rows go in without the constructor's pass over them.
-    reduced = SparseMatrix((), ncols, field)
-    reduced.rows = rows
-    return reduced, pivots
+    # Every route leaves only nonzero, in-range, canonical entries.
+    return SparseMatrix._adopt(rows, ncols, field), pivots
 
 
 def _pair_rref(matrix: SparseMatrix):
@@ -268,8 +278,8 @@ def _pair_rref(matrix: SparseMatrix):
     (pivot rows, pivot columns), or None when a row holds more.
 
     A two-entry row a * x_i + b * x_j = 0 joins columns i and j, and a
-    one-entry row sends its column to the zero node ncols; the
-    constructor has already dropped zero entries.  Each join says
+    one-entry row sends its column to the zero node ncols; no
+    SparseMatrix holds a zero entry.  Each join says
     x_i = -(b / a) * x_j with a nonzero ratio, so in any kernel vector a
     component is either zero in every column or nonzero in every column.
 

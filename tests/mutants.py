@@ -116,10 +116,15 @@ MUTANTS = [
            ("tests/test_frobenius.py",),
            "the union-find keeps (p, w, v') when w is no product of the arrow"),
     Mutant(FROBENIUS,
-           "        right = [(k, z, c) for k, v in enumerate(vs)\n",
-           "        right = [(k, z, c) for k, v in enumerate(vs[:0])\n",
+           "        right = [(k, z, reduce(-c)) for k, v in enumerate(vs)\n",
+           "        right = [(k, z, reduce(-c)) for k, v in enumerate(vs[:0])\n",
            ("tests/test_hom_oracle.py",),
            "the non-monomial constraint build drops the D(e_p) (1 (x) a) terms"),
+    Mutant(FROBENIUS,
+           "(k, z, reduce(-c))",
+           "(k, z, -c)",
+           ("tests/test_frobenius.py",),
+           "the constraint build leaves a right-hand -c unreduced, outside [0, p) over F_p"),
     Mutant(FROBENIUS,
            "    if data.__class__ is list:  # not a str: tuple(\"ab\") would read as a word\n",
            "    if not isinstance(data, dict):\n",
@@ -173,6 +178,11 @@ MUTANTS = [
            "        rows = [{j: word[-2:] or a.source if len(word := a.arrows + w) < bound else ()\n",
            ("tests/test_cli.py::TestJsonWriter::test_space_json_reads_back",),
            "the product table memo keys a product by its last two arrows only"),
+    Mutant(IDEAL,
+           "if (c := field.coerce(coeff))]",
+           "if (c := coeff)]",
+           ("tests/test_basis_reference.py",),
+           "compute_basis adopts an ideal row's coefficient without coercing it"),
     Mutant(IDEAL,
            "    return longest + 1\n",
            "    return longest\n",

@@ -9,9 +9,10 @@ instances are drawn by `strategies.mixed_algebras`.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 import frobq.ideal
 from frobq.closed_forms import toupie_classify
@@ -21,7 +22,7 @@ from frobq.frobenius import frobenius_dimension
 from frobq.ideal import compute_basis, compute_bound
 from frobq.linalg import QQ, SparseMatrix, rref
 
-from algebra_ops import blocks, has_subword
+from algebra_ops import assert_canonical, blocks, has_subword
 from strategies import has_zero_generator, mixed_algebras
 
 
@@ -131,3 +132,25 @@ def test_compute_basis_eliminates_once(monkeypatch):
         assert matrix.ncols == len(live)
         assert sorted(sorted(r.items()) for r in matrix.rows) == \
             sorted(sorted(r.items()) for r in rows)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(drawn=mixed_algebras())
+def test_ideal_rows_are_canonical(drawn):
+    """compute_basis adopts its ideal rows without the constructor's pass,
+    so they must already be what that pass makes of them: nonzero
+    canonical scalars, and no empty row."""
+    quiver, ideal, field, _ = drawn
+    assume(not has_zero_generator(ideal, field))
+    calls = []
+
+    def recording_rref(matrix):
+        calls.append(matrix)
+        return rref(matrix)
+
+    with mock.patch.object(frobq.ideal, "rref", recording_rref):
+        compute_basis(quiver, ideal, field)
+    [matrix] = calls
+    assert all(matrix.rows)
+    assert_canonical(field, (c for row in matrix.rows for c in row.values()))
+    assert SparseMatrix(matrix.rows, matrix.ncols, field).rows == matrix.rows

@@ -447,6 +447,11 @@ def assert_matches_product_table_build(algebra):
     """build_constraint_system's matrix is the reference's divided by
     product_scale, so the two have the same RREF and kernel basis."""
     matrix, legend = build_constraint_system(algebra)
+    # The builder's rows are adopted with no second pass, so validating
+    # them must change nothing, and no row may be empty.
+    assert all(matrix.rows)
+    assert_canonical(algebra.field, (c for row in matrix.rows for c in row.values()))
+    assert SparseMatrix(matrix.rows, matrix.ncols, algebra.field).rows == matrix.rows
     reference, reference_legend = product_table_constraint_system(algebra)
     scale = algebra.product_scale
     assert legend == reference_legend
@@ -455,12 +460,56 @@ def assert_matches_product_table_build(algebra):
     assert kernel_basis(matrix) == kernel_basis(reference)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(drawn=st.one_of(random_algebras(), mixed_algebras().map(lambda drawn: drawn[:3])))
+@st.composite
+def looped_mixed_algebras(draw):
+    """A small_quivers draw, loops and parallel arrows allowed, with every
+    path of a drawn length L in {3, 4} as a monomial generator, so the
+    quotient is finite, and up to three relations p - c * p' between
+    distinct parallel paths shorter than L: a non-monomial ideal whose
+    pivots rewrite a path over others of its block."""
+    quiver = draw(small_quivers())
+    length = draw(st.integers(3, 4))
+    paths = quiver.enumerate_paths(length)
+    generators = [mono(quiver, list(p.arrows)) for p in paths if len(p) == length]
+    short = [p for p in paths if 2 <= len(p) < length]
+    pairs = [(p, q) for p in short for q in short
+             if p.arrows < q.arrows and (p.source, p.target) == (q.source, q.target)]
+    if pairs:
+        for p, q in draw(st.lists(st.sampled_from(pairs), max_size=3, unique=True)):
+            c = draw(st.sampled_from((1, -1, 2, 3)))
+            generators.append(PathExpr({p: 1, q: -c}))
+    return quiver, IdealSpec(generators), draw(st.sampled_from(MONOMIAL_FIELDS))
+
+
+constraint_algebras = st.one_of(random_algebras(), mixed_algebras().map(lambda drawn: drawn[:3]),
+                                looped_mixed_algebras())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn=constraint_algebras)
 def test_constraint_build_matches_product_table_build(drawn):
     quiver, ideal, field = drawn
     assume(not has_zero_generator(ideal, field))
     assert_matches_product_table_build(compute_basis(quiver, ideal, field))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn=constraint_algebras)
+def test_arrow_products_are_longer_than_their_factor(drawn):
+    """Every coordinate of a * u and of v * a, for an arrow a, is a basis
+    path longer than u or v.  So in build_constraint_system a left term of
+    (a (x) 1) D(e_q), in row (w, v) with w a coordinate of a * u, never
+    shares a cell with a right term of D(e_p) (1 (x) a), in row (u, z):
+    that would need u to be a coordinate of a * u."""
+    quiver, ideal, field = drawn
+    assume(not has_zero_generator(ideal, field))
+    algebra = compute_basis(quiver, ideal, field)
+    for arrow in quiver.arrows:
+        a = Path(arrow.source, arrow.target, (arrow.name,))
+        for b in algebra.basis:
+            for product in (compose(a, b), compose(b, a)):
+                if product is not None:
+                    assert all(len(w) > len(b) for w in reduce_path(algebra, product))
 
 
 def test_integral_coordinates_enter_the_q_rows_as_ints():
