@@ -11,18 +11,15 @@ over F_p, an integral Fraction to its int over Q), `inverse` gives
 1 / x and `pivot` chooses the pivot row, so the elimination code is the
 same for every field.
 
-`rref` takes the first of three routes that applies:
+`rref` takes the first of two routes that applies:
 
 1. When every row holds at most two entries, a union-find over the
    columns (`_pair_rref`): such a matrix is a direct sum of connected
    components, each of rank k or k - 1 on its k columns, whose RREF can
    be written down.  The non-monomial constraint systems of toupie and
    canonical algebras have this shape.
-2. Over Q, the elimination run modulo the prime P = 2^61 - 1 on ints,
-   lifted back to canonical scalars by rational reconstruction and
-   proved exact against the input (`_modular_rref`).
-3. The elimination over the canonical scalars themselves (`_eliminate`),
-   over F_p, and over Q when the proof fails or P divides a denominator.
+2. Otherwise the elimination over the canonical scalars themselves
+   (`_eliminate`), over Q and over F_p alike.
 
 The RREF of a matrix is unique, so `rank`, `kernel_basis` and every
 other caller get the same exact RREF whichever route gives it.
@@ -30,7 +27,6 @@ other caller get the same exact RREF whichever route gives it.
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
 
 from .errors import ValidationError, shorten
 
@@ -234,39 +230,23 @@ class SparseMatrix:
                 and self.field == other.field and self.rows == other.rows)
 
 
-# The modular route over Q row-reduces modulo this Mersenne prime.
-P = 2 ** 61 - 1
-_FP = PrimeField(P)
-# Wang's bound: since 2 * bound^2 < P, a residue is the image of at most
-# one fraction n/d with |n| <= bound and 0 < d <= bound.
-_LIFT_BOUND = isqrt(P // 2)
-
-
 def rref(matrix: SparseMatrix):
     """Reduced row echelon form and its pivot columns.
 
     The rows come back with the pivot rows first, in pivot order, then
-    the zero rows.  Three routes give it, the first that applies:
+    the zero rows.  Two routes give it, the first that applies:
 
     1. When no row holds more than two entries, `_pair_rref` writes the
        RREF of each connected component of the columns down by
        union-find, with exact field arithmetic and no elimination.
-    2. Over Q the elimination runs modulo the prime P on plain ints.  Its
-       RREF is lifted to canonical scalars by rational reconstruction and
-       checked exactly against the input: each input row must be the
-       combination of the lifted rows named by its pivot-column entries,
-       which proves the lift is the RREF over Q (`_modular_rref` gives
-       the argument).
-    3. Over F_p, and over Q when P divides a denominator, an entry does
-       not lift or the check fails, the same elimination runs over the
-       entries themselves.
+    2. Otherwise `_eliminate` runs Gauss-Jordan over the entries
+       themselves.
 
-    So every result is exact, either by construction or by the check,
-    and its scalars are canonical.
+    Both are exact on canonical scalars, so every result is exact and
+    its scalars are canonical.
     """
     field, ncols = matrix.field, matrix.ncols
     rows, pivots = (_pair_rref(matrix)
-                    or isinstance(field, RationalField) and _modular_rref(matrix)
                     or _eliminate([dict(row) for row in matrix.rows], ncols, field))
     rows.extend({} for _ in range(matrix.nrows - len(pivots)))
     # Every route leaves only nonzero, in-range, canonical entries.
@@ -442,82 +422,6 @@ def _eliminate(rows, ncols, field):
         pivot_rows.append(rows[p])
         pivots.append(col)
     return pivot_rows, pivots
-
-
-def _modular_rref(matrix: SparseMatrix):
-    """The RREF of a Q matrix M through F_P, or None when it is not proved.
-
-    M is mapped to F_P and row-reduced there.  Each off-pivot entry r of
-    that RREF is lifted to the rational n/d with |n|, d <= _LIFT_BOUND
-    and n = d * r mod P, if there is one (`_lift`); pivots lift to 1.
-    The lifted R is then checked exactly against M: every row m of M must
-    equal the sum of m[p] * R_p over the pivot columns p.  On a pivot
-    column that holds by the form of R, so only the free columns are
-    tested, at the cost of the off-pivot nonzeros.  A passing check puts
-    rowspace(M) inside rowspace(R), so rank_Q(M) <= rank(R) = rank_P(M),
-    and rank_P(M) <= rank_Q(M) always holds (a minor nonzero mod P is
-    nonzero over Q).  So the two row spaces are equal, and R, being in
-    reduced row echelon form, is the RREF of M over Q, which is unique.
-
-    Returns None when P divides a denominator of M, an entry does not
-    lift, or the check fails.
-    """
-    residues = []
-    for row in matrix.rows:
-        residue_row = {}
-        for j, x in row.items():
-            if type(x) is not int:
-                if x.denominator % P == 0:
-                    return None
-                x = x.numerator * pow(x.denominator, -1, P)
-            residue_row[j] = x % P
-        residues.append(residue_row)
-    reduced, pivots = _eliminate(residues, matrix.ncols, _FP)
-    tails = {}
-    for pivot, row in zip(pivots, reduced):
-        tail = []
-        for j, r in row.items():
-            if j != pivot:
-                value = _lift(r)
-                if value is None:
-                    return None
-                tail.append((j, value))
-        tails[pivot] = tail
-    for row in matrix.rows:
-        combination = {}
-        for p, x in row.items():
-            tail = tails.get(p)
-            if tail:
-                for j, v in tail:
-                    combination[j] = combination.get(j, 0) + x * v
-        for j, x in row.items():
-            if j not in tails and combination.pop(j, 0) != x:
-                return None
-        if any(combination.values()):
-            return None
-    return [{pivot: 1, **dict(tails[pivot])} for pivot in pivots], pivots
-
-
-def _lift(r):
-    """The canonical Q scalar with numerator and denominator within
-    _LIFT_BOUND whose image in F_P is the nonzero residue r, or None.
-
-    Small residues and their negatives are integers and lift directly to
-    ints; any other residue goes through Wang's half-extended Euclid,
-    which ends with |t1| >= 2, so its Fraction is not integral.
-    """
-    if r <= _LIFT_BOUND:
-        return r
-    if P - r <= _LIFT_BOUND:
-        return r - P
-    r0, r1, t0, t1 = P, r, 0, 1
-    while r1 > _LIFT_BOUND:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if abs(t1) > _LIFT_BOUND or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
 
 
 def rank(matrix: SparseMatrix) -> int:

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from frobq import linalg
 from frobq.errors import ValidationError
 from frobq.linalg import (
-    _LIFT_BOUND, P, QQ, PrimeField, SparseMatrix, _eliminate, _lift, _modular_rref,
-    _pair_rref, kernel_basis, rank, rref,
+    QQ, PrimeField, SparseMatrix, _eliminate, _pair_rref, kernel_basis, rank, rref,
 )
 
 from algebra_ops import assert_canonical, reference_rref
@@ -213,14 +212,11 @@ def test_rref_matches_reference(field, make):
             assert_canonical(field, vec.values())
 
 
-# Q matrices the modular route must decline: P divides a denominator, or
-# an RREF entry, (10^12 + 1)/7, 5^30/3^40 or P + 1, is beyond the lift
-# bound.  P + 1 is 1 mod P, so it lifts to the wrong value 1 and only the
-# exact check declines it.  In the last matrix the RREF has P + 1, P + 1
-# and 1 in column 3 and the wrong lift has 1, 1, 1: it matches every row
-# that has an entry in column 3, and only the zero that the second row
-# has there tells it apart.
-DECLINED = [
+# Q matrices with large coefficients: a denominator P, and RREF entries
+# (10^12 + 1)/7, 5^30/3^40 and P + 1, the last one also reached along a
+# chain of rows.
+P = 2 ** 61 - 1
+LARGE_COEFFICIENTS = [
     [{0: Fraction(1, P), 1: 1}, {1: 2}],
     [{0: 7, 1: 10 ** 12 + 1}],
     [{0: 3 ** 40, 1: 5 ** 30}],
@@ -237,41 +233,39 @@ def assert_eliminate_matches_reference(m):
     assert_canonical(m.field, (v for row in rows for v in row.values()))
 
 
-@pytest.mark.parametrize("rows", DECLINED)
-def test_modular_route_declines_and_fraction_elimination_answers(rows):
+@pytest.mark.parametrize("rows", LARGE_COEFFICIENTS)
+def test_large_coefficient_q_matrix_matches_reference(rows):
     m = SparseMatrix(rows, 1 + max(j for row in rows for j in row))
-    assert _modular_rref(m) is None
     reduced, pivots = rref(m)
     assert (reduced, pivots) == reference_rref(m)
     assert_canonical(QQ, reduced.entries.values())
     # No row holds three entries, so rref took _pair_rref: run the
-    # fallback elimination on its own.
+    # elimination on its own.
     assert_eliminate_matches_reference(m)
 
 
-def test_modular_route_lifts_fractions():
-    # The RREF entries -3/7 and 6/7 are large residues mod P, so they go
-    # through Wang's lift; the entry -10 lifts directly.
+def test_elimination_normalises_integer_rows_to_fractions():
+    # A row of three entries takes rref through _eliminate.  The pivot
+    # row 7x0 - 3x2 normalises to the Fraction -3/7, the fill-in 6/7
+    # follows from it, and the integral entry -10 stays an int.
     m = SparseMatrix([{0: 2, 1: 1, 3: -10}, {0: 7, 2: -3}], 4)
-    rows, pivots = _modular_rref(m)
-    expected, expected_pivots = reference_rref(m)
-    assert pivots == expected_pivots
-    assert rows == expected.rows[:len(pivots)]
-    assert_canonical(QQ, (v for row in rows for v in row.values()))
+    reduced, pivots = rref(m)
+    assert pivots == [0, 1]
+    assert reduced.rows == [{0: 1, 2: Fraction(-3, 7)},
+                            {1: 1, 2: Fraction(6, 7), 3: -10}]
+    assert type(reduced.rows[1][3]) is int
+    assert (reduced, pivots) == reference_rref(m)
 
 
-def test_lift_refuses_a_fraction_beyond_the_bound():
-    """Within _LIFT_BOUND a residue has at most one lift.  1/d and -1/d
-    with d = _LIFT_BOUND + 1 lie just outside it, so _lift refuses them,
-    although Euclid reaches them, and the modular route falls back
-    without running its exact check."""
-    d = _LIFT_BOUND + 1
-    assert _lift(pow(d, -1, P)) is None
-    assert _lift(P - pow(d, -1, P)) is None
-    m = SparseMatrix([{0: d, 1: 1}], 2)
-    assert _modular_rref(m) is None
-    assert rref(m) == reference_rref(m)
-    assert_eliminate_matches_reference(m)
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_elimination_clears_a_filled_in_column(field):
+    # Eliminating column 0 by x0 + x1 fills column 1 into x0 + x2.  Only
+    # the column index kept for the fill-in lets column 1 find its pivot
+    # there, so the RREF has rank 2, not rank 1.
+    rows, pivots = _eliminate([{0: 1, 1: 1}, {0: 1, 2: 1}], 3, field)
+    assert pivots == [0, 1]
+    assert rows == [{0: 1, 2: 1}, {1: 1, 2: field.reduce(-1)}]
+    assert_eliminate_matches_reference(SparseMatrix([{0: 1, 1: 1}, {0: 1, 2: 1}], 3, field))
 
 
 def test_rational_inverse_is_canonical():
@@ -302,14 +296,12 @@ def test_rational_scalars_have_one_form(value, expected):
 INTEGRAL = [{0: 2, 1: 4, 3: 1}, {0: 3, 2: 5}, {0: 6, 1: 12, 3: 3}, {1: -7, 2: 1, 3: 1}]
 
 
-@pytest.mark.parametrize("route", ["modular", "fraction"])
-def test_integer_valued_q_matrix_never_meets_a_float(monkeypatch, route):
-    """A Q matrix keeps integral entries as ints.  Through either route,
-    rref and kernel_basis give canonical scalars equal to reference_rref's,
-    and the reference, which eliminates over the ints themselves, gives
-    ints and Fractions only."""
-    if route == "fraction":
-        monkeypatch.setattr(linalg, "_modular_rref", lambda m: None)
+def test_integer_valued_q_matrix_never_meets_a_float():
+    """A Q matrix keeps integral entries as ints.  Its rows of three
+    entries take it through the elimination, where rref and kernel_basis
+    give canonical scalars equal to reference_rref's, and the reference,
+    which eliminates over the ints themselves, gives ints and Fractions
+    only."""
     m = SparseMatrix(INTEGRAL, 4)
     assert all(type(v) is int for row in m.rows for v in row.values())
     expected = reference_rref(m)
@@ -341,17 +333,13 @@ def rational_matrices(draw):
 
 
 def assert_row_order_ignored(m, order):
-    """m with its rows shuffled by order has the same RREF, pivots and kernel.
-
-    Over Q both routes are run on their own: the modular one and the
-    elimination over the Fractions, which rref only takes when the
-    modular route declines.
-    """
+    """m with its rows shuffled by order has the same RREF, pivots and
+    kernel; over Q the elimination, which rref does not take when
+    _pair_rref answers, is run on its own too."""
     shuffled = SparseMatrix(order.sample(m.rows, m.nrows), m.ncols, m.field)
     assert rref(shuffled) == rref(m)
     assert kernel_basis(shuffled) == kernel_basis(m)
     if m.field == QQ:
-        assert _modular_rref(shuffled) == _modular_rref(m)
         assert _eliminate([dict(row) for row in shuffled.rows], m.ncols, QQ) == \
             _eliminate([dict(row) for row in m.rows], m.ncols, QQ)
 
@@ -360,14 +348,7 @@ def assert_row_order_ignored(m, order):
 @given(m=rational_matrices(), order=st.randoms(use_true_random=False))
 def test_both_routes_match_reference(m, order):
     expected, expected_pivots = reference_rref(m)
-    modular = _modular_rref(m)
-    if modular is not None:
-        rows, pivots = modular
-        assert pivots == expected_pivots and rows == expected.rows[:len(pivots)]
-        assert_canonical(QQ, (v for row in rows for v in row.values()))
-    rows, pivots = _eliminate([dict(row) for row in m.rows], m.ncols, QQ)
-    assert pivots == expected_pivots and rows == expected.rows[:len(pivots)]
-    assert_canonical(QQ, (v for row in rows for v in row.values()))
+    assert_eliminate_matches_reference(m)
     reduced, pivots = rref(m)
     assert reduced == expected and pivots == expected_pivots
     kb = kernel_basis(m)
@@ -451,8 +432,7 @@ def assert_pair_route_matches_reference(m):
     assert_canonical(m.field, (v for row in rows for v in row.values()))
     assert rref(m) == (expected, expected_pivots)
     vectors = kernel_basis(m)
-    with mock.patch.object(linalg, "_pair_rref", lambda matrix: None), \
-            mock.patch.object(linalg, "_modular_rref", lambda matrix: None):
+    with mock.patch.object(linalg, "_pair_rref", lambda matrix: None):
         eliminated = kernel_basis(m)
     assert [list(v.items()) for v in vectors] == [list(v.items()) for v in eliminated]
     for vec in vectors:
