@@ -26,11 +26,15 @@ indicator vectors of the components of the graph joining the columns of
 each two-entry row that hold no one-entry row.  These are exactly
 kernel_basis's vectors, because the RREF is unique and a component's one
 column relation has all coefficients equal, so the elimination leaves its
-largest column free and makes every other one a pivot.  The union-find
-computes both columns of each such row from the column layout, by the
-places of a * u and v * a among the legs of one vertex, so dim on a
-monomial ideal builds neither the rows nor the legend of (p, u, v)
-triples; space writes the legend to read the vectors as coproducts.
+largest column free and makes every other one a pivot.  A column lies
+in at most two two-entry rows, one found by the last arrow of its right
+leg and one by the first arrow of its left leg, and the right leg
+shortens along the first, so every component is a chain, walked from
+its head.  The walk computes both columns of each such row from the
+column layout, by the places of a * u and v * a among the legs of one
+vertex, so dim on a monomial ideal builds neither the rows nor the
+legend of (p, u, v) triples; space writes the legend to read the vectors
+as coproducts.
 """
 
 from math import lcm
@@ -127,9 +131,12 @@ def _columns(algebra: AlgebraBasis):
     i * len(vs) + k.
     """
     basis = algebra.basis
+    in_order = [0] * len(basis)
+    for i, rank in enumerate(algebra.sort_rank):
+        in_order[rank] = i
     by_source = {}
     by_target = {}
-    for i in sorted(range(len(basis)), key=algebra.sort_rank.__getitem__):
+    for i in in_order:
         by_source.setdefault(basis[i].source, []).append(i)
         by_target.setdefault(basis[i].target, []).append(i)
     columns = {}
@@ -200,8 +207,8 @@ def build_constraint_system(algebra: AlgebraBasis):
 
 def _monomial_kernel(algebra: AlgebraBasis, columns, ncols):
     """kernel_basis of a monomial ideal's constraint system, whose columns
-    _columns lays out, by union-find over the column numbers (the module
-    docstring says why).
+    _columns lays out, by a walk along chains of column numbers (the
+    module docstring says why).
 
     Over a monomial ideal a * u and v' * a are each one basis path or
     zero, and a * u = a * u' only when u = u'.  So the row (w, v) of an
@@ -210,18 +217,24 @@ def _monomial_kernel(algebra: AlgebraBasis, columns, ncols):
     per u among q's left legs and once per v' among p's right legs, and
     turned into its place among p's left legs or q's right legs; both
     columns of a row are then numbers computed from the layout.  A row
-    holding both joins them.  A row holding one sends it to zero, the
-    node ncols; that is one of two rules:
+    holding both joins them: after[(q, u, v)] is (p, w, v').  A row
+    holding one sends it to zero; that is one of two rules:
 
     - (q, u, v) with a * u != 0 goes to zero when v is no v' * a, that
       is, when v does not end in a;
     - (p, w, v') with v' * a != 0 goes to zero when w is no a * u.
 
-    Every other column lies in no row of a.  Joining the same pairs in
-    another order, or by another key, gives the same components, and a
-    component is live exactly when none of its columns is sent to zero.
-    So the partition of the columns, and with it each kernel vector and
-    their order, depends on the rows alone.
+    Every other column lies in no row of a.  Only the arrow v ends in
+    joins (q, u, v) to a column after it, and only the arrow w starts
+    with joins (p, w, v') to one before it, and v' is shorter than v; so
+    the components are chains.  A column whose right leg v' some arrow a
+    extends, v' * a != 0, has a column before it when w is a * u and is
+    sent to zero otherwise.  So every chain that may be live starts at a
+    column whose right leg no arrow extends, and the walk starts only
+    there.  A chain is live exactly when none of its columns is sent to
+    zero; its vector is keyed in column order, and the vectors come in
+    the order of their largest columns, each the free column of
+    kernel_basis's RREF.
     """
     table = algebra.table
     words = [b.arrows for b in algebra.basis]
@@ -231,14 +244,9 @@ def _monomial_kernel(algebra: AlgebraBasis, columns, ncols):
             left[u] = i
         for k, v in enumerate(vs):
             right[v] = k
-    zero = ncols
-    parent = list(range(ncols + 1))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        return c
-
+    after = [None] * ncols  # the column a two-entry row joins each column to
+    zero = bytearray(ncols)  # 1 where a one-entry row sends the column to zero
+    extended = bytearray(len(words))  # 1 for a right leg v' with some v' * a != 0
     for arrow in algebra.quiver.arrows:
         a = (arrow.name,)
         first_q, us_q, vs_q = columns[arrow.target]
@@ -249,25 +257,37 @@ def _monomial_kernel(algebra: AlgebraBasis, columns, ncols):
             for z in table.get(words[v] + a, ()):
                 partner[right[z]] = k
                 ends_in_a.append(k)
+                extended[v] = 1
+        links = [(k, kp) for k, kp in enumerate(partner) if kp is not None]
+        cut = [k for k, kp in enumerate(partner) if kp is None]
         hit = [False] * len(us_p)  # for p's left leg w: whether w is some a * u
         for i, u in enumerate(us_q):
             for w in table.get(a + words[u], ()):
                 ii = left[w]
                 hit[ii] = True
-                row_p = first_p + ii * len(vs_p)
-                for col, k in enumerate(partner, first_q + i * len(vs_q)):
-                    parent[find(col)] = find(zero if k is None else row_p + k)
+                row_q, row_p = first_q + i * len(vs_q), first_p + ii * len(vs_p)
+                for k, kp in links:
+                    after[row_q + k] = row_p + kp
+                for k in cut:
+                    zero[row_q + k] = 1
         for ii, is_product in enumerate(hit):
             if not is_product:
                 row_p = first_p + ii * len(vs_p)
                 for k in ends_in_a:
-                    parent[find(row_p + k)] = find(zero)
-    root_of_zero = find(zero)
-    components = {}
-    for c in range(ncols):
-        if (root := find(c)) != root_of_zero:
-            components.setdefault(root, []).append(c)
-    live = sorted(components.values(), key=lambda cols: cols[-1])
+                    zero[row_p + k] = 1
+    live = []
+    for first, us, vs in columns.values():
+        heads = [k for k, v in enumerate(vs) if not extended[v]]
+        for row in range(first, first + len(us) * len(vs), len(vs)):
+            for k in heads:
+                c, chain = row + k, []
+                while c is not None and not zero[c]:
+                    chain.append(c)
+                    c = after[c]
+                if c is None:
+                    chain.sort()
+                    live.append(chain)
+    live.sort(key=lambda cols: cols[-1])
     return [dict.fromkeys(cols, algebra.field.one) for cols in live]
 
 

@@ -142,16 +142,18 @@ class AlgebraBasis:
     of length < bound into coordinates over the basis indices.  A path is
     keyed by its arrow word, which fixes it since arrow names are unique,
     and the trivial path e_v by the vertex name v.  Paths of length >=
-    bound are zero in the quotient.
+    bound are zero in the quotient.  sort_rank[i] is the place of basis[i]
+    in sort_key order, ties in basis order.
     """
 
-    def __init__(self, quiver, ideal, field, bound, basis, table):
+    def __init__(self, quiver, ideal, field, bound, basis, table, sort_rank):
         self.quiver = quiver
         self.ideal = ideal
         self.field = field
         self.bound = bound
         self.basis = basis          # tuple of Paths, canonical order
         self.table = table          # {arrow word or vertex: {basis index: scalar}}
+        self.sort_rank = sort_rank  # list of ints, one per basis path
 
     @property
     def dimension(self):
@@ -203,12 +205,6 @@ class AlgebraBasis:
                 for key in used}
         return [{j: ints[key] for j, key in row.items()} for row in rows], scale
 
-    @cached_property
-    def sort_rank(self):
-        """sort_rank[i] is the place of basis[i] in sort_key order, ties in basis order."""
-        order = sorted(range(len(self.basis)), key=lambda i: self.basis[i].sort_key())
-        return sorted(range(len(order)), key=order.__getitem__)
-
 
 def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     """The normal-form basis of kQ/I over field, as an AlgebraBasis.
@@ -231,15 +227,19 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
         if w in words or w[:-1] in table or w[1:] in table:
             table[w] = {}
     # The columns are grouped by (source, target) block with a stable sort,
-    # so each block keeps the canonical order.  A nontrivial word fixes its
-    # path; the ideal's rows hold no trivial one.
-    paths.sort(key=lambda p: (p.source, p.target))
+    # so each block keeps the canonical order, and place[j] is column j's
+    # place in the canonical order.  A nontrivial word fixes its path; the
+    # ideal's rows hold no trivial one.
+    blocks = [(p.source, p.target) for p in paths]
     live = []
+    place = []
     by_target = {}
     by_source = {}
-    for p in paths:
+    for n in sorted(range(len(paths)), key=blocks.__getitem__):
+        p = paths[n]
         if p.arrows not in table:
             live.append(p)
+            place.append(n)
             by_target.setdefault(p.target, []).append(p)
             by_source.setdefault(p.source, []).append(p)
     column = {p.arrows: j for j, p in enumerate(live)}
@@ -267,17 +267,23 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     # each block.  With a unit row for each zero path it would have the
     # same RREF plus those rows.  The free columns, in order, are the basis
     # in (source, target, sort_key) order; each pivot row rewrites its path
-    # over them.
+    # over them.  The canonical order is sort_key order with the trivial
+    # paths by vertex name, as the blocks order them, so reading the basis
+    # paths at their canonical places gives sort_rank with no sort.
     reduced, pivots = rref(SparseMatrix._adopt(rows, len(live), field))
     pivot_set = set(pivots)
     basis = []
     index_of = {}               # column -> basis index
+    at_place = [None] * len(paths)
     for j, p in enumerate(live):
         if j not in pivot_set:
-            index_of[j] = len(basis)
+            index_of[j] = at_place[place[j]] = len(basis)
             table[p.arrows or p.source] = {len(basis): field.one}
             basis.append(p)
     for i, col in enumerate(pivots):
         table[live[col].arrows] = {index_of[j]: field.reduce(-value)
                                    for j, value in reduced.rows[i].items() if j != col}
-    return AlgebraBasis(quiver, ideal, field, bound, tuple(basis), table)
+    sort_rank = [0] * len(basis)
+    for rank, i in enumerate(i for i in at_place if i is not None):
+        sort_rank[i] = rank
+    return AlgebraBasis(quiver, ideal, field, bound, tuple(basis), table, sort_rank)

@@ -10,7 +10,8 @@ the verifier reads.  `extend_coproduct` gives a candidate's induced value
 on a basis path the same way.  `path_terms` and `index_terms` turn a
 candidate's {(i, j): c} over basis indices into paths and back,
 `terms_text` writes a value over paths as the CLI does, `combine`
-sums candidates, and `blocks` groups the basis by (source, target).
+sums candidates, `blocks` groups the basis by (source, target), and
+`sort_ranks` ranks it in sort_key order by sorting.
 `has_subword` tells whether an arrow word holds one of the given words,
 as a path that is zero modulo monomial generators does.
 `assert_canonical` checks that scalars are in their field's one form,
@@ -129,6 +130,13 @@ def blocks(algebra):
     for p in algebra.basis:
         grouped.setdefault((p.source, p.target), []).append(p)
     return {key: tuple(paths) for key, paths in grouped.items()}
+
+
+def sort_ranks(basis):
+    """The place of each basis path in sort_key order, ties in basis order,
+    by two sorts: what compute_basis records as sort_rank."""
+    order = sorted(range(len(basis)), key=lambda i: basis[i].sort_key())
+    return sorted(range(len(order)), key=order.__getitem__)
 
 
 def compose(p, q):

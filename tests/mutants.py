@@ -15,7 +15,8 @@ per mutant with the time it took, and exits 1 when a mutant survives,
 when its anchor text does not occur exactly once, when pytest ends in
 anything but pass or fail (a mutant that does not even import), or when
 a subset runs longer than SUBSET_TIMEOUT seconds (a mutant that makes a
-test loop forever), which it reports as TIMEOUT.
+test loop forever), which it reports as TIMEOUT.  Its last line gives
+the count of mutants killed and the whole run's time.
 
 pytest does not collect this file.
 """
@@ -37,6 +38,11 @@ FAMILIES = "src/frobq/families.py"
 IDEAL = "src/frobq/ideal.py"
 LINALG = "src/frobq/linalg.py"
 VERIFIER_TESTS = ("tests/test_verifier_reference.py", "tests/test_frobenius.py")
+# The two tests that kill the no-copy _take mutant.  pytest -x runs them in
+# this order and stops at the first failure, so the one that fails in about
+# a second comes before the Hypothesis test, which shrinks for about 15 s.
+TAKE_TESTS = ("tests/test_frobenius.py::test_coproduct_through_a_product_of_two_coordinates",
+              "tests/test_frobenius.py::test_take_sums_moves_and_writes_to_no_group")
 # The longest subset, the unmutated VERIFIER_TESTS, takes about 5 s on 2 cores.
 SUBSET_TIMEOUT = 60
 
@@ -71,7 +77,7 @@ MUTANTS = [
     Mutant(FROBENIUS,
            "        side[key] = held = held.copy()\n",
            "        side[key] = held\n",
-           VERIFIER_TESTS,
+           TAKE_TESTS,
            "a merge writes into a group taken by reference (no copy)"),
     Mutant(FROBENIUS,
            "            if not left_x and not left_y:\n",
@@ -82,7 +88,7 @@ MUTANTS = [
     Mutant(FROBENIUS,
            "    new = reduce(value if old is None else old + value)\n",
            "    new = value if old is None else old + value\n",
-           VERIFIER_TESTS,
+           ("tests/test_frobenius.py::test_candidate_from_json_sums_repeated_terms",),
            "_add keeps sums unreduced, so F_p values the reader sums leave [0, p)"),
     Mutant(FROBENIUS,
            "            if len(coords) == 1 and 1 in coords.values():\n",
@@ -92,7 +98,7 @@ MUTANTS = [
     Mutant(FROBENIUS,
            "                for z, cz in row[u].items():\n",
            "                for z, cz in list(row[u].items())[:1]:\n",
-           VERIFIER_TESTS,
+           ("tests/test_frobenius.py::test_coproduct_through_a_product_of_two_coordinates",),
            "the left form uses only the first coordinate of x * u"),
     Mutant(FROBENIUS,
            "                if not basis[i].source == vertex == basis[j].target:\n",
@@ -103,18 +109,22 @@ MUTANTS = [
            "    return [dict.fromkeys(cols, algebra.field.one) for cols in live]\n",
            "    return [dict.fromkeys(cols, algebra.field.one) for cols in live[:-1]]\n",
            ("tests/test_frobenius.py",),
-           "the union-find kernel drops its last vector"),
+           "the chain walk drops its last vector"),
     Mutant(FROBENIUS,
-           "                    parent[find(col)] = find(zero if k is None else row_p + k)\n",
-           "                    if k is not None:\n"
-           "                        parent[find(col)] = find(row_p + k)\n",
+           "                    zero[row_q + k] = 1\n",
+           "                    pass\n",
            ("tests/test_frobenius.py",),
-           "the union-find keeps (q, u, v) when v does not end in the arrow"),
+           "the chain walk keeps (q, u, v) when v does not end in the arrow"),
     Mutant(FROBENIUS,
-           "                    parent[find(row_p + k)] = find(zero)\n",
-           "                    find(row_p + k)\n",
+           "                    zero[row_p + k] = 1\n",
+           "                    pass\n",
            ("tests/test_frobenius.py",),
-           "the union-find keeps (p, w, v') when w is no product of the arrow"),
+           "the chain walk keeps (p, w, v') when w is no product of the arrow"),
+    Mutant(FROBENIUS,
+           "                while c is not None and not zero[c]:\n",
+           "                while c is not None and not (zero[c] and not chain):\n",
+           ("tests/test_frobenius.py",),
+           "a chain stays live past a later column sent to zero"),
     Mutant(FROBENIUS,
            "        right = [(k, z, reduce(-c)) for k, v in enumerate(vs)\n",
            "        right = [(k, z, reduce(-c)) for k, v in enumerate(vs[:0])\n",
@@ -183,6 +193,11 @@ MUTANTS = [
            "if (c := coeff)]",
            ("tests/test_basis_reference.py",),
            "compute_basis adopts an ideal row's coefficient without coercing it"),
+    Mutant(IDEAL,
+           "index_of[j] = at_place[place[j]] = len(basis)",
+           "index_of[j] = at_place[j] = len(basis)",
+           ("tests/test_ideal.py::TestComputeBasis::test_sort_rank_by_hand",),
+           "compute_basis ranks the basis in block order, not in sort_key order"),
     Mutant(IDEAL,
            "    return longest + 1\n",
            "    return longest\n",
@@ -258,6 +273,7 @@ def _pytest(copy, tests):
 
 
 def main():
+    begun = time.perf_counter()
     faults = 0
     with tempfile.TemporaryDirectory(prefix="frobq-mutants-") as tmp:
         copy = Path(tmp)
@@ -287,7 +303,8 @@ def main():
                 code, f"ERROR (pytest exit {code})")
             print(f"{verdict:8} {time.perf_counter() - start:6.1f} s  {mutant.why}")
             faults += verdict != "killed"
-    print(f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed")
+    print(f"{len(MUTANTS) - faults} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - begun:.1f} s")
     return 1 if faults else 0
 
 

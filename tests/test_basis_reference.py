@@ -22,7 +22,7 @@ from frobq.frobenius import frobenius_dimension
 from frobq.ideal import compute_basis, compute_bound
 from frobq.linalg import QQ, SparseMatrix, rref
 
-from algebra_ops import assert_canonical, blocks, has_subword
+from algebra_ops import assert_canonical, blocks, has_subword, sort_ranks
 from strategies import has_zero_generator, mixed_algebras
 
 
@@ -77,6 +77,7 @@ def test_one_elimination_matches_per_block_reference(drawn):
     algebra = compute_basis(quiver, ideal, field)
     basis, reference_blocks, table = basis_by_blocks(quiver, ideal, field)
     assert algebra.basis == basis
+    assert algebra.sort_rank == sort_ranks(basis)
     assert blocks(algebra) == {key: paths for key, paths in reference_blocks.items() if paths}
     assert algebra.table == table
     if monomial_toupie:

@@ -31,7 +31,7 @@ from frobq.quiver import Path, PathExpr, Quiver
 
 from algebra_ops import (add, assert_canonical, coefficient_vector, combine, compose, coords_of,
                          extend_coproduct, index_terms, multiply, path_terms, reduce_path,
-                         reference_rref)
+                         reference_rref, sort_ranks)
 from strategies import (MONOMIAL_FIELDS, has_zero_generator, mixed_algebras, random_algebras,
                         small_quivers)
 
@@ -357,7 +357,7 @@ def test_failing_kernel_vector_is_a_solver_bug(monkeypatch):
 
 
 def test_failing_monomial_kernel_vector_is_a_solver_bug(monkeypatch):
-    """The same on a monomial ideal, whose kernel comes from the union-find."""
+    """The same on a monomial ideal, whose kernel comes from the chain walk."""
     algebra = algebra_of(gen_cycle(3, 3))
     monomial_kernel = frobenius._monomial_kernel
 
@@ -401,16 +401,49 @@ def finite_monomial_quivers(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(drawn=st.one_of(random_algebras(), monomial_mixed_algebras, finite_monomial_quivers()))
-def test_union_find_kernel_is_kernel_basis(drawn):
+def test_chain_walk_kernel_is_kernel_basis(drawn):
     """The monomial route gives the kernel vectors, in order, that the
-    constraint matrix and kernel_basis give, and its layout the legend."""
+    constraint matrix and kernel_basis give, each keyed in column order,
+    and its layout, which sort_rank orders, the legend."""
     quiver, ideal, field = drawn
     assume(not has_zero_generator(ideal, field))
     algebra = compute_basis(quiver, ideal, field)
+    assert algebra.sort_rank == sort_ranks(algebra.basis)
     matrix, legend = build_constraint_system(algebra)
     columns, ncols = frobenius._columns(algebra)
     assert frobenius._legend(columns) == legend
-    assert frobenius._monomial_kernel(algebra, columns, ncols) == kernel_basis(matrix)
+    vectors = frobenius._monomial_kernel(algebra, columns, ncols)
+    assert vectors == kernel_basis(matrix)
+    assert all(list(vector) == sorted(vector) for vector in vectors)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(drawn=st.one_of(random_algebras(), monomial_mixed_algebras, finite_monomial_quivers()))
+def test_monomial_two_entry_rows_form_chains(drawn):
+    """Over a monomial ideal no row holds more than two entries, every
+    column lies in at most two two-entry rows, and the graph whose edges
+    are the two-entry rows has no cycle: its components are chains, which
+    the monomial route walks."""
+    quiver, ideal, field = drawn
+    assume(not has_zero_generator(ideal, field))
+    matrix, _ = build_constraint_system(compute_basis(quiver, ideal, field))
+    assert all(len(row) <= 2 for row in matrix.rows)
+    edges = [tuple(row) for row in matrix.rows if len(row) == 2]
+    degree = [0] * matrix.ncols
+    for edge in edges:
+        for col in edge:
+            degree[col] += 1
+    assert max(degree, default=0) <= 2
+    parent = list(range(matrix.ncols))
+
+    def root(c):
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    for i, j in edges:
+        assert root(i) != root(j), f"the two-entry rows close a cycle at columns {i}, {j}"
+        parent[root(i)] = root(j)
 
 
 def product_table_constraint_system(algebra):

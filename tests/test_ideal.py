@@ -280,6 +280,17 @@ class TestComputeBasis:
         assert [str(p) for p in algebra.basis] == ["e_1", "a1", "e_2", "a2", "e_3"]
         assert algebra.dimension == 5
 
+    def test_sort_rank_by_hand(self):
+        """sort_rank[i] is basis[i]'s place in sort_key order, the trivial
+        paths by vertex name.  The diamond's pivot path a1_1*a1_2 is no
+        basis path, so it takes no place."""
+        algebra = compute_basis(*gen_linear(3, [(1, 2)]))
+        assert algebra.sort_rank == [0, 3, 1, 4, 2]
+        algebra = compute_basis(*diamond())
+        order = sorted(range(algebra.dimension), key=algebra.sort_rank.__getitem__)
+        assert [str(algebra.basis[i]) for i in order] == [
+            "e_0", "e_v1_1", "e_v2_1", "e_w", "a1_1", "a1_2", "a2_1", "a2_2", "a2_1*a2_2"]
+
     def test_loop_square(self):
         algebra = compute_basis(LOOP, IdealSpec([mono(LOOP, ["x", "x"])]))
         assert [str(p) for p in algebra.basis] == ["e_p", "x"]
