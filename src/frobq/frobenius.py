@@ -10,14 +10,14 @@ other pairs have zero on every side), using the algebra's full
 multiplication rather than arrows, so the cheap system is never trusted
 on its own.  The solver's whole kernel basis is checked in one such
 walk.  The solver reads each product off the reduction table by arrow
-word; the verifier reads the algebra's int product table, over basis
-indices, and computes on exact int representatives: the product table
-and each candidate scaled by the lcm of their denominators.  It holds
-each D(b) twice, nested by left leg and by right leg, as maps from a leg
-to a group of terms, and moves whole groups: where a product's int is 1
-a side takes the group itself, shared and never written to, rather than
-a copy.  So on a monomial table a pair costs one step per leg group, and
-its sides compare by identity group for group.
+word; the verifier reads the same maps by basis index, through the
+algebra's product table, and computes on the field's canonical scalars.
+It holds each D(b) twice, nested by left leg and by right leg, as maps
+from a leg to a group of terms, and moves whole groups: where a
+product's coordinate is 1 a side takes the group itself, shared and
+never written to, rather than a copy.  So on a monomial table a pair
+costs one step per leg group, and its sides compare by identity group
+for group.
 
 Only a non-monomial ideal's system is built and row-reduced: over a
 monomial ideal each product of basis paths is one basis path or zero, so
@@ -36,8 +36,6 @@ vertex, so dim on a monomial ideal builds neither the rows nor the
 legend of (p, u, v) triples; space writes the legend to read the vectors
 as coproducts.
 """
-
-from math import lcm
 
 from .errors import InternalFaultError, SupportViolationError, ValidationError, shorten
 from .ideal import AlgebraBasis
@@ -392,13 +390,12 @@ def _delta(products, groups, reduce):
     """D(basis[i]) over basis indices, twice: by left leg, {u: {(v, n): c}},
     and by right leg, {v: {(u, n): c}}, with no zero values.
 
-    products is product_table[i] and groups the int values at
+    products is product_table[i] and groups the values at
     target(basis[i]), D(e_t) by left leg.  Group j moves to the left leg
-    k of each coordinate of basis[i] * basis[j], scaled by its int, by
-    _take's rule, so where that int is 1 the group of D(e_t) is shared.
-    The right-leg form is regrouped term by term and owns all its groups.
-    Each candidate's part of the result is scaled by the product of the
-    table's scale and its own.
+    k of each coordinate of basis[i] * basis[j], scaled by that
+    coordinate, by _take's rule, so where it is 1 the group of D(e_t) is
+    shared.  The right-leg form is regrouped term by term and owns all
+    its groups.
     """
     left, owned = {}, set()
     for j, group in groups.items():
@@ -466,7 +463,7 @@ def verify_coproduct(algebra: AlgebraBasis, candidate: CoproductCandidate):
 def _first_failure(algebra: AlgebraBasis, candidates):
     """(n, Counterexample) for the first of the candidates that fails, or None.
 
-    All candidates are checked in one walk.  Every int term is keyed by
+    All candidates are checked in one walk.  Every term is keyed by
     two basis indices, its legs, and the index n of its candidate, so
     candidates never mix: each side below is linear in the candidate, and
     its terms keyed n are candidate n's side alone.
@@ -501,17 +498,17 @@ def _first_failure(algebra: AlgebraBasis, candidates):
 
     Every side is nested by leg, a map from a leg to a group of terms
     {(other leg, n): c}.  The groups of D(e_t) by left leg are built once
-    per walk from the candidates' ints, and each D(b) once, by _delta,
+    per walk from the candidates' values, and each D(b) once, by _delta,
     nested both ways.  The left form moves the group of D(y) at each left
     leg u to each coordinate of x * u, the right form the group of D(x)
     at each right leg v to each coordinate of v * y, and the value on the
     product the groups of D(b), by left leg and by right leg, over the
     coordinates b of xy; each multiplies only where a product is
-    nonzero.  Every move follows _take's rule: one whose int is 1, to a
+    nonzero.  Every move follows _take's rule: one by a coordinate 1, to a
     leg not yet held, shares the group instead of copying it, and no
     side writes to a group it shares.  So the walk never writes to the
     candidates, the product table, a D(b) or another side.  When xy is
-    one coordinate b whose int is 1, the value on the product is D(b)
+    one coordinate b equal to 1, the value on the product is D(b)
     itself.
 
     A pair passes at once when the value on the product, nested by left
@@ -525,14 +522,11 @@ def _first_failure(algebra: AlgebraBasis, candidates):
     groups of D(e_t) are reduced with no zero values, and _take keeps
     every side so; this happens only where some candidate fails.
 
-    The scalars are exact ints.  Every side is linear in the candidate
-    and of degree 2 in the product table, whose ints are product_scale
-    times its coordinates; with candidate n's coefficients scaled by the
-    lcm L_n of their denominators, its side is an int equal to
-    product_scale**2 * L_n times the true side (the scale is 1 over
-    F_p).  So the sides agree exactly when their ints do, after
-    field.reduce over F_p; a Counterexample maps its sides back with
-    field.scalar.
+    The scalars are exact: the candidates' values and the table's
+    coordinates are canonical scalars of the field, and every sum and
+    product is put back in canonical form by field.reduce.  So the sides
+    agree exactly when their scalars are equal, and a Counterexample
+    holds the true sides as they are.
 
     At the first pair where some candidate fails, n is the lowest such
     candidate, failing there for the first time; the candidates before
@@ -543,17 +537,13 @@ def _first_failure(algebra: AlgebraBasis, candidates):
     reduce = algebra.field.reduce
     basis = algebra.basis
     products = algebra.product_table
-    scales = []
     values = {}
     for n, candidate in enumerate(candidates):
         candidate.check_support()
-        scale = lcm(*(c.denominator for terms in candidate.values.values()
-                      for c in terms.values()))
-        scales.append(scale)
         for vertex, terms in candidate.values.items():
             groups = values.setdefault(vertex, {})
             for (j, l), c in terms.items():
-                groups.setdefault(j, {})[l, n] = c.numerator * (scale // c.denominator)
+                groups.setdefault(j, {})[l, n] = c
     by_left, by_right = [], []
     for i, b in enumerate(basis):
         groups = values.get(b.target)
@@ -604,9 +594,8 @@ def _first_failure(algebra: AlgebraBasis, candidates):
                 n = min(failing)
                 if earlier := _first_failure(algebra, candidates[:n]):
                     return earlier
-                scale, scalar = algebra.product_scale ** 2 * scales[n], algebra.field.scalar
                 return n, Counterexample(algebra, basis[i], basis[j], *(
-                    {(a, b): scalar(c, scale) for (a, b, m), c in side.items() if m == n}
+                    {(a, b): c for (a, b, m), c in side.items() if m == n}
                     for side in sides))
     return None
 

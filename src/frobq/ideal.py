@@ -12,7 +12,6 @@ The tests in tests/, not each call, check that this bound is sound.
 """
 
 from functools import cached_property
-from math import lcm
 
 from .errors import (
     InfiniteDimensionalError,
@@ -164,46 +163,28 @@ class AlgebraBasis:
         """index[path] is the place of a basis path in basis; built on first read."""
         return {p: i for i, p in enumerate(self.basis)}
 
-    @property
-    def product_table(self):
-        """Products of composable basis paths, over basis indices, as ints.
-
-        product_table[i][j] is the coordinate map {k: int} of
-        basis[i] * basis[j] scaled by product_scale (empty when the product
-        vanishes), for every j with source(basis[j]) = target(basis[i]),
-        keyed in basis order.  Pairs that do not compose have no entry:
-        their product is zero.  product_scale is the lcm of the
-        coordinates' denominators (1 over F_p), so every entry is an exact
-        int.  Built on the verifier's first use and kept, so every
-        verification of this algebra shares it; treat it as read-only.
-        """
-        return self._products[0]
-
-    @property
-    def product_scale(self):
-        """The int that scales every coordinate in product_table."""
-        return self._products[1]
-
     @cached_property
-    def _products(self):
-        """(product_table, product_scale).  The product of composable basis
-        paths is the path of their joined word, e_v when both are trivial,
-        so each entry is one table lookup, or zero, keyed (), at or past the
-        bound.  Each table entry in use is turned into ints once, and every
-        pair with that product shares the map."""
-        table, bound = self.table, self.bound
+    def product_table(self):
+        """Products of composable basis paths, over basis indices.
+
+        product_table[i][j] is the coordinate map {k: scalar} of
+        basis[i] * basis[j] (empty when the product vanishes), for every j
+        with source(basis[j]) = target(basis[i]), keyed in basis order.
+        Pairs that do not compose have no entry: their product is zero.
+        The product is the path of their joined word, e_v when both are
+        trivial, so an entry is the reduction table's own map for that
+        word, shared; a word with no entry is at or past the bound, so
+        zero, and all such entries share one empty map.  Built on the
+        verifier's first use and kept, so every verification of this
+        algebra shares it; treat it and the table as read-only.
+        """
+        table, zero = self.table, {}
         starting_at = {}
         for j, b in enumerate(self.basis):
             starting_at.setdefault(b.source, []).append((j, b.arrows))
-        rows = [{j: word or a.source if len(word := a.arrows + w) < bound else ()
+        return [{j: table.get(a.arrows + w or a.source, zero)
                  for j, w in starting_at.get(a.target, ())}
                 for a in self.basis]
-        used = set().union(*(row.values() for row in rows))
-        scale = lcm(*(c.denominator for key in used for c in table.get(key, {}).values()))
-        ints = {key: {k: c.numerator * (scale // c.denominator)
-                      for k, c in table.get(key, {}).items()}
-                for key in used}
-        return [{j: ints[key] for j, key in row.items()} for row in rows], scale
 
 
 def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:

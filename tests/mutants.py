@@ -6,17 +6,19 @@ Run from a checkout:
 
 Each mutant replaces one exact text, which must occur exactly once in
 its file, by a small wrong variant.  The script copies src/, tests/ and
-pyproject.toml into a temporary directory, first runs every test subset
-on the unmutated copy (all must pass), then applies each mutant in turn
-to the copy, runs its subset with ``pytest -x`` and restores the file.
-The checkout is never written to.  A mutant is killed when its subset
-fails; it survives when the subset passes.  The script prints one line
-per mutant with the time it took, and exits 1 when a mutant survives,
-when its anchor text does not occur exactly once, when pytest ends in
-anything but pass or fail (a mutant that does not even import), or when
-a subset runs longer than SUBSET_TIMEOUT seconds (a mutant that makes a
-test loop forever), which it reports as TIMEOUT.  Its last line gives
-the count of mutants killed and the whole run's time.
+pyproject.toml into a temporary directory, first runs the union of the
+test subsets on the unmutated copy in one pytest call (all must pass,
+so every subset passes), then applies each mutant in turn to the copy,
+runs its subset with ``pytest -x`` and restores the file.  The checkout
+is never written to.  A mutant is killed when its subset fails; it
+survives when the subset passes.  The script prints one line per mutant
+with the time it took, and exits 1 when a mutant survives, when its
+anchor text does not occur exactly once, when pytest ends in anything
+but pass or fail (a mutant that does not even import), or when a
+subset, or the unmutated union, runs longer than SUBSET_TIMEOUT seconds
+(a mutant that makes a test loop forever), which it reports as TIMEOUT.
+Its first line gives the unmutated union's time, and its last line the
+count of mutants killed and the whole run's time.
 
 pytest does not collect this file.
 """
@@ -43,7 +45,8 @@ VERIFIER_TESTS = ("tests/test_verifier_reference.py", "tests/test_frobenius.py")
 # a second comes before the Hypothesis test, which shrinks for about 15 s.
 TAKE_TESTS = ("tests/test_frobenius.py::test_coproduct_through_a_product_of_two_coordinates",
               "tests/test_frobenius.py::test_take_sums_moves_and_writes_to_no_group")
-# The longest subset, the unmutated VERIFIER_TESTS, takes about 5 s on 2 cores.
+# The longest run, the unmutated union of all subsets, takes about 20 s on
+# 2 cores; the longest subset, VERIFIER_TESTS, about 5 s.
 SUBSET_TIMEOUT = 60
 
 
@@ -73,7 +76,7 @@ MUTANTS = [
            "        if c == 1:\n",
            "        if c:\n",
            VERIFIER_TESTS,
-           "a group is shared though its product's int is not 1"),
+           "a group is shared though its product's scalar is not 1"),
     Mutant(FROBENIUS,
            "        side[key] = held = held.copy()\n",
            "        side[key] = held\n",
@@ -94,7 +97,7 @@ MUTANTS = [
            "            if len(coords) == 1 and 1 in coords.values():\n",
            "            if len(coords) == 1:\n",
            VERIFIER_TESTS,
-           "the value on a product of one coordinate is D(b) even when its int is not 1"),
+           "the value on a product of one coordinate is D(b) even when its scalar is not 1"),
     Mutant(FROBENIUS,
            "                for z, cz in row[u].items():\n",
            "                for z, cz in list(row[u].items())[:1]:\n",
@@ -135,6 +138,12 @@ MUTANTS = [
            "(k, z, -c)",
            ("tests/test_frobenius.py",),
            "the constraint build leaves a right-hand -c unreduced, outside [0, p) over F_p"),
+    Mutant(FROBENIUS,
+           "    return len(_kernel(algebra)[0])\n",
+           "    algebra.product_table\n"
+           "    return len(_kernel(algebra)[0])\n",
+           ("tests/test_frobenius.py::test_dimension_leaves_the_product_table_unbuilt",),
+           "dim builds the product table it never reads"),
     Mutant(FROBENIUS,
            "    if data.__class__ is list:  # not a str: tuple(\"ab\") would read as a word\n",
            "    if not isinstance(data, dict):\n",
@@ -184,10 +193,15 @@ MUTANTS = [
            ("tests/test_closed_forms.py",),
            "toupie_classify misses a branch that a reduced linear row kills outright"),
     Mutant(IDEAL,
-           "        rows = [{j: word or a.source if len(word := a.arrows + w) < bound else ()\n",
-           "        rows = [{j: word[-2:] or a.source if len(word := a.arrows + w) < bound else ()\n",
+           "        return [{j: table.get(a.arrows + w or a.source, zero)\n",
+           "        return [{j: table.get((a.arrows + w)[-2:] or a.source, zero)\n",
            ("tests/test_cli.py::TestJsonWriter::test_space_json_reads_back",),
-           "the product table memo keys a product by its last two arrows only"),
+           "the product table keys a product by its last two arrows only"),
+    Mutant(IDEAL,
+           "a.arrows + w or a.source",
+           "a.arrows + w",
+           ("tests/test_verifier_reference.py::test_product_table_matches_multiply",),
+           "the product table looks e_v * e_v up by the empty word, so reads it as zero"),
     Mutant(IDEAL,
            "if (c := field.coerce(coeff))]",
            "if (c := coeff)]",
@@ -278,12 +292,17 @@ def main():
     with tempfile.TemporaryDirectory(prefix="frobq-mutants-") as tmp:
         copy = Path(tmp)
         _copy(copy)
-        for tests in sorted({m.tests for m in MUTANTS}):
-            code = _pytest(copy, tests)
-            if code != 0:
-                reason = "TIMEOUT" if code is None else f"pytest exit {code}"
-                print(f"unmutated copy fails {' '.join(tests)} ({reason})")
-                return 1
+        tests = {test for m in MUTANTS for test in m.tests}
+        files = {test for test in tests if "::" not in test}
+        # A node id in a file that the union holds whole would run twice.
+        union = sorted(files | {test for test in tests if test.split("::")[0] not in files})
+        start = time.perf_counter()
+        code = _pytest(copy, union)
+        if code != 0:
+            reason = "TIMEOUT" if code is None else f"pytest exit {code}"
+            print(f"unmutated copy fails the union of the subsets ({reason})")
+            return 1
+        print(f"unmutated {time.perf_counter() - start:6.1f} s  the union of the subsets passes")
         for mutant in MUTANTS:
             path = copy / mutant.file
             original = path.read_text(encoding="utf-8")

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
-from math import lcm
 from unittest import mock
 
 import pytest
@@ -936,7 +935,7 @@ class TestJsonWriter:
         """candidate_from_json reads space --json back to the solver's
         values over basis indices, and the product table the solver
         verifies with is the one a rebuild pair by pair gives.  The two
-        canonical examples have product_scale 3 and 5."""
+        canonical examples have Fraction coordinates."""
         quiver, ideal, field = drawn
         assume(not has_zero_generator(ideal, field))
         algebra = compute_basis(quiver, ideal, field)
@@ -944,8 +943,7 @@ class TestJsonWriter:
         read = [candidate_from_json(data, algebra)
                 for data in json.loads(json_text(algebra, "space"))["candidates"]]
         assert [c.values for c in read] == [c.values for c in space]
-        rows, scale = product_table_by_pairs(algebra)
-        assert algebra.product_scale == scale
+        rows = product_table_by_pairs(algebra)
         assert algebra.product_table == rows
         assert [list(row) for row in algebra.product_table] == [list(row) for row in rows]
 
@@ -982,20 +980,15 @@ def test_space_text_orders_terms_by_sort_key(case):
 
 
 def product_table_by_pairs(algebra):
-    """(product_table, product_scale) rebuilt one composable pair at a time
-    from algebra.table, each entry converted to ints on its own."""
+    """product_table rebuilt one composable pair at a time from algebra.table."""
     basis, table = algebra.basis, algebra.table
-    products = {}
+    rows = [{} for _ in basis]
     for i, x in enumerate(basis):
         for j, y in enumerate(basis):
             if x.target == y.source:
                 word = x.arrows + y.arrows
-                products[i, j] = table[word or x.source] if len(word) < algebra.bound else {}
-    scale = lcm(*(c.denominator for coords in products.values() for c in coords.values()))
-    rows = [{} for _ in basis]
-    for (i, j), coords in products.items():
-        rows[i][j] = {k: c.numerator * (scale // c.denominator) for k, c in coords.items()}
-    return rows, scale
+                rows[i][j] = table[word or x.source] if len(word) < algebra.bound else {}
+    return rows
 
 
 class TestRepeatedCalls:

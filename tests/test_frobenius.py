@@ -447,11 +447,10 @@ def test_monomial_two_entry_rows_form_chains(drawn):
 
 
 def product_table_constraint_system(algebra):
-    """The constraint system built from the verifier's int product table.
+    """The constraint system built from the verifier's product table.
 
-    It reads a * u and v * a from algebra.product_table, whose ints over Q
-    are product_scale times the true coordinates, so its matrix is
-    product_scale times the true one.
+    It reads a * u and v * a from algebra.product_table by basis index,
+    not from the reduction table by arrow word, and sums each cell.
     """
     products = algebra.product_table
     legend = frobenius._legend(frobenius._columns(algebra)[0])
@@ -477,8 +476,8 @@ def product_table_constraint_system(algebra):
 
 
 def assert_matches_product_table_build(algebra):
-    """build_constraint_system's matrix is the reference's divided by
-    product_scale, so the two have the same RREF and kernel basis."""
+    """build_constraint_system's matrix is the reference's, entry for
+    entry, so the two have the same RREF and kernel basis."""
     matrix, legend = build_constraint_system(algebra)
     # The builder's rows are adopted with no second pass, so validating
     # them must change nothing, and no row may be empty.
@@ -486,9 +485,8 @@ def assert_matches_product_table_build(algebra):
     assert_canonical(algebra.field, (c for row in matrix.rows for c in row.values()))
     assert SparseMatrix(matrix.rows, matrix.ncols, algebra.field).rows == matrix.rows
     reference, reference_legend = product_table_constraint_system(algebra)
-    scale = algebra.product_scale
     assert legend == reference_legend
-    assert reference.rows == [{j: scale * c for j, c in row.items()} for row in matrix.rows]
+    assert reference.rows == matrix.rows
     assert rref(matrix) == rref(reference)
     assert kernel_basis(matrix) == kernel_basis(reference)
 
@@ -572,10 +570,11 @@ def test_scalars_stay_canonical_from_table_to_candidates(drawn):
         assert_canonical(field, (c for terms in candidate.values.values() for c in terms.values()))
 
 
-def test_constraint_build_matches_scaled_product_table_build():
+def test_constraint_build_matches_fractional_product_table_build():
     q, ideal = gen_canonical(CanonicalSpec((9, 10, 11, 12), (2, Fraction(1, 3))))
     algebra = compute_basis(q, ideal)
-    assert algebra.product_scale == 5
+    assert any(type(c) is Fraction for row in algebra.product_table for coords in row.values()
+               for c in coords.values())
     assert_matches_product_table_build(algebra)
 
 
@@ -584,7 +583,7 @@ def test_constraint_build_matches_scaled_product_table_build():
 def test_dimension_leaves_the_product_table_unbuilt(build):
     algebra = algebra_of(build)
     frobenius_dimension(algebra)
-    assert "_products" not in vars(algebra)
+    assert "product_table" not in vars(algebra)
 
 
 def test_verifier_completeness_both_directions():
@@ -626,7 +625,8 @@ def test_verifier_completeness_both_directions():
 
 # cycle(3,3) is monomial, so every nonzero product is one basis path with
 # coordinate 1 and the walk takes D(b) itself as the value on it.  The
-# canonical table has product_scale 3 and products of several coordinates.
+# canonical table has coordinates other than 1 and products of several
+# coordinates.
 WALK_INSTANCES = pytest.mark.parametrize(
     "build", [gen_cycle(3, 3), gen_canonical(CanonicalSpec((2, 2, 2), (Fraction(1, 3),)))],
     ids=["cycle(3,3)", "canonical (2,2,2), lambda 1/3"])
@@ -652,12 +652,20 @@ def walk_result(failure):
 
 @WALK_INSTANCES
 def test_failing_walk_writes_to_neither_products_nor_candidates(build):
+    """The product table's entries are the reduction table's own maps, so
+    the walk must leave both unwritten."""
     algebra = algebra_of(build)
+    arrow = algebra.quiver.arrows[0]
+    e, a = (algebra.index[p] for p in (algebra.quiver.trivial_path(arrow.source),
+                                        algebra.quiver.path([arrow.name])))
+    assert algebra.product_table[e][a] is algebra.table[(arrow.name,)]
     candidates = kernel_and_perturbed(algebra)
+    table = copy.deepcopy(algebra.table)
     products = copy.deepcopy(algebra.product_table)
     values = [copy.deepcopy(c.values) for c in candidates]
     failure = frobenius._first_failure(algebra, candidates)
     assert failure is not None and failure[0] == len(candidates) - 1
+    assert algebra.table == table
     assert algebra.product_table == products
     assert [c.values for c in candidates] == values
 
@@ -665,11 +673,12 @@ def test_failing_walk_writes_to_neither_products_nor_candidates(build):
 @WALK_INSTANCES
 def test_consecutive_walks_agree(build):
     algebra = algebra_of(build)
+    coords = [coords for row in algebra.product_table for coords in row.values()]
     if build[1].is_monomial:
-        assert algebra.product_scale == 1
+        assert all(list(c.values()) in ([], [1]) for c in coords)
     else:
-        assert algebra.product_scale > 1
-        assert any(len(coords) > 1 for row in algebra.product_table for coords in row.values())
+        assert any(value != 1 for c in coords for value in c.values())
+        assert any(len(c) > 1 for c in coords)
     candidates = kernel_and_perturbed(algebra)
     first = walk_result(frobenius._first_failure(algebra, candidates))
     assert walk_result(frobenius._first_failure(algebra, candidates)) == first

@@ -304,12 +304,12 @@ def test_empty_batch_reports_no_failure():
 @pytest.mark.parametrize("field_name", FIELDS)
 @pytest.mark.parametrize("instance", ["parallel a*x - a*y", "canonical (2,2,2), lambda 1/3"])
 def test_walk_merges_into_copies_only(instance, field_name, kind):
-    """The take-or-copy rule where moves meet at one leg or carry an int
-    other than 1.
+    """The take-or-copy rule where moves meet at one leg or carry a
+    coordinate other than 1.
 
-    On a*x - a*y two left legs move to one, each with int 1, so the
+    On a*x - a*y two left legs move to one, each by coordinate 1, so the
     second move merges into a group the side took by reference.  The
-    canonical table has product_scale 3 over Q, and products of several
+    canonical table has coordinates other than 1, and products of several
     coordinates, so its groups are scaled copies and its values on a
     product are merged.  Each walk must match the reference, and must
     write to neither the candidate nor the product table, so a second
@@ -322,7 +322,7 @@ def test_walk_merges_into_copies_only(instance, field_name, kind):
                    if u != v)
     else:
         assert any(len(coords) > 1 for row in products for coords in row.values())
-        assert algebra.product_scale == (3 if field_name == "Q" else 1)
+        assert any(c != 1 for row in products for coords in row.values() for c in coords.values())
     before = copy.deepcopy(products)
     for seed in range(8):
         candidate = draw_candidate(instance, field_name, kind, random.Random(seed))[1]
@@ -335,9 +335,12 @@ def test_walk_merges_into_copies_only(instance, field_name, kind):
 
 
 def test_product_tables_with_denominators():
-    """The instances that must exercise a product table scale above 1 do."""
+    """The instances that must exercise a product table with a Fraction
+    coordinate have one."""
     for instance in ("canonical (2,2,2), lambda 1/3", "toupie (2,3), relation 2,-3"):
-        assert solved(instance, "Q")[0].product_scale > 1
+        products = solved(instance, "Q")[0].product_table
+        assert any(type(c) is Fraction for row in products for coords in row.values()
+                   for c in coords.values())
 
 
 def test_skip_rule_does_not_rest_on_associativity():
@@ -365,20 +368,20 @@ def test_skip_rule_does_not_rest_on_associativity():
 
 
 def assert_product_table_matches_multiply(algebra):
-    """product_table[i][j] is product_scale times basis[i] * basis[j], over indices.
+    """product_table[i][j] is basis[i] * basis[j], over indices, in canonical scalars.
 
     The constraint build and the verifier both read the table, so it is
     checked here against multiply, which composes and reduces paths.
     """
-    basis, index, scale = algebra.basis, algebra.index, algebra.product_scale
+    basis, index = algebra.basis, algebra.index
     one = algebra.field.one
     for i, x in enumerate(basis):
         row = algebra.product_table[i]
         assert list(row) == [j for j, y in enumerate(basis) if y.source == x.target]
         for j, coords in row.items():
             product = multiply(algebra, {x: one}, {basis[j]: one})
-            assert coords == {index[b]: c * scale for b, c in product.items()}
-            assert all(type(c) is int for c in coords.values())
+            assert coords == {index[b]: c for b, c in product.items()}
+            assert_canonical(algebra.field, coords.values())
 
 
 @pytest.mark.parametrize("field_name", FIELDS)
