@@ -26,15 +26,17 @@ indicator vectors of the components of the graph joining the columns of
 each two-entry row that hold no one-entry row.  These are exactly
 kernel_basis's vectors, because the RREF is unique and a component's one
 column relation has all coefficients equal, so the elimination leaves its
-largest column free and makes every other one a pivot.  A column lies
-in at most two two-entry rows, one found by the last arrow of its right
-leg and one by the first arrow of its left leg, and the right leg
-shortens along the first, so every component is a chain, walked from
-its head.  The walk computes both columns of each such row from the
-column layout, by the places of a * u and v * a among the legs of one
-vertex, so dim on a monomial ideal builds neither the rows nor the
-legend of (p, u, v) triples; space writes the legend to read the vectors
-as coproducts.
+largest column free and makes every other one a pivot.  The row of an
+arrow a joins a column (q, u, v' * a) to the column after it,
+(p, a * u, v'), only through the last arrow of its right leg, and to the
+one before it only through the first arrow of its left leg: each step
+moves the cut of one word v' * a * u one arrow left, so every component
+is a chain of cuts of one word, as in closed_forms' tail (x) head
+witness.  The walk reads which arrows extend each basis path on either
+side, and each path's last arrow and prefix, and computes column numbers
+from the layout, so dim on a monomial ideal builds neither the rows nor
+the legend of (p, u, v) triples; space writes the legend to read the
+vectors as coproducts.
 """
 
 from .errors import InternalFaultError, SupportViolationError, ValidationError, shorten
@@ -203,86 +205,63 @@ def build_constraint_system(algebra: AlgebraBasis):
     return SparseMatrix._adopt(rows, ncols, algebra.field), _legend(columns)
 
 
-def _monomial_kernel(algebra: AlgebraBasis, columns, ncols):
+def _monomial_kernel(algebra: AlgebraBasis, columns):
     """kernel_basis of a monomial ideal's constraint system, whose columns
-    _columns lays out, by a walk along chains of column numbers (the
-    module docstring says why).
+    _columns lays out, by a walk along its chains (the module docstring
+    says why).
 
-    Over a monomial ideal a * u and v' * a are each one basis path or
-    zero, and a * u = a * u' only when u = u'.  So the row (w, v) of an
-    arrow a: p -> q holds at most the column (q, u, v) with a * u = w and
-    the column (p, w, v') with v' * a = v.  Each product is looked up once
-    per u among q's left legs and once per v' among p's right legs, and
-    turned into its place among p's left legs or q's right legs; both
-    columns of a row are then numbers computed from the layout.  A row
-    holding both joins them: after[(q, u, v)] is (p, w, v').  A row
-    holding one sends it to zero; that is one of two rules:
+    The row (w, v) of an arrow a: p -> q holds the column (q, u, v) when
+    w = a * u, and the column (p, w, v') when v = v' * a.  A row holding
+    both joins them; a row holding one sends it to zero:
 
-    - (q, u, v) with a * u != 0 goes to zero when v is no v' * a, that
-      is, when v does not end in a;
-    - (p, w, v') with v' * a != 0 goes to zero when w is no a * u.
+    - (q, u, v) with a * u != 0 when v does not end in a;
+    - (p, w, v') with v' * a != 0 when w does not start with a.
 
-    Every other column lies in no row of a.  Only the arrow v ends in
-    joins (q, u, v) to a column after it, and only the arrow w starts
-    with joins (p, w, v') to one before it, and v' is shorter than v; so
-    the components are chains.  A column whose right leg v' some arrow a
-    extends, v' * a != 0, has a column before it when w is a * u and is
-    sent to zero otherwise.  So every chain that may be live starts at a
-    column whose right leg no arrow extends, and the walk starts only
-    there.  A chain is live exactly when none of its columns is sent to
-    zero; its vector is keyed in column order, and the vectors come in
-    the order of their largest columns, each the free column of
-    kernel_basis's RREF.
+    One lookup per arrow and left leg u and one per arrow and right leg v'
+    record facts by basis path: step[u] is (a, a * u) for the one arrow a
+    with a * u != 0 (None for none, many for more), extends[v'] counts the
+    arrows a with v' * a != 0, and last[v] and prefix[v] are the a and v'
+    of v = v' * a.  By the first rule a column (u, v) ends its chain when
+    step[u] is None, is joined to (a * u, prefix[v]) when step[u] is
+    (last[v], a * u), and is sent to zero otherwise.  By the second, the
+    column it is joined to is sent to zero when two arrows extend
+    prefix[v], and a column whose right leg some arrow extends is sent to
+    zero or joined to a column before it.  So the walk starts at the
+    columns whose right leg no arrow extends and drops a chain at its
+    first column sent to zero.  A live chain's vector is keyed in column order, and the
+    vectors come in the order of their largest columns.
     """
-    table = algebra.table
+    table, n = algebra.table, len(algebra.basis)
     words = [b.arrows for b in algebra.basis]
-    left, right = [0] * len(words), [0] * len(words)
-    for _, us, vs in columns.values():
-        for i, u in enumerate(us):
-            left[u] = i
-        for k, v in enumerate(vs):
-            right[v] = k
-    after = [None] * ncols  # the column a two-entry row joins each column to
-    zero = bytearray(ncols)  # 1 where a one-entry row sends the column to zero
-    extended = bytearray(len(words))  # 1 for a right leg v' with some v' * a != 0
-    for arrow in algebra.quiver.arrows:
-        a = (arrow.name,)
-        first_q, us_q, vs_q = columns[arrow.target]
-        first_p, us_p, vs_p = columns[arrow.source]
-        partner = [None] * len(vs_q)  # for q's right leg v' * a: the place of v'
-        ends_in_a = []
-        for k, v in enumerate(vs_p):
-            for z in table.get(words[v] + a, ()):
-                partner[right[z]] = k
-                ends_in_a.append(k)
-                extended[v] = 1
-        links = [(k, kp) for k, kp in enumerate(partner) if kp is not None]
-        cut = [k for k, kp in enumerate(partner) if kp is None]
-        hit = [False] * len(us_p)  # for p's left leg w: whether w is some a * u
-        for i, u in enumerate(us_q):
-            for w in table.get(a + words[u], ()):
-                ii = left[w]
-                hit[ii] = True
-                row_q, row_p = first_q + i * len(vs_q), first_p + ii * len(vs_p)
-                for k, kp in links:
-                    after[row_q + k] = row_p + kp
-                for k in cut:
-                    zero[row_q + k] = 1
-        for ii, is_product in enumerate(hit):
-            if not is_product:
-                row_p = first_p + ii * len(vs_p)
-                for k in ends_in_a:
-                    zero[row_p + k] = 1
-    live = []
+    start, place = [0] * n, [0] * n  # column (p, u, v) is start[u] + place[v]
     for first, us, vs in columns.values():
-        heads = [k for k, v in enumerate(vs) if not extended[v]]
-        for row in range(first, first + len(us) * len(vs), len(vs)):
-            for k in heads:
-                c, chain = row + k, []
-                while c is not None and not zero[c]:
-                    chain.append(c)
-                    c = after[c]
-                if c is None:
+        for i, u in enumerate(us):
+            start[u] = first + i * len(vs)
+        for k, v in enumerate(vs):
+            place[v] = k
+    many = (object(), None)  # its arrow is no last[v]
+    step, extends, last, prefix = [None] * n, [0] * n, [None] * n, [None] * n
+    for arrow in algebra.quiver.arrows:
+        name, a = arrow.name, (arrow.name,)
+        for u in columns[arrow.target][1]:
+            for w in table.get(a + words[u], ()):
+                step[u] = (name, w) if step[u] is None else many
+        for v in columns[arrow.source][2]:
+            for z in table.get(words[v] + a, ()):
+                extends[v] += 1
+                last[z], prefix[z] = name, v
+    live = []
+    for _, us, vs in columns.values():
+        heads = [v for v in vs if not extends[v]]
+        for left in us:
+            for v in heads:
+                u, chain = left, [start[left] + place[v]]
+                while (s := step[u]) is not None:
+                    if s[0] != last[v] or extends[prefix[v]] > 1:
+                        break
+                    u, v = s[1], prefix[v]
+                    chain.append(start[u] + place[v])
+                else:
                     chain.sort()
                     live.append(chain)
     live.sort(key=lambda cols: cols[-1])
@@ -298,8 +277,8 @@ def _kernel(algebra: AlgebraBasis):
     dim on it builds none.
     """
     if algebra.ideal.is_monomial:
-        columns, ncols = _columns(algebra)
-        return _monomial_kernel(algebra, columns, ncols), lambda: _legend(columns)
+        columns = _columns(algebra)[0]
+        return _monomial_kernel(algebra, columns), lambda: _legend(columns)
     matrix, legend = build_constraint_system(algebra)
     return kernel_basis(matrix), lambda: legend
 

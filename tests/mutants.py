@@ -114,29 +114,41 @@ MUTANTS = [
            ("tests/test_frobenius.py",),
            "the chain walk drops its last vector"),
     Mutant(FROBENIUS,
-           "                    zero[row_q + k] = 1\n",
-           "                    pass\n",
+           "                while (s := step[u]) is not None:\n",
+           "                while (s := step[u]) is not None and s[0] == last[v]:\n",
            ("tests/test_frobenius.py",),
-           "the chain walk keeps (q, u, v) when v does not end in the arrow"),
+           "the chain walk takes a chain as live where the step test drops it: v does not end "
+           "in u's arrow, or two arrows a have a * u != 0"),
     Mutant(FROBENIUS,
-           "                    zero[row_p + k] = 1\n",
-           "                    pass\n",
+           "if s[0] != last[v] or extends[prefix[v]] > 1:",
+           "if s[0] != last[v]:",
            ("tests/test_frobenius.py",),
-           "the chain walk keeps (p, w, v') when w is no product of the arrow"),
+           "the chain walk steps onto (a * u, v') though a second arrow extends v'"),
     Mutant(FROBENIUS,
-           "                while c is not None and not zero[c]:\n",
-           "                while c is not None and not (zero[c] and not chain):\n",
+           "        heads = [v for v in vs if not extends[v]]\n",
+           "        heads = vs\n",
            ("tests/test_frobenius.py",),
-           "a chain stays live past a later column sent to zero"),
+           "the chain walk also starts at columns whose right leg an arrow extends, so keeps "
+           "a column sent to zero"),
+    Mutant(FROBENIUS,
+           "step[u] = (name, w) if step[u] is None else many",
+           "step[u] = (name, w)",
+           ("tests/test_frobenius.py",),
+           "step[u] keeps the last arrow a with a * u != 0, though two arrows have one"),
+    Mutant(FROBENIUS,
+           "extends[v] += 1",
+           "extends[v] = 1",
+           ("tests/test_frobenius.py",),
+           "two arrows that extend a right leg count as one"),
     Mutant(FROBENIUS,
            "        right = [(k, z, reduce(-c)) for k, v in enumerate(vs)\n",
            "        right = [(k, z, reduce(-c)) for k, v in enumerate(vs[:0])\n",
-           ("tests/test_hom_oracle.py",),
+           ("tests/test_definition_oracle.py::test_solver_matches_raw_definition[diamond]",),
            "the non-monomial constraint build drops the D(e_p) (1 (x) a) terms"),
     Mutant(FROBENIUS,
            "(k, z, reduce(-c))",
            "(k, z, -c)",
-           ("tests/test_frobenius.py",),
+           ("tests/test_frobenius.py::test_f_p_rows_hold_residues",),
            "the constraint build leaves a right-hand -c unreduced, outside [0, p) over F_p"),
     Mutant(FROBENIUS,
            "    return len(_kernel(algebra)[0])\n",

@@ -361,15 +361,15 @@ def test_failing_monomial_kernel_vector_is_a_solver_bug(monkeypatch):
     algebra = algebra_of(gen_cycle(3, 3))
     monomial_kernel = frobenius._monomial_kernel
 
-    def corrupted(algebra, columns, ncols):
-        vectors = monomial_kernel(algebra, columns, ncols)
+    def corrupted(algebra, columns):
+        vectors = monomial_kernel(algebra, columns)
         vectors[2][0] = vectors[2].get(0, 0) + 1
         return vectors
 
-    columns, ncols = frobenius._columns(algebra)
+    columns = frobenius._columns(algebra)[0]
     assert_solver_bug_at_first_failing_pair(monkeypatch, algebra, "_monomial_kernel", corrupted,
                                             frobenius._legend(columns),
-                                            corrupted(algebra, columns, ncols)[2])
+                                            corrupted(algebra, columns)[2])
 
 
 def in_span(vectors, candidate_vec, ncols):
@@ -410,9 +410,9 @@ def test_chain_walk_kernel_is_kernel_basis(drawn):
     algebra = compute_basis(quiver, ideal, field)
     assert algebra.sort_rank == sort_ranks(algebra.basis)
     matrix, legend = build_constraint_system(algebra)
-    columns, ncols = frobenius._columns(algebra)
+    columns = frobenius._columns(algebra)[0]
     assert frobenius._legend(columns) == legend
-    vectors = frobenius._monomial_kernel(algebra, columns, ncols)
+    vectors = frobenius._monomial_kernel(algebra, columns)
     assert vectors == kernel_basis(matrix)
     assert all(list(vector) == sorted(vector) for vector in vectors)
 
@@ -553,6 +553,13 @@ def test_integral_coordinates_enter_the_q_rows_as_ints():
     entries = [c for row in matrix.rows for c in row.values()]
     assert_canonical(QQ, entries)
     assert 0 < sum(type(c) is Fraction for c in entries) < len(entries)
+
+
+def test_f_p_rows_hold_residues():
+    """Over F_7 every entry is a residue in [0, 7), a right-hand -c included."""
+    q, ideal = gen_toupie((3, 3), [(1, 1, 2)], [(1, -2)])
+    matrix, _ = build_constraint_system(compute_basis(q, ideal, PrimeField(7)))
+    assert_canonical(PrimeField(7), (c for row in matrix.rows for c in row.values()))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

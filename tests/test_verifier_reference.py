@@ -8,8 +8,9 @@ on the verdict, on the first failing pair and on its three sides, for
 kernel vectors, for arbitrary candidates that satisfy the support
 condition, and for kernel vectors with a perturbation added.  Over Q the
 candidates draw non-integral coefficients and two instances have a
-product table with non-integral entries, so the int representatives that
-``verify_coproduct`` computes on carry scales above 1.
+product table with non-integral entries, so the walk meets Fractions
+among its canonical scalars and coordinates other than 1, whose groups
+it copies, scaled, instead of sharing them.
 
 The solver checks a whole kernel basis in one walk, ``_first_failure``
 over a list of candidates.  It must report the same first failing
@@ -274,8 +275,9 @@ def test_cancelling_candidates_both_fail(field_name):
     """K1 + E and K2 - E each fail, though their sum K1 + K2 verifies.
 
     A walk that let the terms of different candidates meet would see only
-    the sum and pass both.  K1, K2 and E have integral coefficients, so
-    every candidate carries the same scale.
+    the sum and pass both.  K1 and K2 hold only the coefficients 1 and
+    -1, and E the coefficient 1, so E cancels exactly in the sum over
+    either field.
     """
     algebra, legend, kernel = solved("cycle(3,3)", field_name)
 
