@@ -8,10 +8,10 @@
 An identifier (a vertex or arrow name) is ASCII letters, digits, `_`
 and `.`.  `#` starts a comment anywhere on a line, even right after a
 token: `2#3` reads as `2`.  Rationals are written `num` or `num/den`.  Every
-error carries the line and column it happened at; one that no single
-token causes (a quiver that is not connected) points at 1:1.
-parse(format(doc)) reproduces the document exactly for documents in
-normalized form.
+error carries the line and column it happened at, found only then, by
+scanning the line again; one that no single token causes (a quiver that
+is not connected) points at 1:1.  parse(format(doc)) reproduces the
+document exactly for documents in normalized form.
 """
 
 import re
@@ -35,106 +35,115 @@ class QuiverDocument:
         self.field = field
 
 
-def _tokenize(line, lineno):
-    # No token but a comment holds "#", so the comment is cut off first.
-    return [(m.group(), lineno, m.start() + 1)
-            for m in _TOKEN.finditer(line.partition("#")[0])]
+class _Fault(Exception):
+    """A parse error at token k of its line, or at column 1 when k is None."""
+
+    def __init__(self, message, k=None):
+        super().__init__(message)
+        self.k = k
+
+
+def _column(raw, k):
+    """The column of the k-th token of line raw, cut as parse_document cuts it."""
+    return list(_TOKEN.finditer(raw.partition("#")[0]))[k].start() + 1
 
 
 def parse_document(text, field_override=None) -> QuiverDocument:
     field = None
-    vertices = []
-    arrows = []
+    vertices, vertex_at = [], []    # (line index, token index) of each vertex
+    arrows, arrow_at = [], []       # line index of each arrow
     relations = []
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize(raw, lineno)
-        if not tokens:
-            continue
-        head, line_, col = tokens[0]
-        rest = tokens[1:]
-        if head == "field":
-            if field is not None:
-                raise ParseError("duplicate field line", lineno, col)
-            field = _parse_field(rest, lineno)
-        elif head == "vertex":
-            if not rest:
-                raise ParseError("vertex line needs at least one identifier", lineno, col)
-            for name, ln, c in rest:
-                if not _IDENTIFIER.fullmatch(name):
-                    raise ParseError(f"bad vertex identifier {name!r}", ln, c)
-            vertices.extend(rest)
-        elif head == "arrow":
-            arrows.append(_parse_arrow(rest, lineno))
-        elif head == "relation":
-            if not rest or rest[-1][0] != ";":
-                where = rest[-1] if rest else tokens[0]
-                raise ParseError("relation must end with ';'", where[1], where[2])
-            relations.append((rest[:-1], lineno))
-        else:
-            raise ParseError(f"unknown statement {shorten(head, repr)}", lineno, col)
-
-    if field is None:
-        field = QQ
-    if field_override is not None:
-        field = field_override
-
+    lines = text.splitlines()
     try:
-        quiver = Quiver([v[0] for v in vertices], [[t[0] for t in a] for a in arrows])
-    except ValidationError as exc:
-        # The token at fault; a fault of the whole quiver (not connected,
-        # no vertex) has none and points at 1:1.
-        if exc.at is None:
-            line, col = 1, 1
-        elif exc.at[0] == "vertex":
-            _, line, col = vertices[exc.at[1]]
-        else:
-            _, line, col = arrows[exc.at[1]][exc.at[2]]
-        raise ParseError(str(exc), line, col) from None
+        for i, raw in enumerate(lines):
+            # No token but a comment holds "#", so the comment is cut off first.
+            tokens = _TOKEN.findall(raw.partition("#")[0])
+            if not tokens:
+                continue
+            head = tokens[0]
+            if head == "field":
+                if field is not None:
+                    raise _Fault("duplicate field line", 0)
+                field = _parse_field(tokens)
+            elif head == "vertex":
+                if len(tokens) == 1:
+                    raise _Fault("vertex line needs at least one identifier", 0)
+                for k in range(1, len(tokens)):
+                    if not _IDENTIFIER.fullmatch(tokens[k]):
+                        raise _Fault(f"bad vertex identifier {tokens[k]!r}", k)
+                    vertex_at.append((i, k))
+                vertices += tokens[1:]
+            elif head == "arrow":
+                arrows.append(_parse_arrow(tokens))
+                arrow_at.append(i)
+            elif head == "relation":
+                if tokens[-1] != ";":
+                    raise _Fault("relation must end with ';'", len(tokens) - 1)
+                relations.append((i, tokens[:-1]))
+            else:
+                raise _Fault(f"unknown statement {shorten(head, repr)}", 0)
+        field = field_override or field or QQ
 
-    generators = [_parse_relation(tokens, lineno, quiver, field) for tokens, lineno in relations]
+        try:
+            quiver = Quiver(vertices, arrows)
+        except ValidationError as exc:
+            # The token at fault; a fault of the whole quiver (not connected,
+            # no vertex) has none and points at 1:1.
+            if exc.at is None:
+                i, k = 0, None
+            elif exc.at[0] == "vertex":
+                i, k = vertex_at[exc.at[1]]
+            else:
+                i, k = arrow_at[exc.at[1]], 1 + 2 * exc.at[2]
+            raise _Fault(str(exc), k) from None
+
+        generators = []
+        for i, tokens in relations:
+            generators.append(_parse_relation(tokens, quiver, field))
+    except _Fault as fault:
+        column = 1 if fault.k is None else _column(lines[i], fault.k)
+        raise ParseError(str(fault), i + 1, column) from None
     return QuiverDocument(quiver, IdealSpec(generators), field)
 
 
-def _parse_field(tokens, lineno):
-    if not tokens:
-        raise ParseError("field line needs Q or F <prime>", lineno, 1)
-    name, ln, col = tokens[0]
+def _parse_field(tokens):
+    if len(tokens) == 1:
+        raise _Fault("field line needs Q or F <prime>")
+    name = tokens[1]
     if name == "Q":
-        if len(tokens) > 1:
-            raise ParseError("trailing tokens after field Q", tokens[1][1], tokens[1][2])
+        if len(tokens) > 2:
+            raise _Fault("trailing tokens after field Q", 2)
         return QQ
     if name == "F":
-        if len(tokens) != 2 or not DECIMAL.fullmatch(tokens[1][0]):
-            raise ParseError("field F needs a prime modulus", ln, col)
+        if len(tokens) != 3 or not DECIMAL.fullmatch(tokens[2]):
+            raise _Fault("field F needs a prime modulus", 1)
         try:
-            return PrimeField(_integer(tokens[1]))
+            return PrimeField(_integer(tokens, 2))
         except ValidationError as exc:
-            raise ParseError(str(exc), tokens[1][1], tokens[1][2]) from None
-    raise ParseError(f"unknown field {shorten(name, repr)}", ln, col)
+            raise _Fault(str(exc), 2) from None
+    raise _Fault(f"unknown field {shorten(name, repr)}", 1)
 
 
-def _parse_arrow(tokens, lineno):
-    """The name, source and target tokens of an arrow line."""
-    texts = [t[0] for t in tokens]
-    if len(texts) != 5 or texts[1] != ":" or texts[3] != "->":
-        raise ParseError("arrow syntax is: arrow <id> : <vertex> -> <vertex>",
-                         lineno, tokens[0][2] if tokens else 1)
-    parts = (tokens[0], tokens[2], tokens[4])
-    for value, ln, col in parts:
-        if not _IDENTIFIER.fullmatch(value):
-            raise ParseError(f"bad identifier {value!r}", ln, col)
-    return parts
+def _parse_arrow(tokens):
+    """The name, source and target of an arrow line."""
+    if len(tokens) != 6 or tokens[2] != ":" or tokens[4] != "->":
+        raise _Fault("arrow syntax is: arrow <id> : <vertex> -> <vertex>",
+                     1 if len(tokens) > 1 else None)
+    for k in (1, 3, 5):
+        if not _IDENTIFIER.fullmatch(tokens[k]):
+            raise _Fault(f"bad identifier {tokens[k]!r}", k)
+    return tokens[1], tokens[3], tokens[5]
 
 
-def _parse_relation(tokens, lineno, quiver, field):
-    if not tokens:
-        raise ParseError("empty relation", lineno, 1)
+def _parse_relation(tokens, quiver, field):
+    """The relation of a line's tokens, "relation" first and its ";" cut off."""
+    if len(tokens) == 1:
+        raise _Fault("empty relation")
     terms = {}
-    negative = tokens[0][0] == "-"
-    position = int(negative)
+    negative = tokens[1] == "-"
+    position = 1 + negative
     while True:
-        (coeff, path), position = _parse_term(tokens, position, quiver, field, lineno)
+        (coeff, path), position = _parse_term(tokens, position, quiver, field)
         if negative:
             coeff = field.reduce(-coeff)
         # Repeated paths merge here, so that a sum that vanishes in the
@@ -142,13 +151,13 @@ def _parse_relation(tokens, lineno, quiver, field):
         terms[path] = field.reduce(terms[path] + coeff) if path in terms else coeff
         if position >= len(tokens):
             break
-        op, ln, col = tokens[position]
+        op = tokens[position]
         if op not in ("+", "-"):
-            raise ParseError(f"expected + or - between terms, got {shorten(op, repr)}", ln, col)
+            raise _Fault(f"expected + or - between terms, got {shorten(op, repr)}", position)
         negative = op == "-"
         position += 1
         if position >= len(tokens):
-            raise ParseError("relation ends with a dangling sign", ln, col)
+            raise _Fault("relation ends with a dangling sign", position - 1)
     try:
         expr = PathExpr(terms)
         if expr.is_zero:
@@ -156,73 +165,68 @@ def _parse_relation(tokens, lineno, quiver, field):
         for path in expr.terms:
             check_term_length(path)
     except ValidationError as exc:
-        raise ParseError(str(exc), lineno, 1) from None
+        raise _Fault(str(exc)) from None
     return expr
 
 
-def _integer(token):
-    """The int a numeric token spells; a ParseError at the token when int() refuses it."""
-    text, ln, col = token
+def _integer(tokens, k):
+    """The int token k spells; a fault at the token when int() refuses it."""
     try:
-        return int(text)
+        return int(tokens[k])
     except ValueError:
-        raise ParseError(f"integer literal {shorten(text)} is not a decimal integer of at most "
-                         f"{sys.get_int_max_str_digits()} digits", ln, col) from None
+        raise _Fault(f"integer literal {shorten(tokens[k])} is not a decimal integer of at "
+                     f"most {sys.get_int_max_str_digits()} digits", k) from None
 
 
-def _parse_term(tokens, position, quiver, field, lineno):
+def _parse_term(tokens, position, quiver, field):
     if position >= len(tokens):
-        raise ParseError("expected a term", lineno, 1)
+        raise _Fault("expected a term")
     coeff = field.one
-    text, ln, col = tokens[position]
+    at = position
     # A leading number is a coefficient when an arrow (or a /den part)
     # follows; otherwise it is read as an arrow name.
-    if DECIMAL.fullmatch(text) and position + 1 < len(tokens):
-        nxt = tokens[position + 1][0]
+    if DECIMAL.fullmatch(tokens[position]) and position + 1 < len(tokens):
+        nxt = tokens[position + 1]
         if nxt == "/":
-            if position + 2 >= len(tokens) or not DECIMAL.fullmatch(tokens[position + 2][0]):
-                raise ParseError("bad rational literal", ln, col)
-            den = _integer(tokens[position + 2])
+            if position + 2 >= len(tokens) or not DECIMAL.fullmatch(tokens[position + 2]):
+                raise _Fault("bad rational literal", position)
+            den = _integer(tokens, position + 2)
             if den == 0:
-                raise ParseError("zero denominator", tokens[position + 2][1],
-                                 tokens[position + 2][2])
+                raise _Fault("zero denominator", position + 2)
             try:
-                coeff = field.scalar(_integer(tokens[position]), den)
+                coeff = field.scalar(_integer(tokens, position), den)
             except ValidationError as exc:
-                raise ParseError(str(exc), tokens[position + 2][1],
-                                 tokens[position + 2][2]) from None
+                raise _Fault(str(exc), position + 2) from None
             position += 3
         elif nxt not in ("*", "+", "-", ";"):
-            coeff = field.scalar(_integer(tokens[position]))
+            coeff = field.scalar(_integer(tokens, position))
             position += 1
     arrow_names = []
-    while True:
-        if position >= len(tokens):
-            break
-        text, ln, col = tokens[position]
+    while position < len(tokens):
+        at = position
+        text = tokens[position]
         if text in ("+", "-"):
             break
         if text == "*":
-            raise ParseError("unexpected '*'", ln, col)
+            raise _Fault("unexpected '*'", at)
         if text not in quiver.arrow_by_name:
             if not _IDENTIFIER.fullmatch(text):
-                raise ParseError(f"expected an arrow name, got {text!r}", ln, col)
-            raise ParseError(f"unknown arrow {shorten(text, repr)}", ln, col)
+                raise _Fault(f"expected an arrow name, got {text!r}", at)
+            raise _Fault(f"unknown arrow {shorten(text, repr)}", at)
         arrow_names.append(text)
         position += 1
-        if position < len(tokens) and tokens[position][0] == "*":
+        if position < len(tokens) and tokens[position] == "*":
             position += 1
-            if position >= len(tokens) or tokens[position][0] in ("+", "-"):
-                raise ParseError("dangling '*'", tokens[position - 1][1],
-                                 tokens[position - 1][2])
+            if position >= len(tokens) or tokens[position] in ("+", "-"):
+                raise _Fault("dangling '*'", position - 1)
             continue
         break
     if not arrow_names:
-        raise ParseError("term has no arrows", ln, col)
+        raise _Fault("term has no arrows", at)
     try:
         path = quiver.path(arrow_names)
     except ValidationError as exc:
-        raise ParseError(str(exc), ln, col) from None
+        raise _Fault(str(exc), at) from None
     return (coeff, path), position
 
 

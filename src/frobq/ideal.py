@@ -1,9 +1,10 @@
 """Admissible ideals and normal-form bases of the quotient algebra.
 
 The engine certifies that the quotient is finite dimensional before it
-builds anything, with one longest-walk pass (longest_surviving_walk).
-An acyclic quiver is finite outright, with bound its longest path + 1.
-A cyclic quiver is accepted only when the walks that avoid the monomial
+builds anything.  A Kahn pass over the vertices (longest_path) finds an
+acyclic quiver finite outright, with bound its longest path + 1.  Only
+on a cyclic quiver does a longest-walk pass (longest_surviving_walk)
+follow; the quiver is accepted when the walks that avoid the monomial
 generators' words reach no cycle, with bound the longest such walk + 1.
 A path holding a monomial generator's word is zero, which one recurrence
 over path length finds.  Only the other generators' rows, on the other
@@ -97,12 +98,26 @@ def longest_surviving_walk(quiver: Quiver, forbidden_words) -> int | None:
             indegree[nxt] = indegree.get(nxt, 0) + 1
             targets.append(nxt)
 
+    return _kahn(edges, indegree)
+
+
+def longest_path(quiver: Quiver) -> int | None:
+    """longest_surviving_walk(quiver, ()) by a Kahn pass over the vertices
+    and arrows alone: each arrow, a loop or a parallel one too, counts in
+    its target's in-degree."""
+    return _kahn({v: [a.target for a in quiver.out_arrows[v]] for v in quiver.vertices},
+                 {v: len(quiver.in_arrows[v]) for v in quiver.vertices})
+
+
+def _kahn(edges, indegree):
+    """The longest walk in the graph of edges (node -> successors) with
+    these in-degrees, which it consumes; None when it has a cycle."""
     longest = dict.fromkeys(indegree, 0)
-    free = [state for state, degree in indegree.items() if degree == 0]
+    free = [node for node, degree in indegree.items() if degree == 0]
     while free:
-        state = free.pop()
-        for nxt in edges[state]:
-            longest[nxt] = max(longest[nxt], longest[state] + 1)
+        node = free.pop()
+        for nxt in edges[node]:
+            longest[nxt] = max(longest[nxt], longest[node] + 1)
             indegree[nxt] -= 1
             if indegree[nxt] == 0:
                 free.append(nxt)
@@ -117,7 +132,7 @@ def compute_bound(quiver: Quiver, ideal: IdealSpec) -> int:
     they are not, a purely monomial ideal is provably infinite dimensional
     while a mixed one is merely out of scope for this engine.
     """
-    longest = longest_surviving_walk(quiver, ())
+    longest = longest_path(quiver)
     if longest is None:
         longest = longest_surviving_walk(quiver, [p.arrows for p in ideal.monomial_paths()])
     if longest is None:

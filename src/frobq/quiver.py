@@ -134,18 +134,15 @@ class Quiver:
     def _check_connected(self):
         if not self.vertices:
             raise ValidationError("quiver must have at least one vertex")
-        adjacency = {v: set() for v in self.vertices}
-        for a in self.arrows:
-            adjacency[a.source].add(a.target)
-            adjacency[a.target].add(a.source)
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
         while stack:
             v = stack.pop()
-            for w in adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+            for a in self.out_arrows[v] + self.in_arrows[v]:
+                for w in (a.source, a.target):
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
         if len(seen) != len(self.vertices):
             missing = [v for v in self.vertices if v not in seen]
             raise ValidationError(
@@ -198,25 +195,27 @@ class Quiver:
         return (len(self.in_arrows[v]), len(self.out_arrows[v]))
 
     def enumerate_paths(self, max_len):
-        """All paths of length <= max_len in canonical order.
-
-        Canonical order is length ascending, then lexicographic on the
-        arrow name sequence; downstream bases and pivots inherit it.
+        """All paths of length <= max_len in canonical order: length ascending,
+        then lexicographic on the arrow names; downstream bases and pivots
+        inherit it.  No layer is sorted: layer 1 is the arrows by name, and
+        each later one extends the one before in order, each path by the
+        arrows at its end by name.  A layer's paths share one length, so it
+        is in sort_key order.
         """
         if max_len < 0:
             raise ValidationError("max_len must be >= 0")
         result = [self.trivial_path(v) for v in sorted(self.vertices)]
-        frontier = result[:]
-        for _ in range(max_len):
-            layer = []
-            for p in frontier:
-                for a in self.out_arrows[p.target]:
-                    layer.append(Path(p.source, a.target, p.arrows + (a.name,)))
-            layer.sort(key=Path.sort_key)
-            result.extend(layer)
-            frontier = layer
-            if not frontier:
+        arrows = sorted(self.arrows, key=lambda a: a.name)
+        after = {v: [] for v in self.vertices}
+        for a in arrows:
+            after[a.source].append((a.name, a.target))
+        layer = [Path(a.source, a.target, (a.name,)) for a in arrows] if max_len else []
+        while layer:
+            result += layer
+            if len(layer[0].arrows) == max_len:
                 break
+            layer = [Path(p.source, target, p.arrows + (name,))
+                     for p in layer for name, target in after[p.target]]
         return result
 
 
@@ -238,14 +237,16 @@ class PathExpr:
                     del cleaned[path]
                     continue
             cleaned[path] = coeff
-        paths = list(cleaned)
-        for p in paths[1:]:
-            if p.source != paths[0].source or p.target != paths[0].target:
-                raise ValidationError(
-                    f"non-parallel combination: {paths[0]} is {paths[0].source}->"
-                    f"{paths[0].target} but {p} is {p.source}->{p.target}"
-                )
-        self.terms = dict(sorted(cleaned.items(), key=lambda kv: kv[0].sort_key()))
+        if len(cleaned) > 1:  # one term is parallel and sorted already
+            first = next(iter(cleaned))
+            for p in cleaned:
+                if p.source != first.source or p.target != first.target:
+                    raise ValidationError(
+                        f"non-parallel combination: {first} is {first.source}->"
+                        f"{first.target} but {p} is {p.source}->{p.target}"
+                    )
+            cleaned = dict(sorted(cleaned.items(), key=lambda kv: kv[0].sort_key()))
+        self.terms = cleaned
 
     @classmethod
     def from_path(cls, path, coeff):

@@ -35,10 +35,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLI = "src/frobq/cli.py"
 CLOSED_FORMS = "src/frobq/closed_forms.py"
+DSL = "src/frobq/dsl.py"
 FROBENIUS = "src/frobq/frobenius.py"
 FAMILIES = "src/frobq/families.py"
 IDEAL = "src/frobq/ideal.py"
 LINALG = "src/frobq/linalg.py"
+QUIVER = "src/frobq/quiver.py"
 VERIFIER_TESTS = ("tests/test_verifier_reference.py", "tests/test_frobenius.py")
 # The two tests that kill the no-copy _take mutant.  pytest -x runs them in
 # this order and stops at the first failure, so the one that fails in about
@@ -234,6 +236,22 @@ MUTANTS = [
            "        if w in words or w[:-1] in table:\n",
            ("tests/test_basis_reference.py",),
            "the zero-path recurrence forgets a word whose zero part is w[1:]"),
+    Mutant(IDEAL,
+           "{v: len(quiver.in_arrows[v]) for v in quiver.vertices}",
+           "{v: len({a.source for a in quiver.in_arrows[v]}) for v in quiver.vertices}",
+           ("tests/test_ideal.py::test_vertex_kahn_pass_is_the_walk_with_no_words",),
+           "the vertex Kahn pass counts in-degree by distinct sources, so drops parallel "
+           "arrows"),
+    Mutant(QUIVER,
+           "        for a in arrows:\n            after",
+           "        for a in self.arrows:\n            after",
+           ("tests/test_quiver.py::test_enumerate_paths_is_every_path_in_sort_key_order",),
+           "enumerate_paths extends each path by the arrows at its end in document order"),
+    Mutant(DSL,
+           "[k].start() + 1",
+           "[k].start()",
+           ("tests/test_dsl.py::test_every_parse_error",),
+           "a parse error's column counts from 0"),
     Mutant(FAMILIES,
            "len(quiver.in_arrows[v]) * len(quiver.out_arrows[v])",
            "len(quiver.in_arrows[v]) + len(quiver.out_arrows[v])",

@@ -29,7 +29,7 @@ on one vertex with LOOPS loops, and gen random at seeds 0-39 in each
 regime for every vertex bound 6-8 and arrow bound 9-14, the corpus
 bounds.
 
-Last come the LOOP_DOCUMENTS, which hold loops, as no benchmark
+Then come the LOOP_DOCUMENTS, which hold loops, as no benchmark
 document does, and the RREF_DOCUMENTS, which pin two cases of rref: a
 2 x 2 grid whose square says h0*v1 = 2 v0*h1, so its constraint system
 has a live union-find component with ratios other than 1, and a*x - a*y
@@ -37,6 +37,11 @@ on parallel arrows x and y, whose system holds a row of three entries
 and so is eliminated.  Each runs every command a
 benchmark document runs, its MALFORMED variants included, with
 e_1 (x) e_1 as the added term.
+
+Last, every document above runs dim on an indented copy of each of its
+MALFORMED variants: each line starts with a tab and a space, and "#c"
+is glued to its last token, so a parse error's column counts past
+whitespace and comments.
 
 Each output is one line of OUT.tsv: document, field, command, exit code,
 and the sha256 of stdout and of stderr.  Two checkouts give the same
@@ -213,6 +218,20 @@ def malformed(name, text):
         yield label, "".join(line + "\n" for line in changed)
 
 
+def indented(text):
+    """text with each line led by a tab and a space and its last token followed by "#c"."""
+    return "".join(f"\t {line}#c\n" for line in text.splitlines())
+
+
+def sweep_indented(name, text):
+    """(label, (exit code, stdout, stderr)) of dim on the indented copy of
+    each broken variant."""
+    for n, (label, broken) in enumerate(malformed(name, text)):
+        with open("malformed.fq", "w", encoding="utf-8") as handle:
+            handle.write(indented(broken))
+        yield f"dim, indented variant {n}: {label}", run(["dim", "malformed.fq"])
+
+
 def sweep_file(name, inst):
     """(field, label, (exit code, stdout, stderr)) of every command on one
     document: each field's commands, then dim of each broken variant."""
@@ -235,6 +254,7 @@ def main(argv=None):
     output = Path(args.output).resolve()
     home = os.getcwd()
     count = 0
+    documents = []      # (file name, text) of each document, for the indented variants
     with tempfile.TemporaryDirectory() as scratch, \
             open(output, "w", encoding="utf-8") as lines:
         os.chdir(scratch)
@@ -243,6 +263,7 @@ def main(argv=None):
                 instances, warm = workloads.build(workload, seed)
                 for inst in instances + [warm]:
                     name = f"{workload}-{seed}-{inst.id}.fq"
+                    documents.append((name, inst.text))
                     for field, label, (code, out, err) in sweep_file(name, inst):
                         lines.write(f"{name}\t{field}\t{label}\t{code}\t"
                                     f"{sha(out)}\t{sha(err)}\n")
@@ -252,9 +273,14 @@ def main(argv=None):
             count += 1
         for doc_id, text in {**LOOP_DOCUMENTS, **RREF_DOCUMENTS}.items():
             inst = workloads.Instance(doc_id, text, None, None, "1")
+            documents.append((f"{doc_id}.fq", text))
             for field, label, (code, out, err) in sweep_file(f"{doc_id}.fq", inst):
                 lines.write(f"{doc_id}.fq\t{field}\t{label}\t{code}\t"
                             f"{sha(out)}\t{sha(err)}\n")
+                count += 1
+        for name, text in documents:
+            for label, (code, out, err) in sweep_indented(name, text):
+                lines.write(f"{name}\tdoc\t{label}\t{code}\t{sha(out)}\t{sha(err)}\n")
                 count += 1
         os.chdir(home)
     print(f"{count} outputs written to {output}")

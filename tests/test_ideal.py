@@ -23,6 +23,7 @@ from frobq.ideal import (
     IdealSpec,
     compute_basis,
     compute_bound,
+    longest_path,
     longest_surviving_walk,
     validate,
 )
@@ -256,6 +257,13 @@ def test_bound_closes_the_table(instance):
         for word in extended:
             if len(word) == algebra.bound:
                 assert not acyclic and has_subword(word, words), word
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(quiver=small_quivers())
+def test_vertex_kahn_pass_is_the_walk_with_no_words(quiver):
+    # Loops and parallel arrows included; None on every cyclic quiver.
+    assert longest_path(quiver) == longest_surviving_walk(quiver, ())
 
 
 def survivors(quiver, generator_paths, max_len):

@@ -3,12 +3,14 @@ import itertools
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frobq.errors import ValidationError
 from frobq.ideal import longest_surviving_walk
 from frobq.quiver import Arrow, Path, PathExpr, Quiver
 
 from algebra_ops import compose
+from strategies import small_quivers
 
 
 def linear(n):
@@ -208,6 +210,30 @@ class TestEnumeratePaths:
                 else:
                     prefix = quiver.trivial_path(p.source)
                 assert prefix in seen
+
+
+@st.composite
+def renamed_quivers(draw):
+    """A small_quivers draw whose arrows get their names in shuffled order,
+    so that document order and name order differ."""
+    quiver = draw(small_quivers())
+    names = draw(st.permutations([f"a{k}" for k in range(len(quiver.arrows))]))
+    return Quiver(quiver.vertices,
+                  [(name, a.source, a.target) for name, a in zip(names, quiver.arrows)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(quiver=renamed_quivers(), max_len=st.integers(0, 3))
+def test_enumerate_paths_is_every_path_in_sort_key_order(quiver, max_len):
+    paths = [Path(v, v, ()) for v in quiver.vertices]
+    for length in range(1, max_len + 1):
+        for word in itertools.product(quiver.arrows, repeat=length):
+            if all(a.target == b.source for a, b in zip(word, word[1:])):
+                paths.append(Path(word[0].source, word[-1].target,
+                                  tuple(a.name for a in word)))
+    # Trivial paths share one sort_key and come by vertex name.
+    assert quiver.enumerate_paths(max_len) == sorted(paths, key=lambda p: (p.sort_key(),
+                                                                            p.source))
 
 
 class TestDegreesAndCycles:
