@@ -229,16 +229,16 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     blocks = [(p.source, p.target) for p in paths]
     live = []
     place = []
-    by_target = {}
-    by_source = {}
     for n in sorted(range(len(paths)), key=blocks.__getitem__):
-        p = paths[n]
-        if p.arrows not in table:
-            live.append(p)
+        if paths[n].arrows not in table:
+            live.append(paths[n])
             place.append(n)
-            by_target.setdefault(p.target, []).append(p)
-            by_source.setdefault(p.source, []).append(p)
-    column = {p.arrows: j for j, p in enumerate(live)}
+    # Only the non-monomial generators' rows read these; a monomial ideal builds none.
+    by_target, by_source, column = {}, {}, {}
+    for j, p in enumerate(live if not ideal.is_monomial else ()):
+        by_target.setdefault(p.target, []).append(p)
+        by_source.setdefault(p.source, []).append(p)
+        column[p.arrows] = j
 
     # The ideal is spanned by the zero paths and the rows u * g * v of the
     # other generators with u, v live, each term dropped when its word is
