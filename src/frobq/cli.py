@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from itertools import groupby
 from json.encoder import encode_basestring_ascii
 
 from .dsl import QuiverDocument, format_document, parse_document
@@ -93,7 +92,6 @@ def _space_json(algebra, space):
     of space, written in candidate_to_json's layout from fixed templates,
     one leg text per basis path, and joined once from its pieces."""
     legs = [_leg(path, 12) for path in algebra.basis]
-    rank = algebra.sort_rank
     parts = [f'{{\n  "schema": "{SCHEMA}",\n  "dimension": {len(space)},\n  "candidates": [']
     for i, candidate in enumerate(space):
         parts.append(",\n    [" if i else "\n    [")
@@ -102,8 +100,8 @@ def _space_json(algebra, space):
             parts += (",\n      {" if j else "\n      {", '\n        "vertex": ',
                       encode_basestring_ascii(vertex), ',\n        "terms": [')
             terms = values[vertex]
-            ordered = terms if len(terms) == 1 else sorted(
-                terms, key=lambda pair: (rank[pair[0]], rank[pair[1]]))
+            # Index pairs in order are legs in sort_key order (see _text).
+            ordered = terms if len(terms) == 1 else sorted(terms)
             for k, (u, v) in enumerate(ordered):
                 # A scalar's str is ASCII digits, "-" and "/": nothing to escape.
                 parts += (",\n          {" if k else "\n          {",
@@ -142,9 +140,11 @@ def _emit(text, out=None):
 
 def cmd_basis(args):
     algebra = _algebra(args)
-    # The basis is in (source, target, sort_key) order: each nonempty block is a run.
-    blocks = [(key, list(paths))
-              for key, paths in groupby(algebra.basis, lambda p: (p.source, p.target))]
+    # The basis is in canonical order, so each block's paths are in sort_key order.
+    grouped = {}
+    for p in algebra.basis:
+        grouped.setdefault((p.source, p.target), []).append(p)
+    blocks = sorted(grouped.items())
     if args.json:
         _emit(_basis_json(algebra, blocks))
     else:

@@ -100,20 +100,20 @@ def _term(basis, i, j):
 
 
 def _text(algebra, terms, show):
-    """A value's terms {(i, j): c} joined by " + " in sort_key order of their
-    legs, each basis path written by show; "0" when there are none.
+    """A value's terms {(i, j): c} joined by " + " in order of their index
+    pairs, each basis path written by show; "0" when there are none.
 
-    sort_key ties only trivial paths.  Every left leg of a value at p, or of
-    a Counterexample side at (x, y), starts at p, or at source(x), and
-    every right leg ends at p, or at target(y), so no two terms hold
-    different trivial legs on one side, and sort_rank orders them as
-    sort_key does."""
+    The basis is in canonical order, so that is sort_key order of the legs,
+    as candidate_to_json writes them.  sort_key ties only trivial paths,
+    and every left leg of a value at p, or of a Counterexample side at
+    (x, y), starts at p, or at source(x), and every right leg ends at p,
+    or at target(y), so no two terms hold different trivial legs on one
+    side."""
     if not terms:
         return "0"
-    basis, rank = algebra.basis, algebra.sort_rank
-    return " + ".join(
-        f"{'' if c == 1 else f'{c}*'}{show(basis[i])}(x){show(basis[j])}"
-        for (i, j), c in sorted(terms.items(), key=lambda t: (rank[t[0][0]], rank[t[0][1]])))
+    basis = algebra.basis
+    return " + ".join(f"{'' if c == 1 else f'{c}*'}{show(basis[i])}(x){show(basis[j])}"
+                      for (i, j), c in sorted(terms.items()))
 
 
 def _reduced(terms, reduce):
@@ -127,18 +127,14 @@ def _columns(algebra: AlgebraBasis):
     basis[u].source == p == basis[v].target.
 
     The columns run vertex by vertex, with u in us and then v in vs, by
-    basis index in sort_key order: (p, us[i], vs[k]) is column first +
-    i * len(vs) + k.
+    basis index, which is canonical order: (p, us[i], vs[k]) is column
+    first + i * len(vs) + k.
     """
-    basis = algebra.basis
-    in_order = [0] * len(basis)
-    for i, rank in enumerate(algebra.sort_rank):
-        in_order[rank] = i
     by_source = {}
     by_target = {}
-    for i in in_order:
-        by_source.setdefault(basis[i].source, []).append(i)
-        by_target.setdefault(basis[i].target, []).append(i)
+    for i, b in enumerate(algebra.basis):
+        by_source.setdefault(b.source, []).append(i)
+        by_target.setdefault(b.target, []).append(i)
     columns = {}
     ncols = 0
     for p in algebra.quiver.vertices:
@@ -470,10 +466,10 @@ def _first_failure(algebra: AlgebraBasis, candidates):
     coordinates, so it is 0; (x (x) 1) D(y) = 0 because D(y) = 0; and
     D(x) (1 (x) y) = 0 because D(x) = 0.  So the skip drops no check.
 
-    Pairs are visited in basis order of x, then of y, so a candidate's
-    first failing pair is the one a walk over all ordered pairs would
-    find.  Products of basis paths come from algebra.product_table,
-    built once per algebra.
+    Pairs are visited in basis order, which is canonical order, of x, then
+    of y, so a candidate's first failing pair is the one a walk over all
+    ordered pairs would find.  Products of basis paths come from
+    algebra.product_table, built once per algebra.
 
     Every side is nested by leg, a map from a leg to a group of terms
     {(other leg, n): c}.  The groups of D(e_t) by left leg are built once

@@ -151,23 +151,21 @@ def compute_bound(quiver: Quiver, ideal: IdealSpec) -> int:
 class AlgebraBasis:
     """Normal-form basis of the quotient of a path algebra.
 
-    The basis is in (source, target, sort_key) order, so each (source,
-    target) block is a run of it.  The reduction table rewrites every path
-    of length < bound into coordinates over the basis indices.  A path is
-    keyed by its arrow word, which fixes it since arrow names are unique,
-    and the trivial path e_v by the vertex name v.  Paths of length >=
-    bound are zero in the quotient.  sort_rank[i] is the place of basis[i]
-    in sort_key order, ties in basis order.
+    The basis is in canonical order, enumerate_paths': sort_key order with
+    the trivial paths by vertex name.  The reduction table rewrites every
+    path of length < bound into coordinates over the basis indices.  A
+    path is keyed by its arrow word, which fixes it since arrow names are
+    unique, and the trivial path e_v by the vertex name v.  Paths of
+    length >= bound are zero in the quotient.
     """
 
-    def __init__(self, quiver, ideal, field, bound, basis, table, sort_rank):
+    def __init__(self, quiver, ideal, field, bound, basis, table):
         self.quiver = quiver
         self.ideal = ideal
         self.field = field
         self.bound = bound
         self.basis = basis          # tuple of Paths, canonical order
         self.table = table          # {arrow word or vertex: {basis index: scalar}}
-        self.sort_rank = sort_rank  # list of ints, one per basis path
 
     @property
     def dimension(self):
@@ -205,6 +203,16 @@ class AlgebraBasis:
 def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
     """The normal-form basis of kQ/I over field, as an AlgebraBasis.
 
+    The basis comes in canonical order with no sort: the columns of the
+    one row reduction are the live paths in enumerate_paths' order, and
+    the basis is its free columns in that order.  The normal form is the
+    one each (source, target) block gives reduced alone, however the
+    blocks interleave among the columns.  No row crosses a block, so the
+    matrix is block diagonal up to the order of its columns; a column is a
+    pivot exactly when it is outside the span of the columns before it,
+    and only those of its own block can reach it.  So the unique RREF of
+    the whole is each block's RREF, on its columns in sort_key order.
+
     Raises ValidationError (from validate), InfiniteDimensionalError or
     UnsupportedIdealRegimeError (from compute_bound).  The bound is
     compute_bound's certificate, not proved again here; tests/ check it.
@@ -222,17 +230,9 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
         w = p.arrows
         if w in words or w[:-1] in table or w[1:] in table:
             table[w] = {}
-    # The columns are grouped by (source, target) block with a stable sort,
-    # so each block keeps the canonical order, and place[j] is column j's
-    # place in the canonical order.  A nontrivial word fixes its path; the
-    # ideal's rows hold no trivial one.
-    blocks = [(p.source, p.target) for p in paths]
-    live = []
-    place = []
-    for n in sorted(range(len(paths)), key=blocks.__getitem__):
-        if paths[n].arrows not in table:
-            live.append(paths[n])
-            place.append(n)
+    # The columns are the live paths in canonical order.  A nontrivial word
+    # fixes its path; the ideal's rows hold no trivial one.
+    live = [p for p in paths if p.arrows not in table]
     # Only the non-monomial generators' rows read these; a monomial ideal builds none.
     by_target, by_source, column = {}, {}, {}
     for j, p in enumerate(live if not ideal.is_monomial else ()):
@@ -259,27 +259,20 @@ def compute_basis(quiver: Quiver, ideal: IdealSpec, field=QQ) -> AlgebraBasis:
                 if row:
                     rows.append(row)
 
-    # Hence the matrix is block diagonal, and its unique RREF is that of
-    # each block.  With a unit row for each zero path it would have the
-    # same RREF plus those rows.  The free columns, in order, are the basis
-    # in (source, target, sort_key) order; each pivot row rewrites its path
-    # over them.  The canonical order is sort_key order with the trivial
-    # paths by vertex name, as the blocks order them, so reading the basis
-    # paths at their canonical places gives sort_rank with no sort.
+    # Hence the RREF is each block's (see above).  With a unit row for each
+    # zero path it would have the same RREF plus those rows.  The free
+    # columns, in order, are the basis; each pivot row rewrites its path
+    # over them.
     reduced, pivots = rref(SparseMatrix._adopt(rows, len(live), field))
     pivot_set = set(pivots)
     basis = []
     index_of = {}               # column -> basis index
-    at_place = [None] * len(paths)
     for j, p in enumerate(live):
         if j not in pivot_set:
-            index_of[j] = at_place[place[j]] = len(basis)
+            index_of[j] = len(basis)
             table[p.arrows or p.source] = {len(basis): field.one}
             basis.append(p)
     for i, col in enumerate(pivots):
         table[live[col].arrows] = {index_of[j]: field.reduce(-value)
                                    for j, value in reduced.rows[i].items() if j != col}
-    sort_rank = [0] * len(basis)
-    for rank, i in enumerate(i for i in at_place if i is not None):
-        sort_rank[i] = rank
-    return AlgebraBasis(quiver, ideal, field, bound, tuple(basis), table, sort_rank)
+    return AlgebraBasis(quiver, ideal, field, bound, tuple(basis), table)

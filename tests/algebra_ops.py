@@ -11,7 +11,7 @@ on a basis path the same way.  `path_terms` and `index_terms` turn a
 candidate's {(i, j): c} over basis indices into paths and back,
 `terms_text` writes a value over paths as the CLI does, `combine`
 sums candidates, `blocks` groups the basis by (source, target), and
-`sort_ranks` ranks it in sort_key order by sorting.
+`canonical_key` sorts paths into the canonical order the basis is in.
 `has_subword` tells whether an arrow word holds one of the given words,
 as a path that is zero modulo monomial generators does.
 `assert_canonical` checks that scalars are in their field's one form,
@@ -132,11 +132,11 @@ def blocks(algebra):
     return {key: tuple(paths) for key, paths in grouped.items()}
 
 
-def sort_ranks(basis):
-    """The place of each basis path in sort_key order, ties in basis order,
-    by two sorts: what compute_basis records as sort_rank."""
-    order = sorted(range(len(basis)), key=lambda i: basis[i].sort_key())
-    return sorted(range(len(order)), key=order.__getitem__)
+def canonical_key(path):
+    """The sort key of canonical order: Path.sort_key, then the source,
+    which orders the trivial paths, the only ones sort_key ties, by vertex
+    name."""
+    return (*path.sort_key(), path.source)
 
 
 def compose(p, q):

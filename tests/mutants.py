@@ -164,11 +164,10 @@ MUTANTS = [
            ("tests/test_cli.py::TestCommands::test_verify_refuses_a_string_for_a_word",),
            "the reader's word lookup takes the JSON string \"ab\" for the word a*b"),
     Mutant(FROBENIUS,
-           "        for (i, j), c in sorted(terms.items(), "
-           "key=lambda t: (rank[t[0][0]], rank[t[0][1]])))\n",
-           "        for (i, j), c in sorted(terms.items()))\n",
+           "for (i, j), c in sorted(terms.items()))\n",
+           "for (i, j), c in terms.items())\n",
            ("tests/test_cli.py::test_space_text_orders_terms_by_sort_key",),
-           "text space, patterns and FAILED lines order a value's terms by basis index"),
+           "text space, patterns and FAILED lines leave a value's terms in the order they were added"),
     Mutant(CLI,
            "    legs = [_leg(path, 12) for path in algebra.basis]\n",
            "    texts = {path.arrows: _leg(path, 12) for path in algebra.basis}\n"
@@ -176,10 +175,16 @@ MUTANTS = [
            ("tests/test_cli.py::TestJsonWriter::test_space_payloads",),
            "the leg texts are keyed by arrows, so e_a and e_b share one text"),
     Mutant(CLI,
-           "                terms, key=lambda pair: (rank[pair[0]], rank[pair[1]]))\n",
-           "                terms)\n",
+           "ordered = terms if len(terms) == 1 else sorted(terms)\n",
+           "ordered = terms\n",
            ("tests/test_cli.py::TestJsonWriter::test_space_writer_orders_terms_by_sort_key",),
-           "space --json orders a value's terms by basis index, not by sort_key rank"),
+           "space --json leaves a value's terms in the order they were added"),
+    Mutant(CLI,
+           "    blocks = sorted(grouped.items())\n",
+           "    blocks = list(grouped.items())\n",
+           ("tests/test_cli.py::TestJsonWriter::test_cli_payloads",),
+           "basis groups the basis into blocks in the order they first occur in it, "
+           "not in (source, target) order"),
     Mutant(CLI,
            "_leg(p, 8) for p in paths",
            "_leg(p, 6) for p in paths",
@@ -222,10 +227,12 @@ MUTANTS = [
            ("tests/test_basis_reference.py",),
            "compute_basis adopts an ideal row's coefficient without coercing it"),
     Mutant(IDEAL,
-           "index_of[j] = at_place[place[j]] = len(basis)",
-           "index_of[j] = at_place[j] = len(basis)",
-           ("tests/test_ideal.py::TestComputeBasis::test_sort_rank_by_hand",),
-           "compute_basis ranks the basis in block order, not in sort_key order"),
+           "    live = [p for p in paths if p.arrows not in table]\n",
+           "    live = sorted((p for p in paths if p.arrows not in table),\n"
+           "                  key=lambda p: (p.source, p.target))\n",
+           ("tests/test_ideal.py::TestComputeBasis::test_canonical_order_by_hand",),
+           "compute_basis takes its live columns in (source, target) block order, "
+           "so the basis is in block order"),
     Mutant(IDEAL,
            "    return longest + 1\n",
            "    return longest\n",

@@ -1,6 +1,8 @@
 """Hypothesis strategies for bound quivers.
 
-`small_quivers` draws connected quivers with loops and parallel arrows.
+`small_quivers` draws connected quivers with loops and parallel arrows,
+and `renamed_quivers` the same with vertices and arrows declared out of
+name order.
 `random_algebras` draws `families.gen_random` instances, whose ideals are
 monomial, over Q, F_2, F_3 and F_5.  `mixed_algebras` draws toupies with
 monomial and linear relations, canonical algebras with rational lambdas
@@ -82,6 +84,17 @@ def small_quivers(draw):
     ends += draw(st.lists(st.tuples(st.sampled_from(vertices), st.sampled_from(vertices)),
                           max_size=4))
     return Quiver(vertices, [(f"a{k}", s, t) for k, (s, t) in enumerate(ends)])
+
+
+@st.composite
+def renamed_quivers(draw):
+    """A small_quivers draw that declares its vertices in shuffled order and
+    whose arrows get their names in shuffled order, so that document order
+    and name order differ."""
+    quiver = draw(small_quivers())
+    names = draw(st.permutations([f"a{k}" for k in range(len(quiver.arrows))]))
+    return Quiver(draw(st.permutations(quiver.vertices)),
+                  [(name, a.source, a.target) for name, a in zip(names, quiver.arrows)])
 
 
 def random_algebras():

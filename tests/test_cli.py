@@ -21,10 +21,10 @@ from frobq.frobenius import (CoproductCandidate, candidate_from_json,
                              solve_frobenius_space)
 from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
-from frobq.quiver import Quiver
+from frobq.quiver import Path, PathExpr, Quiver
 
-from algebra_ops import blocks, combine, path_terms, terms_text
-from strategies import has_zero_generator, mixed_algebras, random_algebras
+from algebra_ops import blocks, canonical_key, combine, path_terms, terms_text
+from strategies import has_zero_generator, mixed_algebras, random_algebras, renamed_quivers
 
 DIAMOND = """field Q
 vertex 0 x y w
@@ -754,7 +754,9 @@ def test_space_json_golden(capsys, tmp_path, gen, flags, digest):
 # before the CLI shared one parser across calls; `patterns` prints nothing
 # but "no local patterns" on those three, so A_6 with the relation a2*a3
 # adds a document with a witness.  The verify candidate is e_v (x) e_v at
-# the first vertex, which is never a coproduct there.
+# the first vertex, which is never a coproduct there.  linear-verify was
+# recorded again when the basis went from block order to canonical order:
+# verify names the first failing pair in basis order, now (e_1, a1).
 GOLDEN_DOCUMENTS = {
     "linear": (["linear", "12"], []),
     "cycle": (["cycle", "5", "4"], ["--field", "F7"]),
@@ -771,7 +773,7 @@ GOLDEN_OUTPUTS = [
     ("linear", ["patterns"], 0,
      "806162a7637234c4cd28b7916a448ba21006bd41d130d834937dad792b242fdc"),
     ("linear", ["verify"], 4,
-     "80f9e62001026ffb35c3d99c2ff6cf9ccd2ebac144bcb1575352a0f9fa3955c0"),
+     "c6ff6e4586bfc094f4320b05db779506877ab86f8fe2c3eef2868b88bd34bbc6"),
     ("cycle", ["basis", "--json"], 0,
      "0b98bb27a878cd56ef176546330b9c17a9228f0b44d1e0b6fa0df80d63c49763"),
     ("cycle", ["dim", "--json"], 0,
@@ -894,18 +896,27 @@ class TestJsonWriter:
     @pytest.mark.parametrize("build, field", [(gen_cycle(12, 9), QQ), (gen_cycle(5, 4), F7)],
                              ids=["cycle-12-9-Q", "cycle-5-4-F7"])
     def test_space_writer_orders_terms_by_sort_key(self, build, field):
-        """Each kernel vector's value at a vertex lies in one block of
-        (target(left), source(right)), where basis order is sort_key order.
-        The sum of the space spans blocks, so the writer must order its
-        terms by the sort_key rank of their legs, as candidate_to_json does."""
+        """The sum of the space holds its terms out of Path.sort_key order
+        of their legs, and the writer puts them in that order, as
+        candidate_to_json does."""
         algebra = compute_basis(*build, field)
         total = CoproductCandidate(algebra, combine(
             algebra, [(1, candidate) for candidate in solve_frobenius_space(algebra)]))
-        rank = algebra.sort_rank
-        assert any(sorted(terms) != sorted(terms, key=lambda pair: (rank[pair[0]], rank[pair[1]]))
-                   for terms in total.values.values())
+        basis, quiver = algebra.basis, algebra.quiver
+        assert any(list(terms) != sorted(terms, key=lambda pair: (
+            basis[pair[0]].sort_key(), basis[pair[1]].sort_key()))
+            for terms in total.values.values())
+        out = cli._space_json(algebra, [total])
+
+        def sort_key(leg):
+            return (quiver.trivial_path(leg["e"]) if isinstance(leg, dict)
+                    else quiver.path(leg)).sort_key()
+
+        for value in json.loads(out)["candidates"][0]:
+            keys = [(sort_key(term["left"]), sort_key(term["right"])) for term in value["terms"]]
+            assert keys == sorted(keys)
         payload = {"schema": "frobq/1", "dimension": 1, "candidates": [candidate_to_json(total)]}
-        assert cli._space_json(algebra, [total]) == json.dumps(payload, indent=2) + "\n"
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     @pytest.mark.parametrize("command", ["basis", "space"])
     def test_writers_escape_names(self, command):
@@ -915,6 +926,30 @@ class TestJsonWriter:
         out = json_text(algebra, command)
         assert out == json.dumps(dict_payload(algebra, command), indent=2) + "\n"
         assert "\\u00e9\\\"" in out and "\\ud83d\\ude00" in out and '"\\\\x"' in out
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(quiver=renamed_quivers(), length=st.integers(2, 3))
+    def test_basis_blocks_group_the_canonical_basis(self, quiver, length):
+        """basis --json groups the basis, which is in canonical order, into
+        blocks in (source, target) order, each with its paths in sort_key
+        order, on quivers that declare their vertices and arrows out of
+        name order.  Every path of the drawn length is zero, so a cyclic
+        quiver is finite too."""
+        ideal = IdealSpec([PathExpr.from_path(p, 1) for p in quiver.enumerate_paths(length)
+                           if len(p) == length])
+        algebra = compute_basis(quiver, ideal, QQ)
+        assert list(algebra.basis) == sorted(algebra.basis, key=canonical_key)
+        written = json.loads(json_text(algebra, "basis"))["blocks"]
+        keys = [(block["source"], block["target"]) for block in written]
+        assert keys == sorted(set(keys))
+        grouped = []
+        for block in written:
+            paths = [quiver.trivial_path(leg["e"]) if isinstance(leg, dict) else quiver.path(leg)
+                     for leg in block["paths"]]
+            assert {(p.source, p.target) for p in paths} == {(block["source"], block["target"])}
+            assert paths == sorted(paths, key=Path.sort_key)
+            grouped += paths
+        assert sorted(grouped, key=canonical_key) == list(algebra.basis)
 
     @pytest.mark.parametrize("command", ["basis", "dim", "space"])
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -954,18 +989,18 @@ class TestJsonWriter:
 @example(((*gen_cycle(5, 4), F7), True))
 def test_space_text_orders_terms_by_sort_key(case):
     """Text space lists each value's terms in Path.sort_key order of their
-    legs.  The solver's own candidates cannot tell that order from basis
-    order (see test_space_writer_orders_terms_by_sort_key), so space is
-    replaced by the sum of its candidates, whose values span blocks; in
-    the two cycle examples the orders differ there."""
-    (quiver, ideal, field), orders_differ = case
+    legs.  The solver's own candidates may hold their terms in that order
+    already, so space is replaced by the sum of its candidates, whose
+    values span blocks; in the two cycle examples the sum holds its terms
+    out of that order."""
+    (quiver, ideal, field), out_of_order = case
     assume(not has_zero_generator(ideal, field))
     algebra = compute_basis(quiver, ideal, field)
     total = CoproductCandidate(algebra, combine(
         algebra, [(1, candidate) for candidate in solve_frobenius_space(algebra)]))
-    if orders_differ:
+    if out_of_order:
         basis = algebra.basis
-        assert any(sorted(terms) != sorted(terms, key=lambda pair: (
+        assert any(list(terms) != sorted(terms, key=lambda pair: (
             basis[pair[0]].sort_key(), basis[pair[1]].sort_key()))
             for terms in total.values.values())
     out = io.StringIO()

@@ -29,9 +29,9 @@ from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField, SparseMatrix, kernel_basis, rank, rref
 from frobq.quiver import Path, PathExpr, Quiver
 
-from algebra_ops import (add, assert_canonical, coefficient_vector, combine, compose, coords_of,
-                         extend_coproduct, index_terms, multiply, path_terms, reduce_path,
-                         reference_rref, sort_ranks)
+from algebra_ops import (add, assert_canonical, canonical_key, coefficient_vector, combine,
+                         compose, coords_of, extend_coproduct, index_terms, multiply, path_terms,
+                         reduce_path, reference_rref)
 from strategies import (MONOMIAL_FIELDS, has_zero_generator, mixed_algebras, random_algebras,
                         small_quivers)
 
@@ -404,11 +404,11 @@ def finite_monomial_quivers(draw):
 def test_chain_walk_kernel_is_kernel_basis(drawn):
     """The monomial route gives the kernel vectors, in order, that the
     constraint matrix and kernel_basis give, each keyed in column order,
-    and its layout, which sort_rank orders, the legend."""
+    and its layout, in basis order, which is canonical order, the legend."""
     quiver, ideal, field = drawn
     assume(not has_zero_generator(ideal, field))
     algebra = compute_basis(quiver, ideal, field)
-    assert algebra.sort_rank == sort_ranks(algebra.basis)
+    assert list(algebra.basis) == sorted(algebra.basis, key=canonical_key)
     matrix, legend = build_constraint_system(algebra)
     columns = frobenius._columns(algebra)[0]
     assert frobenius._legend(columns) == legend

@@ -285,19 +285,23 @@ class TestComputeBasis:
     def test_linear_three_by_hand(self):
         q, ideal = gen_linear(3, [(1, 2)])
         algebra = compute_basis(q, ideal)
-        assert [str(p) for p in algebra.basis] == ["e_1", "a1", "e_2", "a2", "e_3"]
+        assert [str(p) for p in algebra.basis] == ["e_1", "e_2", "e_3", "a1", "a2"]
         assert algebra.dimension == 5
 
-    def test_sort_rank_by_hand(self):
-        """sort_rank[i] is basis[i]'s place in sort_key order, the trivial
-        paths by vertex name.  The diamond's pivot path a1_1*a1_2 is no
-        basis path, so it takes no place."""
-        algebra = compute_basis(*gen_linear(3, [(1, 2)]))
-        assert algebra.sort_rank == [0, 3, 1, 4, 2]
+    def test_canonical_order_by_hand(self):
+        """The basis is in canonical order, sort_key order with the trivial
+        paths by vertex name, not in the order the quiver declares its
+        vertices and arrows, and not grouped by (source, target) block.
+        The diamond's pivot path a1_1*a1_2 is no basis path, so it takes
+        no place."""
+        quiver = Quiver(["c", "b", "a"], [("z", "c", "b"), ("y", "b", "a")])
+        algebra = compute_basis(quiver, IdealSpec([]))
+        assert [str(p) for p in algebra.basis] == ["e_a", "e_b", "e_c", "y", "z", "z*y"]
+        assert algebra.table[("z", "y")] == {5: 1} and algebra.table["c"] == {2: 1}
         algebra = compute_basis(*diamond())
-        order = sorted(range(algebra.dimension), key=algebra.sort_rank.__getitem__)
-        assert [str(algebra.basis[i]) for i in order] == [
+        assert [str(p) for p in algebra.basis] == [
             "e_0", "e_v1_1", "e_v2_1", "e_w", "a1_1", "a1_2", "a2_1", "a2_2", "a2_1*a2_2"]
+        assert algebra.table[("a1_1", "a1_2")] == {8: 1}
 
     def test_loop_square(self):
         algebra = compute_basis(LOOP, IdealSpec([mono(LOOP, ["x", "x"])]))

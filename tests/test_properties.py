@@ -36,9 +36,9 @@ from frobq.families import REGIMES, gen_linear, gen_radical_square_zero, gen_ran
 from frobq.frobenius import frobenius_dimension, verify_coproduct
 from frobq.ideal import IdealSpec, compute_basis
 from frobq.linalg import QQ, PrimeField
-from frobq.quiver import Path, PathExpr, Quiver
+from frobq.quiver import PathExpr, Quiver
 
-from algebra_ops import blocks
+from algebra_ops import canonical_key
 from strategies import has_zero_generator, mixed_algebras, small_quivers
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -74,11 +74,9 @@ def rebuilt(quiver, ideal, vertex, arrow, reverse=False):
 
 
 def assert_canonical_order(algebra):
-    """The basis is in (source, target, sort_key) order and every block in sort_key order."""
-    assert list(algebra.basis) == sorted(
-        algebra.basis, key=lambda p: (p.source, p.target, p.sort_key()))
-    for block in blocks(algebra).values():
-        assert list(block) == sorted(block, key=Path.sort_key)
+    """The basis is in canonical order: sort_key order, the trivial paths by
+    vertex name."""
+    assert list(algebra.basis) == sorted(algebra.basis, key=canonical_key)
 
 
 def assert_relabelling_keeps_dimensions(quiver, ideal, field, shuffle_seed):

@@ -10,7 +10,7 @@ from frobq.ideal import longest_surviving_walk
 from frobq.quiver import Arrow, Path, PathExpr, Quiver
 
 from algebra_ops import compose
-from strategies import small_quivers
+from strategies import renamed_quivers
 
 
 def linear(n):
@@ -210,16 +210,6 @@ class TestEnumeratePaths:
                 else:
                     prefix = quiver.trivial_path(p.source)
                 assert prefix in seen
-
-
-@st.composite
-def renamed_quivers(draw):
-    """A small_quivers draw whose arrows get their names in shuffled order,
-    so that document order and name order differ."""
-    quiver = draw(small_quivers())
-    names = draw(st.permutations([f"a{k}" for k in range(len(quiver.arrows))]))
-    return Quiver(quiver.vertices,
-                  [(name, a.source, a.target) for name, a in zip(names, quiver.arrows)])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -352,16 +352,34 @@ def test_skip_rule_does_not_rest_on_associativity():
     while a1 * a2 stays nonzero, so the product is no longer associative
     and D(xy) = (x (x) 1) D(y) does not follow from how D extends; each
     side must still be checked wherever the reference finds it nonzero.
+    Then, on a fresh table, e_1 * e_1 is made a1: for a candidate with no
+    value at 1 the first pair, (e_1, e_1), has D(x) = D(y) = 0 while
+    D(xy) = D(a1) is not zero, so the walk must look at xy's coordinates
+    before it skips a pair.
     """
     q, ideal = gen_cycle(2, 3)
     algebra = compute_basis(q, ideal, QQ)
     algebra.table[("a1",)] = {}
     # The mutation must reach every reader of the table, or the test is vacuous.
-    a1, index = q.path(["a1"]), algebra.index
+    a1, e_1, e_2, index = q.path(["a1"]), q.trivial_path("1"), q.trivial_path("2"), algebra.index
     assert reduce_path(algebra, a1) == {}
-    assert algebra.product_table[index[q.trivial_path("1")]][index[a1]] == {}
-    assert algebra.product_table[index[a1]][index[q.trivial_path("2")]] == {}
+    assert algebra.product_table[index[e_1]][index[a1]] == {}
+    assert algebra.product_table[index[a1]][index[e_2]] == {}
     legend = build_constraint_system(algebra)[1]
+    for seed in range(30):
+        rng = random.Random(seed)
+        values = {}
+        add_support_terms(values, algebra, legend, rng, rng.randint(1, 3))
+        assert_same_verdict(algebra, CoproductCandidate(algebra, values))
+
+    algebra = compute_basis(q, ideal, QQ)
+    algebra.table["1"] = {index[a1]: 1}
+    assert reduce_path(algebra, e_1) == {a1: 1}
+    assert algebra.product_table[index[e_1]][index[e_1]] == {index[a1]: 1}
+    candidate = CoproductCandidate(algebra, {"2": {(index[e_2], index[e_2]): 1}})
+    assert not assert_same_verdict(algebra, candidate)
+    failure = verify_coproduct(algebra, candidate)[1]
+    assert (failure.x, failure.y) == (e_1, e_1)
     for seed in range(30):
         rng = random.Random(seed)
         values = {}
