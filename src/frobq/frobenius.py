@@ -610,8 +610,7 @@ def candidate_to_json(candidate: CoproductCandidate):
     return [{"vertex": vertex,
              "terms": [{"left": path_to_json(basis[i]), "right": path_to_json(basis[j]),
                         "coeff": str(c)}
-                       for (i, j), c in sorted(candidate.values[vertex].items(), key=lambda t: (
-                           basis[t[0][0]].sort_key(), basis[t[0][1]].sort_key()))]}
+                       for (i, j), c in sorted(candidate.values[vertex].items())]}
             for vertex in algebra.quiver.vertices if vertex in candidate.values]
 
 

@@ -168,6 +168,11 @@ MUTANTS = [
            "for (i, j), c in terms.items())\n",
            ("tests/test_cli.py::test_space_text_orders_terms_by_sort_key",),
            "text space, patterns and FAILED lines leave a value's terms in the order they were added"),
+    Mutant(FROBENIUS,
+           "for (i, j), c in sorted(candidate.values[vertex].items())]}\n",
+           "for (i, j), c in sorted(candidate.values[vertex].items(), reverse=True)]}\n",
+           ("tests/test_cli.py::TestJsonWriter::test_space_writer_orders_terms_by_sort_key",),
+           "candidate_to_json writes a value's terms in reverse sort_key order"),
     Mutant(CLI,
            "    legs = [_leg(path, 12) for path in algebra.basis]\n",
            "    texts = {path.arrows: _leg(path, 12) for path in algebra.basis}\n"
@@ -274,6 +279,11 @@ MUTANTS = [
            "        return 1 / x\n",
            ("tests/test_linalg.py",),
            "RationalField.inverse gives a float for an int"),
+    Mutant(LINALG,
+           "        return pow(x, -1, self.p)\n",
+           "        return x % self.p\n",
+           ("tests/test_linalg.py",),
+           "PrimeField.inverse returns its argument, not its inverse mod p"),
     Mutant(LINALG,
            "        return x if x.__class__ is int else x.numerator if x.denominator == 1 else x\n",
            "        return x\n",

@@ -1,8 +1,8 @@
 """What a process imports: `frobq dim` loads only the modules it runs.
 
 Every start compiles frobq from source when bytecode is not written, so a
-module `dim` never calls is pure start-up cost.  The closed forms load on
-first use, through the package or through `classify`/`patterns`.
+module `dim` never calls is pure start-up cost.  The closed forms are
+reached only as `frobq.closed_forms`, which `classify` and `patterns` import.
 """
 
 import json
@@ -14,20 +14,17 @@ import frobq
 
 SRC = os.path.dirname(os.path.dirname(frobq.__file__))
 
-# Every public name of the package, as it stood when all of it loaded eagerly.
+# Every public name of the package; the closed forms are frobq.closed_forms's.
 EXPORTED = (
     "AlgebraBasis", "Arrow", "CoproductCandidate", "FrobqError", "IdealSpec",
-    "InfiniteDimensionalError", "InternalFaultError", "LocalPatternMatch", "ParseError",
+    "InfiniteDimensionalError", "InternalFaultError", "ParseError",
     "Path", "PathExpr", "PrimeField", "QQ", "Quiver", "QuiverDocument", "SparseMatrix",
-    "SupportViolationError", "ToupieClassification",
-    "UnsupportedIdealRegimeError", "ValidationError", "build_constraint_system",
-    "candidate_from_json", "candidate_to_json", "compute_basis", "compute_bound",
-    "detect_local_patterns", "format_document", "frobenius_dimension",
-    "is_gentle", "is_radical_square_zero", "is_string", "is_string_quadratic",
-    "kernel_basis", "parse_document", "radical_square_zero_dimension", "rank", "rref",
-    "solve_frobenius_space", "string_relation_witness", "toupie_classify", "validate",
-    "verify_coproduct", "witness_coproduct", "__version__",
-    "closed_forms", "dsl", "errors", "frobenius", "ideal", "linalg", "quiver",
+    "SupportViolationError", "UnsupportedIdealRegimeError", "ValidationError",
+    "build_constraint_system", "candidate_from_json", "candidate_to_json", "compute_basis",
+    "compute_bound", "format_document", "frobenius_dimension", "kernel_basis",
+    "parse_document", "rank", "rref", "solve_frobenius_space", "validate",
+    "verify_coproduct", "__version__",
+    "dsl", "errors", "frobenius", "ideal", "linalg", "quiver",
 )
 
 DIAMOND = """field Q
@@ -49,19 +46,17 @@ print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 
 PACKAGE_PROBE = """
 import json, sys
-from frobq import witness_coproduct
 import frobq
-from frobq.closed_forms import witness_coproduct as direct
-try:
-    frobq.no_such_name
-    missing = "resolved"
-except AttributeError:
-    missing = "AttributeError"
-except RecursionError:
-    missing = "RecursionError"
+loaded = "frobq.closed_forms" in sys.modules
 unresolved = [n for n in sys.argv[1:] if not hasattr(frobq, n)]
-print(json.dumps({"same": witness_coproduct is direct, "missing": missing,
-                  "unresolved": unresolved}))
+try:
+    frobq.toupie_classify
+    closed_form = "resolved"
+except AttributeError:
+    closed_form = "AttributeError"
+from frobq.closed_forms import witness_coproduct
+print(json.dumps({"loaded": loaded, "unresolved": unresolved, "closed_form": closed_form,
+                  "direct": callable(witness_coproduct)}))
 """
 
 
@@ -94,10 +89,7 @@ def test_json_output_imports_nothing_dim_does_not(tmp_path):
         assert result["code"] == 0 and result["modules"] == dim["modules"]
 
 
-def test_package_names_resolve_and_closed_forms_load_on_first_use():
+def test_closed_forms_are_reached_only_through_their_module():
     result = _fresh(PACKAGE_PROBE, *EXPORTED)
-    assert result == {"same": True, "missing": "AttributeError", "unresolved": []}
-
-
-def test_dir_lists_the_closed_form_names():
-    assert {"toupie_classify", "witness_coproduct", "closed_forms"} <= set(dir(frobq))
+    assert result == {"loaded": False, "unresolved": [], "closed_form": "AttributeError",
+                      "direct": True}
