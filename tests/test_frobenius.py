@@ -847,3 +847,18 @@ def test_candidate_json_round_trip():
     # a candidate file may wrap the same payload under a schema key
     dumped = json.loads(json.dumps({"schema": "frobq/1", "coproduct": data}))
     assert candidate_from_json(dumped, algebra).values == candidate.values
+
+
+def test_candidate_to_json_orders_tied_trivial_legs_by_basis_index():
+    """Trivial legs tie under sort_key; the writer puts them by basis index
+    (vertex name), not by the order the terms were added.  Only a candidate
+    that breaks the support condition holds two trivial legs on one side."""
+    q = Quiver(["x", "y"], [("a", "x", "y")])
+    algebra = compute_basis(q, IdealSpec([]))
+    index = algebra.index
+    ex, ey = index[q.trivial_path("x")], index[q.trivial_path("y")]
+    assert ex < ey
+    candidate = CoproductCandidate(algebra, {"x": {(ey, ex): QQ.one, (ex, ex): QQ.one}})
+    [value] = candidate_to_json(candidate)
+    assert [term["left"] for term in value["terms"]] == [{"e": "x"}, {"e": "y"}]
+    assert candidate_from_json([value], algebra).values == candidate.values
